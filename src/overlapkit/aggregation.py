@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from .conjunctors import FusionFunction, check_axioms, continuity_heuristic
 from .implications import Implication, make_gon
 from .negations import Negation, classify, dual
-from .numerics import DEFAULT_CONFIG, CheckConfig, PreconditionError
-from .properties import PropertyReport, PropertyWitness, pair_points
+from .numerics import DEFAULT_CONFIG, CheckConfig, PreconditionError, _apart, _scan
+from .properties import PropertyReport, _report, pair_points
 
 AGGREGATION_NAMES = ("mean", "min", "max", "product")
 
@@ -171,21 +171,14 @@ def check_commutes(
     )
     connective_route = make_gon(aggregate_go(dual(agg, negation), gos, config), negation)
 
-    tol = config.eq_tol
-    worst, witness, count = 0.0, None, 0
-    for x, y in pair_points(config):
-        count += 1
-        lhs = float(implication_route(x, y))
-        rhs = float(connective_route(x, y))
-        dev = abs(lhs - rhs)
-        worst = max(worst, dev)
-        if dev > tol and witness is None:
-            witness = PropertyWitness((x, y), lhs, rhs, dev)
-            break
-    return PropertyReport(
-        property_id="commutes",
-        status="fails" if witness is not None else "holds_on_grid",
-        witness=witness,
-        samples_checked=count,
+    witness, count, worst = _scan(
+        pair_points(config),
+        lambda p: (float(implication_route(*p)), float(connective_route(*p))),
+        _apart(config.eq_tol),
+    )
+    return _report(
+        "commutes",
+        witness,
+        count,
         note=f"{implication_route.label} vs {connective_route.label}; max deviation {worst:.3g}",
     )

@@ -9,8 +9,9 @@ Verbs:
 * compare EXPR1 EXPR2: sup deviation over the sampled pairs.
 * table2: yes/no property matrix over the five built-in implication
   instances (one per implication class), as text, JSON, or CSV.
-* search TEMPLATE --prop P --range LO HI: substitute a parameter sweep into
-  a {} placeholder and report the first property violation.
+* search TEMPLATE --prop P --range LO HI [--steps N]: substitute N >= 1
+  evenly spaced values into a {} placeholder and report the first property
+  violation.
 * catalog: list every named constructor and its grammar.
 
 Expression grammar (whitespace around commas is ignored):
@@ -158,7 +159,10 @@ def _kv_params(text: str) -> dict[str, float]:
         key, eq, raw = item.partition("=")
         if not eq:
             raise ParseError(f"expected key=value, got {item!r}")
-        out[key.strip()] = _float(raw.strip())
+        key = key.strip()
+        if key in out:
+            raise ParseError(f"duplicate parameter {key!r} in {text!r}")
+        out[key] = _float(raw.strip())
     return out
 
 
@@ -580,6 +584,8 @@ def _cmd_table2(args, config: CheckConfig) -> int:
 def _cmd_search(args, config: CheckConfig) -> int:
     if "{}" not in args.template:
         raise ParseError("search template must contain a {} placeholder")
+    if args.steps < 1:
+        raise ParseError(f"--steps must be >= 1, got {args.steps}")
     prop = _normalize_prop(args.prop)
     negation = parse_negation(args.negation)
     lo, hi = args.range
@@ -711,7 +717,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("template", help="implication expression with a {} placeholder")
     p.add_argument("--prop", required=True, help="property to test at each step")
     p.add_argument("--range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    p.add_argument("--steps", type=int, default=11)
+    p.add_argument("--steps", type=int, default=11, help="number of values to try (>= 1)")
     p.add_argument("--negation", default="zadeh", help="negation for CP/LCP/RCP (default zadeh)")
 
     sub.add_parser("catalog", parents=[common], help="list the expression grammar")

@@ -19,6 +19,12 @@ maxima), and a continuity heuristic bounding jumps between adjacent grid
 cells by 10/resolution. "Only if" directions that survive the search are
 reported as "no counterexample found on grid", never as proved.
 
+check_axioms evaluates the function once on the grid, and every check
+reads that tensor. The converse checks -- the O2/O3/G2/G3 "only if"
+directions and GO2a/GO3a -- are one mask scan parameterized by side
+(overlap or grouping); grouping_from and overlap_from run the same scan on
+the tensor of their source before building its N-dual with negations.dual.
+
 Binary functions are checked at the configured grid resolution; ternary and
 wider ones on a reduced grid (21 points for arity 3, 11 beyond) to keep the
 suite at desk scale.
@@ -29,16 +35,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial, reduce
 from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
 
+from .negations import dual
 from .numerics import (
     DEFAULT_CONFIG,
     CheckConfig,
     PreconditionError,
     UnitValue,
+    _scan,
     iteration_count,
     sorted_samples,
     uniform_grid,
@@ -347,32 +356,7 @@ def grouping_from(go: FusionFunction, negation, config: CheckConfig = DEFAULT_CO
     still returned but downgraded to the neutral aggregation role with a
     warning.
     """
-    if go.arity != 2:
-        raise PreconditionError("grouping_from needs a binary function")
-    if not getattr(negation, "is_strict", False):
-        raise PreconditionError("grouping_from requires a strict negation")
-    ok2, w2 = _converse_scan(go, config, direction="zero")
-    ok3, w3 = _converse_scan(go, config, direction="one")
-    role = "grouping"
-    if not (ok2 and ok3):
-        bad = w2 if not ok2 else w3
-        warnings.warn(
-            f"{go.label} fails the GO2a/GO3a grid check at {bad}; "
-            "dual is returned with role 'aggregation', not 'grouping'",
-            stacklevel=2,
-        )
-        role = "aggregation"
-
-    def fn(x: float, y: float, _g=go, _n=negation) -> float:
-        return _n(_g(_n(x), _n(y)))
-
-    return FusionFunction(
-        fn=fn,
-        arity=2,
-        role=role,
-        label=f"dualG({go.label}, {negation.label})",
-        params=go.params,
-    )
+    return _dual_from(go, negation, config, "overlap")
 
 
 def overlap_from(grouping: FusionFunction, negation, config: CheckConfig = DEFAULT_CONFIG) -> FusionFunction:
@@ -382,32 +366,42 @@ def overlap_from(grouping: FusionFunction, negation, config: CheckConfig = DEFAU
     1 argument (the converse scans); otherwise the dual is downgraded with a
     warning, as in grouping_from.
     """
-    if grouping.arity != 2:
-        raise PreconditionError("overlap_from needs a binary function")
+    return _dual_from(grouping, negation, config, "grouping")
+
+
+# Side whose converses the source must pass -> (public name, role and label
+# head of the dual when they hold, warning tail when they fail).
+_DUAL_FROM = {
+    "overlap": (
+        "grouping_from",
+        "grouping",
+        "dualG",
+        "fails the GO2a/GO3a grid check at {}; dual is returned with role 'aggregation', not 'grouping'",
+    ),
+    "grouping": (
+        "overlap_from",
+        "general_overlap",
+        "dualO",
+        "fails the grouping converse grid check at {}; dual is returned with role 'aggregation'",
+    ),
+}
+
+
+def _dual_from(f: FusionFunction, negation, config: CheckConfig, side: str) -> FusionFunction:
+    who, role, head, failure = _DUAL_FROM[side]
+    if f.arity != 2:
+        raise PreconditionError(f"{who} needs a binary function")
     if not getattr(negation, "is_strict", False):
-        raise PreconditionError("overlap_from requires a strict negation")
-    ok2, w2 = _grouping_converse_scan(grouping, config, direction="zero")
-    ok3, w3 = _grouping_converse_scan(grouping, config, direction="one")
-    role = "general_overlap"
-    if not (ok2 and ok3):
-        bad = w2 if not ok2 else w3
-        warnings.warn(
-            f"{grouping.label} fails the grouping converse grid check at {bad}; "
-            "dual is returned with role 'aggregation'",
-            stacklevel=2,
-        )
-        role = "aggregation"
-
-    def fn(x: float, y: float, _g=grouping, _n=negation) -> float:
-        return _n(_g(_n(x), _n(y)))
-
-    return FusionFunction(
-        fn=fn,
-        arity=2,
-        role=role,
-        label=f"dualO({grouping.label}, {negation.label})",
-        params=grouping.params,
-    )
+        raise PreconditionError(f"{who} requires a strict negation")
+    xs = _axis_grid(config, 2)
+    tensor = _tensor(f, xs)
+    for level in (0.0, 1.0):
+        check = _converse_check("converse", side, level, tensor, xs, config.eq_tol)
+        if not check.passed:
+            warnings.warn(f"{f.label} {failure.format(check.witness)}", stacklevel=3)
+            role = "aggregation"
+            break
+    return replace(dual(f, negation), role=role, label=f"{head}({f.label}, {negation.label})")
 
 
 def piecewise_neutral_go(e: float) -> FusionFunction:
@@ -477,310 +471,173 @@ def _tensor(f: FusionFunction, xs: np.ndarray) -> np.ndarray:
     return np.asarray(vals).reshape((len(xs),) * f.arity)
 
 
-def _first_index(mask: np.ndarray) -> tuple[int, ...]:
-    idx = np.argwhere(mask)
-    return tuple(int(k) for k in idx[0])
+def _mask_check(
+    axiom: str,
+    mask: np.ndarray,
+    xs: np.ndarray,
+    deviation: float | np.ndarray = 0.0,
+    note: str = "",
+    informational: bool = False,
+) -> Optional[AxiomCheck]:
+    """The failing check at the first True of mask, or None when there is none.
 
-
-def _symmetry_check(tensor: np.ndarray, xs: np.ndarray, tol: float) -> AxiomCheck:
-    worst = 0.0
-    for axis in range(tensor.ndim - 1):
-        swapped = np.swapaxes(tensor, axis, axis + 1)
-        dev = np.abs(tensor - swapped)
-        worst = max(worst, float(dev.max()))
-        if dev.max() > tol:
-            at = _first_index(dev > tol)
-            return AxiomCheck(
-                axiom="symmetry",
-                passed=False,
-                witness=tuple(float(xs[k]) for k in at),
-                deviation=float(dev.max()),
-            )
-    return AxiomCheck(axiom="symmetry", passed=True, deviation=worst)
-
-
-def _monotone_check(tensor: np.ndarray, xs: np.ndarray, tol: float) -> AxiomCheck:
-    # Running maxima cover every pair along each axis, not just neighbors.
-    worst = 0.0
-    for axis in range(tensor.ndim):
-        drop = np.maximum.accumulate(tensor, axis=axis) - tensor
-        worst = max(worst, float(drop.max()))
-        if drop.max() > tol:
-            at = _first_index(drop > tol)
-            return AxiomCheck(
-                axiom="monotone",
-                passed=False,
-                witness=tuple(float(xs[k]) for k in at),
-                deviation=float(drop.max()),
-            )
-    return AxiomCheck(axiom="monotone", passed=True, deviation=worst)
-
-
-def _continuity_check(tensor: np.ndarray, xs: np.ndarray) -> AxiomCheck:
-    bound = 10.0 / len(xs)
-    worst = 0.0
-    for axis in range(tensor.ndim):
-        jump = np.abs(np.diff(tensor, axis=axis))
-        worst = max(worst, float(jump.max()))
-        if jump.max() > bound:
-            at = _first_index(jump > bound)
-            return AxiomCheck(
-                axiom="continuity",
-                passed=False,
-                witness=tuple(float(xs[k]) for k in at),
-                deviation=float(jump.max()),
-                note=f"adjacent-cell jump bound {bound:g}",
-            )
+    First means C order over the grid axes, the order a nested loop over xs
+    meets the points in. deviation is a number, or an array shaped like mask
+    that is read at the witness.
+    """
+    hits = np.argwhere(mask)
+    if len(hits) == 0:
+        return None
+    at = tuple(int(k) for k in hits[0])
+    if isinstance(deviation, np.ndarray):
+        deviation = deviation[at]
     return AxiomCheck(
-        axiom="continuity",
-        passed=True,
-        deviation=worst,
-        note=f"adjacent-cell jump bound {bound:g}",
+        axiom=axiom,
+        passed=False,
+        witness=tuple(float(xs[k]) for k in at),
+        deviation=float(deviation),
+        note=note,
+        informational=informational,
     )
 
 
-def _zero_slices_exact(tensor: np.ndarray, xs: np.ndarray) -> AxiomCheck:
+def _bound_check(axiom: str, excesses, xs: np.ndarray, bound: float, note: str = "") -> AxiomCheck:
+    """Fail at the first excess array (one per axis) topping bound; else pass with the largest."""
+    worst = 0.0
+    for excess in excesses:
+        top = float(excess.max())
+        worst = max(worst, top)
+        if top > bound:
+            return _mask_check(axiom, excess > bound, xs, top, note)
+    return AxiomCheck(axiom=axiom, passed=True, deviation=worst, note=note)
+
+
+def _symmetry_check(axiom: str, tensor: np.ndarray, xs: np.ndarray, tol: float) -> AxiomCheck:
+    swaps = (np.abs(tensor - np.swapaxes(tensor, axis, axis + 1)) for axis in range(tensor.ndim - 1))
+    return _bound_check(axiom, swaps, xs, tol)
+
+
+def _monotone_check(axiom: str, tensor: np.ndarray, xs: np.ndarray, tol: float) -> AxiomCheck:
+    # Running maxima cover every pair along each axis, not just neighbors.
+    drops = (np.maximum.accumulate(tensor, axis=axis) - tensor for axis in range(tensor.ndim))
+    return _bound_check(axiom, drops, xs, tol)
+
+
+def _continuity_check(axiom: str, tensor: np.ndarray, xs: np.ndarray) -> AxiomCheck:
+    bound = 10.0 / len(xs)
+    jumps = (np.abs(np.diff(tensor, axis=axis)) for axis in range(tensor.ndim))
+    return _bound_check(axiom, jumps, xs, bound, note=f"adjacent-cell jump bound {bound:g}")
+
+
+def _zero_slices_exact(axiom: str, tensor: np.ndarray, xs: np.ndarray) -> AxiomCheck:
     # "if" direction of GO2/O2: a zero coordinate must force value exactly 0.
     for axis in range(tensor.ndim):
-        sl = np.take(tensor, 0, axis=axis)
-        if np.any(sl != 0.0):
-            flat = np.argwhere(sl != 0.0)[0]
-            rest = [float(xs[int(k)]) for k in flat]
-            point = rest[:axis] + [0.0] + rest[axis:]
-            return AxiomCheck(
-                axiom="zero_if",
-                passed=False,
-                witness=tuple(point),
-                deviation=float(np.abs(sl).max()),
-            )
-    return AxiomCheck(axiom="zero_if", passed=True)
-
-
-def _converse_scan(go: FusionFunction, config: CheckConfig, direction: str):
-    """GO2a/GO3a witness search. Returns (no_counterexample, witness|None)."""
-    xs = _axis_grid(config, go.arity)
-    tensor = _tensor(go, xs)
-    tol = config.eq_tol
-    if direction == "zero":
-        positive = xs > 0.0
-        mask = tensor <= tol
-        for axis in range(tensor.ndim):
-            shape = [1] * tensor.ndim
-            shape[axis] = len(xs)
-            mask &= positive.reshape(shape)
-    else:
-        below_one = xs < 1.0
-        mask = tensor >= 1.0 - tol
-        any_below = np.zeros(tensor.shape, dtype=bool)
-        for axis in range(tensor.ndim):
-            shape = [1] * tensor.ndim
-            shape[axis] = len(xs)
-            any_below |= below_one.reshape(shape)
-        mask &= any_below
-    if np.any(mask):
-        at = _first_index(mask)
-        return False, tuple(float(xs[k]) for k in at)
-    return True, None
-
-
-def _grouping_converse_scan(g: FusionFunction, config: CheckConfig, direction: str):
-    """Mirror converses for groupings: 0 only at (0,..,0); 1 needs a 1."""
-    xs = _axis_grid(config, g.arity)
-    tensor = _tensor(g, xs)
-    tol = config.eq_tol
-    if direction == "zero":
-        some_positive = np.zeros(tensor.shape, dtype=bool)
-        positive = xs > 0.0
-        for axis in range(tensor.ndim):
-            shape = [1] * tensor.ndim
-            shape[axis] = len(xs)
-            some_positive |= positive.reshape(shape)
-        mask = (tensor <= tol) & some_positive
-    else:
-        below_one = xs < 1.0
-        mask = tensor >= 1.0 - tol
-        for axis in range(tensor.ndim):
-            shape = [1] * tensor.ndim
-            shape[axis] = len(xs)
-            mask &= below_one.reshape(shape)
-    if np.any(mask):
-        at = _first_index(mask)
-        return False, tuple(float(xs[k]) for k in at)
-    return True, None
+        face = tuple(0 if k == axis else slice(None) for k in range(tensor.ndim))
+        mask = np.zeros(tensor.shape, dtype=bool)
+        mask[face] = tensor[face] != 0.0
+        failed = _mask_check(axiom, mask, xs, float(np.abs(tensor[face]).max()))
+        if failed is not None:
+            return failed
+    return AxiomCheck(axiom=axiom, passed=True)
 
 
 _NO_CE = "no counterexample found on grid"
+
+
+def _converse_check(
+    axiom: str,
+    side: str,
+    level: float,
+    tensor: np.ndarray,
+    xs: np.ndarray,
+    tol: float,
+    note: str = "",
+    informational: bool = False,
+) -> AxiomCheck:
+    """Converse boundary condition: level (0 or 1) is reached only where allowed.
+
+    The overlap side allows 0 only with a zero argument (O2, GO2a) and 1
+    only at the all-ones corner (O3, GO3a); the grouping side allows 0 only
+    at the all-zero corner (G2) and 1 only with a one argument (G3). A
+    failure's deviation is the value reached, except on the informational
+    GO2a/GO3a entries, which report none.
+    """
+    if level == 0.0:
+        hit, away = tensor <= tol, xs > 0.0
+    else:
+        hit, away = tensor >= 1.0 - tol, xs < 1.0
+    # Overlap zeros and grouping ones need every coordinate away from level.
+    join = np.logical_and if (side == "overlap") == (level == 0.0) else np.logical_or
+    mask = hit & reduce(join, np.meshgrid(*[away] * tensor.ndim, indexing="ij", sparse=True))
+    failed = _mask_check(axiom, mask, xs, 0.0 if informational else tensor, note, informational)
+    return failed or AxiomCheck(axiom=axiom, passed=True, note=_NO_CE, informational=informational)
 
 
 def check_axioms(f: FusionFunction, axiom_set: str, config: CheckConfig = DEFAULT_CONFIG) -> AxiomReport:
     """Verify one of the axiom sets O, G, GO, or T on the grid.
 
     O/G/T demand a binary function; GO accepts any arity. The report's
-    aggregate verdict ignores the informational GO2a/GO3a entries.
+    aggregate verdict ignores the informational GO2a/GO3a entries. The
+    function is evaluated once on the grid; every check reads that tensor.
     """
     if axiom_set in ("O", "G", "T") and f.arity != 2:
         raise PreconditionError(f"axiom set {axiom_set} applies to binary functions")
-    if axiom_set == "O":
-        checks = _check_overlap_axioms(f, config)
-    elif axiom_set == "G":
-        checks = _check_grouping_axioms(f, config)
-    elif axiom_set == "GO":
-        checks = _check_general_overlap_axioms(f, config)
-    elif axiom_set == "T":
-        checks = _check_tnorm_axioms(f, config)
-    else:
+    checker = _AXIOM_SETS.get(axiom_set)
+    if checker is None:
         raise PreconditionError(f"unknown axiom set {axiom_set!r} (want O|G|GO|T)")
+    xs = _axis_grid(config, f.arity)
+    checks = checker(f, _tensor(f, xs), xs, config)
     return AxiomReport(label=f.label, axiom_set=axiom_set, checks=tuple(checks))
 
 
-def _check_overlap_axioms(f: FusionFunction, config: CheckConfig) -> list[AxiomCheck]:
-    xs = _axis_grid(config, 2)
-    tensor = _tensor(f, xs)
+# Side -> (axiom prefix, failure notes of the "only if" scans at levels 0 and 1).
+_BINARY_SETS = {
+    "overlap": ("O", "zero at nonzero arguments", "reaches 1 away from (1,1)"),
+    "grouping": ("G", "zero away from (0,0)", "reaches 1 without a 1 argument"),
+}
+
+
+def _check_binary_axioms(side: str, f: FusionFunction, tensor, xs, config: CheckConfig) -> list[AxiomCheck]:
+    """O1-O5 or G1-G5, mirror images of each other.
+
+    The level the side takes on whole boundary lines (0 for overlaps, 1 for
+    groupings) must hold exactly along them; the other level exactly at its
+    corner. Where it does, the converse is scanned on the tensor.
+    """
+    prefix, *notes = _BINARY_SETS[side]
     tol = config.eq_tol
-    checks = [replace(_symmetry_check(tensor, xs, tol), axiom="O1")]
-
-    bad = _boundary_lines_exact(f, config, value=0.0)
-    if bad is None:
-        only_if = (tensor <= tol) & np.outer(xs > 0.0, xs > 0.0)
-        if np.any(only_if):
-            i, j = _first_index(only_if)
-            checks.append(
-                AxiomCheck(
-                    axiom="O2",
-                    passed=False,
-                    witness=(float(xs[i]), float(xs[j])),
-                    deviation=float(tensor[i, j]),
-                    note="zero at nonzero arguments",
-                )
-            )
+    checks = [_symmetry_check(prefix + "1", tensor, xs, tol)]
+    for level, axiom, note in zip((0.0, 1.0), (prefix + "2", prefix + "3"), notes):
+        if (level == 0.0) == (side == "overlap"):
+            bad = _boundary_lines_exact(f, config, level)
         else:
-            checks.append(AxiomCheck(axiom="O2", passed=True, note=_NO_CE))
-    else:
-        checks.append(AxiomCheck(axiom="O2", passed=False, witness=bad[0], deviation=bad[1]))
-
-    one_exact = float(f(1.0, 1.0)) == 1.0
-    if one_exact:
-        off_corner = tensor >= 1.0 - tol
-        off_corner[-1, -1] = False
-        if np.any(off_corner):
-            i, j = _first_index(off_corner)
-            checks.append(
-                AxiomCheck(
-                    axiom="O3",
-                    passed=False,
-                    witness=(float(xs[i]), float(xs[j])),
-                    deviation=float(tensor[i, j]),
-                    note="reaches 1 away from (1,1)",
-                )
-            )
-        else:
-            checks.append(AxiomCheck(axiom="O3", passed=True, note=_NO_CE))
-    else:
-        checks.append(
-            AxiomCheck(axiom="O3", passed=False, witness=(1.0, 1.0), deviation=abs(float(f(1.0, 1.0)) - 1.0))
-        )
-
-    checks.append(replace(_monotone_check(tensor, xs, tol), axiom="O4"))
-    checks.append(replace(_continuity_check(tensor, xs), axiom="O5"))
+            bad = _corner_exact(f, level)
+        failed = None if bad is None else AxiomCheck(axiom, False, *bad)
+        checks.append(failed or _converse_check(axiom, side, level, tensor, xs, tol, note))
+    checks.append(_monotone_check(prefix + "4", tensor, xs, tol))
+    checks.append(_continuity_check(prefix + "5", tensor, xs))
     return checks
 
 
-def _check_grouping_axioms(f: FusionFunction, config: CheckConfig) -> list[AxiomCheck]:
-    xs = _axis_grid(config, 2)
-    tensor = _tensor(f, xs)
+def _check_general_overlap_axioms(f: FusionFunction, tensor, xs, config: CheckConfig) -> list[AxiomCheck]:
     tol = config.eq_tol
-    checks = [replace(_symmetry_check(tensor, xs, tol), axiom="G1")]
+    checks = [_symmetry_check("GO1", tensor, xs, tol), _zero_slices_exact("GO2", tensor, xs)]
 
-    if float(f(0.0, 0.0)) == 0.0:
-        only_if = tensor <= tol
-        only_if[0, 0] = False
-        if np.any(only_if):
-            i, j = _first_index(only_if)
-            checks.append(
-                AxiomCheck(
-                    axiom="G2",
-                    passed=False,
-                    witness=(float(xs[i]), float(xs[j])),
-                    deviation=float(tensor[i, j]),
-                    note="zero away from (0,0)",
-                )
-            )
-        else:
-            checks.append(AxiomCheck(axiom="G2", passed=True, note=_NO_CE))
-    else:
-        checks.append(AxiomCheck(axiom="G2", passed=False, witness=(0.0, 0.0), deviation=float(f(0.0, 0.0))))
-
-    bad = _boundary_lines_exact(f, config, value=1.0)
-    if bad is None:
-        only_if = (tensor >= 1.0 - tol) & np.outer(xs < 1.0, xs < 1.0)
-        if np.any(only_if):
-            i, j = _first_index(only_if)
-            checks.append(
-                AxiomCheck(
-                    axiom="G3",
-                    passed=False,
-                    witness=(float(xs[i]), float(xs[j])),
-                    deviation=float(tensor[i, j]),
-                    note="reaches 1 without a 1 argument",
-                )
-            )
-        else:
-            checks.append(AxiomCheck(axiom="G3", passed=True, note=_NO_CE))
-    else:
-        checks.append(AxiomCheck(axiom="G3", passed=False, witness=bad[0], deviation=bad[1]))
-
-    checks.append(replace(_monotone_check(tensor, xs, tol), axiom="G4"))
-    checks.append(replace(_continuity_check(tensor, xs), axiom="G5"))
+    bad = _corner_exact(f, 1.0)
+    checks.append(AxiomCheck("GO3", True) if bad is None else AxiomCheck("GO3", False, *bad))
+    checks.append(_monotone_check("GO4", tensor, xs, tol))
+    checks.append(_continuity_check("GO5", tensor, xs))
+    for level, axiom, note in (
+        (0.0, "GO2a", "zero at all-nonzero arguments"),
+        (1.0, "GO3a", "reaches 1 below the all-ones corner"),
+    ):
+        checks.append(_converse_check(axiom, "overlap", level, tensor, xs, tol, note, informational=True))
     return checks
 
 
-def _check_general_overlap_axioms(f: FusionFunction, config: CheckConfig) -> list[AxiomCheck]:
-    xs = _axis_grid(config, f.arity)
-    tensor = _tensor(f, xs)
+def _check_tnorm_axioms(f: FusionFunction, tensor, xs, config: CheckConfig) -> list[AxiomCheck]:
     tol = config.eq_tol
-    checks = [replace(_symmetry_check(tensor, xs, tol), axiom="GO1")]
-    checks.append(replace(_zero_slices_exact(tensor, xs), axiom="GO2"))
-
-    corner = float(f(*([1.0] * f.arity)))
-    checks.append(
-        AxiomCheck(
-            axiom="GO3",
-            passed=corner == 1.0,
-            witness=None if corner == 1.0 else tuple([1.0] * f.arity),
-            deviation=abs(corner - 1.0),
-        )
-    )
-    checks.append(replace(_monotone_check(tensor, xs, tol), axiom="GO4"))
-    checks.append(replace(_continuity_check(tensor, xs), axiom="GO5"))
-
-    ok2a, w2a = _converse_scan(f, config, direction="zero")
-    checks.append(
-        AxiomCheck(
-            axiom="GO2a",
-            passed=ok2a,
-            witness=w2a,
-            note=_NO_CE if ok2a else "zero at all-nonzero arguments",
-            informational=True,
-        )
-    )
-    ok3a, w3a = _converse_scan(f, config, direction="one")
-    checks.append(
-        AxiomCheck(
-            axiom="GO3a",
-            passed=ok3a,
-            witness=w3a,
-            note=_NO_CE if ok3a else "reaches 1 below the all-ones corner",
-            informational=True,
-        )
-    )
-    return checks
-
-
-def _check_tnorm_axioms(f: FusionFunction, config: CheckConfig) -> list[AxiomCheck]:
-    xs = _axis_grid(config, 2)
-    tensor = _tensor(f, xs)
-    tol = config.eq_tol
-    checks = [replace(_symmetry_check(tensor, xs, tol), axiom="T1")]
+    checks = [_symmetry_check("T1", tensor, xs, tol)]
     checks.append(replace(check_associativity(f, config), axiom="T2"))
 
     samples = sorted_samples(config)
@@ -801,19 +658,30 @@ def _check_tnorm_axioms(f: FusionFunction, config: CheckConfig) -> list[AxiomChe
     return checks
 
 
-def _boundary_lines_exact(f: FusionFunction, config: CheckConfig, value: float):
-    """Exact boundary sweep: f(anchor, s) and f(s, anchor) == value for all s.
+_AXIOM_SETS = {
+    "O": partial(_check_binary_axioms, "overlap"),
+    "G": partial(_check_binary_axioms, "grouping"),
+    "GO": _check_general_overlap_axioms,
+    "T": _check_tnorm_axioms,
+}
 
-    anchor is 0 when value == 0 (overlap zero line) and 1 when value == 1
-    (grouping one line). Returns None on success, else (witness, deviation).
+
+def _corner_exact(f: FusionFunction, value: float):
+    """f(value, ..., value) == value exactly: None, else (witness, deviation)."""
+    corner = tuple([value] * f.arity)
+    got = float(f(*corner))
+    return None if got == value else (corner, abs(got - value))
+
+
+def _boundary_lines_exact(f: FusionFunction, config: CheckConfig, value: float):
+    """Exact boundary sweep: f(value, s) and f(s, value) == value for all s.
+
+    value is 0 for the overlap zero lines and 1 for the grouping one lines.
+    Returns None on success, else (witness, deviation).
     """
-    anchor = 0.0 if value == 0.0 else 1.0
-    for s in sorted_samples(config):
-        for point in ((anchor, float(s)), (float(s), anchor)):
-            got = float(f(*point))
-            if got != value:
-                return point, abs(got - value)
-    return None
+    lines = (p for s in sorted_samples(config) for p in ((value, float(s)), (float(s), value)))
+    witness, _, _ = _scan(lines, lambda p: (float(f(*p)), value), lambda got, want: (got != want, abs(got - want)))
+    return None if witness is None else (witness[0], witness[3])
 
 
 def check_associativity(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG) -> AxiomCheck:
@@ -842,7 +710,7 @@ def check_associativity(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG)
 def continuity_heuristic(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG) -> AxiomCheck:
     """Standalone adjacent-jump continuity check (used for aggregations)."""
     xs = _axis_grid(config, f.arity)
-    return _continuity_check(_tensor(f, xs), xs)
+    return _continuity_check("continuity", _tensor(f, xs), xs)
 
 
 # ---------------------------------------------------------------------------

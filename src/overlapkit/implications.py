@@ -27,17 +27,20 @@ family reproduces the implication on the whole mesh.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .conjunctors import AxiomCheck, AxiomReport, FusionFunction
+from .conjunctors import AxiomCheck, AxiomReport, FusionFunction, _mask_check
 from .negations import Negation, inverse_negation
 from .numerics import (
     DEFAULT_CONFIG,
     CheckConfig,
     PreconditionError,
     UnitValue,
+    _apart,
+    _scan,
     bisect_sup,
     iteration_count,
     sorted_samples,
@@ -92,25 +95,31 @@ def _require_binary(f: FusionFunction, who: str) -> None:
         raise PreconditionError(f"{who} needs a binary FusionFunction")
 
 
+def _negated_composite(conn: FusionFunction, negation: Negation, family: str, key: str) -> Implication:
+    """N(C(x, N(y))): the body shared by gon and tn, labelled for family."""
+    who = f"make_{family}"
+    _require_binary(conn, who)
+    if conn.role == "grouping":
+        raise PreconditionError(f"{who} needs a conjunctive connective, not a grouping")
+
+    def fn(x: float, y: float, _c=conn, _n=negation) -> float:
+        return float(_n(_c(x, float(_n(y)))))
+
+    return Implication(
+        fn=fn,
+        label=f"{family}({conn.label}, {negation.label})",
+        family=family,
+        parts=((key, conn), ("negation", negation)),
+    )
+
+
 def make_gon(go: FusionFunction, negation: Negation) -> Implication:
     """I(x,y) = N(GO(x, N(y))) for a binary conjunctive connective GO.
 
     GO does not need a neutral element; that freedom is what distinguishes
     this family from tn. Any binary non-grouping connective is accepted.
     """
-    _require_binary(go, "make_gon")
-    if go.role == "grouping":
-        raise PreconditionError("make_gon needs a conjunctive connective, not a grouping")
-
-    def fn(x: float, y: float, _g=go, _n=negation) -> float:
-        return float(_n(_g(x, float(_n(y)))))
-
-    return Implication(
-        fn=fn,
-        label=f"gon({go.label}, {negation.label})",
-        family="gon",
-        parts=(("go", go), ("negation", negation)),
-    )
+    return _negated_composite(go, negation, "gon", "go")
 
 
 def make_gn(grouping: FusionFunction, negation: Negation) -> Implication:
@@ -203,19 +212,7 @@ def make_tn(tnorm: FusionFunction, negation: Negation) -> Implication:
 
     The claim is not re-verified here; run check_axioms(T, "T") to audit it.
     """
-    _require_binary(tnorm, "make_tn")
-    if tnorm.role == "grouping":
-        raise PreconditionError("make_tn needs a conjunctive connective, not a grouping")
-
-    def fn(x: float, y: float, _t=tnorm, _n=negation) -> float:
-        return float(_n(_t(x, float(_n(y)))))
-
-    return Implication(
-        fn=fn,
-        label=f"tn({tnorm.label}, {negation.label})",
-        family="tn",
-        parts=(("tnorm", tnorm), ("negation", negation)),
-    )
+    return _negated_composite(tnorm, negation, "tn", "tnorm")
 
 
 _CRISP_RANGES = {
@@ -319,36 +316,15 @@ def check_implication_axioms(
     tol = config.eq_tol
     m = np.array([[float(implication(float(x), float(y))) for y in xs] for x in xs])
     checks = []
-
-    rise = m - np.minimum.accumulate(m, axis=0)
-    if rise.max() > tol:
-        i, j = np.argwhere(rise > tol)[0]
+    for axiom, excess, note in (
+        ("I1", m - np.minimum.accumulate(m, axis=0), "not antitone in the first argument"),
+        ("I2", np.maximum.accumulate(m, axis=1) - m, "not isotone in the second argument"),
+    ):
+        top = float(excess.max())
         checks.append(
-            AxiomCheck(
-                axiom="I1",
-                passed=False,
-                witness=(float(xs[i]), float(xs[j])),
-                deviation=float(rise.max()),
-                note="not antitone in the first argument",
-            )
+            _mask_check(axiom, excess > tol, xs, top, note)
+            or AxiomCheck(axiom=axiom, passed=True, deviation=top)
         )
-    else:
-        checks.append(AxiomCheck(axiom="I1", passed=True, deviation=float(rise.max())))
-
-    sag = np.maximum.accumulate(m, axis=1) - m
-    if sag.max() > tol:
-        i, j = np.argwhere(sag > tol)[0]
-        checks.append(
-            AxiomCheck(
-                axiom="I2",
-                passed=False,
-                witness=(float(xs[i]), float(xs[j])),
-                deviation=float(sag.max()),
-                note="not isotone in the second argument",
-            )
-        )
-    else:
-        checks.append(AxiomCheck(axiom="I2", passed=True, deviation=float(sag.max())))
 
     for axiom, point, want in (("I3", (0.0, 0.0), 1.0), ("I4", (1.0, 1.0), 1.0), ("I5", (1.0, 0.0), 0.0)):
         got = float(implication(*point))
@@ -400,13 +376,15 @@ def classify_crisp(
     and the fit is accepted only if the reconstructed family agrees with
     the input everywhere on the sample mesh.
     """
-    samples = sorted_samples(config)
+    samples = [float(s) for s in sorted_samples(config)]
     tol = config.eq_tol
-    for x in samples:
-        for y in samples:
-            v = float(implication(float(x), float(y)))
-            if tol < v < 1.0 - tol:
-                return None
+    off_level, _, _ = _scan(
+        product(samples, repeat=2),
+        lambda p: (float(implication(*p)),) * 2,
+        lambda v, _: (tol < v < 1.0 - tol, min(v, 1.0 - v)),
+    )
+    if off_level is not None:
+        return None
 
     a_cands = _snap_candidates(lambda x: float(implication(x, 0.0)) > 0.5, samples)
     b_cands = _snap_candidates(lambda y: float(implication(1.0, y)) < 0.5, samples)
@@ -432,11 +410,7 @@ def classify_crisp(
     return None
 
 
-def _agrees_on_mesh(i1: Implication, i2: Implication, samples, tol: float) -> bool:
-    for x in samples:
-        xv = float(x)
-        for y in samples:
-            yv = float(y)
-            if abs(float(i1(xv, yv)) - float(i2(xv, yv))) > tol:
-                return False
-    return True
+def _agrees_on_mesh(i1: Implication, i2: Implication, samples: list[float], tol: float) -> bool:
+    pairs = product(samples, repeat=2)
+    witness, _, _ = _scan(pairs, lambda p: (float(i1(*p)), float(i2(*p))), _apart(tol))
+    return witness is None

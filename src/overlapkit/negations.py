@@ -239,7 +239,7 @@ def dual(f, negation: Negation):
         raise PreconditionError("dual expects a FusionFunction")
 
     def fn(*xs, _f=f, _n=negation):
-        return _n(_f(*[_n(x) for x in xs]))
+        return _n(_f(*map(_n, xs)))
 
     return FusionFunction(
         fn=fn,

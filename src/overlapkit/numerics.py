@@ -3,9 +3,10 @@
 All connectives in this package map [0,1]^n into [0,1]. This module owns the
 small numeric core everything else leans on: a validating float type, the
 check configuration (grid resolution, tolerances, RNG seed), deterministic
-sample grids, and two bisection kernels -- the supremum of a downward-closed
+sample grids, two bisection kernels -- the supremum of a downward-closed
 predicate (used by residual implications) and the inversion of a strictly
-decreasing map (used by duality and recovery roundtrips).
+decreasing map (used by duality and recovery roundtrips) -- and the private
+first-witness scan kernel _scan that every pointwise mesh check runs on.
 
 Bisections run a fixed iteration count ceil(log2(1/tol)) + 2 rather than
 testing convergence, so results are bit-for-bit deterministic.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -209,3 +210,38 @@ def invert_strict(negation, y: float, tol: float) -> UnitValue:
         else:
             hi = mid
     return UnitValue(0.5 * (lo + hi))
+
+
+def _scan(
+    points: Iterable[tuple],
+    sides: Callable[[tuple], tuple[float, float]],
+    relation: Callable[[float, float], tuple[bool, float]],
+) -> tuple[Optional[tuple], int, float]:
+    """First-witness scan of a pointwise relation over a mesh.
+
+    Visits points in order; sides(point) gives (lhs, rhs) and
+    relation(lhs, rhs) gives (failed, deviation). Stops at the first failing
+    point. Returns (witness, count, worst): witness is (point, lhs, rhs,
+    deviation) of that point or None, count the points visited (the failing
+    one included), worst the largest deviation seen.
+    """
+    worst, count = 0.0, 0
+    for point in points:
+        count += 1
+        lhs, rhs = sides(point)
+        failed, deviation = relation(lhs, rhs)
+        if deviation > worst:
+            worst = deviation
+        if failed:
+            return (point, lhs, rhs, deviation), count, worst
+    return None, count, worst
+
+
+def _apart(tol: float) -> Callable[[float, float], tuple[bool, float]]:
+    """Scan relation failing where the two sides differ by more than tol."""
+
+    def relation(lhs: float, rhs: float) -> tuple[bool, float]:
+        deviation = abs(lhs - rhs)
+        return deviation > tol, deviation
+
+    return relation

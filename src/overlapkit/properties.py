@@ -17,13 +17,15 @@ All verdicts are grid verdicts: "holds_on_grid" never claims a proof.
 Equality checks compare within eq_tol; ROP treats any value within eq_tol
 of 1 as a violation, since the property demands strict distance from 1.
 Failing scans stop at the lexicographically first witness so reports are
-deterministic. Pairwise scans walk the uniform grid mesh plus seeded random
-pairs; triple scans (EP/EP1) use a reduced 21-point mesh plus random
-triples to stay at desk scale.
+deterministic; every property scan runs on the kernel numerics._scan.
+Pairwise scans walk the uniform grid mesh plus seeded random pairs; triple
+scans (EP/EP1) use a reduced 21-point mesh plus random triples to stay at
+desk scale.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -35,6 +37,8 @@ from .numerics import (
     DEFAULT_CONFIG,
     CheckConfig,
     PreconditionError,
+    _apart,
+    _scan,
     random_points,
     sorted_samples,
     uniform_grid,
@@ -100,11 +104,12 @@ class PropertyReport:
         return f"{head} at ({point}) lhs={w.lhs:.9f} rhs={w.rhs:.9f}"
 
 
-def _report(pid: str, witness, worst: float, count: int, note: str = "") -> PropertyReport:
+def _report(pid: str, witness: Optional[tuple], count: int, note: str = "") -> PropertyReport:
+    """PropertyReport from a _scan result: its witness tuple (or None) and count."""
     return PropertyReport(
         property_id=pid,
         status="fails" if witness is not None else "holds_on_grid",
-        witness=witness,
+        witness=None if witness is None else PropertyWitness(*witness),
         samples_checked=count,
         note=note,
     )
@@ -138,73 +143,41 @@ def check_unary_property(
     if prop not in UNARY_PROPERTIES:
         raise PreconditionError(f"unknown property {prop!r} (want one of {UNARY_PROPERTIES})")
     tol = config.eq_tol
-    worst, witness, count = 0.0, None, 0
+    # IP and LOP compare with 1 by _apart too: |v - 1| is 1 - v exactly for v <= 1.
+    relation, note = _apart(tol), ""
+
+    def at_one(p: tuple) -> tuple[float, float]:
+        return float(implication(*p)), 1.0
 
     if prop == "NP":
-        for y in sorted_samples(config):
-            count += 1
-            yv = float(y)
-            lhs = float(implication(1.0, yv))
-            dev = abs(lhs - yv)
-            worst = max(worst, dev)
-            if dev > tol:
-                witness = PropertyWitness((1.0, yv), lhs, yv, dev)
-                break
-        return _report("NP", witness, worst, count)
+        points = ((1.0, float(y)) for y in sorted_samples(config))
 
-    if prop == "IP":
-        for x in sorted_samples(config):
-            count += 1
-            xv = float(x)
-            lhs = float(implication(xv, xv))
-            dev = 1.0 - lhs
-            worst = max(worst, dev)
-            if dev > tol:
-                witness = PropertyWitness((xv, xv), lhs, 1.0, dev)
-                break
-        return _report("IP", witness, worst, count)
+        def sides(p: tuple) -> tuple[float, float]:
+            return float(implication(*p)), p[1]
 
-    if prop == "LOP":
-        for x, y in pair_points(config):
-            if x > y:
-                continue
-            count += 1
-            lhs = float(implication(x, y))
-            dev = 1.0 - lhs
-            worst = max(worst, dev)
-            if dev > tol:
-                witness = PropertyWitness((x, y), lhs, 1.0, dev)
-                break
-        return _report("LOP", witness, worst, count)
-
-    if prop == "ROP":
-        for x, y in pair_points(config):
-            if x <= y:
-                continue
-            count += 1
-            lhs = float(implication(x, y))
-            if lhs >= 1.0 - tol:
-                witness = PropertyWitness((x, y), lhs, 1.0, 1.0 - lhs)
-                break
-        return _report(
-            "ROP",
-            witness,
-            worst,
-            count,
-            note="strict bound: values within eq_tol of 1 violate ROP; "
-            "witness deviation is the distance to 1",
+    elif prop == "IP":
+        points, sides = ((float(x), float(x)) for x in sorted_samples(config)), at_one
+    elif prop == "LOP":
+        points, sides = (p for p in pair_points(config) if p[0] <= p[1]), at_one
+    elif prop == "ROP":
+        points, sides = (p for p in pair_points(config) if p[0] > p[1]), at_one
+        note = (
+            "strict bound: values within eq_tol of 1 violate ROP; "
+            "witness deviation is the distance to 1"
         )
 
-    for x, y in pair_points(config):
-        count += 1
-        inner = float(implication(x, y))
-        lhs = float(implication(x, inner))
-        dev = abs(lhs - inner)
-        worst = max(worst, dev)
-        if dev > tol:
-            witness = PropertyWitness((x, y), lhs, inner, dev)
-            break
-    return _report("IB", witness, worst, count)
+        def relation(lhs: float, rhs: float) -> tuple[bool, float]:
+            return lhs >= rhs - tol, rhs - lhs
+
+    else:
+        points = pair_points(config)
+
+        def sides(p: tuple) -> tuple[float, float]:
+            inner = float(implication(*p))
+            return float(implication(p[0], inner)), inner
+
+    witness, count, _ = _scan(points, sides, relation)
+    return _report(prop, witness, count, note)
 
 
 def check_ep(
@@ -219,23 +192,22 @@ def check_ep(
     if variant not in EP_VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r} (want EP or EP1)")
     tol = config.eq_tol
-    worst, witness, count = 0.0, None, 0
-    for x, y, z in triple_points(config):
-        count += 1
+
+    def sides(p: tuple) -> tuple[float, float]:
+        x, y, z = p
         lhs = float(implication(x, float(implication(y, z))))
-        rhs = float(implication(y, float(implication(x, z))))
-        if variant == "EP":
-            dev = abs(lhs - rhs)
-            worst = max(worst, dev)
-            if dev > tol:
-                witness = PropertyWitness((x, y, z), lhs, rhs, dev)
-                break
-        else:
-            if lhs >= 1.0 - tol and rhs < 1.0 - tol:
-                witness = PropertyWitness((x, y, z), lhs, rhs, 1.0 - rhs)
-                break
-    note = "" if variant == "EP" else "one side at 1 must force the other to 1"
-    return _report(variant, witness, worst, count, note=note)
+        return lhs, float(implication(y, float(implication(x, z))))
+
+    if variant == "EP":
+        relation, note = _apart(tol), ""
+    else:
+        note = "one side at 1 must force the other to 1"
+
+        def relation(lhs: float, rhs: float) -> tuple[bool, float]:
+            return lhs >= 1.0 - tol and rhs < 1.0 - tol, 1.0 - rhs
+
+    witness, count, _ = _scan(triple_points(config), sides, relation)
+    return _report(variant, witness, count, note=note)
 
 
 def check_contraposition(
@@ -253,25 +225,15 @@ def check_contraposition(
     if variant not in CP_VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r} (want CP, LCP, or RCP)")
     budget = config.eq_tol if tol is None else float(tol)
-    worst, witness, count = 0.0, None, 0
-    for x, y in pair_points(config):
-        count += 1
-        if variant == "CP":
-            lhs = float(implication(x, y))
-            rhs = float(implication(float(negation(y)), float(negation(x))))
-        elif variant == "LCP":
-            lhs = float(implication(float(negation(x)), y))
-            rhs = float(implication(float(negation(y)), x))
-        else:
-            lhs = float(implication(x, float(negation(y))))
-            rhs = float(implication(y, float(negation(x))))
-        dev = abs(lhs - rhs)
-        worst = max(worst, dev)
-        if dev > budget:
-            witness = PropertyWitness((x, y), lhs, rhs, dev)
-            break
+    i, n = implication, negation
+    sides = {
+        "CP": lambda p: (float(i(*p)), float(i(float(n(p[1])), float(n(p[0]))))),
+        "LCP": lambda p: (float(i(float(n(p[0])), p[1])), float(i(float(n(p[1])), p[0]))),
+        "RCP": lambda p: (float(i(p[0], float(n(p[1])))), float(i(p[1], float(n(p[0]))))),
+    }[variant]
+    witness, count, _ = _scan(pair_points(config), sides, _apart(budget))
     pid = {"CP": "CP", "LCP": "L-CP", "RCP": "R-CP"}[variant]
-    return _report(pid, witness, worst, count, note=f"negation {negation.label}")
+    return _report(pid, witness, count, note=f"negation {negation.label}")
 
 
 @dataclass(frozen=True)
@@ -295,16 +257,13 @@ class Comparison:
 
 
 def compare(i1: Implication, i2: Implication, config: CheckConfig = DEFAULT_CONFIG) -> Comparison:
-    """Max |i1 - i2| over the pair mesh with the maximizing point."""
-    worst, at, wl, wr, count = -1.0, (0.0, 0.0), 0.0, 0.0, 0
-    for x, y in pair_points(config):
-        count += 1
-        l = float(i1(x, y))
-        r = float(i2(x, y))
-        dev = abs(l - r)
-        if dev > worst:
-            worst, at, wl, wr = dev, (x, y), l, r
-    return Comparison(deviation=worst, at=at, lhs=wl, rhs=wr, samples_checked=count)
+    """Max |i1 - i2| over the pair mesh with the first maximizing point."""
+    # zip stops at the end of the mesh without drawing from seen, so the
+    # next number seen gives is the count of pairs compared.
+    seen = itertools.count()
+    rows = ((p, float(i1(*p)), float(i2(*p))) for p, _ in zip(pair_points(config), seen))
+    at, lhs, rhs = max(rows, key=lambda row: abs(row[1] - row[2]))
+    return Comparison(deviation=abs(lhs - rhs), at=at, lhs=lhs, rhs=rhs, samples_checked=next(seen))
 
 
 def range_is_proper(implication: Implication, config: CheckConfig = DEFAULT_CONFIG) -> bool:

@@ -62,6 +62,12 @@ def test_parse_error_exits_2():
     assert run(["axioms", "crisp_lower:x"]) == 2
 
 
+@pytest.mark.parametrize("expression", ["O_P:p=1,p=2", "idem_go:p=1,q=2,p=3"])
+def test_duplicate_parameter_exits_2(expression, capsys):
+    assert run(["eval", expression, "--at", "0.5", "0.5"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 # --- axioms -----------------------------------------------------------------
 
 
@@ -190,6 +196,16 @@ def test_search_assert_exit(capsys):
     code = run(["search", "gon(O_P:p={}, zadeh)", "--prop", "EP",
                 "--range", "1", "3", "--steps", "5", "--assert"])
     assert code == 1
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_search_rejects_steps_below_one(steps, capsys):
+    code = run(["search", "gon(O_P:p={}, zadeh)", "--prop", "EP",
+                "--range", "1", "2", "--steps", steps])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--steps must be >= 1" in captured.err
 
 
 def test_search_no_violation(capsys):

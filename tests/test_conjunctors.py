@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import pytest
@@ -264,6 +265,23 @@ def test_fail_entries_carry_witness():
 def test_max_grouping_passes_g_set():
     assert ok.check_axioms(ok.grouping_max(), "G").passed
     assert ok.check_axioms(ok.grouping_probsum(), "G").passed
+
+
+def _counting(f, calls):
+    return dataclasses.replace(f, fn=lambda *xs: calls.append(xs) or f.fn(*xs))
+
+
+def test_checks_and_duals_evaluate_the_grid_once():
+    cfg = ok.CheckConfig(grid_resolution=21, random_samples=0)
+    calls = []
+    ok.check_axioms(_counting(ok.catalog("GO_max"), calls), "GO", cfg)
+    assert len(calls) == 21 * 21 + 1  # the grid tensor plus the GO3 corner
+    calls.clear()
+    ok.grouping_from(_counting(ok.catalog("O_P", p=1), calls), ok.make_standard(), cfg)
+    assert len(calls) == 21 * 21
+    calls.clear()
+    ok.overlap_from(_counting(ok.grouping_probsum(), calls), ok.make_standard(), cfg)
+    assert len(calls) == 21 * 21
 
 
 def test_report_serialization():
