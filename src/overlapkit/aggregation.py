@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+
+import numpy as np
 
 from .conjunctors import FusionFunction, check_axioms, continuity_heuristic
 from .implications import Implication, make_gon
 from .negations import Negation, classify, dual
-from .numerics import DEFAULT_CONFIG, CheckConfig, PreconditionError, _apart, _scan
-from .properties import PropertyReport, _report, pair_points
+from .numerics import DEFAULT_CONFIG, CheckConfig, PreconditionError, _apart, _fsum, _scan_mesh, _value, _vectorized
+from .properties import PropertyReport, _pair_mesh, _report
 
 AGGREGATION_NAMES = ("mean", "min", "max", "product")
 
@@ -35,14 +38,14 @@ def make_aggregation(name: str, arity: int = 2) -> FusionFunction:
     if arity < 1:
         raise PreconditionError("aggregation arity must be >= 1")
     fns = {
-        "mean": lambda *xs: math.fsum(xs) / len(xs),
-        "min": lambda *xs: min(xs),
-        "max": lambda *xs: max(xs),
-        "product": lambda *xs: math.prod(xs),
+        "mean": (lambda *xs: math.fsum(xs) / len(xs), lambda *xs: _fsum(xs) / len(xs)),
+        "min": (lambda *xs: min(xs), lambda *xs: reduce(np.minimum, xs)),
+        "max": (lambda *xs: max(xs), lambda *xs: reduce(np.maximum, xs)),
+        "product": (lambda *xs: math.prod(xs), lambda *xs: reduce(np.multiply, xs)),
     }
     if name not in fns:
         raise PreconditionError(f"unknown aggregation {name!r} (want one of {AGGREGATION_NAMES})")
-    return FusionFunction(fn=fns[name], arity=arity, role="aggregation", label=name)
+    return FusionFunction(fn=_vectorized(*fns[name]), arity=arity, role="aggregation", label=name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,8 +112,11 @@ def aggregate(agg: FusionFunction, family: OperatorFamily):
         def ifn(x: float, y: float, _a=agg, _ms=members) -> float:
             return float(_a(*[float(m(x, y)) for m in _ms]))
 
+        def iarray(x: np.ndarray, y: np.ndarray, _a=agg, _ms=members) -> np.ndarray:
+            return _a.values(*[m.values(x, y) for m in _ms])
+
         return Implication(
-            fn=ifn,
+            fn=_vectorized(ifn, iarray),
             label=label,
             family="agg",
             parts=(("aggregation", agg), ("members", members)),
@@ -119,7 +125,10 @@ def aggregate(agg: FusionFunction, family: OperatorFamily):
     def fn(*xs: float, _a=agg, _ms=members) -> float:
         return float(_a(*[float(m(*xs)) for m in _ms]))
 
-    return FusionFunction(fn=fn, arity=family.arity, role="aggregation", label=label)
+    def array_fn(*xs: np.ndarray, _a=agg, _ms=members) -> np.ndarray:
+        return _a.values(*[m.values(*xs) for m in _ms])
+
+    return FusionFunction(fn=_vectorized(fn, array_fn), arity=family.arity, role="aggregation", label=label)
 
 
 def aggregate_go(
@@ -171,9 +180,9 @@ def check_commutes(
     )
     connective_route = make_gon(aggregate_go(dual(agg, negation), gos, config), negation)
 
-    witness, count, worst = _scan(
-        pair_points(config),
-        lambda p: (float(implication_route(*p)), float(connective_route(*p))),
+    witness, count, worst = _scan_mesh(
+        _pair_mesh(config),
+        lambda x, y: (_value(implication_route, x, y), _value(connective_route, x, y)),
         _apart(config.eq_tol),
     )
     return _report(

@@ -38,6 +38,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -85,6 +86,9 @@ from .numerics import (
     PreconditionError,
     UnitRangeError,
     UnitValue,
+    _mesh_values,
+    _product_mesh,
+    _value,
     load_config,
     uniform_grid,
 )
@@ -246,31 +250,62 @@ def parse_implication(text: str, config: CheckConfig = DEFAULT_CONFIG) -> Implic
     if head in ("ro", "d"):
         conn = parse_connective(inner)
         return make_residual(conn, config) if head == "ro" else make_d(conn)
+    builders = {
+        "gon": (make_gon, parse_negation),
+        "gn": (make_gn, parse_negation),
+        "tn": (make_tn, parse_negation),
+        "ql": (make_ql, parse_connective),
+    }
+    if head not in builders:
+        raise ParseError(f"unknown implication family {head!r}")
     parts = _split_top(inner, ",")
     if len(parts) < 2:
         raise ParseError(f"{head} needs two arguments: {text!r}")
-    first, last = ",".join(parts[:-1]), parts[-1]
-    if head == "gon":
-        return make_gon(parse_connective(first), parse_negation(last))
-    if head == "gn":
-        return make_gn(parse_connective(first), parse_negation(last))
-    if head == "tn":
-        return make_tn(parse_connective(first), parse_negation(last))
-    if head == "ql":
-        return make_ql(parse_connective(first), parse_connective(last))
-    raise ParseError(f"unknown implication family {head!r}")
+    make, parse_last = builders[head]
+    return make(parse_connective(",".join(parts[:-1])), parse_last(parts[-1]))
+
+
+_IMPLICATION_HEADS = {"gon", "gn", "ql", "ro", "d", "tn", "crisp", "agg"}
+_NEGATION_HEADS = {"zadeh", "bottom", "top", "crisp_lower", "crisp_upper", "power"}
+_CONNECTIVE_HEADS = {
+    "dualG",
+    "dualO",
+    "trunc",
+    "neutral_go",
+    "idem_go",
+    "max_grouping",
+    "prob_sum",
+    *AGGREGATION_NAMES,
+    *CATALOG_NAMES,
+}
+
+
+def _head_kind(text: str) -> Optional[str]:
+    """The kind of expression its leading name starts: implication, connective or negation.
+
+    None when the name is none of the grammar's constructors.
+    """
+    match = re.match(r"\s*([A-Za-z_]\w*)", text)
+    head = match.group(1) if match else ""
+    for kind, heads in (
+        ("implication", _IMPLICATION_HEADS),
+        ("connective", _CONNECTIVE_HEADS),
+        ("negation", _NEGATION_HEADS),
+    ):
+        if head in heads:
+            return kind
+    return None
 
 
 def _parse_any(text: str, config: CheckConfig):
-    for parser in (
-        lambda t: parse_implication(t, config),
-        parse_connective,
-        parse_negation,
-    ):
-        try:
-            return parser(text)
-        except ParseError:
-            continue
+    """Parse with the parser the expression's head names, so its error shows."""
+    kind = _head_kind(text)
+    if kind == "implication":
+        return parse_implication(text, config)
+    if kind == "connective":
+        return parse_connective(text)
+    if kind == "negation":
+        return parse_negation(text)
     raise ParseError(
         f"could not parse {text!r} as an implication, connective, or negation"
     )
@@ -364,9 +399,11 @@ def _cmd_eval(args, config: CheckConfig) -> int:
         return 0
     if arity > 2:
         raise PreconditionError("grid dump supports arity <= 2; use --at for wider connectives")
-    grid = [float(g) for g in uniform_grid(config)]
+    axis = uniform_grid(config)
+    grid = axis.tolist()
+    (flat,) = _mesh_values(_product_mesh(axis, arity), lambda *p: (_value(obj, *p),))
     if arity == 1:
-        values = [float(obj(g)) for g in grid]
+        values = flat.tolist()
         if args.format == "json":
             _emit_json({"expression": obj.label, "grid": grid, "values": values})
         elif args.format == "csv":
@@ -375,7 +412,7 @@ def _cmd_eval(args, config: CheckConfig) -> int:
             for g, v in zip(grid, values):
                 print(f"{_fmt(g)} {_fmt(v)}")
         return 0
-    matrix = [[float(obj(x, y)) for y in grid] for x in grid]
+    matrix = flat.reshape(len(grid), len(grid)).tolist()
     if args.format == "json":
         _emit_json({"expression": obj.label, "grid": grid, "values": matrix})
     elif args.format == "csv":
@@ -422,11 +459,12 @@ def _negation_axioms(negation: Negation, args, config: CheckConfig) -> int:
 
 
 def _cmd_axioms(args, config: CheckConfig) -> int:
-    try:
+    # A connective or implication head gets the connective parser and its
+    # error; any other expression is read as a negation, whose parser then
+    # reports what is wrong with it.
+    if _head_kind(args.expression) in ("implication", "connective"):
         conn = parse_connective(args.expression)
-    except ParseError:
-        conn = None
-    if conn is None:
+    else:
         return _negation_axioms(parse_negation(args.expression), args, config)
     axiom_set = args.set or _ROLE_TO_SET.get(conn.role)
     if axiom_set is None:

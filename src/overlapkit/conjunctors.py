@@ -19,11 +19,17 @@ maxima), and a continuity heuristic bounding jumps between adjacent grid
 cells by 10/resolution. "Only if" directions that survive the search are
 reported as "no counterexample found on grid", never as proved.
 
-check_axioms evaluates the function once on the grid, and every check
-reads that tensor. The converse checks -- the O2/O3/G2/G3 "only if"
-directions and GO2a/GO3a -- are one mask scan parameterized by side
-(overlap or grouping); grouping_from and overlap_from run the same scan on
-the tensor of their source before building its N-dual with negations.dual.
+check_axioms evaluates the function once on the grid, as one array
+evaluation of the grid points, and every check reads that tensor. The
+converse checks -- the O2/O3/G2/G3 "only if" directions and GO2a/GO3a --
+are one mask scan parameterized by side (overlap or grouping);
+grouping_from and overlap_from run the same scan on the tensor of their
+source before building its N-dual with negations.dual.
+
+Every catalog entry and construction carries an array form of its formula
+(numerics._vectorized), which FusionFunction.values evaluates; the piecewise
+ones use np.where with guarded denominators and every ** goes through
+numerics._pow, so array and scalar values agree bit for bit.
 
 Binary functions are checked at the configured grid resolution; ternary and
 wider ones on a reduced grid (21 points for arity 3, 11 beyond) to keep the
@@ -36,7 +42,6 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial, reduce
-from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,7 +52,16 @@ from .numerics import (
     CheckConfig,
     PreconditionError,
     UnitValue,
-    _scan,
+    _array_form,
+    _fsum,
+    _mesh_values,
+    _pointwise,
+    _pow,
+    _product_mesh,
+    _scan_mesh,
+    _value,
+    _values,
+    _vectorized,
     iteration_count,
     sorted_samples,
     uniform_grid,
@@ -73,7 +87,9 @@ class FusionFunction:
     """An n-ary connective on [0,1]^n with a role claim and a label.
 
     The role is a claim set by constructors; check_axioms verifies it. Output
-    is validated into [0,1] on every call.
+    is validated into [0,1] on every call. values() evaluates whole arrays
+    with the array form constructors attach to fn, and point by point
+    through __call__ when fn has none.
     """
 
     fn: Callable[..., float]
@@ -94,6 +110,19 @@ class FusionFunction:
                 f"{self.label} takes {self.arity} arguments, got {len(xs)}"
             )
         return UnitValue(self.fn(*xs))
+
+    def values(self, *xs) -> np.ndarray:
+        """f at every point of the arrays xs, bit-identical to __call__ pointwise."""
+        if len(xs) != self.arity:
+            raise PreconditionError(
+                f"{self.label} takes {self.arity} arguments, got {len(xs)}"
+            )
+        return _values(self, xs)
+
+    def _raw_values(self, xs: tuple) -> np.ndarray:
+        # fn's values without the range check, as truncate_overlap uses them.
+        form = _array_form(self.fn)
+        return _pointwise(self.fn, xs) if form is None else form(*xs)
 
     def param(self, name: str) -> float:
         return dict(self.params)[name]
@@ -209,6 +238,24 @@ def _pn_factor(xs: tuple[float, ...]) -> float:
     return 0.0 if math.fsum(xs) <= 1.0 else min(xs)
 
 
+def _pn_factor_array(xs: tuple[np.ndarray, ...]) -> np.ndarray:
+    return np.where(_fsum(xs) <= 1.0, 0.0, reduce(np.minimum, xs))
+
+
+def _o_v_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.minimum(x, y)
+    bump = (x >= 0.5) & (y >= 0.5)
+    s = _pow(2.0 * x[bump] - 1.0, 2) * _pow(2.0 * y[bump] - 1.0, 2)
+    out[bump] = 0.5 * (1.0 + s)
+    return out
+
+
+def _o_db_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    total = x + y
+    zero = total == 0.0
+    return np.where(zero, 0.0, 2.0 * x * y / np.where(zero, 1.0, total))
+
+
 def catalog(name: str, **params: float) -> FusionFunction:
     """Named catalog entries, addressable as e.g. O_P:p=2 or GO_PN:n=3.
 
@@ -218,7 +265,10 @@ def catalog(name: str, **params: float) -> FusionFunction:
     if name == "O_mM":
         _no_extra(params)
         return FusionFunction(
-            fn=lambda x, y: min(x, y) * max(x * x, y * y),
+            fn=_vectorized(
+                lambda x, y: min(x, y) * max(x * x, y * y),
+                lambda x, y: np.minimum(x, y) * np.maximum(x * x, y * y),
+            ),
             arity=2,
             role="overlap",
             label="O_mM",
@@ -226,7 +276,7 @@ def catalog(name: str, **params: float) -> FusionFunction:
     if name == "O_DB":
         _no_extra(params)
         return FusionFunction(
-            fn=lambda x, y: 0.0 if x + y == 0.0 else 2.0 * x * y / (x + y),
+            fn=_vectorized(lambda x, y: 0.0 if x + y == 0.0 else 2.0 * x * y / (x + y), _o_db_array),
             arity=2,
             role="overlap",
             label="O_DB",
@@ -235,7 +285,10 @@ def catalog(name: str, **params: float) -> FusionFunction:
         p = _require_positive(params, "p")
         _no_extra(params, {"p"})
         return FusionFunction(
-            fn=lambda x, y, _p=p: x**_p * y**_p,
+            fn=_vectorized(
+                lambda x, y, _p=p: x**_p * y**_p,
+                lambda x, y, _p=p: _pow(x, _p) * _pow(y, _p),
+            ),
             arity=2,
             role="overlap",
             label=f"O_P:p={p:g}",
@@ -250,14 +303,19 @@ def catalog(name: str, **params: float) -> FusionFunction:
                 return 0.5 * (1.0 + s)
             return min(x, y)
 
-        return FusionFunction(fn=o_v, arity=2, role="overlap", label="O_V")
+        return FusionFunction(fn=_vectorized(o_v, _o_v_array), arity=2, role="overlap", label="O_V")
     if name == "O_min":
         _no_extra(params)
-        return FusionFunction(fn=lambda x, y: min(x, y), arity=2, role="overlap", label="O_min")
+        return FusionFunction(
+            fn=_vectorized(lambda x, y: min(x, y), np.minimum), arity=2, role="overlap", label="O_min"
+        )
     if name == "GO_max":
         _no_extra(params)
         return FusionFunction(
-            fn=lambda x, y: max(0.0, x * x + y * y - 1.0),
+            fn=_vectorized(
+                lambda x, y: max(0.0, x * x + y * y - 1.0),
+                lambda x, y: np.maximum(0.0, x * x + y * y - 1.0),
+            ),
             arity=2,
             role="general_overlap",
             label="GO_max",
@@ -266,7 +324,10 @@ def catalog(name: str, **params: float) -> FusionFunction:
         p = _require_positive(params, "p")
         _no_extra(params, {"p"})
         return FusionFunction(
-            fn=lambda x, y, _p=p: min(x, y) ** _p * max(0.0, x + y - 1.0),
+            fn=_vectorized(
+                lambda x, y, _p=p: min(x, y) ** _p * max(0.0, x + y - 1.0),
+                lambda x, y, _p=p: _pow(np.minimum(x, y), _p) * np.maximum(0.0, x + y - 1.0),
+            ),
             arity=2,
             role="general_overlap",
             label=f"GO_TL:p={p:g}",
@@ -276,7 +337,10 @@ def catalog(name: str, **params: float) -> FusionFunction:
         n = _require_arity(params)
         _no_extra(params, {"n"})
         return FusionFunction(
-            fn=lambda *xs: math.prod(xs) * _pn_factor(xs),
+            fn=_vectorized(
+                lambda *xs: math.prod(xs) * _pn_factor(xs),
+                lambda *xs: reduce(np.multiply, xs) * _pn_factor_array(xs),
+            ),
             arity=n,
             role="general_overlap",
             label=f"GO_PN:n={n}",
@@ -286,7 +350,10 @@ def catalog(name: str, **params: float) -> FusionFunction:
         n = _require_arity(params)
         _no_extra(params, {"n"})
         return FusionFunction(
-            fn=lambda *xs, _n=n: math.prod(xs) ** (1.0 / _n) * _pn_factor(xs),
+            fn=_vectorized(
+                lambda *xs, _n=n: math.prod(xs) ** (1.0 / _n) * _pn_factor(xs),
+                lambda *xs, _n=n: _pow(reduce(np.multiply, xs), 1.0 / _n) * _pn_factor_array(xs),
+            ),
             arity=n,
             role="general_overlap",
             label=f"GO_GN:n={n}",
@@ -303,13 +370,15 @@ def _no_extra(params: dict, allowed: set | None = None) -> None:
 
 def grouping_max() -> FusionFunction:
     """The maximum, the basic grouping function."""
-    return FusionFunction(fn=lambda x, y: max(x, y), arity=2, role="grouping", label="max_grouping")
+    return FusionFunction(
+        fn=_vectorized(lambda x, y: max(x, y), np.maximum), arity=2, role="grouping", label="max_grouping"
+    )
 
 
 def grouping_probsum() -> FusionFunction:
     """Probabilistic sum 1 - (1-x)(1-y), a strict grouping function."""
     return FusionFunction(
-        fn=lambda x, y: 1.0 - (1.0 - x) * (1.0 - y),
+        fn=_vectorized(lambda x, y: 1.0 - (1.0 - x) * (1.0 - y), lambda x, y: 1.0 - (1.0 - x) * (1.0 - y)),
         arity=2,
         role="grouping",
         label="prob_sum",
@@ -338,8 +407,15 @@ def truncate_overlap(overlap: FusionFunction, a: float) -> FusionFunction:
         cut = _o(max(x, y), _a)
         return max(0.0, _o(x, y) - cut) / (1.0 - cut)
 
+    def array_fn(x: np.ndarray, y: np.ndarray, _o=overlap, _a=av) -> np.ndarray:
+        cut = _o._raw_values((np.maximum(x, y), np.full(x.shape, _a)))
+        # A cut of 1 divides by zero in the scalar form; here it leaves
+        # [0, 1] (inf or nan), so the caller re-runs the points as scalars.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.maximum(0.0, _o._raw_values((x, y)) - cut) / (1.0 - cut)
+
     return FusionFunction(
-        fn=fn,
+        fn=_vectorized(fn, array_fn),
         arity=2,
         role="general_overlap",
         label=f"trunc:{overlap.label},a={av:g}",
@@ -422,8 +498,12 @@ def piecewise_neutral_go(e: float) -> FusionFunction:
             return max(x, y)
         return x * y / _e
 
+    def array_fn(x: np.ndarray, y: np.ndarray, _e=ev) -> np.ndarray:
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        return np.where(hi <= _e, lo, np.where(lo >= _e, hi, x * y / _e))
+
     return FusionFunction(
-        fn=fn,
+        fn=_vectorized(fn, array_fn),
         arity=2,
         role="general_overlap",
         label=f"neutral_go:e={ev:g}",
@@ -441,8 +521,12 @@ def idempotent_go(p: float, q: float) -> FusionFunction:
         mean = 0.5 * (x**_p * y**_q + x**_q * y**_p)
         return mean ** (1.0 / (_p + _q))
 
+    def array_fn(x: np.ndarray, y: np.ndarray, _p=pv, _q=qv) -> np.ndarray:
+        mean = 0.5 * (_pow(x, _p) * _pow(y, _q) + _pow(x, _q) * _pow(y, _p))
+        return _pow(mean, 1.0 / (_p + _q))
+
     return FusionFunction(
-        fn=fn,
+        fn=_vectorized(fn, array_fn),
         arity=2,
         role="general_overlap",
         label=f"idem_go:p={pv:g},q={qv:g}",
@@ -467,8 +551,8 @@ def _axis_grid(config: CheckConfig, arity: int) -> np.ndarray:
 
 
 def _tensor(f: FusionFunction, xs: np.ndarray) -> np.ndarray:
-    vals = [float(f(*combo)) for combo in product(xs, repeat=f.arity)]
-    return np.asarray(vals).reshape((len(xs),) * f.arity)
+    (vals,) = _mesh_values(_product_mesh(xs, f.arity), lambda *p: (_value(f, *p),))
+    return vals.reshape((len(xs),) * f.arity)
 
 
 def _mask_check(
@@ -679,8 +763,16 @@ def _boundary_lines_exact(f: FusionFunction, config: CheckConfig, value: float):
     value is 0 for the overlap zero lines and 1 for the grouping one lines.
     Returns None on success, else (witness, deviation).
     """
-    lines = (p for s in sorted_samples(config) for p in ((value, float(s)), (float(s), value)))
-    witness, _, _ = _scan(lines, lambda p: (float(f(*p)), value), lambda got, want: (got != want, abs(got - want)))
+    samples = sorted_samples(config)
+    level = np.full(len(samples), value)
+    # The points (value, s) and (s, value) for each sample s, in that order.
+    xs = np.stack([level, samples], axis=1).ravel()
+    ys = np.stack([samples, level], axis=1).ravel()
+    witness, _, _ = _scan_mesh(
+        (xs, ys),
+        lambda x, y: (_value(f, x, y), value),
+        lambda got, want: (got != want, abs(got - want)),
+    )
     return None if witness is None else (witness[0], witness[3])
 
 

@@ -22,12 +22,18 @@ two-valued on the sample mesh it bisects the zero-region boundary, snaps the
 thresholds to nearby sample points, decides strict vs non-strict by
 evaluating at the candidate itself, and accepts a fit only when the fitted
 family reproduces the implication on the whole mesh.
+
+Every constructor also gives its implication an array form built from the
+array forms of its parts (ro bisects whole arrays with
+numerics._bisect_sup_array); Implication.values uses it on meshes. The
+I1/I2 grid and the two mesh scans of classify_crisp run on arrays; the
+corner identities and the threshold bisections are point queries and stay
+scalar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -40,7 +46,13 @@ from .numerics import (
     PreconditionError,
     UnitValue,
     _apart,
-    _scan,
+    _bisect_sup_array,
+    _mesh_values,
+    _product_mesh,
+    _scan_mesh,
+    _value,
+    _values,
+    _vectorized,
     bisect_sup,
     iteration_count,
     sorted_samples,
@@ -58,6 +70,9 @@ class Implication:
 
     family records which constructor produced it and parts holds the operand
     objects, so reports can trace an implication back to its ingredients.
+    values() evaluates whole arrays with the array form constructors attach
+    to fn, and point by point through __call__ when fn has none
+    (natural_negation and recover_go build on an implication without one).
     """
 
     fn: Callable[[float, float], float]
@@ -72,6 +87,10 @@ class Implication:
 
     def __call__(self, x: float, y: float) -> UnitValue:
         return UnitValue(self.fn(x, y))
+
+    def values(self, x, y) -> np.ndarray:
+        """I at every point of the arrays x, y, bit-identical to __call__ pointwise."""
+        return _values(self, (x, y))
 
     def part(self, name: str):
         return dict(self.parts)[name]
@@ -105,8 +124,11 @@ def _negated_composite(conn: FusionFunction, negation: Negation, family: str, ke
     def fn(x: float, y: float, _c=conn, _n=negation) -> float:
         return float(_n(_c(x, float(_n(y)))))
 
+    def array_fn(x: np.ndarray, y: np.ndarray, _c=conn, _n=negation) -> np.ndarray:
+        return _n.values(_c.values(x, _n.values(y)))
+
     return Implication(
-        fn=fn,
+        fn=_vectorized(fn, array_fn),
         label=f"{family}({conn.label}, {negation.label})",
         family=family,
         parts=((key, conn), ("negation", negation)),
@@ -131,8 +153,11 @@ def make_gn(grouping: FusionFunction, negation: Negation) -> Implication:
     def fn(x: float, y: float, _g=grouping, _n=negation) -> float:
         return float(_g(float(_n(x)), y))
 
+    def array_fn(x: np.ndarray, y: np.ndarray, _g=grouping, _n=negation) -> np.ndarray:
+        return _g.values(_n.values(x), y)
+
     return Implication(
-        fn=fn,
+        fn=_vectorized(fn, array_fn),
         label=f"gn({grouping.label}, {negation.label})",
         family="gn",
         parts=(("grouping", grouping), ("negation", negation)),
@@ -157,8 +182,11 @@ def make_ql(overlap: FusionFunction, grouping: FusionFunction) -> Implication:
             return float(_g(0.0, float(_o(1.0, y))))
         return 1.0
 
+    def array_fn(x: np.ndarray, y: np.ndarray, _o=overlap, _g=grouping) -> np.ndarray:
+        return _at_x_one(x, y, lambda ys: _g.values(0.0, _o.values(1.0, ys)))
+
     return Implication(
-        fn=fn,
+        fn=_vectorized(fn, array_fn),
         label=f"ql({overlap.label}, {grouping.label})",
         family="ql",
         parts=(("overlap", overlap), ("grouping", grouping)),
@@ -181,8 +209,11 @@ def make_residual(overlap: FusionFunction, config: CheckConfig = DEFAULT_CONFIG)
     def fn(x: float, y: float, _o=overlap, _tol=tol) -> float:
         return float(bisect_sup(lambda z: float(_o(x, z)) <= y, tol=_tol))
 
+    def array_fn(x: np.ndarray, y: np.ndarray, _o=overlap, _tol=tol) -> np.ndarray:
+        return _bisect_sup_array(lambda z, xs, ys: _o.values(xs, z) <= ys, _tol, x, y)
+
     return Implication(
-        fn=fn,
+        fn=_vectorized(fn, array_fn),
         label=f"ro({overlap.label})",
         family="ro",
         parts=(("overlap", overlap),),
@@ -199,8 +230,11 @@ def make_d(grouping: FusionFunction) -> Implication:
     def fn(x: float, y: float, _g=grouping) -> float:
         return float(_g(0.0, y)) if x == 1.0 else 1.0
 
+    def array_fn(x: np.ndarray, y: np.ndarray, _g=grouping) -> np.ndarray:
+        return _at_x_one(x, y, lambda ys: _g.values(0.0, ys))
+
     return Implication(
-        fn=fn,
+        fn=_vectorized(fn, array_fn),
         label=f"d({grouping.label})",
         family="d",
         parts=(("grouping", grouping),),
@@ -247,8 +281,13 @@ def make_crisp_family(kind: str, alpha: float, beta: float) -> Implication:
         in_y = y < _b if _ys else y <= _b
         return 0.0 if in_x and in_y else 1.0
 
+    def array_fn(x: np.ndarray, y: np.ndarray, _a=a, _b=b, _xs=x_strict, _ys=y_strict) -> np.ndarray:
+        in_x = x > _a if _xs else x >= _a
+        in_y = y < _b if _ys else y <= _b
+        return np.where(in_x & in_y, 0.0, 1.0)
+
     return Implication(
-        fn=fn,
+        fn=_vectorized(fn, array_fn),
         label=f"crisp({kind}, {a:g}, {b:g})",
         family="crisp",
         params=(("alpha", a), ("beta", b)),
@@ -314,7 +353,8 @@ def check_implication_axioms(
     """
     xs = uniform_grid(config)
     tol = config.eq_tol
-    m = np.array([[float(implication(float(x), float(y))) for y in xs] for x in xs])
+    (m,) = _mesh_values(_product_mesh(xs, 2), lambda x, y: (_value(implication, x, y),))
+    m = m.reshape(len(xs), len(xs))
     checks = []
     for axiom, excess, note in (
         ("I1", m - np.minimum.accumulate(m, axis=0), "not antitone in the first argument"),
@@ -377,11 +417,12 @@ def classify_crisp(
     the input everywhere on the sample mesh.
     """
     samples = [float(s) for s in sorted_samples(config)]
+    mesh = _product_mesh(sorted_samples(config), 2)
     tol = config.eq_tol
-    off_level, _, _ = _scan(
-        product(samples, repeat=2),
-        lambda p: (float(implication(*p)),) * 2,
-        lambda v, _: (tol < v < 1.0 - tol, min(v, 1.0 - v)),
+    off_level, _, _ = _scan_mesh(
+        mesh,
+        lambda x, y: (_value(implication, x, y),) * 2,
+        lambda v, _: ((v > tol) & (v < 1.0 - tol), np.minimum(v, 1.0 - v)),
     )
     if off_level is not None:
         return None
@@ -405,12 +446,23 @@ def classify_crisp(
                 fitted = make_crisp_family(kind, a, b)
             except PreconditionError:
                 continue
-            if _agrees_on_mesh(implication, fitted, samples, tol):
+            if _agrees_on_mesh(implication, fitted, mesh, tol):
                 return CrispFit(kind=kind, alpha=a, beta=b)
     return None
 
 
-def _agrees_on_mesh(i1: Implication, i2: Implication, samples: list[float], tol: float) -> bool:
-    pairs = product(samples, repeat=2)
-    witness, _, _ = _scan(pairs, lambda p: (float(i1(*p)), float(i2(*p))), _apart(tol))
+def _agrees_on_mesh(i1: Implication, i2: Implication, mesh: tuple, tol: float) -> bool:
+    witness, _, _ = _scan_mesh(mesh, lambda x, y: (_value(i1, x, y), _value(i2, x, y)), _apart(tol))
     return witness is None
+
+
+def _at_x_one(x: np.ndarray, y: np.ndarray, branch: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """branch(y) where x == 1, else 1: the array form of ql and d.
+
+    branch sees only those points, as the scalar form evaluates it only there.
+    """
+    out = np.ones(len(x))
+    at_one = x == 1.0
+    if at_one.any():
+        out[at_one] = branch(y[at_one])
+    return out

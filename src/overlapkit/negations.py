@@ -29,6 +29,11 @@ from .numerics import (
     CheckConfig,
     PreconditionError,
     UnitValue,
+    _mesh_values,
+    _pow,
+    _value,
+    _values,
+    _vectorized,
     invert_strict,
     sorted_samples,
     uniform_grid,
@@ -40,7 +45,9 @@ class Negation:
     """A unary connective on [0,1] plus declared classification claims.
 
     The is_* flags are claims set by constructors from known facts about the
-    family; classify() verifies them numerically.
+    family; classify() verifies them numerically. Constructors give fn an
+    array form (numerics._vectorized); values() evaluates a whole array with
+    it, and point by point through __call__ when fn has none.
     """
 
     fn: Callable[[float], float]
@@ -53,6 +60,10 @@ class Negation:
 
     def __call__(self, x: float) -> UnitValue:
         return UnitValue(self.fn(x))
+
+    def values(self, x) -> np.ndarray:
+        """N at every element of x, bit-identical to __call__ elementwise."""
+        return _values(self, (x,))
 
     def param(self, name: str) -> float:
         return dict(self.params)[name]
@@ -95,7 +106,7 @@ class NegationClassification:
 def make_standard() -> Negation:
     """The standard negation 1 - x (strict, strong, frontier)."""
     return Negation(
-        fn=lambda x: 1.0 - x,
+        fn=_vectorized(lambda x: 1.0 - x, lambda x: 1.0 - x),
         label="zadeh",
         is_strict=True,
         is_strong=True,
@@ -114,12 +125,18 @@ def make_crisp(kind: str, alpha: float) -> Negation:
     if kind == "lower":
         if not 0.0 <= a < 1.0:
             raise PreconditionError("lower crisp negation needs alpha in [0,1)")
-        fn = lambda x, _a=a: 0.0 if x > _a else 1.0
+        fn = _vectorized(
+            lambda x, _a=a: 0.0 if x > _a else 1.0,
+            lambda x, _a=a: np.where(x > _a, 0.0, 1.0),
+        )
         label = f"crisp_lower:{a:g}"
     elif kind == "upper":
         if not 0.0 < a <= 1.0:
             raise PreconditionError("upper crisp negation needs alpha in (0,1]")
-        fn = lambda x, _a=a: 0.0 if x >= _a else 1.0
+        fn = _vectorized(
+            lambda x, _a=a: 0.0 if x >= _a else 1.0,
+            lambda x, _a=a: np.where(x >= _a, 0.0, 1.0),
+        )
         label = f"crisp_upper:{a:g}"
     else:
         raise PreconditionError(f"unknown crisp kind {kind!r} (want lower|upper)")
@@ -142,7 +159,7 @@ def make_power_strict(p: float) -> Negation:
     if not (math.isfinite(pv) and pv > 0.0):
         raise PreconditionError("power negation needs p > 0")
     return Negation(
-        fn=lambda x, _p=pv: 1.0 - x**_p,
+        fn=_vectorized(lambda x, _p=pv: 1.0 - x**_p, lambda x, _p=pv: 1.0 - _pow(x, _p)),
         label=f"power:{pv:g}",
         params=(("p", pv),),
         is_strict=True,
@@ -160,7 +177,7 @@ def classify(negation: Negation, config: CheckConfig = DEFAULT_CONFIG) -> Negati
     """
     tol = config.eq_tol
     samples = sorted_samples(config)
-    vals = np.array([float(negation(x)) for x in samples])
+    vals = _negation_values(negation, samples)
     witnesses: dict = {}
 
     boundary_ok = vals[0] == 1.0 and vals[-1] == 0.0
@@ -178,7 +195,7 @@ def classify(negation: Negation, config: CheckConfig = DEFAULT_CONFIG) -> Negati
         witnesses["antitonic"] = (float(samples[i]), float(samples[j]))
 
     grid = uniform_grid(config)
-    gvals = np.array([float(negation(x)) for x in grid])
+    gvals = _negation_values(negation, grid)
     steps = np.diff(gvals)
 
     flats = np.nonzero(steps >= 0.0)[0]
@@ -193,7 +210,7 @@ def classify(negation: Negation, config: CheckConfig = DEFAULT_CONFIG) -> Negati
         i = int(jumps[0])
         witnesses.setdefault("strict", (float(grid[i]), float(grid[i + 1])))
 
-    nn = np.array([float(negation(v)) for v in vals])
+    nn = _negation_values(negation, vals)
     invol_bad = np.nonzero(np.abs(nn - samples) > tol)[0]
     involutive = invol_bad.size == 0
     if not involutive:
@@ -226,6 +243,11 @@ def classify(negation: Negation, config: CheckConfig = DEFAULT_CONFIG) -> Negati
     )
 
 
+def _negation_values(negation: Negation, xs: np.ndarray) -> np.ndarray:
+    (values,) = _mesh_values((xs,), lambda x: (_value(negation, x),))
+    return values
+
+
 def dual(f, negation: Negation):
     """N-dual of a fusion function: N(f(N(x1),...,N(xn))).
 
@@ -241,8 +263,11 @@ def dual(f, negation: Negation):
     def fn(*xs, _f=f, _n=negation):
         return _n(_f(*map(_n, xs)))
 
+    def array_fn(*xs, _f=f, _n=negation):
+        return _n.values(_f.values(*map(_n.values, xs)))
+
     return FusionFunction(
-        fn=fn,
+        fn=_vectorized(fn, array_fn),
         arity=f.arity,
         role="aggregation",
         label=f"dual({f.label}, {negation.label})",

@@ -5,11 +5,23 @@ small numeric core everything else leans on: a validating float type, the
 check configuration (grid resolution, tolerances, RNG seed), deterministic
 sample grids, two bisection kernels -- the supremum of a downward-closed
 predicate (used by residual implications) and the inversion of a strictly
-decreasing map (used by duality and recovery roundtrips) -- and the private
-first-witness scan kernel _scan that every pointwise mesh check runs on.
+decreasing map (used by duality and recovery roundtrips) -- and the mesh
+kernels every pointwise check runs on.
 
 Bisections run a fixed iteration count ceil(log2(1/tol)) + 2 rather than
-testing convergence, so results are bit-for-bit deterministic.
+testing convergence, so results are bit-for-bit deterministic. The array
+bisection _bisect_sup_array takes the same steps per element.
+
+Meshes are evaluated as numpy arrays and single points as floats; _value
+picks the path from its input. Constructors attach an array form to each
+scalar formula with _vectorized; every ** in an array form goes through
+_pow, Python's float pow per element, because numpy's vectorized power
+rounds differently on a few percent of points. _scan_mesh is the
+blockwise first-witness scan and _mesh_values the blockwise full
+evaluation. Both re-run points as scalars when array evaluation raises
+UnitRangeError or PreconditionError, so the error or witness reported is
+the one met first in point order. The scalar scan _scan serves that
+fallback and is the reference the tests compare the array scan against.
 """
 
 from __future__ import annotations
@@ -188,6 +200,30 @@ def bisect_sup(pred: Callable[[float], bool], tol: float) -> UnitValue:
     return UnitValue(0.5 * (lo + hi))
 
 
+def _bisect_sup_array(pred: Callable[..., np.ndarray], tol: float, *cols: np.ndarray) -> np.ndarray:
+    """bisect_sup for each point of the columns cols at once.
+
+    pred(z, *cols) tests z against each point's predicate. Every element
+    takes the same steps as the scalar bisection: the same iteration_count
+    and the same 0.5*(lo+hi), so results are bit-identical to it. Only the
+    points whose predicate fails at 1 are bisected.
+    """
+    n = len(cols[0])
+    if not pred(np.zeros(n), *cols).all():
+        raise PreconditionError("bisect_sup requires pred(0) to hold")
+    out = np.ones(n)
+    todo = ~pred(np.ones(n), *cols)
+    sub = tuple(c[todo] for c in cols)
+    lo, hi = np.zeros(len(sub[0])), np.ones(len(sub[0]))
+    for _ in range(iteration_count(tol)):
+        mid = 0.5 * (lo + hi)
+        holds = pred(mid, *sub)
+        lo = np.where(holds, mid, lo)
+        hi = np.where(holds, hi, mid)
+    out[todo] = 0.5 * (lo + hi)
+    return out
+
+
 def invert_strict(negation, y: float, tol: float) -> UnitValue:
     """Solve N(x) = y for a strictly decreasing continuous negation.
 
@@ -238,10 +274,160 @@ def _scan(
 
 
 def _apart(tol: float) -> Callable[[float, float], tuple[bool, float]]:
-    """Scan relation failing where the two sides differ by more than tol."""
+    """Scan relation failing where the two sides differ by more than tol.
+
+    Works on floats and, elementwise, on arrays.
+    """
 
     def relation(lhs: float, rhs: float) -> tuple[bool, float]:
         deviation = abs(lhs - rhs)
         return deviation > tol, deviation
 
     return relation
+
+
+# ---------------------------------------------------------------------------
+# Array evaluation
+# ---------------------------------------------------------------------------
+
+# Largest block a mesh kernel evaluates at once: with a few temporaries per
+# connective stage, a block holds well under a few MB.
+MAX_BLOCK = 8192
+FIRST_BLOCK = 256
+
+# What array evaluation raises where the scalar order might meet another
+# error or witness first; the kernels then re-run the points as scalars.
+_RESCALAR = (UnitRangeError, PreconditionError)
+
+
+def _vectorized(fn: Callable, array_fn: Callable) -> Callable:
+    """Attach array_fn, the same formula on float64 arrays, to the scalar fn.
+
+    The array form rides on the scalar function object, so an object built
+    with another fn (dataclasses.replace) loses it and evaluates meshes
+    point by point instead.
+    """
+    fn.array = array_fn
+    return fn
+
+
+def _array_form(fn: Callable) -> Optional[Callable]:
+    return getattr(fn, "array", None)
+
+
+def _checked(values: np.ndarray) -> np.ndarray:
+    """values if all lie in [0, 1], else UnitRangeError naming the first."""
+    bad = ~((values >= 0.0) & (values <= 1.0))
+    if bad.any():
+        raise UnitRangeError(f"value {float(values[np.argmax(bad)])!r} is not in [0, 1]")
+    return values
+
+
+def _pointwise(fn: Callable, xs: tuple) -> np.ndarray:
+    """fn(*point) as floats for each point of the columns xs, in order."""
+    return np.array([float(fn(*p)) for p in _scalar_points(xs)], dtype=float)
+
+
+def _values(obj, xs: tuple) -> np.ndarray:
+    """obj.values(*xs) of a Negation, FusionFunction or Implication.
+
+    The arguments broadcast to equal-length 1-d float64 arrays. Evaluates
+    the array form of obj.fn with the range check of __call__, or calls
+    obj point by point when fn has none.
+    """
+    xs = tuple(np.atleast_1d(c) for c in np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs)))
+    form = _array_form(obj.fn)
+    return _pointwise(obj, xs) if form is None else _checked(form(*xs))
+
+
+def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
+    """base ** exponent through Python's float pow, one element at a time.
+
+    numpy's vectorized power rounds differently from the scalar pow() on a
+    few percent of points, and x*x differs from x**2.0 on some, so array
+    forms use this wherever the scalar formula has a **.
+    """
+    return np.array([b**exponent for b in base.tolist()], dtype=float)
+
+
+def _fsum(xs: tuple) -> np.ndarray:
+    """math.fsum of each point of the columns xs."""
+    return np.array([math.fsum(p) for p in _scalar_points(xs)], dtype=float)
+
+
+def _value(obj, *xs):
+    """obj at a point (a float) or on a mesh (an array): the input picks the path."""
+    if any(isinstance(x, np.ndarray) for x in xs):
+        return obj.values(*xs)
+    return float(obj(*xs))
+
+
+def _product_mesh(axis: np.ndarray, arity: int) -> tuple[np.ndarray, ...]:
+    """Columns of itertools.product(axis, repeat=arity), in its order."""
+    return tuple(g.ravel() for g in np.meshgrid(*[np.asarray(axis, dtype=float)] * arity, indexing="ij"))
+
+
+def _blocks(n: int, first: int = FIRST_BLOCK):
+    """(start, stop) over range(n) in blocks doubling from first up to MAX_BLOCK."""
+    start, size = 0, first
+    while start < n:
+        stop = min(n, start + size)
+        yield start, stop
+        start, size = stop, min(2 * size, MAX_BLOCK)
+
+
+def _scalar_points(cols: tuple, start: int = 0):
+    return zip(*(c[start:].tolist() for c in cols))
+
+
+def _scan_mesh(
+    cols: tuple[np.ndarray, ...],
+    sides: Callable[..., tuple],
+    relation: Callable,
+) -> tuple[Optional[tuple], int, float]:
+    """Blockwise array twin of _scan over the points given as columns.
+
+    sides(*coords) gives (lhs, rhs) and relation(lhs, rhs) gives (failed,
+    deviation), on block arrays here and on floats in _scan. Blocks double
+    in size, so a scan failing at point k evaluates about 2k points plus
+    one block. Returns _scan's (witness, count, worst) with Python floats.
+    When array evaluation raises, the scan re-runs from that block on
+    _scan, so the error or witness met first in scalar order is the one
+    reported.
+    """
+    n = len(cols[0])
+    worst = 0.0
+    for start, stop in _blocks(n):
+        block = tuple(c[start:stop] for c in cols)
+        try:
+            lhs, rhs = np.broadcast_arrays(*sides(*block))
+        except _RESCALAR:
+            witness, count, rest = _scan(_scalar_points(cols, start), lambda p: sides(*p), relation)
+            return witness, start + count, max(worst, rest)
+        failed, deviation = relation(lhs, rhs)
+        hits = np.flatnonzero(failed)
+        if hits.size:
+            k = int(hits[0])
+            worst = max(worst, float(deviation[: k + 1].max()))
+            point = tuple(float(c[k]) for c in block)
+            return (point, float(lhs[k]), float(rhs[k]), float(deviation[k])), start + k + 1, worst
+        worst = max(worst, float(deviation.max()))
+    return None, n, worst
+
+
+def _mesh_values(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple]) -> tuple[np.ndarray, ...]:
+    """Every point's fn(*coords), a tuple of values, as one array per entry.
+
+    Evaluates blocks of MAX_BLOCK points as arrays. When array evaluation
+    raises, the points from that block on are evaluated one at a time in
+    order, so the error raised is the one the scalar order meets first.
+    """
+    parts = []
+    for start, stop in _blocks(len(cols[0]), MAX_BLOCK):
+        try:
+            parts.append(np.broadcast_arrays(*fn(*(c[start:stop] for c in cols))))
+        except _RESCALAR:
+            rows = [fn(*p) for p in _scalar_points(cols, start)]
+            parts.append([np.array(col, dtype=float) for col in zip(*rows)])
+            break
+    return tuple(np.concatenate(col) for col in zip(*parts))

@@ -17,15 +17,19 @@ All verdicts are grid verdicts: "holds_on_grid" never claims a proof.
 Equality checks compare within eq_tol; ROP treats any value within eq_tol
 of 1 as a violation, since the property demands strict distance from 1.
 Failing scans stop at the lexicographically first witness so reports are
-deterministic; every property scan runs on the kernel numerics._scan.
-Pairwise scans walk the uniform grid mesh plus seeded random pairs; triple
-scans (EP/EP1) use a reduced 21-point mesh plus random triples to stay at
-desk scale.
+deterministic. Every property scan runs on numerics._scan_mesh, which
+evaluates the mesh as arrays in doubling blocks and reports what the
+scalar scan numerics._scan would; compare and range_is_proper evaluate the
+whole mesh with numerics._mesh_values. Each check's sides are written once
+with numerics._value, so the same code runs on block arrays and, in the
+scalar fallback, on floats. Pairwise scans walk the uniform grid mesh plus
+seeded random pairs; triple scans (EP/EP1) use a reduced 21-point mesh plus
+random triples to stay at desk scale. pair_points and triple_points yield
+those meshes point by point, in the order of the columns the scans use.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -38,7 +42,10 @@ from .numerics import (
     CheckConfig,
     PreconditionError,
     _apart,
-    _scan,
+    _mesh_values,
+    _product_mesh,
+    _scan_mesh,
+    _value,
     random_points,
     sorted_samples,
     uniform_grid,
@@ -136,6 +143,24 @@ def triple_points(config: CheckConfig) -> Iterator[tuple[float, float, float]]:
         yield float(r[k]), float(r[k + 1]), float(r[k + 2])
 
 
+def _random_tuples(config: CheckConfig, arity: int) -> list[np.ndarray]:
+    r = random_points(config)
+    m = len(r) // arity
+    return [r[k : arity * m : arity] for k in range(arity)]
+
+
+def _pair_mesh(config: CheckConfig) -> tuple[np.ndarray, ...]:
+    """pair_points(config) as coordinate columns, in the same order."""
+    grid = _product_mesh(uniform_grid(config), 2)
+    return tuple(np.concatenate(cols) for cols in zip(grid, _random_tuples(config, 2)))
+
+
+def _triple_mesh(config: CheckConfig) -> tuple[np.ndarray, ...]:
+    """triple_points(config) as coordinate columns, in the same order."""
+    grid = _product_mesh(np.linspace(0.0, 1.0, EP_GRID_RESOLUTION), 3)
+    return tuple(np.concatenate(cols) for cols in zip(grid, _random_tuples(config, 3)))
+
+
 def check_unary_property(
     implication: Implication, prop: str, config: CheckConfig = DEFAULT_CONFIG
 ) -> PropertyReport:
@@ -146,37 +171,41 @@ def check_unary_property(
     # IP and LOP compare with 1 by _apart too: |v - 1| is 1 - v exactly for v <= 1.
     relation, note = _apart(tol), ""
 
-    def at_one(p: tuple) -> tuple[float, float]:
-        return float(implication(*p)), 1.0
+    def at_one(x, y):
+        return _value(implication, x, y), 1.0
 
     if prop == "NP":
-        points = ((1.0, float(y)) for y in sorted_samples(config))
+        samples = sorted_samples(config)
+        points = (np.ones(len(samples)), samples)
 
-        def sides(p: tuple) -> tuple[float, float]:
-            return float(implication(*p)), p[1]
+        def sides(x, y):
+            return _value(implication, x, y), y
 
     elif prop == "IP":
-        points, sides = ((float(x), float(x)) for x in sorted_samples(config)), at_one
+        samples = sorted_samples(config)
+        points, sides = (samples, samples), at_one
     elif prop == "LOP":
-        points, sides = (p for p in pair_points(config) if p[0] <= p[1]), at_one
+        x, y = _pair_mesh(config)
+        points, sides = (x[x <= y], y[x <= y]), at_one
     elif prop == "ROP":
-        points, sides = (p for p in pair_points(config) if p[0] > p[1]), at_one
+        x, y = _pair_mesh(config)
+        points, sides = (x[x > y], y[x > y]), at_one
         note = (
             "strict bound: values within eq_tol of 1 violate ROP; "
             "witness deviation is the distance to 1"
         )
 
-        def relation(lhs: float, rhs: float) -> tuple[bool, float]:
+        def relation(lhs, rhs):
             return lhs >= rhs - tol, rhs - lhs
 
     else:
-        points = pair_points(config)
+        points = _pair_mesh(config)
 
-        def sides(p: tuple) -> tuple[float, float]:
-            inner = float(implication(*p))
-            return float(implication(p[0], inner)), inner
+        def sides(x, y):
+            inner = _value(implication, x, y)
+            return _value(implication, x, inner), inner
 
-    witness, count, _ = _scan(points, sides, relation)
+    witness, count, _ = _scan_mesh(points, sides, relation)
     return _report(prop, witness, count, note)
 
 
@@ -193,20 +222,19 @@ def check_ep(
         raise PreconditionError(f"unknown variant {variant!r} (want EP or EP1)")
     tol = config.eq_tol
 
-    def sides(p: tuple) -> tuple[float, float]:
-        x, y, z = p
-        lhs = float(implication(x, float(implication(y, z))))
-        return lhs, float(implication(y, float(implication(x, z))))
+    def sides(x, y, z):
+        lhs = _value(implication, x, _value(implication, y, z))
+        return lhs, _value(implication, y, _value(implication, x, z))
 
     if variant == "EP":
         relation, note = _apart(tol), ""
     else:
         note = "one side at 1 must force the other to 1"
 
-        def relation(lhs: float, rhs: float) -> tuple[bool, float]:
-            return lhs >= 1.0 - tol and rhs < 1.0 - tol, 1.0 - rhs
+        def relation(lhs, rhs):
+            return (lhs >= 1.0 - tol) & (rhs < 1.0 - tol), 1.0 - rhs
 
-    witness, count, _ = _scan(triple_points(config), sides, relation)
+    witness, count, _ = _scan_mesh(_triple_mesh(config), sides, relation)
     return _report(variant, witness, count, note=note)
 
 
@@ -225,13 +253,13 @@ def check_contraposition(
     if variant not in CP_VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r} (want CP, LCP, or RCP)")
     budget = config.eq_tol if tol is None else float(tol)
-    i, n = implication, negation
+    i, n, v = implication, negation, _value
     sides = {
-        "CP": lambda p: (float(i(*p)), float(i(float(n(p[1])), float(n(p[0]))))),
-        "LCP": lambda p: (float(i(float(n(p[0])), p[1])), float(i(float(n(p[1])), p[0]))),
-        "RCP": lambda p: (float(i(p[0], float(n(p[1])))), float(i(p[1], float(n(p[0]))))),
+        "CP": lambda x, y: (v(i, x, y), v(i, v(n, y), v(n, x))),
+        "LCP": lambda x, y: (v(i, v(n, x), y), v(i, v(n, y), x)),
+        "RCP": lambda x, y: (v(i, x, v(n, y)), v(i, y, v(n, x))),
     }[variant]
-    witness, count, _ = _scan(pair_points(config), sides, _apart(budget))
+    witness, count, _ = _scan_mesh(_pair_mesh(config), sides, _apart(budget))
     pid = {"CP": "CP", "LCP": "L-CP", "RCP": "R-CP"}[variant]
     return _report(pid, witness, count, note=f"negation {negation.label}")
 
@@ -258,12 +286,13 @@ class Comparison:
 
 def compare(i1: Implication, i2: Implication, config: CheckConfig = DEFAULT_CONFIG) -> Comparison:
     """Max |i1 - i2| over the pair mesh with the first maximizing point."""
-    # zip stops at the end of the mesh without drawing from seen, so the
-    # next number seen gives is the count of pairs compared.
-    seen = itertools.count()
-    rows = ((p, float(i1(*p)), float(i2(*p))) for p, _ in zip(pair_points(config), seen))
-    at, lhs, rhs = max(rows, key=lambda row: abs(row[1] - row[2]))
-    return Comparison(deviation=abs(lhs - rhs), at=at, lhs=lhs, rhs=rhs, samples_checked=next(seen))
+    x, y = _pair_mesh(config)
+    left, right = _mesh_values((x, y), lambda a, b: (_value(i1, a, b), _value(i2, a, b)))
+    k = int(np.argmax(np.abs(left - right)))
+    lhs, rhs = float(left[k]), float(right[k])
+    return Comparison(
+        deviation=abs(lhs - rhs), at=(float(x[k]), float(y[k])), lhs=lhs, rhs=rhs, samples_checked=len(x)
+    )
 
 
 def range_is_proper(implication: Implication, config: CheckConfig = DEFAULT_CONFIG) -> bool:
@@ -273,14 +302,10 @@ def range_is_proper(implication: Implication, config: CheckConfig = DEFAULT_CONF
     points in both coordinates); a uniform grid alone can overstate gaps for
     implications whose level sets are diagonal.
     """
-    samples = [float(s) for s in sorted_samples(config)]
-    values = sorted(
-        float(implication(x, y)) for x in samples for y in samples
-    )
+    mesh = _product_mesh(sorted_samples(config), 2)
+    (values,) = _mesh_values(mesh, lambda x, y: (_value(implication, x, y),))
+    values.sort()
     threshold = 2.0 / config.grid_resolution
     if values[0] - 0.0 > threshold or 1.0 - values[-1] > threshold:
         return True
-    for a, b in zip(values, values[1:]):
-        if b - a > threshold:
-            return True
-    return False
+    return bool((np.diff(values) > threshold).any())

@@ -1,0 +1,225 @@
+"""Array evaluation is bit-identical to scalar evaluation, for every constructor.
+
+Each object's values() on a mesh must equal float(obj(*p)) at every point p,
+compared as bit patterns (so the sign of a zero counts), on:
+
+* the full default pair mesh, plus sorted_samples x sorted_samples for the
+  crisp family, whose thresholds sit on sample points;
+* the triple mesh of the EP scans;
+* random points from hypothesis, mixed with the crisp thresholds, their
+  float neighbours and O_DB's x + y = 0 corner.
+
+The array meshes must list exactly the points of pair_points/triple_points,
+in the same order.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import overlapkit as ok
+from overlapkit.numerics import _product_mesh, sorted_samples
+from overlapkit.properties import _pair_mesh, _triple_mesh
+
+CFG = ok.DEFAULT_CONFIG
+ALPHA, BETA = 0.5, 0.3
+
+
+def _negations():
+    return {
+        "zadeh": ok.make_standard(),
+        "bottom": ok.make_bottom(),
+        "top": ok.make_top(),
+        "crisp_lower:0.3": ok.make_crisp("lower", BETA),
+        "crisp_upper:0.5": ok.make_crisp("upper", ALPHA),
+        "power:1.75": ok.make_power_strict(1.75),
+        "power:2": ok.make_power_strict(2.0),
+        # no array form: values() loops over __call__
+        "inv(power:2)": ok.inverse_negation(ok.make_power_strict(2.0)),
+        "user": ok.Negation(fn=lambda x: 1.0 - x * x, label="user"),
+    }
+
+
+def _connectives():
+    zadeh, power2 = ok.make_standard(), ok.make_power_strict(2.0)
+    out = {f"{name}:{p}": ok.catalog(name, **p) for name, p in (
+        ("O_mM", {}), ("O_DB", {}), ("O_P", {"p": 1.75}), ("O_P", {"p": 2}), ("O_V", {}),
+        ("O_min", {}), ("GO_max", {}), ("GO_TL", {"p": 2.5}),
+        ("GO_PN", {"n": 2}), ("GO_GN", {"n": 2}), ("GO_PN", {"n": 3}), ("GO_GN", {"n": 3}),
+    )}
+    out.update({
+        "max_grouping": ok.grouping_max(),
+        "prob_sum": ok.grouping_probsum(),
+        "trunc:O_P:p=1.75,a=0.5": ok.truncate_overlap(ok.catalog("O_P", p=1.75), 0.5),
+        "trunc:O_V,a=0.4": ok.truncate_overlap(ok.catalog("O_V"), 0.4),
+        "neutral_go:e=0.5": ok.piecewise_neutral_go(0.5),
+        "neutral_go:e=0.37": ok.piecewise_neutral_go(0.37),
+        "idem_go:p=1,q=2": ok.idempotent_go(1.0, 2.0),
+        "idem_go:p=0.7,q=2.3": ok.idempotent_go(0.7, 2.3),
+        "dual(O_P:p=1.75, power:2)": ok.dual(ok.catalog("O_P", p=1.75), power2),
+        "dual(GO_PN:n=3, zadeh)": ok.dual(ok.catalog("GO_PN", n=3), zadeh),
+        "dualG(O_P:p=1, zadeh)": ok.grouping_from(ok.catalog("O_P", p=1), zadeh),
+        "dualO(prob_sum, zadeh)": ok.overlap_from(ok.grouping_probsum(), zadeh),
+        "agg(mean; GO_max, O_P:p=2)": ok.aggregate(
+            ok.make_aggregation("mean", 2),
+            ok.OperatorFamily((ok.catalog("GO_max"), ok.catalog("O_P", p=2))),
+        ),
+        "agg(min; GO_PN:n=3, GO_GN:n=3)": ok.aggregate(
+            ok.make_aggregation("min", 2),
+            ok.OperatorFamily((ok.catalog("GO_PN", n=3), ok.catalog("GO_GN", n=3))),
+        ),
+        # no array form: values() loops over __call__
+        "recovered(gon(GO_TL:p=2, power:2))": ok.recover_go(
+            ok.make_gon(ok.catalog("GO_TL", p=2), power2), power2
+        ),
+        "user": ok.FusionFunction(fn=lambda x, y: x * y, arity=2, role="overlap", label="user"),
+    })
+    for name in ok.AGGREGATION_NAMES:
+        for arity in (1, 2, 3):
+            out[f"{name}/{arity}"] = ok.make_aggregation(name, arity)
+    return out
+
+
+def _implications():
+    c, zadeh = ok.catalog, ok.make_standard()
+    power2, power15 = ok.make_power_strict(2.0), ok.make_power_strict(1.5)
+    out = {
+        "gon(GO_max, zadeh)": ok.make_gon(c("GO_max"), zadeh),
+        "gon(O_P:p=1.75, power:2)": ok.make_gon(c("O_P", p=1.75), power2),
+        "gon(O_min, crisp_upper:0.5)": ok.make_gon(c("O_min"), ok.make_crisp("upper", ALPHA)),
+        "gn(max_grouping, zadeh)": ok.make_gn(ok.grouping_max(), zadeh),
+        "gn(prob_sum, power:1.5)": ok.make_gn(ok.grouping_probsum(), power15),
+        "ql(O_min, max_grouping)": ok.make_ql(c("O_min"), ok.grouping_max()),
+        "ql(O_P:p=2, prob_sum)": ok.make_ql(c("O_P", p=2), ok.grouping_probsum()),
+        "d(max_grouping)": ok.make_d(ok.grouping_max()),
+        "d(prob_sum)": ok.make_d(ok.grouping_probsum()),
+        "tn(O_min, zadeh)": ok.make_tn(c("O_min"), zadeh),
+        "tn(O_min, power:2)": ok.make_tn(c("O_min"), power2),
+        "ro(O_P:p=1)": ok.make_residual(c("O_P", p=1)),
+        "ro(O_DB)": ok.make_residual(c("O_DB")),
+        "agg(mean; gon(GO_max, zadeh), gon(O_P:p=2, zadeh))": ok.aggregate(
+            ok.make_aggregation("mean", 2),
+            ok.OperatorFamily((ok.make_gon(c("GO_max"), zadeh), ok.make_gon(c("O_P", p=2), zadeh))),
+        ),
+        "agg(product; tn(O_min, zadeh), d(prob_sum), crisp(C2))": ok.aggregate(
+            ok.make_aggregation("product", 3),
+            ok.OperatorFamily((
+                ok.make_tn(c("O_min"), zadeh),
+                ok.make_d(ok.grouping_probsum()),
+                ok.make_crisp_family("C2", ALPHA, BETA),
+            )),
+        ),
+    }
+    for kind in ("C1", "C2", "C3", "C4"):
+        out[f"crisp({kind})"] = ok.make_crisp_family(kind, ALPHA, BETA)
+    return out
+
+
+NEGATIONS = _negations()
+CONNECTIVES = _connectives()
+IMPLICATIONS = _implications()
+OBJECTS = {**{f"N {k}": v for k, v in NEGATIONS.items()},
+           **{f"F {k}": v for k, v in CONNECTIVES.items()},
+           **{f"I {k}": v for k, v in IMPLICATIONS.items()}}
+
+
+def _arity(obj) -> int:
+    if isinstance(obj, ok.Negation):
+        return 1
+    return obj.arity if isinstance(obj, ok.FusionFunction) else 2
+
+
+def _assert_bit_identical(obj, cols) -> None:
+    cols = tuple(np.asarray(c, dtype=float) for c in cols)
+    got = obj.values(*cols)
+    want = np.array([float(obj(*p)) for p in zip(*(c.tolist() for c in cols))])
+    assert got.dtype == np.float64 and got.shape == want.shape
+    differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    if differ.size:
+        k = int(differ[0])
+        point = tuple(float(c[k]) for c in cols)
+        raise AssertionError(
+            f"{obj.label}: {differ.size} points differ, first at {point}: {got[k]!r} != {want[k]!r}"
+        )
+
+
+def _argument_sets(obj, mesh):
+    """Argument columns for obj drawn from the coordinate columns of mesh."""
+    arity = _arity(obj)
+    picks = [tuple(mesh[(k + j) % len(mesh)] for j in range(arity)) for k in range(len(mesh))]
+    return picks if len(mesh) > arity else picks[:1]
+
+
+def test_pair_mesh_lists_pair_points_in_order():
+    assert list(zip(*(c.tolist() for c in _pair_mesh(CFG)))) == list(ok.pair_points(CFG))
+
+
+def test_triple_mesh_lists_triple_points_in_order():
+    assert list(zip(*(c.tolist() for c in _triple_mesh(CFG)))) == list(ok.triple_points(CFG))
+
+
+@pytest.mark.parametrize("samples", [0, 1, 2, 3, 5])
+def test_meshes_match_generators_for_short_random_parts(samples):
+    cfg = ok.CheckConfig(grid_resolution=3, random_samples=samples)
+    assert list(zip(*(c.tolist() for c in _pair_mesh(cfg)))) == list(ok.pair_points(cfg))
+    assert list(zip(*(c.tolist() for c in _triple_mesh(cfg)))) == list(ok.triple_points(cfg))
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTS))
+def test_pair_mesh_bit_identical(name):
+    obj = OBJECTS[name]
+    for cols in _argument_sets(obj, _pair_mesh(CFG)):
+        _assert_bit_identical(obj, cols)
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTS))
+def test_triple_mesh_bit_identical(name):
+    obj = OBJECTS[name]
+    for cols in _argument_sets(obj, _triple_mesh(CFG)):
+        _assert_bit_identical(obj, cols)
+
+
+@pytest.mark.parametrize("name", sorted(k for k in IMPLICATIONS if k.startswith("crisp")))
+def test_crisp_sample_square_bit_identical(name):
+    _assert_bit_identical(IMPLICATIONS[name], _product_mesh(sorted_samples(CFG), 2))
+
+
+def _near(values):
+    return [v for x in values for v in (math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)) if 0.0 <= v <= 1.0]
+
+
+SPECIAL = _near([0.0, 1.0, ALPHA, BETA, 0.37, 0.4, 0.25, 0.75]) + [5e-324, 1e-300]
+UNIT = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from(SPECIAL))
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTS))
+@settings(max_examples=15, deadline=None)
+@given(points=st.lists(st.tuples(UNIT, UNIT, UNIT), min_size=1, max_size=30))
+def test_random_points_bit_identical(name, points):
+    obj = OBJECTS[name]
+    cols = [np.array(c) for c in zip(*points)]
+    for args in _argument_sets(obj, cols):
+        _assert_bit_identical(obj, args)
+
+
+def test_values_reject_out_of_range_like_call():
+    zadeh = ok.make_standard()
+    with pytest.raises(ok.UnitRangeError, match="value -1.0 is not in"):
+        zadeh.values(np.array([0.5, 2.0]))
+    with pytest.raises(ok.PreconditionError, match="takes 3 arguments, got 2"):
+        ok.catalog("GO_PN", n=3).values(np.array([0.5]), np.array([0.5]))
+
+
+def test_replaced_fn_drops_the_array_form():
+    calls = []
+    base = ok.catalog("O_P", p=2)
+    counted = dataclasses.replace(base, fn=lambda x, y: calls.append(1) or base.fn(x, y))
+    xs = np.linspace(0.0, 1.0, 7)
+    assert counted.values(xs, xs).tolist() == base.values(xs, xs).tolist()
+    assert len(calls) == 7

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from overlapkit.cli import run
+from overlapkit.cli import _CATALOG_ROWS, _head_kind, run
 
 
 def _lines(capsys) -> list[str]:
@@ -66,6 +66,28 @@ def test_parse_error_exits_2():
 def test_duplicate_parameter_exits_2(expression, capsys):
     assert run(["eval", expression, "--at", "0.5", "0.5"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "O_P:p=1,p=2", "--at", "0.5", "0.5"], ["axioms", "O_P:p=1,p=2"]],
+)
+def test_parse_error_comes_from_the_parser_the_head_names(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "duplicate parameter 'p'" in captured.err
+
+
+def test_every_catalog_head_names_its_parser():
+    for expression, kind, _ in _CATALOG_ROWS:
+        for alternative in expression.split(" | "):
+            assert _head_kind(alternative) == {"aggregation": "connective"}.get(kind, kind)
+
+
+def test_unknown_implication_family_is_named(capsys):
+    assert run(["props", "foo(O_P:p=2)"]) == 2
+    assert "unknown implication family 'foo'" in capsys.readouterr().err
 
 
 # --- axioms -----------------------------------------------------------------
