@@ -14,17 +14,12 @@ Verbs:
   violation.
 * catalog: list every named constructor and its grammar.
 
-Expression grammar (whitespace around commas is ignored):
-
-  connectives   O_mM | O_DB | O_P:p=2 | O_V | O_min | GO_max | GO_TL:p=2 |
-                GO_PN:n=3 | GO_GN:n=3 | trunc:O_P:p=1,a=0.5 |
-                neutral_go:e=0.5 | idem_go:p=1,q=2 | max_grouping |
-                prob_sum | dualG(GO, NEG) | dualO(G, NEG) |
-                mean | min | max | product
-  negations     zadeh | bottom | top | crisp_lower:0.5 | crisp_upper:0.5 |
-                power:2
-  implications  gon(GO, NEG) | gn(G, NEG) | ql(O, G) | ro(O) | d(G) |
-                tn(T, NEG) | crisp(C3, 0.5, 0.5) | agg(mean; I1, I2)
+Expression grammar: one list of forms, _FORMS, which the parsers read and
+`catalog` prints, one row per constructor with an example, its kind and a
+note. A constructor is a bare name (zadeh), a name with a colon and
+parameters (O_P:p=2, power:2), either of them (the named catalog entries),
+or a call (gon(GO_max, zadeh)). Whitespace around commas is ignored, and a
+key=value parameter may appear once per constructor.
 
 Exit codes: 0 success, 1 failed --assert, 2 parse/config error,
 3 precondition violation. Floats print with 9 decimals; CSV is RFC 4180.
@@ -41,13 +36,13 @@ import os
 import re
 import sys
 from dataclasses import replace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .aggregation import AGGREGATION_NAMES, OperatorFamily, aggregate, make_aggregation
 from .conjunctors import (
-    CATALOG_NAMES,
+    _CATALOG,
     FusionFunction,
     catalog,
     check_axioms,
@@ -170,145 +165,198 @@ def _kv_params(text: str) -> dict[str, float]:
     return out
 
 
+class _Form(NamedTuple):
+    """One constructor of the expression grammar, and its row in `catalog`.
+
+    syntax is how its name is written: "name" alone, "name:REST", either of
+    them ("name[:REST]") or "name(...)". build(name, rest, text, config)
+    makes the object from rest, the text after the colon or inside the
+    parentheses; text is the whole expression, for error messages.
+    """
+
+    example: str
+    kind: str
+    note: str
+    syntax: str
+    build: Callable[[str, str, str, CheckConfig], object]
+
+
+def _keyed(make: Callable, *keys: str) -> Callable:
+    """Builder of name:k=v,... taking exactly keys, passed to make by name."""
+
+    def build(name: str, rest: str, text: str, config: CheckConfig):
+        params = _kv_params(rest)
+        if set(params) != set(keys):
+            raise ParseError(f"{name} takes exactly {','.join(k + '=VALUE' for k in keys)}: {text!r}")
+        return make(**params)
+
+    return build
+
+
+def _pair(make: Callable, last_kind: str, need: str) -> Callable:
+    """Builder of name(CONNECTIVE, LAST), LAST parsed as last_kind."""
+
+    def build(name: str, rest: str, text: str, config: CheckConfig):
+        parts = _split_top(rest, ",")
+        if len(parts) < 2:
+            raise ParseError(f"{name} needs {need}: {text!r}")
+        connective = _parse(",".join(parts[:-1]), "connective", config)
+        return make(connective, _parse(parts[-1], last_kind, config))
+
+    return build
+
+
+def _trunc(name: str, rest: str, text: str, config: CheckConfig) -> FusionFunction:
+    parts = _split_top(rest, ",")
+    if len(parts) < 2 or not parts[-1].startswith("a="):
+        raise ParseError(f"{name} needs an overlap and a=LEVEL: {text!r}")
+    # No overlap's text ends in a=, so a second one repeats the level.
+    if parts[-2].startswith("a="):
+        raise ParseError(f"duplicate parameter 'a' in {rest!r}")
+    return truncate_overlap(_parse(",".join(parts[:-1]), "connective", config), _float(parts[-1][2:]))
+
+
+def _crisp(name: str, rest: str, text: str, config: CheckConfig) -> Implication:
+    args = _split_top(rest, ",")
+    if len(args) != 3:
+        raise ParseError(f"{name} needs (KIND, alpha, beta): {text!r}")
+    return make_crisp_family(args[0], _float(args[1]), _float(args[2]))
+
+
+def _agg(name: str, rest: str, text: str, config: CheckConfig) -> Implication:
+    segments = _split_top(rest, ";")
+    if len(segments) != 2:
+        raise ParseError(f"{name} needs '{name}(NAME; I1, I2, ...)': {text!r}")
+    members = tuple(_parse(m, "implication", config) for m in _split_top(segments[1], ","))
+    return aggregate(make_aggregation(segments[0], len(members)), OperatorFamily(members))
+
+
+# Catalog entry parameter -> what its example and its note append.
+_PARAM_SUFFIXES = {None: ("", ""), "p": (":p=2", ", needs p > 0"), "n": (":n=3", ", n-ary")}
+
+
+def _catalog_form(name: str, note: str, param: Optional[str]) -> _Form:
+    example_suffix, note_suffix = _PARAM_SUFFIXES[param]
+    return _Form(name + example_suffix, "connective", note + note_suffix, "name[:REST]",
+                 lambda head, rest, *_: catalog(head, **_kv_params(rest)))
+
+
+_FORMS = (
+    *(_catalog_form(name, entry.note, entry.param) for name, entry in _CATALOG.items()),
+    _Form("trunc:O_P:p=1,a=0.5", "connective", "truncation of an overlap at level a",
+          "name:REST", _trunc),
+    _Form("neutral_go:e=0.5", "connective", "piecewise connective with neutral element e",
+          "name:REST", _keyed(piecewise_neutral_go, "e")),
+    _Form("idem_go:p=1,q=2", "connective", "idempotent power-mean connective",
+          "name:REST", _keyed(idempotent_go, "p", "q")),
+    _Form("dualG(O_P:p=1, zadeh)", "connective", "negation dual, conjunctive to disjunctive",
+          "name(...)", _pair(grouping_from, "negation", "a connective and a negation")),
+    _Form("dualO(max_grouping, zadeh)", "connective", "negation dual, disjunctive to conjunctive",
+          "name(...)", _pair(overlap_from, "negation", "a connective and a negation")),
+    _Form("max_grouping", "connective", "maximum", "name", lambda *_: grouping_max()),
+    _Form("prob_sum", "connective", "probabilistic sum", "name", lambda *_: grouping_probsum()),
+    _Form(" | ".join(AGGREGATION_NAMES), "aggregation", "shipped aggregations",
+          "name", lambda name, *_: make_aggregation(name, 2)),
+    _Form("zadeh", "negation", "1 - x", "name", lambda *_: make_standard()),
+    _Form("bottom", "negation", "indicator of x = 0", "name", lambda *_: make_bottom()),
+    _Form("top", "negation", "indicator of x < 1", "name", lambda *_: make_top()),
+    _Form("crisp_lower:0.5", "negation", "0 above the threshold, else 1",
+          "name:REST", lambda name, rest, *_: make_crisp("lower", _float(rest))),
+    _Form("crisp_upper:0.5", "negation", "0 at or above the threshold, else 1",
+          "name:REST", lambda name, rest, *_: make_crisp("upper", _float(rest))),
+    _Form("power:2", "negation", "1 - x^p, strict; strong only at p = 1",
+          "name:REST", lambda name, rest, *_: make_power_strict(_float(rest))),
+    _Form("gon(GO_max, zadeh)", "implication", "N(GO(x, N(y)))",
+          "name(...)", _pair(make_gon, "negation", "two arguments")),
+    _Form("gn(max_grouping, zadeh)", "implication", "G(N(x), y)",
+          "name(...)", _pair(make_gn, "negation", "two arguments")),
+    _Form("ql(O_min, max_grouping)", "implication", "G(0, O(1, y)) at x = 1, else 1",
+          "name(...)", _pair(make_ql, "connective", "two arguments")),
+    _Form("ro(O_P:p=1)", "implication", "sup{z : O(x, z) <= y} by bisection", "name(...)",
+          lambda name, rest, text, config: make_residual(_parse(rest, "connective", config), config)),
+    _Form("d(max_grouping)", "implication", "G(0, y) at x = 1, else 1", "name(...)",
+          lambda name, rest, text, config: make_d(_parse(rest, "connective", config))),
+    _Form("tn(O_min, zadeh)", "implication", "N(T(x, N(y)))",
+          "name(...)", _pair(make_tn, "negation", "two arguments")),
+    _Form("crisp(C3, 0.5, 0.5)", "implication", "two-valued threshold families C1..C4",
+          "name(...)", _crisp),
+    _Form("agg(mean; gon(GO_max, zadeh), gon(O_P:p=2, zadeh))", "implication", "aggregated family",
+          "name(...)", _agg),
+)
+
+# The rows `catalog` prints.
+_CATALOG_ROWS = [(form.example, form.kind, form.note) for form in _FORMS]
+
+_HEAD = re.compile(r"\s*([A-Za-z_]\w*)")
+
+# Constructor name -> (the parser it belongs to, its form). Aggregations
+# are connectives to the parsers.
+_GRAMMAR = {
+    _HEAD.match(alternative).group(1): ({"aggregation": "connective"}.get(form.kind, form.kind), form)
+    for form in _FORMS
+    for alternative in form.example.split(" | ")
+}
+
+# Parser kind -> its noun in messages and, where the kind has call forms,
+# the message for a call whose name is none of them.
+_KINDS = {
+    "implication": ("an implication", "unknown implication family {!r}"),
+    "connective": ("a connective", "unknown connective constructor {!r}"),
+    "negation": ("a negation", None),
+}
+
+# Syntaxes that match a name written without and with a colon.
+_WORD_SYNTAX = {"": ("name", "name[:REST]"), ":": ("name:REST", "name[:REST]")}
+
+
+def _parse(text: str, kind: str, config: CheckConfig = DEFAULT_CONFIG):
+    """Parse text as an expression of kind: implication, connective or negation."""
+    noun, unknown_call = _KINDS[kind]
+    t = text.strip()
+    call = _call_form(t) if unknown_call else None
+    if call is not None:
+        head, inner = call
+        head_kind, form = _GRAMMAR.get(head, (None, None))
+        if head_kind != kind or form.syntax != "name(...)":
+            raise ParseError(unknown_call.format(head))
+        return form.build(head, inner, text, config)
+    name, colon, rest = t.partition(":")
+    name_kind, form = _GRAMMAR.get(name, (None, None))
+    if name_kind != kind or form.syntax not in _WORD_SYNTAX[colon]:
+        raise ParseError(f"not {noun} expression: {text!r}")
+    return form.build(name, rest, text, config)
+
+
 def parse_negation(text: str) -> Negation:
     """Parse a negation expression from the grammar."""
-    t = text.strip()
-    if t == "zadeh":
-        return make_standard()
-    if t == "bottom":
-        return make_bottom()
-    if t == "top":
-        return make_top()
-    for prefix, kind in (("crisp_lower:", "lower"), ("crisp_upper:", "upper")):
-        if t.startswith(prefix):
-            return make_crisp(kind, _float(t[len(prefix):]))
-    if t.startswith("power:"):
-        return make_power_strict(_float(t[len("power:"):]))
-    raise ParseError(f"not a negation expression: {text!r}")
+    return _parse(text, "negation")
 
 
 def parse_connective(text: str) -> FusionFunction:
     """Parse a connective expression from the grammar."""
-    t = text.strip()
-    call = _call_form(t)
-    if call is not None:
-        head, inner = call
-        if head in ("dualG", "dualO"):
-            parts = _split_top(inner, ",")
-            if len(parts) < 2:
-                raise ParseError(f"{head} needs a connective and a negation: {text!r}")
-            conn = parse_connective(",".join(parts[:-1]))
-            neg = parse_negation(parts[-1])
-            return grouping_from(conn, neg) if head == "dualG" else overlap_from(conn, neg)
-        raise ParseError(f"unknown connective constructor {head!r}")
-    if t.startswith("trunc:"):
-        parts = _split_top(t[len("trunc:"):], ",")
-        if len(parts) < 2 or not parts[-1].startswith("a="):
-            raise ParseError(f"trunc needs an overlap and a=LEVEL: {text!r}")
-        return truncate_overlap(parse_connective(",".join(parts[:-1])), _float(parts[-1][2:]))
-    if t.startswith("neutral_go:"):
-        params = _kv_params(t[len("neutral_go:"):])
-        if set(params) != {"e"}:
-            raise ParseError(f"neutral_go takes exactly e=VALUE: {text!r}")
-        return piecewise_neutral_go(params["e"])
-    if t.startswith("idem_go:"):
-        params = _kv_params(t[len("idem_go:"):])
-        if set(params) != {"p", "q"}:
-            raise ParseError(f"idem_go takes exactly p=VALUE,q=VALUE: {text!r}")
-        return idempotent_go(params["p"], params["q"])
-    if t == "max_grouping":
-        return grouping_max()
-    if t == "prob_sum":
-        return grouping_probsum()
-    if t in AGGREGATION_NAMES:
-        return make_aggregation(t, 2)
-    name, _, param_text = t.partition(":")
-    if name in CATALOG_NAMES:
-        return catalog(name, **_kv_params(param_text))
-    raise ParseError(f"not a connective expression: {text!r}")
+    return _parse(text, "connective")
 
 
 def parse_implication(text: str, config: CheckConfig = DEFAULT_CONFIG) -> Implication:
     """Parse an implication expression from the grammar."""
-    call = _call_form(text)
-    if call is None:
-        raise ParseError(f"not an implication expression: {text!r}")
-    head, inner = call
-    if head == "agg":
-        segments = _split_top(inner, ";")
-        if len(segments) != 2:
-            raise ParseError(f"agg needs 'agg(NAME; I1, I2, ...)': {text!r}")
-        members = tuple(
-            parse_implication(m, config) for m in _split_top(segments[1], ",")
-        )
-        return aggregate(make_aggregation(segments[0], len(members)), OperatorFamily(members))
-    if head == "crisp":
-        args = _split_top(inner, ",")
-        if len(args) != 3:
-            raise ParseError(f"crisp needs (KIND, alpha, beta): {text!r}")
-        return make_crisp_family(args[0], _float(args[1]), _float(args[2]))
-    if head in ("ro", "d"):
-        conn = parse_connective(inner)
-        return make_residual(conn, config) if head == "ro" else make_d(conn)
-    builders = {
-        "gon": (make_gon, parse_negation),
-        "gn": (make_gn, parse_negation),
-        "tn": (make_tn, parse_negation),
-        "ql": (make_ql, parse_connective),
-    }
-    if head not in builders:
-        raise ParseError(f"unknown implication family {head!r}")
-    parts = _split_top(inner, ",")
-    if len(parts) < 2:
-        raise ParseError(f"{head} needs two arguments: {text!r}")
-    make, parse_last = builders[head]
-    return make(parse_connective(",".join(parts[:-1])), parse_last(parts[-1]))
-
-
-_IMPLICATION_HEADS = {"gon", "gn", "ql", "ro", "d", "tn", "crisp", "agg"}
-_NEGATION_HEADS = {"zadeh", "bottom", "top", "crisp_lower", "crisp_upper", "power"}
-_CONNECTIVE_HEADS = {
-    "dualG",
-    "dualO",
-    "trunc",
-    "neutral_go",
-    "idem_go",
-    "max_grouping",
-    "prob_sum",
-    *AGGREGATION_NAMES,
-    *CATALOG_NAMES,
-}
+    return _parse(text, "implication", config)
 
 
 def _head_kind(text: str) -> Optional[str]:
-    """The kind of expression its leading name starts: implication, connective or negation.
+    """The parser of the expression's leading name: implication, connective or negation.
 
     None when the name is none of the grammar's constructors.
     """
-    match = re.match(r"\s*([A-Za-z_]\w*)", text)
-    head = match.group(1) if match else ""
-    for kind, heads in (
-        ("implication", _IMPLICATION_HEADS),
-        ("connective", _CONNECTIVE_HEADS),
-        ("negation", _NEGATION_HEADS),
-    ):
-        if head in heads:
-            return kind
-    return None
+    match = _HEAD.match(text)
+    return _GRAMMAR.get(match.group(1) if match else "", (None, None))[0]
 
 
 def _parse_any(text: str, config: CheckConfig):
     """Parse with the parser the expression's head names, so its error shows."""
     kind = _head_kind(text)
-    if kind == "implication":
-        return parse_implication(text, config)
-    if kind == "connective":
-        return parse_connective(text)
-    if kind == "negation":
-        return parse_negation(text)
-    raise ParseError(
-        f"could not parse {text!r} as an implication, connective, or negation"
-    )
+    if kind is None:
+        raise ParseError(f"could not parse {text!r} as an implication, connective, or negation")
+    return _parse(text, kind, config)
 
 
 def _arity_of(obj) -> int:
@@ -646,41 +694,6 @@ def _cmd_search(args, config: CheckConfig) -> int:
     else:
         print(f"{expr}: {report.summary()}")
     return 1 if args.assert_ else 0
-
-
-_CATALOG_ROWS = [
-    ("O_mM", "connective", "minimum times squared maximum"),
-    ("O_DB", "connective", "doubled product over the sum"),
-    ("O_P:p=2", "connective", "powered product, needs p > 0"),
-    ("O_V", "connective", "bump above (0.5, 0.5), minimum elsewhere"),
-    ("O_min", "connective", "minimum"),
-    ("GO_max", "connective", "thresholded sum of squares"),
-    ("GO_TL:p=2", "connective", "powered minimum times truncated sum, needs p > 0"),
-    ("GO_PN:n=3", "connective", "product gated by coordinate sum, n-ary"),
-    ("GO_GN:n=3", "connective", "geometric mean gated by coordinate sum, n-ary"),
-    ("trunc:O_P:p=1,a=0.5", "connective", "truncation of an overlap at level a"),
-    ("neutral_go:e=0.5", "connective", "piecewise connective with neutral element e"),
-    ("idem_go:p=1,q=2", "connective", "idempotent power-mean connective"),
-    ("dualG(O_P:p=1, zadeh)", "connective", "negation dual, conjunctive to disjunctive"),
-    ("dualO(max_grouping, zadeh)", "connective", "negation dual, disjunctive to conjunctive"),
-    ("max_grouping", "connective", "maximum"),
-    ("prob_sum", "connective", "probabilistic sum"),
-    ("mean | min | max | product", "aggregation", "shipped aggregations"),
-    ("zadeh", "negation", "1 - x"),
-    ("bottom", "negation", "indicator of x = 0"),
-    ("top", "negation", "indicator of x < 1"),
-    ("crisp_lower:0.5", "negation", "0 above the threshold, else 1"),
-    ("crisp_upper:0.5", "negation", "0 at or above the threshold, else 1"),
-    ("power:2", "negation", "1 - x^p, strict; strong only at p = 1"),
-    ("gon(GO_max, zadeh)", "implication", "N(GO(x, N(y)))"),
-    ("gn(max_grouping, zadeh)", "implication", "G(N(x), y)"),
-    ("ql(O_min, max_grouping)", "implication", "G(0, O(1, y)) at x = 1, else 1"),
-    ("ro(O_P:p=1)", "implication", "sup{z : O(x, z) <= y} by bisection"),
-    ("d(max_grouping)", "implication", "G(0, y) at x = 1, else 1"),
-    ("tn(O_min, zadeh)", "implication", "N(T(x, N(y)))"),
-    ("crisp(C3, 0.5, 0.5)", "implication", "two-valued threshold families C1..C4"),
-    ("agg(mean; gon(GO_max, zadeh), gon(O_P:p=2, zadeh))", "implication", "aggregated family"),
-]
 
 
 def _cmd_catalog(args, config: CheckConfig) -> int:

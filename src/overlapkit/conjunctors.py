@@ -24,7 +24,13 @@ evaluation of the grid points, and every check reads that tensor. The
 converse checks -- the O2/O3/G2/G3 "only if" directions and GO2a/GO3a --
 are one mask scan parameterized by side (overlap or grouping);
 grouping_from and overlap_from run the same scan on the tensor of their
-source before building its N-dual with negations.dual.
+source before building its N-dual with negations.dual. Associativity (T2)
+is a first-witness mesh scan of the 21^3 triple grid, and T3 and
+check_idempotent take the first largest deviation over the samples.
+
+The named catalog is one table, _CATALOG: the role, parameter, note and
+formula pair of each name. catalog() and CATALOG_NAMES read it, and so do
+the CLI's parsers and its catalog listing.
 
 Every catalog entry and construction carries an array form of its formula
 (numerics._vectorized), which FusionFunction.values evaluates; the piecewise
@@ -33,7 +39,9 @@ numerics._pow, so array and scalar values agree bit for bit.
 
 Binary functions are checked at the configured grid resolution; ternary and
 wider ones on a reduced grid (21 points for arity 3, 11 beyond) to keep the
-suite at desk scale.
+suite at desk scale. A grid of more than MAX_GRID_POINTS points (arity 7
+and up, or a binary grid of over 3162 per axis) is refused with a
+PreconditionError.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial, reduce
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -52,6 +60,7 @@ from .numerics import (
     CheckConfig,
     PreconditionError,
     UnitValue,
+    _apart,
     _array_form,
     _fsum,
     _mesh_values,
@@ -68,18 +77,6 @@ from .numerics import (
 )
 
 ROLES = ("overlap", "grouping", "general_overlap", "t_norm", "aggregation")
-
-CATALOG_NAMES = (
-    "O_mM",
-    "O_DB",
-    "O_P",
-    "O_V",
-    "O_min",
-    "GO_max",
-    "GO_TL",
-    "GO_PN",
-    "GO_GN",
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,6 +239,13 @@ def _pn_factor_array(xs: tuple[np.ndarray, ...]) -> np.ndarray:
     return np.where(_fsum(xs) <= 1.0, 0.0, reduce(np.minimum, xs))
 
 
+def _o_v(x: float, y: float) -> float:
+    if x >= 0.5 and y >= 0.5:
+        s = (2.0 * x - 1.0) ** 2 * (2.0 * y - 1.0) ** 2
+        return 0.5 * (1.0 + s)
+    return min(x, y)
+
+
 def _o_v_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = np.minimum(x, y)
     bump = (x >= 0.5) & (y >= 0.5)
@@ -256,116 +260,89 @@ def _o_db_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(zero, 0.0, 2.0 * x * y / np.where(zero, 1.0, total))
 
 
+class _Entry(NamedTuple):
+    role: str
+    param: Optional[str]
+    note: str
+    fn: Callable[..., float]
+    array_fn: Callable[..., np.ndarray]
+
+
+# The named catalog entries. param is None, "p" (an exponent p > 0) or "n"
+# (the arity, n >= 2); an entry with a parameter takes its value as the
+# first argument of both its scalar formula and its array form.
+_CATALOG = {
+    "O_mM": _Entry(
+        "overlap", None, "minimum times squared maximum",
+        lambda x, y: min(x, y) * max(x * x, y * y),
+        lambda x, y: np.minimum(x, y) * np.maximum(x * x, y * y),
+    ),
+    "O_DB": _Entry(
+        "overlap", None, "doubled product over the sum",
+        lambda x, y: 0.0 if x + y == 0.0 else 2.0 * x * y / (x + y),
+        _o_db_array,
+    ),
+    "O_P": _Entry(
+        "overlap", "p", "powered product",
+        lambda p, x, y: x**p * y**p,
+        lambda p, x, y: _pow(x, p) * _pow(y, p),
+    ),
+    "O_V": _Entry("overlap", None, "bump above (0.5, 0.5), minimum elsewhere", _o_v, _o_v_array),
+    "O_min": _Entry("overlap", None, "minimum", lambda x, y: min(x, y), np.minimum),
+    "GO_max": _Entry(
+        "general_overlap", None, "thresholded sum of squares",
+        lambda x, y: max(0.0, x * x + y * y - 1.0),
+        lambda x, y: np.maximum(0.0, x * x + y * y - 1.0),
+    ),
+    "GO_TL": _Entry(
+        "general_overlap", "p", "powered minimum times truncated sum",
+        lambda p, x, y: min(x, y) ** p * max(0.0, x + y - 1.0),
+        lambda p, x, y: _pow(np.minimum(x, y), p) * np.maximum(0.0, x + y - 1.0),
+    ),
+    "GO_PN": _Entry(
+        "general_overlap", "n", "product gated by coordinate sum",
+        lambda n, *xs: math.prod(xs) * _pn_factor(xs),
+        lambda n, *xs: reduce(np.multiply, xs) * _pn_factor_array(xs),
+    ),
+    "GO_GN": _Entry(
+        "general_overlap", "n", "geometric mean gated by coordinate sum",
+        lambda n, *xs: math.prod(xs) ** (1.0 / n) * _pn_factor(xs),
+        lambda n, *xs: _pow(reduce(np.multiply, xs), 1.0 / n) * _pn_factor_array(xs),
+    ),
+}
+
+CATALOG_NAMES = tuple(_CATALOG)
+
+
 def catalog(name: str, **params: float) -> FusionFunction:
-    """Named catalog entries, addressable as e.g. O_P:p=2 or GO_PN:n=3.
+    """The named catalog entry, addressable as e.g. O_P:p=2 or GO_PN:n=3.
 
-    Overlaps: O_mM, O_DB, O_P (needs p>0), O_V, O_min.
-    General overlaps: GO_max, GO_TL (needs p>0), GO_PN and GO_GN (need arity n).
+    CATALOG_NAMES lists the names, and `overlapkit catalog` each with its
+    description. Entries with a parameter need it: p > 0 for the powered
+    ones, the arity n >= 2 for the n-ary ones. Any other parameter is an
+    error.
     """
-    if name == "O_mM":
-        _no_extra(params)
-        return FusionFunction(
-            fn=_vectorized(
-                lambda x, y: min(x, y) * max(x * x, y * y),
-                lambda x, y: np.minimum(x, y) * np.maximum(x * x, y * y),
-            ),
-            arity=2,
-            role="overlap",
-            label="O_mM",
-        )
-    if name == "O_DB":
-        _no_extra(params)
-        return FusionFunction(
-            fn=_vectorized(lambda x, y: 0.0 if x + y == 0.0 else 2.0 * x * y / (x + y), _o_db_array),
-            arity=2,
-            role="overlap",
-            label="O_DB",
-        )
-    if name == "O_P":
+    entry = _CATALOG.get(name)
+    if entry is None:
+        raise PreconditionError(f"unknown catalog name {name!r}")
+    args, arity, label = (), 2, name
+    if entry.param == "p":
         p = _require_positive(params, "p")
-        _no_extra(params, {"p"})
-        return FusionFunction(
-            fn=_vectorized(
-                lambda x, y, _p=p: x**_p * y**_p,
-                lambda x, y, _p=p: _pow(x, _p) * _pow(y, _p),
-            ),
-            arity=2,
-            role="overlap",
-            label=f"O_P:p={p:g}",
-            params=(("p", p),),
-        )
-    if name == "O_V":
-        _no_extra(params)
-
-        def o_v(x: float, y: float) -> float:
-            if x >= 0.5 and y >= 0.5:
-                s = (2.0 * x - 1.0) ** 2 * (2.0 * y - 1.0) ** 2
-                return 0.5 * (1.0 + s)
-            return min(x, y)
-
-        return FusionFunction(fn=_vectorized(o_v, _o_v_array), arity=2, role="overlap", label="O_V")
-    if name == "O_min":
-        _no_extra(params)
-        return FusionFunction(
-            fn=_vectorized(lambda x, y: min(x, y), np.minimum), arity=2, role="overlap", label="O_min"
-        )
-    if name == "GO_max":
-        _no_extra(params)
-        return FusionFunction(
-            fn=_vectorized(
-                lambda x, y: max(0.0, x * x + y * y - 1.0),
-                lambda x, y: np.maximum(0.0, x * x + y * y - 1.0),
-            ),
-            arity=2,
-            role="general_overlap",
-            label="GO_max",
-        )
-    if name == "GO_TL":
-        p = _require_positive(params, "p")
-        _no_extra(params, {"p"})
-        return FusionFunction(
-            fn=_vectorized(
-                lambda x, y, _p=p: min(x, y) ** _p * max(0.0, x + y - 1.0),
-                lambda x, y, _p=p: _pow(np.minimum(x, y), _p) * np.maximum(0.0, x + y - 1.0),
-            ),
-            arity=2,
-            role="general_overlap",
-            label=f"GO_TL:p={p:g}",
-            params=(("p", p),),
-        )
-    if name == "GO_PN":
-        n = _require_arity(params)
-        _no_extra(params, {"n"})
-        return FusionFunction(
-            fn=_vectorized(
-                lambda *xs: math.prod(xs) * _pn_factor(xs),
-                lambda *xs: reduce(np.multiply, xs) * _pn_factor_array(xs),
-            ),
-            arity=n,
-            role="general_overlap",
-            label=f"GO_PN:n={n}",
-            params=(("n", float(n)),),
-        )
-    if name == "GO_GN":
-        n = _require_arity(params)
-        _no_extra(params, {"n"})
-        return FusionFunction(
-            fn=_vectorized(
-                lambda *xs, _n=n: math.prod(xs) ** (1.0 / _n) * _pn_factor(xs),
-                lambda *xs, _n=n: _pow(reduce(np.multiply, xs), 1.0 / _n) * _pn_factor_array(xs),
-            ),
-            arity=n,
-            role="general_overlap",
-            label=f"GO_GN:n={n}",
-            params=(("n", float(n)),),
-        )
-    raise PreconditionError(f"unknown catalog name {name!r}")
-
-
-def _no_extra(params: dict, allowed: set | None = None) -> None:
-    extra = set(params) - (allowed or set())
+        args, label = (p,), f"{name}:p={p:g}"
+    elif entry.param == "n":
+        arity = _require_arity(params)
+        args, label = (arity,), f"{name}:n={arity}"
+    extra = set(params) - {entry.param}
     if extra:
         raise PreconditionError(f"unexpected parameters {sorted(extra)}")
+    # partial gives every object its own fn, which _vectorized marks.
+    return FusionFunction(
+        fn=_vectorized(partial(entry.fn, *args), partial(entry.array_fn, *args)),
+        arity=arity,
+        role=entry.role,
+        label=label,
+        params=tuple((entry.param, float(v)) for v in args),
+    )
 
 
 def grouping_max() -> FusionFunction:
@@ -550,7 +527,19 @@ def _axis_grid(config: CheckConfig, arity: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, check_resolution(config, arity))
 
 
+# Largest grid _tensor evaluates. Beyond it the arity, not the resolution,
+# drives the size (the columns of 11^7 points take over a gigabyte), so a
+# wider connective is refused rather than evaluated.
+MAX_GRID_POINTS = 10**7
+
+
 def _tensor(f: FusionFunction, xs: np.ndarray) -> np.ndarray:
+    # Compared as logarithms, so a huge arity never builds len(xs)**arity.
+    if f.arity * math.log(len(xs)) > math.log(MAX_GRID_POINTS):
+        raise PreconditionError(
+            f"{f.label}: arity {f.arity} needs a grid of {len(xs)}^{f.arity} points,"
+            f" more than {MAX_GRID_POINTS}"
+        )
     (vals,) = _mesh_values(_product_mesh(xs, f.arity), lambda *p: (_value(f, *p),))
     return vals.reshape((len(xs),) * f.arity)
 
@@ -724,12 +713,7 @@ def _check_tnorm_axioms(f: FusionFunction, tensor, xs, config: CheckConfig) -> l
     checks = [_symmetry_check("T1", tensor, xs, tol)]
     checks.append(replace(check_associativity(f, config), axiom="T2"))
 
-    samples = sorted_samples(config)
-    worst, at = 0.0, None
-    for x in samples:
-        dev = abs(float(f(x, 1.0)) - float(x))
-        if dev > worst:
-            worst, at = dev, float(x)
+    worst, at = _worst_sample(config, lambda x: _value(f, x, 1.0))
     checks.append(
         AxiomCheck(
             axiom="T3",
@@ -740,6 +724,15 @@ def _check_tnorm_axioms(f: FusionFunction, tensor, xs, config: CheckConfig) -> l
         )
     )
     return checks
+
+
+def _worst_sample(config: CheckConfig, g: Callable) -> tuple[float, Optional[float]]:
+    """Largest |g(x) - x| over the sorted samples and its first x (None when 0)."""
+    samples = sorted_samples(config)
+    (deviation,) = _mesh_values((samples,), lambda x: (abs(g(x) - x),))
+    k = int(np.argmax(deviation))
+    worst = float(deviation[k])
+    return worst, (float(samples[k]) if worst > 0.0 else None)
 
 
 _AXIOM_SETS = {
@@ -780,22 +773,13 @@ def check_associativity(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG)
     """Grid check of f(f(x,y),z) = f(x,f(y,z)) on a reduced triple grid."""
     if f.arity != 2:
         raise PreconditionError("associativity applies to binary functions")
-    xs = np.linspace(0.0, 1.0, 21)
-    tol = config.eq_tol
-    worst, at = 0.0, None
-    for x in xs:
-        for y in xs:
-            left_inner = float(f(x, y))
-            for z in xs:
-                left = float(f(left_inner, z))
-                right = float(f(x, float(f(y, z))))
-                dev = abs(left - right)
-                if dev > worst:
-                    worst, at = dev, (float(x), float(y), float(z))
-                    if worst > tol:
-                        return AxiomCheck(
-                            axiom="associativity", passed=False, witness=at, deviation=worst
-                        )
+    witness, _, worst = _scan_mesh(
+        _product_mesh(np.linspace(0.0, 1.0, 21), 3),
+        lambda x, y, z: (_value(f, _value(f, x, y), z), _value(f, x, _value(f, y, z))),
+        _apart(config.eq_tol),
+    )
+    if witness is not None:
+        return AxiomCheck(axiom="associativity", passed=False, witness=witness[0], deviation=witness[3])
     return AxiomCheck(axiom="associativity", passed=True, deviation=worst)
 
 
@@ -855,10 +839,6 @@ def find_neutral(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG) -> Opt
 
 def check_idempotent(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG) -> IdempotencyResult:
     """Diagonal identity f(x,...,x) = x within eq_tol over all samples."""
-    worst, at = 0.0, None
-    for x in sorted_samples(config):
-        dev = abs(float(f(*([float(x)] * f.arity))) - float(x))
-        if dev > worst:
-            worst, at = dev, float(x)
+    worst, at = _worst_sample(config, lambda x: _value(f, *([x] * f.arity)))
     ok = worst <= config.eq_tol
     return IdempotencyResult(ok=ok, witness=None if ok else at, deviation=worst)

@@ -62,7 +62,9 @@ def test_parse_error_exits_2():
     assert run(["axioms", "crisp_lower:x"]) == 2
 
 
-@pytest.mark.parametrize("expression", ["O_P:p=1,p=2", "idem_go:p=1,q=2,p=3"])
+@pytest.mark.parametrize(
+    "expression", ["O_P:p=1,p=2", "idem_go:p=1,q=2,p=3", "trunc:O_P:p=1,a=0.5,a=0.5"]
+)
 def test_duplicate_parameter_exits_2(expression, capsys):
     assert run(["eval", expression, "--at", "0.5", "0.5"]) == 2
     assert capsys.readouterr().out == ""
@@ -106,6 +108,16 @@ def test_axioms_explicit_set_failure(capsys):
     out = capsys.readouterr().out
     assert "O2" in out
 
+
+
+@pytest.mark.parametrize("n", ["40", "70", "1e20"])
+def test_axioms_of_a_huge_arity_exit_3(n, capsys):
+    # The axiom grid would hold 11^n points: refused before it is built.
+    assert run(["axioms", f"GO_PN:n={n}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"arity {int(float(n))} " in captured.err
 
 def test_axioms_json(capsys):
     assert run(["axioms", "O_min", "--format", "json"]) == 0

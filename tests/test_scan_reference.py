@@ -9,6 +9,9 @@ five table2 instances plus one instance of each remaining family. The golden
 test covers grid 21; this one covers the default grid, where the array scan
 runs several blocks.
 
+T2 (associativity), T3 and check_idempotent are compared with the scalar
+loops they replaced, on catalog entries and constructions.
+
 Two cases pin the error order: a connective that leaves [0, 1] only after
 the first witness still reports that witness, and one that leaves it first
 raises the UnitRangeError the scalar order meets first.
@@ -21,7 +24,7 @@ import pytest
 
 import overlapkit as ok
 from overlapkit import numerics, properties
-from overlapkit.cli import parse_implication, table2_instances
+from overlapkit.cli import parse_connective, parse_implication, table2_instances
 from overlapkit.numerics import _scan, _vectorized
 
 # One instance per family not already among the table2 instances (gon, tn).
@@ -116,3 +119,64 @@ def test_leak_before_the_first_witness_raises_the_scalar_error(scalar_kernels):
     with pytest.raises(ok.UnitRangeError) as scalar_error:
         properties.check_contraposition(implication, ok.make_standard(), "CP")
     assert str(array_error.value) == str(scalar_error.value) == "value 2.0 is not in [0, 1]"
+
+
+# Connectives for the T2, T3 and idempotency references: associative ones
+# that pass, ones that fail at once or deep in the grid, and n-ary ones.
+CONNECTIVES = (
+    "O_min",
+    "O_P:p=1",
+    "O_P:p=2",
+    "O_mM",
+    "O_DB",
+    "O_V",
+    "GO_max",
+    "GO_TL:p=2",
+    "neutral_go:e=0.5",
+    "idem_go:p=1,q=2",
+    "trunc:O_P:p=1,a=0.5",
+    "max_grouping",
+    "prob_sum",
+    "GO_PN:n=3",
+    "GO_GN:n=4",
+)
+
+
+def _scalar_associativity(f, config):
+    xs = np.linspace(0.0, 1.0, 21)
+    worst, at = 0.0, None
+    for x in xs:
+        for y in xs:
+            left_inner = float(f(x, y))
+            for z in xs:
+                dev = abs(float(f(left_inner, z)) - float(f(x, float(f(y, z)))))
+                if dev > worst:
+                    worst, at = dev, (float(x), float(y), float(z))
+                    if worst > config.eq_tol:
+                        return ok.AxiomCheck("associativity", False, at, worst)
+    return ok.AxiomCheck("associativity", True, deviation=worst)
+
+
+def _scalar_worst_sample(config, g):
+    worst, at = 0.0, None
+    for x in numerics.sorted_samples(config):
+        dev = abs(g(float(x)) - float(x))
+        if dev > worst:
+            worst, at = dev, float(x)
+    return worst, at
+
+
+@pytest.mark.parametrize("expression", CONNECTIVES)
+def test_t2_t3_and_idempotency_match_the_scalar_loops(expression):
+    f = parse_connective(expression)
+    cfg = ok.DEFAULT_CONFIG
+    worst, at = _scalar_worst_sample(cfg, lambda x: float(f(*[x] * f.arity)))
+    holds = worst <= cfg.eq_tol
+    assert ok.check_idempotent(f, cfg) == ok.IdempotencyResult(holds, None if holds else at, worst)
+    if f.arity != 2:
+        return
+    assert ok.check_associativity(f, cfg) == _scalar_associativity(f, cfg)
+    worst, at = _scalar_worst_sample(cfg, lambda x: float(f(x, 1.0)))
+    holds = worst <= cfg.eq_tol
+    t3 = ok.check_axioms(f, "T", cfg).check("T3")
+    assert (t3.passed, t3.witness, t3.deviation) == (holds, None if holds else (at, 1.0), worst)
