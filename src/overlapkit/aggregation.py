@@ -107,28 +107,18 @@ def aggregate(agg: FusionFunction, family: OperatorFamily):
         )
     members = family.members
     label = f"agg({agg.label}; {family.label})"
+
+    def fn(*xs, _a=agg, _ms=members):
+        return _value(_a, *[_value(m, *xs) for m in _ms])
+
     if family.kind == "implication":
-
-        def ifn(x: float, y: float, _a=agg, _ms=members) -> float:
-            return float(_a(*[float(m(x, y)) for m in _ms]))
-
-        def iarray(x: np.ndarray, y: np.ndarray, _a=agg, _ms=members) -> np.ndarray:
-            return _a.values(*[m.values(x, y) for m in _ms])
-
         return Implication(
-            fn=_vectorized(ifn, iarray),
+            fn=_vectorized(fn, fn),
             label=label,
             family="agg",
             parts=(("aggregation", agg), ("members", members)),
         )
-
-    def fn(*xs: float, _a=agg, _ms=members) -> float:
-        return float(_a(*[float(m(*xs)) for m in _ms]))
-
-    def array_fn(*xs: np.ndarray, _a=agg, _ms=members) -> np.ndarray:
-        return _a.values(*[m.values(*xs) for m in _ms])
-
-    return FusionFunction(fn=_vectorized(fn, array_fn), arity=family.arity, role="aggregation", label=label)
+    return FusionFunction(fn=_vectorized(fn, fn), arity=family.arity, role="aggregation", label=label)
 
 
 def aggregate_go(

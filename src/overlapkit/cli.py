@@ -35,6 +35,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from dataclasses import replace
 from typing import Callable, NamedTuple, Optional
 
@@ -193,15 +194,15 @@ def _keyed(make: Callable, *keys: str) -> Callable:
     return build
 
 
-def _pair(make: Callable, last_kind: str, need: str) -> Callable:
-    """Builder of name(CONNECTIVE, LAST), LAST parsed as last_kind."""
+def _pair(make: Callable, last_kind: str, need: str, configured: bool = False) -> Callable:
+    """Builder of name(CONNECTIVE, LAST), LAST parsed as last_kind; configured adds the config."""
 
     def build(name: str, rest: str, text: str, config: CheckConfig):
         parts = _split_top(rest, ",")
         if len(parts) < 2:
             raise ParseError(f"{name} needs {need}: {text!r}")
-        connective = _parse(",".join(parts[:-1]), "connective", config)
-        return make(connective, _parse(parts[-1], last_kind, config))
+        args = (_parse(",".join(parts[:-1]), "connective", config), _parse(parts[-1], last_kind, config))
+        return make(*args, config) if configured else make(*args)
 
     return build
 
@@ -250,9 +251,9 @@ _FORMS = (
     _Form("idem_go:p=1,q=2", "connective", "idempotent power-mean connective",
           "name:REST", _keyed(idempotent_go, "p", "q")),
     _Form("dualG(O_P:p=1, zadeh)", "connective", "negation dual, conjunctive to disjunctive",
-          "name(...)", _pair(grouping_from, "negation", "a connective and a negation")),
+          "name(...)", _pair(grouping_from, "negation", "a connective and a negation", configured=True)),
     _Form("dualO(max_grouping, zadeh)", "connective", "negation dual, disjunctive to conjunctive",
-          "name(...)", _pair(overlap_from, "negation", "a connective and a negation")),
+          "name(...)", _pair(overlap_from, "negation", "a connective and a negation", configured=True)),
     _Form("max_grouping", "connective", "maximum", "name", lambda *_: grouping_max()),
     _Form("prob_sum", "connective", "probabilistic sum", "name", lambda *_: grouping_probsum()),
     _Form(" | ".join(AGGREGATION_NAMES), "aggregation", "shipped aggregations",
@@ -511,7 +512,7 @@ def _cmd_axioms(args, config: CheckConfig) -> int:
     # error; any other expression is read as a negation, whose parser then
     # reports what is wrong with it.
     if _head_kind(args.expression) in ("implication", "connective"):
-        conn = parse_connective(args.expression)
+        conn = _parse(args.expression, "connective", config)
     else:
         return _negation_axioms(parse_negation(args.expression), args, config)
     axiom_set = args.set or _ROLE_TO_SET.get(conn.role)
@@ -806,20 +807,20 @@ _COMMANDS = {
 
 
 def run(argv: list[str]) -> int:
-    """Parse and execute one command; returns the process exit code."""
+    """Parse and execute one command; returns the process exit code.
+
+    Each warning raised prints on stderr as one line, "warning: <message>".
+    """
     args = _build_parser().parse_args(argv)
-    try:
-        config = _resolve_config(args)
-        return _COMMANDS[args.verb](args, config)
-    except (ParseError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PreconditionError, UnitRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            config = _resolve_config(args)
+            return _COMMANDS[args.verb](args, config)
+        except (ParseError, ConfigError, PreconditionError, UnitRangeError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2 if isinstance(exc, (ParseError, ConfigError)) else 3
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -809,13 +809,15 @@ def find_neutral(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG) -> Opt
     tol = config.eq_tol
 
     def deviates(a: float, budget: float) -> bool:
-        return any(abs(float(f(x, a)) - float(x)) > budget for x in samples)
+        witness, _, _ = _scan_mesh((samples,), lambda x: (_value(f, x, a), x), _apart(budget))
+        return witness is not None
 
-    for a in grid:
-        if not deviates(float(a), tol):
-            return UnitValue(float(a))
+    for a in grid.tolist():
+        if not deviates(a, tol):
+            return UnitValue(a)
 
-    gap = [float(f(0.5, float(a))) - 0.5 for a in grid]
+    (values,) = _mesh_values((grid,), lambda a: (_value(f, 0.5, a),))
+    gap = (values - 0.5).tolist()
     for i in range(len(grid) - 1):
         if gap[i] == 0.0 or gap[i] * gap[i + 1] >= 0.0:
             continue

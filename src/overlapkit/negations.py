@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,6 +28,7 @@ from .numerics import (
     CheckConfig,
     PreconditionError,
     UnitValue,
+    _invert_strict_array,
     _mesh_values,
     _pow,
     _value,
@@ -261,13 +261,10 @@ def dual(f, negation: Negation):
         raise PreconditionError("dual expects a FusionFunction")
 
     def fn(*xs, _f=f, _n=negation):
-        return _n(_f(*map(_n, xs)))
-
-    def array_fn(*xs, _f=f, _n=negation):
-        return _n.values(_f.values(*map(_n.values, xs)))
+        return _value(_n, _value(_f, *[_value(_n, x) for x in xs]))
 
     return FusionFunction(
-        fn=_vectorized(fn, array_fn),
+        fn=_vectorized(fn, fn),
         arity=f.arity,
         role="aggregation",
         label=f"dual({f.label}, {negation.label})",
@@ -278,19 +275,18 @@ def dual(f, negation: Negation):
 def inverse_negation(negation: Negation, tol: float | None = None) -> Negation:
     """Numeric inverse of a strict negation, itself packaged as a Negation.
 
-    Evaluations bisect N (memoized), so the result is within the bisection
-    tolerance of the true inverse rather than exact.
+    Each evaluation bisects N (numerics.invert_strict, and its array twin
+    on meshes), so the result is within the bisection tolerance of the true
+    inverse rather than exact.
     """
     if not negation.is_strict:
         raise PreconditionError("inverse_negation requires a strict negation")
     t = DEFAULT_CONFIG.bisect_tol if tol is None else float(tol)
-
-    @lru_cache(maxsize=65536)
-    def inv(y: float) -> float:
-        return float(invert_strict(negation, y, t))
-
     return Negation(
-        fn=lambda y: inv(float(y)),
+        fn=_vectorized(
+            lambda y, _n=negation, _t=t: float(invert_strict(_n, y, _t)),
+            lambda y, _n=negation, _t=t: _invert_strict_array(_n, y, _t),
+        ),
         label=f"inv({negation.label})",
         params=negation.params,
         is_strict=True,

@@ -9,19 +9,23 @@ decreasing map (used by duality and recovery roundtrips) -- and the mesh
 kernels every pointwise check runs on.
 
 Bisections run a fixed iteration count ceil(log2(1/tol)) + 2 rather than
-testing convergence, so results are bit-for-bit deterministic. The array
-bisection _bisect_sup_array takes the same steps per element.
+testing convergence, so results are bit-for-bit deterministic. Every
+bisection except find_neutral's runs on one scalar loop, _bracket, or on
+its array twin _bisect_array, which takes the same steps per element; each
+caller keeps its own endpoint handling.
 
 Meshes are evaluated as numpy arrays and single points as floats; _value
-picks the path from its input. Constructors attach an array form to each
-scalar formula with _vectorized; every ** in an array form goes through
-_pow, Python's float pow per element, because numpy's vectorized power
-rounds differently on a few percent of points. _scan_mesh is the
-blockwise first-witness scan and _mesh_values the blockwise full
-evaluation. Both re-run points as scalars when array evaluation raises
-UnitRangeError or PreconditionError, so the error or witness reported is
-the one met first in point order. The scalar scan _scan serves that
-fallback and is the reference the tests compare the array scan against.
+picks the path from its input. Closed-form constructors attach an array
+form to each scalar formula with _vectorized; every ** in an array form
+goes through _pow, Python's float pow per element, because numpy's
+vectorized power rounds differently on a few percent of points. A
+composition is one body over _value, attached as its own array form.
+_scan_mesh is the blockwise first-witness scan and _mesh_values the
+blockwise full evaluation. Both re-run points as scalars when array
+evaluation raises UnitRangeError or PreconditionError, so the error or
+witness reported is the one met first in point order. The scalar scan
+_scan serves that fallback and is the reference the tests compare the
+array scan against.
 """
 
 from __future__ import annotations
@@ -180,6 +184,32 @@ def iteration_count(tol: float) -> int:
     return max(1, math.ceil(math.log2(1.0 / tol))) + 2
 
 
+def _bracket(holds: Callable[[float], bool], tol: float) -> tuple[float, float]:
+    """Final bracket (lo, hi) of bisecting [0, 1]: lo moves up to mid where holds(mid), else hi down."""
+    lo, hi = 0.0, 1.0
+    for _ in range(iteration_count(tol)):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _bisect_array(holds: Callable[[np.ndarray], np.ndarray], n: int, tol: float) -> np.ndarray:
+    """Final midpoints of _bracket for n points at once, bit-identical to it.
+
+    holds(mid) tests every point's mid; each element takes the scalar steps.
+    """
+    lo, hi = np.zeros(n), np.ones(n)
+    for _ in range(iteration_count(tol)):
+        mid = 0.5 * (lo + hi)
+        ok = holds(mid)
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def bisect_sup(pred: Callable[[float], bool], tol: float) -> UnitValue:
     """Supremum of {z in [0,1] : pred(z)} for a downward-closed predicate.
 
@@ -190,23 +220,15 @@ def bisect_sup(pred: Callable[[float], bool], tol: float) -> UnitValue:
         raise PreconditionError("bisect_sup requires pred(0) to hold")
     if pred(1.0):
         return UnitValue(1.0)
-    lo, hi = 0.0, 1.0
-    for _ in range(iteration_count(tol)):
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bracket(pred, tol)
     return UnitValue(0.5 * (lo + hi))
 
 
 def _bisect_sup_array(pred: Callable[..., np.ndarray], tol: float, *cols: np.ndarray) -> np.ndarray:
     """bisect_sup for each point of the columns cols at once.
 
-    pred(z, *cols) tests z against each point's predicate. Every element
-    takes the same steps as the scalar bisection: the same iteration_count
-    and the same 0.5*(lo+hi), so results are bit-identical to it. Only the
-    points whose predicate fails at 1 are bisected.
+    pred(z, *cols) tests z against each point's predicate. Only the points
+    whose predicate fails at 1 are bisected, on _bisect_array.
     """
     n = len(cols[0])
     if not pred(np.zeros(n), *cols).all():
@@ -214,13 +236,7 @@ def _bisect_sup_array(pred: Callable[..., np.ndarray], tol: float, *cols: np.nda
     out = np.ones(n)
     todo = ~pred(np.ones(n), *cols)
     sub = tuple(c[todo] for c in cols)
-    lo, hi = np.zeros(len(sub[0])), np.ones(len(sub[0]))
-    for _ in range(iteration_count(tol)):
-        mid = 0.5 * (lo + hi)
-        holds = pred(mid, *sub)
-        lo = np.where(holds, mid, lo)
-        hi = np.where(holds, hi, mid)
-    out[todo] = 0.5 * (lo + hi)
+    out[todo] = _bisect_array(lambda mid: pred(mid, *sub), len(sub[0]), tol)
     return out
 
 
@@ -238,14 +254,19 @@ def invert_strict(negation, y: float, tol: float) -> UnitValue:
         return UnitValue(0.0)
     if target <= 0.0:
         return UnitValue(1.0)
-    lo, hi = 0.0, 1.0  # N(lo) >= target >= N(hi) throughout
-    for _ in range(iteration_count(tol)):
-        mid = 0.5 * (lo + hi)
-        if negation(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
+    # N(lo) >= target >= N(hi) throughout
+    lo, hi = _bracket(lambda mid: negation(mid) >= target, tol)
     return UnitValue(0.5 * (lo + hi))
+
+
+def _invert_strict_array(negation, y: np.ndarray, tol: float) -> np.ndarray:
+    """invert_strict at every element of y, with its endpoints and its test N(mid) >= target."""
+    target = _checked(y)
+    out = np.where(target >= 1.0, 0.0, 1.0)
+    inner = (target > 0.0) & (target < 1.0)
+    sub = target[inner]
+    out[inner] = _bisect_array(lambda mid: negation.values(mid) >= sub, len(sub), tol)
+    return out
 
 
 def _scan(
@@ -357,8 +378,9 @@ def _fsum(xs: tuple) -> np.ndarray:
 
 def _value(obj, *xs):
     """obj at a point (a float) or on a mesh (an array): the input picks the path."""
-    if any(isinstance(x, np.ndarray) for x in xs):
-        return obj.values(*xs)
+    for x in xs:
+        if isinstance(x, np.ndarray):
+            return obj.values(*xs)
     return float(obj(*xs))
 
 

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import overlapkit as ok
+from overlapkit import negations, numerics
 from overlapkit.numerics import _product_mesh, sorted_samples
 from overlapkit.properties import _pair_mesh, _triple_mesh
 
@@ -40,8 +41,9 @@ def _negations():
         "crisp_upper:0.5": ok.make_crisp("upper", ALPHA),
         "power:1.75": ok.make_power_strict(1.75),
         "power:2": ok.make_power_strict(2.0),
-        # no array form: values() loops over __call__
         "inv(power:2)": ok.inverse_negation(ok.make_power_strict(2.0)),
+        "nat(gon(O_min, zadeh))": ok.natural_negation(ok.make_gon(ok.catalog("O_min"), ok.make_standard())),
+        # no array form: values() loops over __call__
         "user": ok.Negation(fn=lambda x: 1.0 - x * x, label="user"),
     }
 
@@ -74,10 +76,10 @@ def _connectives():
             ok.make_aggregation("min", 2),
             ok.OperatorFamily((ok.catalog("GO_PN", n=3), ok.catalog("GO_GN", n=3))),
         ),
-        # no array form: values() loops over __call__
         "recovered(gon(GO_TL:p=2, power:2))": ok.recover_go(
             ok.make_gon(ok.catalog("GO_TL", p=2), power2), power2
         ),
+        # no array form: values() loops over __call__
         "user": ok.FusionFunction(fn=lambda x, y: x * y, arity=2, role="overlap", label="user"),
     })
     for name in ok.AGGREGATION_NAMES:
@@ -223,3 +225,35 @@ def test_replaced_fn_drops_the_array_form():
     xs = np.linspace(0.0, 1.0, 7)
     assert counted.values(xs, xs).tolist() == base.values(xs, xs).tolist()
     assert len(calls) == 7
+
+
+def test_inverse_and_recovery_meshes_make_no_scalar_calls(monkeypatch):
+    calls = []
+
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            calls.append(original)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for cls in (ok.Negation, ok.Implication):
+        monkeypatch.setattr(cls, "__call__", counted(cls.__call__))
+    invert = counted(numerics.invert_strict)
+    for module in (numerics, negations):
+        monkeypatch.setattr(module, "invert_strict", invert)
+
+    def scalar_calls(run) -> int:
+        calls.clear()
+        run()
+        return len(calls)
+
+    cfg = ok.CheckConfig(grid_resolution=21)
+    power2 = ok.make_power_strict(2.0)
+    go = ok.catalog("GO_TL", p=2)
+    recovered = ok.recover_go(ok.make_gon(go, power2), power2, cfg)
+    assert scalar_calls(lambda: ok.classify(ok.inverse_negation(power2), cfg)) == 0
+    assert scalar_calls(lambda: ok.compare(go, recovered, cfg)) == 0
+    # GO3 evaluates the all-ones corner as a point; the grid adds no call.
+    corner = scalar_calls(lambda: recovered(1.0, 1.0))
+    assert scalar_calls(lambda: ok.check_axioms(recovered, "GO", cfg)) == corner

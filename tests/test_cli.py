@@ -92,6 +92,32 @@ def test_unknown_implication_family_is_named(capsys):
     assert "unknown implication family 'foo'" in capsys.readouterr().err
 
 
+DUAL_WARNING = (
+    "warning: GO_max fails the GO2a/GO3a grid check at (0.1, 0.1);"
+    " dual is returned with role 'aggregation', not 'grouping'\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "dualG(GO_max, zadeh)", "--at", "0.5", "0.25"], ["axioms", "dualG(GO_max, zadeh)", "--set", "GO"]],
+)
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_dual_scan_runs_at_the_run_config(argv, source, tmp_path, capsys):
+    # The converse scan of dualG runs on the 11-point grid the run asks for,
+    # and its warning prints as one line without Python's source location.
+    if source == "flag":
+        extra = ["--grid", "11"]
+    else:
+        cfg = tmp_path / "grid11.cfg"
+        cfg.write_text("grid_resolution = 11\n")
+        extra = ["--config", str(cfg)]
+    assert run(argv + extra) == 0
+    err = capsys.readouterr().err
+    assert err == DUAL_WARNING
+    assert "cli.py" not in err
+
+
 # --- axioms -----------------------------------------------------------------
 
 

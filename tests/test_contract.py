@@ -3,7 +3,8 @@
 overlapkit.__all__ is pinned name by name, and so are the parameter names,
 order and defaults of the four property checkers whose reports the
 benchmark tracer (bench/spans.py) reads: it binds each call's arguments and
-looks up ``prop`` and ``config`` by name.
+looks up ``prop`` and ``config`` by name. So are the parameters of the two
+bisection kernels, which the benchmark's probes pass by position.
 """
 
 from __future__ import annotations
@@ -111,6 +112,20 @@ def test_checker_signature(name):
     params = inspect.signature(getattr(ok, name)).parameters.values()
     assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
     assert [(p.name, p.default) for p in params] == CHECKER_PARAMETERS[name]
+
+
+# Bisection kernels that bench/probes.py calls with positional arguments.
+BISECTION_PARAMETERS = {
+    "bisect_sup": ["pred", "tol"],
+    "invert_strict": ["negation", "y", "tol"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BISECTION_PARAMETERS))
+def test_bisection_signature(name):
+    params = inspect.signature(getattr(ok, name)).parameters.values()
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD and p.default is _EMPTY for p in params)
+    assert [p.name for p in params] == BISECTION_PARAMETERS[name]
 
 
 def test_traced_binding_finds_prop_and_config():

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import overlapkit as ok
+from overlapkit.conjunctors import _CATALOG
+from overlapkit.properties import _pair_mesh
 
 from conftest import NEGATION_CATALOG
 
@@ -114,14 +119,16 @@ def test_dual_boundary():
         assert float(d(0.0, 0.0)) == 0.0
 
 
-def test_dual_involution_for_strong(coarse):
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(ok.CATALOG_NAMES), p=st.floats(min_value=0.1, max_value=10.0))
+def test_dual_involution_for_strong(name, p):
+    # The zadeh dual applied twice gives back f on the pair mesh, for every
+    # catalog entry (the n-ary ones at n = 2) and any exponent p.
+    f = ok.catalog(name, **{"p": {"p": p}, "n": {"n": 2}}.get(_CATALOG[name].param, {}))
     nz = ok.make_standard()
-    for name, params in (("O_min", {}), ("GO_max", {}), ("O_P", {"p": 2})):
-        f = ok.catalog(name, **params)
-        back = ok.dual(ok.dual(f, nz), nz)
-        for x in ok.sample_grid(coarse):
-            for y in ok.sample_grid(coarse):
-                assert abs(float(back(x, y)) - float(f(x, y))) <= 1e-9
+    x, y = _pair_mesh(ok.DEFAULT_CONFIG)
+    back = ok.dual(ok.dual(f, nz), nz)
+    assert np.abs(back.values(x, y) - f.values(x, y)).max() <= ok.DEFAULT_CONFIG.eq_tol
 
 
 def test_crisp_triple_composition_exact():
