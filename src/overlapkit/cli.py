@@ -21,10 +21,17 @@ parameters (O_P:p=2, power:2), either of them (the named catalog entries),
 or a call (gon(GO_max, zadeh)). Whitespace around commas is ignored, and a
 key=value parameter may appear once per constructor.
 
-Exit codes: 0 success, 1 failed --assert, 2 parse/config error,
-3 precondition violation. Floats print with 9 decimals; CSV is RFC 4180.
-Config resolution order: defaults, then --config file (or the
-OVERLAPKIT_CONFIG environment variable), then individual flags.
+Output: every verb returns one _Result, which holds its JSON payload, its
+CSV header and rows, its text lines and whether the checked statement
+failed. _emit writes it in the --format asked for, and run() alone turns
+`failed` into exit code 1 when --assert is given. Verbs format their cells
+themselves, so the three formats show the same digits.
+
+Exit codes: 0 success, 1 failed --assert, 2 parse/config error (including
+an unknown, missing or repeated constructor parameter), 3 precondition
+violation (including an out-of-range parameter value). Floats print with 9
+decimals; CSV is RFC 4180. Config resolution order: defaults, then --config
+file (or the OVERLAPKIT_CONFIG environment variable), then individual flags.
 """
 
 from __future__ import annotations
@@ -37,7 +44,8 @@ import re
 import sys
 import warnings
 from dataclasses import replace
-from typing import Callable, NamedTuple, Optional
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -184,11 +192,12 @@ class _Form(NamedTuple):
 
 def _keyed(make: Callable, *keys: str) -> Callable:
     """Builder of name:k=v,... taking exactly keys, passed to make by name."""
+    wanted = f"exactly {','.join(k + '=VALUE' for k in keys)}" if keys else "no parameters"
 
     def build(name: str, rest: str, text: str, config: CheckConfig):
         params = _kv_params(rest)
         if set(params) != set(keys):
-            raise ParseError(f"{name} takes exactly {','.join(k + '=VALUE' for k in keys)}: {text!r}")
+            raise ParseError(f"{name} takes {wanted}: {text!r}")
         return make(**params)
 
     return build
@@ -238,8 +247,9 @@ _PARAM_SUFFIXES = {None: ("", ""), "p": (":p=2", ", needs p > 0"), "n": (":n=3",
 
 def _catalog_form(name: str, note: str, param: Optional[str]) -> _Form:
     example_suffix, note_suffix = _PARAM_SUFFIXES[param]
+    keys = () if param is None else (param,)
     return _Form(name + example_suffix, "connective", note + note_suffix, "name[:REST]",
-                 lambda head, rest, *_: catalog(head, **_kv_params(rest)))
+                 _keyed(partial(catalog, name), *keys))
 
 
 _FORMS = (
@@ -369,14 +379,22 @@ def _arity_of(obj) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Output helpers
+# Output
 # ---------------------------------------------------------------------------
 
 
-def _emit_csv(rows: list[list]) -> None:
-    writer = csv.writer(sys.stdout)
-    for row in rows:
-        writer.writerow(row)
+class _Result(NamedTuple):
+    """What a verb produced, in every format, and whether its statement failed.
+
+    rows holds the CSV cells already formatted and may be a generator. text
+    None means each row joined by one space.
+    """
+
+    payload: object
+    header: list
+    rows: Iterable
+    text: Optional[Iterable[str]] = None
+    failed: bool = False
 
 
 def _round_floats(obj):
@@ -389,34 +407,33 @@ def _round_floats(obj):
     return obj
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(_round_floats(payload), indent=2))
+def _emit(result: _Result, fmt: str) -> None:
+    """Write result to stdout as text, json or csv."""
+    if fmt == "json":
+        print(json.dumps(_round_floats(result.payload), indent=2))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(result.header)
+        writer.writerows(result.rows)
+    else:
+        for line in map(" ".join, result.rows) if result.text is None else result.text:
+            print(line)
+
+
+def _yes(holds: bool) -> str:
+    return "yes" if holds else "no"
 
 
 def _report_row(report: PropertyReport) -> list:
     w = report.witness
-    return [
-        report.property_id,
-        report.status,
-        "" if w is None else " ".join(_fmt(v) for v in w.point),
-        "" if w is None else _fmt(w.lhs),
-        "" if w is None else _fmt(w.rhs),
-        "" if w is None else _fmt(w.deviation),
-        report.samples_checked,
-    ]
+    if w is None:
+        cells = ["", "", "", ""]
+    else:
+        cells = [" ".join(map(_fmt, w.point)), _fmt(w.lhs), _fmt(w.rhs), _fmt(w.deviation)]
+    return [report.property_id, report.status, *cells, report.samples_checked]
 
 
 _PROPS_HEADER = ["property", "status", "witness", "lhs", "rhs", "deviation", "samples_checked"]
-
-
-def _emit_property_reports(reports: list[PropertyReport], fmt: str) -> None:
-    if fmt == "json":
-        _emit_json([r.as_dict() for r in reports])
-    elif fmt == "csv":
-        _emit_csv([_PROPS_HEADER] + [_report_row(r) for r in reports])
-    else:
-        for r in reports:
-            print(r.summary())
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +441,7 @@ def _emit_property_reports(reports: list[PropertyReport], fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_eval(args, config: CheckConfig) -> int:
+def _cmd_eval(args, config: CheckConfig) -> _Result:
     obj = _parse_any(args.expression, config)
     arity = _arity_of(obj)
     if args.at:
@@ -436,44 +453,26 @@ def _cmd_eval(args, config: CheckConfig) -> int:
                 )
             points.append(tuple(float(UnitValue(v)) for v in raw))
         values = [float(obj(*p)) for p in points]
-        if args.format == "json":
-            _emit_json({"expression": obj.label, "points": points, "values": values})
-        elif args.format == "csv":
-            header = [f"x{i + 1}" for i in range(arity)] + ["value"]
-            rows = [list(map(_fmt, p)) + [_fmt(v)] for p, v in zip(points, values)]
-            _emit_csv([header] + rows)
-        else:
-            for v in values:
-                print(_fmt(v))
-        return 0
+        return _Result(
+            {"expression": obj.label, "points": points, "values": values},
+            [f"x{i + 1}" for i in range(arity)] + ["value"],
+            [[*map(_fmt, p), _fmt(v)] for p, v in zip(points, values)],
+            [_fmt(v) for v in values],
+        )
     if arity > 2:
         raise PreconditionError("grid dump supports arity <= 2; use --at for wider connectives")
     axis = uniform_grid(config)
     grid = axis.tolist()
     (flat,) = _mesh_values(_product_mesh(axis, arity), lambda *p: (_value(obj, *p),))
+    # The axis is formatted once; the rows are formatted only when written.
+    labels = [_fmt(g) for g in grid]
     if arity == 1:
         values = flat.tolist()
-        if args.format == "json":
-            _emit_json({"expression": obj.label, "grid": grid, "values": values})
-        elif args.format == "csv":
-            _emit_csv([["x", "value"]] + [[_fmt(g), _fmt(v)] for g, v in zip(grid, values)])
-        else:
-            for g, v in zip(grid, values):
-                print(f"{_fmt(g)} {_fmt(v)}")
-        return 0
+        rows = ([g, _fmt(v)] for g, v in zip(labels, values))
+        return _Result({"expression": obj.label, "grid": grid, "values": values}, ["x", "value"], rows)
     matrix = flat.reshape(len(grid), len(grid)).tolist()
-    if args.format == "json":
-        _emit_json({"expression": obj.label, "grid": grid, "values": matrix})
-    elif args.format == "csv":
-        rows = [["x", "y", "value"]]
-        for x, row in zip(grid, matrix):
-            rows.extend([_fmt(x), _fmt(y), _fmt(v)] for y, v in zip(grid, row))
-        _emit_csv(rows)
-    else:
-        for x, row in zip(grid, matrix):
-            for y, v in zip(grid, row):
-                print(f"{_fmt(x)} {_fmt(y)} {_fmt(v)}")
-    return 0
+    rows = ([x, y, _fmt(v)] for x, row in zip(labels, matrix) for y, v in zip(labels, row))
+    return _Result({"expression": obj.label, "grid": grid, "values": matrix}, ["x", "y", "value"], rows)
 
 
 _ROLE_TO_SET = {
@@ -484,62 +483,49 @@ _ROLE_TO_SET = {
 }
 
 
-def _negation_axioms(negation: Negation, args, config: CheckConfig) -> int:
+def _negation_axioms(negation: Negation, config: CheckConfig) -> _Result:
     cls = classify(negation, config)
     rows = [
-        ("N1+N2", cls.is_negation, "fuzzy negation"),
-        ("strict", cls.is_strict, "continuous and strictly decreasing"),
-        ("strong", cls.is_strong, "involutive"),
-        ("crisp", cls.is_crisp, "two-valued"),
-        ("frontier", cls.is_frontier, "two-valued only at 0 and 1"),
+        ["N1+N2", _yes(cls.is_negation), "fuzzy negation"],
+        ["strict", _yes(cls.is_strict), "continuous and strictly decreasing"],
+        ["strong", _yes(cls.is_strong), "involutive"],
+        ["crisp", _yes(cls.is_crisp), "two-valued"],
+        ["frontier", _yes(cls.is_frontier), "two-valued only at 0 and 1"],
     ]
-    if args.format == "json":
-        _emit_json({"label": negation.label, **cls.as_dict()})
-    elif args.format == "csv":
-        table = [["class", "holds", "note"]]
-        table += [[name, "yes" if holds else "no", note] for name, holds, note in rows]
-        _emit_csv(table)
-    else:
-        verdict = "PASS" if cls.is_negation else "FAIL"
-        print(f"{negation.label} [N] -> {verdict}")
-        for name, holds, note in rows:
-            print(f"  {name:<9}{'yes' if holds else 'no':<5}({note})")
-    return 0 if (cls.is_negation or not args.assert_) else 1
+    verdict = "PASS" if cls.is_negation else "FAIL"
+    text = [f"{negation.label} [N] -> {verdict}"]
+    text += [f"  {name:<9}{holds:<5}({note})" for name, holds, note in rows]
+    payload = {"label": negation.label, **cls.as_dict()}
+    return _Result(payload, ["class", "holds", "note"], rows, text, not cls.is_negation)
 
 
-def _cmd_axioms(args, config: CheckConfig) -> int:
+def _cmd_axioms(args, config: CheckConfig) -> _Result:
     # A connective or implication head gets the connective parser and its
     # error; any other expression is read as a negation, whose parser then
     # reports what is wrong with it.
     if _head_kind(args.expression) in ("implication", "connective"):
         conn = _parse(args.expression, "connective", config)
     else:
-        return _negation_axioms(parse_negation(args.expression), args, config)
+        return _negation_axioms(parse_negation(args.expression), config)
     axiom_set = args.set or _ROLE_TO_SET.get(conn.role)
     if axiom_set is None:
         raise PreconditionError(
             f"{conn.label} has role {conn.role!r}; pick an axiom set with --set"
         )
     report = check_axioms(conn, axiom_set, config)
-    if args.format == "json":
-        _emit_json(report.as_dict())
-    elif args.format == "csv":
-        rows = [["axiom", "passed", "witness", "deviation", "informational", "note"]]
-        for c in report.checks:
-            rows.append(
-                [
-                    c.axiom,
-                    "yes" if c.passed else "no",
-                    "" if c.witness is None else " ".join(_fmt(v) for v in c.witness),
-                    _fmt(c.deviation),
-                    "yes" if c.informational else "no",
-                    c.note,
-                ]
-            )
-        _emit_csv(rows)
-    else:
-        print(report.summary())
-    return 0 if (report.passed or not args.assert_) else 1
+    rows = (
+        [
+            c.axiom,
+            _yes(c.passed),
+            "" if c.witness is None else " ".join(_fmt(v) for v in c.witness),
+            _fmt(c.deviation),
+            _yes(c.informational),
+            c.note,
+        ]
+        for c in report.checks
+    )
+    header = ["axiom", "passed", "witness", "deviation", "informational", "note"]
+    return _Result(report.as_dict(), header, rows, [report.summary()], not report.passed)
 
 
 def _normalize_prop(name: str) -> str:
@@ -564,7 +550,7 @@ def _run_property(
     raise ParseError(f"unknown property {prop!r} (want one of {_ALL_PROPS})")
 
 
-def _cmd_props(args, config: CheckConfig) -> int:
+def _cmd_props(args, config: CheckConfig) -> _Result:
     implication = parse_implication(args.expression, config)
     negation = parse_negation(args.negation)
     if args.prop.strip().lower() == "all":
@@ -572,37 +558,27 @@ def _cmd_props(args, config: CheckConfig) -> int:
     else:
         props = [_normalize_prop(p) for p in args.prop.split(",")]
     reports = [_run_property(implication, p, negation, config) for p in props]
-    _emit_property_reports(reports, args.format)
-    failed = [r for r in reports if not r.holds]
-    return 1 if (failed and args.assert_) else 0
+    return _Result(
+        [r.as_dict() for r in reports],
+        _PROPS_HEADER,
+        (_report_row(r) for r in reports),
+        (r.summary() for r in reports),
+        not all(r.holds for r in reports),
+    )
 
 
-def _cmd_compare(args, config: CheckConfig) -> int:
+def _cmd_compare(args, config: CheckConfig) -> _Result:
     i1 = parse_implication(args.expression, config)
     i2 = parse_implication(args.expression2, config)
     result = compare(i1, i2, config)
-    if args.format == "json":
-        _emit_json({"lhs": i1.label, "rhs": i2.label, **result.as_dict()})
-    elif args.format == "csv":
-        _emit_csv(
-            [
-                ["deviation", "x", "y", "lhs", "rhs", "samples_checked"],
-                [
-                    _fmt(result.deviation),
-                    _fmt(result.at[0]),
-                    _fmt(result.at[1]),
-                    _fmt(result.lhs),
-                    _fmt(result.rhs),
-                    result.samples_checked,
-                ],
-            ]
-        )
-    else:
-        print(
-            f"deviation {_fmt(result.deviation)} at ({_fmt(result.at[0])}, {_fmt(result.at[1])}) "
-            f"lhs={_fmt(result.lhs)} rhs={_fmt(result.rhs)}"
-        )
-    return 1 if (args.assert_ and result.deviation > config.eq_tol) else 0
+    deviation, x, y, lhs, rhs = map(_fmt, (result.deviation, *result.at, result.lhs, result.rhs))
+    return _Result(
+        {"lhs": i1.label, "rhs": i2.label, **result.as_dict()},
+        ["deviation", "x", "y", "lhs", "rhs", "samples_checked"],
+        [[deviation, x, y, lhs, rhs, result.samples_checked]],
+        [f"deviation {deviation} at ({x}, {y}) lhs={lhs} rhs={rhs}"],
+        result.deviation > config.eq_tol,
+    )
 
 
 TABLE2_PROPERTIES = ("EP", "NP", "ROP", "LOP", "CP", "L-CP", "R-CP")
@@ -644,71 +620,52 @@ def table2_matrix(config: CheckConfig = DEFAULT_CONFIG):
         cells = []
         for impl, neg in instances:
             report = _run_property(impl, _normalize_prop(prop), neg, config)
-            cells.append("yes" if report.holds else "no")
+            cells.append(_yes(report.holds))
         rows[prop] = cells
     return columns, rows
 
 
-def _cmd_table2(args, config: CheckConfig) -> int:
+def _cmd_table2(args, config: CheckConfig) -> _Result:
     columns, rows = table2_matrix(config)
-    if args.format == "json":
-        _emit_json({"columns": columns, "rows": rows})
-    elif args.format == "csv":
-        _emit_csv([["property"] + columns] + [[p] + rows[p] for p in TABLE2_PROPERTIES])
-    else:
-        width = max(len(c) for c in columns)
-        print(f"{'property':<10}" + "".join(f"{c:>{width + 2}}" for c in columns))
-        for p in TABLE2_PROPERTIES:
-            print(f"{p:<10}" + "".join(f"{c:>{width + 2}}" for c in rows[p]))
-    if args.assert_:
-        for prop, expected in TABLE2_EXPECTED.items():
-            for got, want in zip(rows[prop], expected):
-                if want is not None and got != want:
-                    return 1
-    return 0
+    header = ["property"] + columns
+    table = [[p] + rows[p] for p in TABLE2_PROPERTIES]
+    width = max(len(c) for c in columns)
+    text = [f"{p:<10}" + "".join(f"{c:>{width + 2}}" for c in cells) for p, *cells in [header] + table]
+    failed = any(
+        want is not None and got != want
+        for prop, expected in TABLE2_EXPECTED.items()
+        for got, want in zip(rows[prop], expected)
+    )
+    return _Result({"columns": columns, "rows": rows}, header, table, text, failed)
 
 
-def _cmd_search(args, config: CheckConfig) -> int:
+def _cmd_search(args, config: CheckConfig) -> _Result:
     if "{}" not in args.template:
         raise ParseError("search template must contain a {} placeholder")
     if args.steps < 1:
         raise ParseError(f"--steps must be >= 1, got {args.steps}")
     prop = _normalize_prop(args.prop)
     negation = parse_negation(args.negation)
+    header = ["expression"] + _PROPS_HEADER
     lo, hi = args.range
-    found = None
     for value in np.linspace(lo, hi, args.steps):
         expr = args.template.replace("{}", f"{float(value):g}")
-        implication = parse_implication(expr, config)
-        report = _run_property(implication, prop, negation, config)
+        report = _run_property(parse_implication(expr, config), prop, negation, config)
         if not report.holds:
-            found = (expr, report)
-            break
-    if found is None:
-        print(f"no {prop} violation found in [{args.range[0]:g}, {args.range[1]:g}]")
-        return 0
-    expr, report = found
-    if args.format == "json":
-        _emit_json({"expression": expr, **report.as_dict()})
-    elif args.format == "csv":
-        _emit_csv([["expression"] + _PROPS_HEADER] + [[expr] + _report_row(report)])
-    else:
-        print(f"{expr}: {report.summary()}")
-    return 1 if args.assert_ else 0
+            row = [expr] + _report_row(report)
+            text = [f"{expr}: {report.summary()}"]
+            return _Result({"expression": expr, **report.as_dict()}, header, [row], text, True)
+    return _Result(None, header, [], [f"no {prop} violation found in [{lo:g}, {hi:g}]"])
 
 
-def _cmd_catalog(args, config: CheckConfig) -> int:
-    if args.format == "json":
-        _emit_json(
-            [{"expression": e, "kind": k, "note": n} for e, k, n in _CATALOG_ROWS]
-        )
-    elif args.format == "csv":
-        _emit_csv([["expression", "kind", "note"]] + [list(r) for r in _CATALOG_ROWS])
-    else:
-        width = max(len(e) for e, _, _ in _CATALOG_ROWS)
-        for e, k, n in _CATALOG_ROWS:
-            print(f"{e:<{width}}  {k:<12} {n}")
-    return 0
+def _cmd_catalog(args, config: CheckConfig) -> _Result:
+    width = max(len(e) for e, _, _ in _CATALOG_ROWS)
+    return _Result(
+        [{"expression": e, "kind": k, "note": n} for e, k, n in _CATALOG_ROWS],
+        ["expression", "kind", "note"],
+        _CATALOG_ROWS,
+        [f"{e:<{width}}  {k:<12} {n}" for e, k, n in _CATALOG_ROWS],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -816,11 +773,12 @@ def run(argv: list[str]) -> int:
         warnings.simplefilter("always")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            config = _resolve_config(args)
-            return _COMMANDS[args.verb](args, config)
+            result = _COMMANDS[args.verb](args, _resolve_config(args))
+            _emit(result, args.format)
         except (ParseError, ConfigError, PreconditionError, UnitRangeError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2 if isinstance(exc, (ParseError, ConfigError)) else 3
+    return 1 if result.failed and args.assert_ else 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:

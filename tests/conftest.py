@@ -1,6 +1,9 @@
-"""Shared fixtures: catalog instances and reduced configs for slow scans."""
+"""Shared fixtures: catalog instances, reduced configs for slow scans, and the
+golden-fixture writer."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -53,3 +56,25 @@ def overlap_catalog():
 def coarse():
     # Enough resolution to see every catalog feature, fast enough for sweeps.
     return ok.CheckConfig(grid_resolution=21, random_samples=40)
+
+
+def write_fixture(path: str, data: dict) -> None:
+    """Overwrite the golden fixture at path with data, printing each key
+    added, removed or changed against the file it replaces."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            old = json.load(handle)
+    except FileNotFoundError:
+        old = {}
+    new = json.loads(json.dumps(data))
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old:
+            print(f"added {key}")
+        elif key not in new:
+            print(f"removed {key}")
+        elif old[key] != new[key]:
+            print(f"changed {key}")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"recorded {len(data)} cases in {path}")

@@ -62,8 +62,17 @@ def test_parse_error_exits_2():
     assert run(["axioms", "crisp_lower:x"]) == 2
 
 
+# A repeated parameter, and an unknown or missing one on a catalog entry.
 @pytest.mark.parametrize(
-    "expression", ["O_P:p=1,p=2", "idem_go:p=1,q=2,p=3", "trunc:O_P:p=1,a=0.5,a=0.5"]
+    "expression",
+    [
+        "O_P:p=1,p=2",
+        "idem_go:p=1,q=2,p=3",
+        "trunc:O_P:p=1,a=0.5,a=0.5",
+        "O_min:p=2",
+        "O_P:q=1",
+        "GO_PN",
+    ],
 )
 def test_duplicate_parameter_exits_2(expression, capsys):
     assert run(["eval", expression, "--at", "0.5", "0.5"]) == 2
@@ -273,6 +282,14 @@ def test_search_no_violation(capsys):
                 "--range", "1", "3", "--steps", "3", "--assert"])
     assert code == 0
     assert "violation found" in capsys.readouterr().out
+    argv = ["search", "gon(GO_TL:p={}, zadeh)", "--prop", "L-CP", "--range", "1", "3", "--steps", "1"]
+    assert run(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) is None
+    assert run(argv + ["--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows == [
+        ["expression", "property", "status", "witness", "lhs", "rhs", "deviation", "samples_checked"]
+    ]
 
 
 # --- catalog ----------------------------------------------------------------
@@ -283,6 +300,37 @@ def test_catalog_lists_grammar(capsys):
     out = capsys.readouterr().out
     for token in ("O_P:p=", "GO_PN:n=", "crisp_upper:", "gon(", "agg(", "zadeh"):
         assert token in out
+
+
+# --- output contract --------------------------------------------------------
+
+# One argv per output shape.
+OUTPUT_SHAPES = {
+    "eval --at": ["eval", "O_P:p=2", "--at", "0.5", "0.25", "--at", "1", "0"],
+    "eval 1-d": ["eval", "power:2"],
+    "eval 2-d": ["eval", "gon(GO_max, zadeh)"],
+    "axioms connective": ["axioms", "O_min"],
+    "axioms negation": ["axioms", "power:2"],
+    "props": ["props", "gon(GO_max, zadeh)", "--prop", "NP,EP,CP"],
+    "compare": ["compare", "gon(GO_max, zadeh)", "tn(O_min, zadeh)"],
+    "table2": ["table2"],
+    "search violation": ["search", "gon(O_P:p={}, zadeh)", "--prop", "EP", "--range", "1", "3"],
+    "search none": ["search", "gon(GO_TL:p={}, zadeh)", "--prop", "L-CP", "--range", "1", "3"],
+    "catalog": ["catalog"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("shape", list(OUTPUT_SHAPES))
+def test_output_is_machine_readable(shape, fmt, capsys):
+    argv = OUTPUT_SHAPES[shape] + ["--grid", "6", "--samples", "5", "--format", fmt]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        json.loads(out)
+    else:
+        header, *rows = csv.reader(io.StringIO(out))
+        assert all(len(row) == len(header) for row in rows)
 
 
 # --- config -----------------------------------------------------------------

@@ -6,7 +6,7 @@ axiom, comparison and commutation reports, crisp fits, the roles and
 warning texts of the dual constructions, and the stdout of the CLI verbs
 in text, json and csv. A refactor of the scan machinery must reproduce all
 of it bit for bit. Re-record only from a commit whose outputs are known
-good:
+good; the recorder prints each key it adds, removes or changes:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -25,7 +25,7 @@ import pytest
 import overlapkit as ok
 from overlapkit.cli import parse_connective, parse_implication, parse_negation, run, table2_instances
 
-from conftest import CATALOG_ENTRIES
+from conftest import CATALOG_ENTRIES, write_fixture
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden_grid21.json")
 
@@ -236,10 +236,7 @@ def test_golden(name, golden):
 
 def _record() -> None:
     data = {name: _normalize(fn()) for name, fn in sorted(CASES.items())}
-    with open(FIXTURE, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    print(f"recorded {len(data)} cases in {FIXTURE}")
+    write_fixture(FIXTURE, data)
 
 
 if __name__ == "__main__":

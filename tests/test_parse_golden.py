@@ -6,7 +6,8 @@ pair and at a single point, axioms, props, compare, and props with it as the
 formats. The exit code, stdout, stderr and the warning texts of every run
 are pinned in parse_golden.json, so a change to the expression parsers must
 keep every accepted expression, every label and every error message as it
-was. Re-record only from a commit whose outputs are known good:
+was. Re-record only from a commit whose outputs are known good; the
+recorder prints each key it adds, removes or changes:
 
     PYTHONPATH=src python tests/test_parse_golden.py --record
 """
@@ -23,6 +24,8 @@ import warnings
 import pytest
 
 from overlapkit.cli import run
+
+from conftest import write_fixture
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "parse_golden.json")
 
@@ -264,10 +267,7 @@ def test_parse_golden(golden):
 
 def _record() -> None:
     data = {_key(argv): _run(argv) for argv in ARGVS}
-    with open(FIXTURE, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    print(f"recorded {len(data)} cases in {FIXTURE}")
+    write_fixture(FIXTURE, data)
 
 
 if __name__ == "__main__":
