@@ -10,20 +10,31 @@ general overlap again, and for a strong negation N the two routes
 
 agree pointwise; check_commutes verifies that equality on the grid without
 collapsing the two routes into one formula.
+
+The aggregations are one formula each over the numerics primitives, and
+aggregate one body over numerics._value: a point on floats, a mesh on arrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import reduce
-
-import numpy as np
 
 from .conjunctors import FusionFunction, check_axioms, continuity_heuristic
 from .implications import Implication, make_gon
 from .negations import Negation, classify, dual
-from .numerics import DEFAULT_CONFIG, CheckConfig, PreconditionError, _apart, _fsum, _scan_mesh, _value, _vectorized
+from .numerics import (
+    DEFAULT_CONFIG,
+    CheckConfig,
+    PreconditionError,
+    _apart,
+    _fsum,
+    _max,
+    _min,
+    _prod,
+    _scan_mesh,
+    _value,
+    _vectorized,
+)
 from .properties import PropertyReport, _pair_mesh, _report
 
 AGGREGATION_NAMES = ("mean", "min", "max", "product")
@@ -38,14 +49,14 @@ def make_aggregation(name: str, arity: int = 2) -> FusionFunction:
     if arity < 1:
         raise PreconditionError("aggregation arity must be >= 1")
     fns = {
-        "mean": (lambda *xs: math.fsum(xs) / len(xs), lambda *xs: _fsum(xs) / len(xs)),
-        "min": (lambda *xs: min(xs), lambda *xs: reduce(np.minimum, xs)),
-        "max": (lambda *xs: max(xs), lambda *xs: reduce(np.maximum, xs)),
-        "product": (lambda *xs: math.prod(xs), lambda *xs: reduce(np.multiply, xs)),
+        "mean": lambda *xs: _fsum(*xs) / len(xs),
+        "min": lambda *xs: _min(*xs),
+        "max": lambda *xs: _max(*xs),
+        "product": lambda *xs: _prod(*xs),
     }
     if name not in fns:
         raise PreconditionError(f"unknown aggregation {name!r} (want one of {AGGREGATION_NAMES})")
-    return FusionFunction(fn=_vectorized(*fns[name]), arity=arity, role="aggregation", label=name)
+    return FusionFunction(fn=_vectorized(fns[name]), arity=arity, role="aggregation", label=name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,12 +78,8 @@ class OperatorFamily:
             raise PreconditionError(f"unsupported family member types {sorted(kinds)}")
         if len(kinds) > 1:
             raise PreconditionError("family members must all be the same kind")
-        if len({self._arity_of(m) for m in self.members}) > 1:
+        if len({m.arity for m in self.members}) > 1:
             raise PreconditionError("family members must share one arity")
-
-    @staticmethod
-    def _arity_of(member) -> int:
-        return member.arity if isinstance(member, FusionFunction) else 2
 
     @property
     def size(self) -> int:
@@ -80,7 +87,7 @@ class OperatorFamily:
 
     @property
     def arity(self) -> int:
-        return self._arity_of(self.members[0])
+        return self.members[0].arity
 
     @property
     def kind(self) -> str:
@@ -113,12 +120,12 @@ def aggregate(agg: FusionFunction, family: OperatorFamily):
 
     if family.kind == "implication":
         return Implication(
-            fn=_vectorized(fn, fn),
+            fn=_vectorized(fn),
             label=label,
             family="agg",
             parts=(("aggregation", agg), ("members", members)),
         )
-    return FusionFunction(fn=_vectorized(fn, fn), arity=family.arity, role="aggregation", label=label)
+    return FusionFunction(fn=_vectorized(fn), arity=family.arity, role="aggregation", label=label)
 
 
 def aggregate_go(

@@ -370,14 +370,6 @@ def _parse_any(text: str, config: CheckConfig):
     return _parse(text, kind, config)
 
 
-def _arity_of(obj) -> int:
-    if isinstance(obj, FusionFunction):
-        return obj.arity
-    if isinstance(obj, Implication):
-        return 2
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # Output
 # ---------------------------------------------------------------------------
@@ -443,7 +435,7 @@ _PROPS_HEADER = ["property", "status", "witness", "lhs", "rhs", "deviation", "sa
 
 def _cmd_eval(args, config: CheckConfig) -> _Result:
     obj = _parse_any(args.expression, config)
-    arity = _arity_of(obj)
+    arity = obj.arity
     if args.at:
         points = []
         for raw in args.at:
@@ -673,13 +665,20 @@ def _cmd_catalog(args, config: CheckConfig) -> _Result:
 # ---------------------------------------------------------------------------
 
 
+# The flags that override one CheckConfig field each: (flag, dest, field, type, help).
+_CONFIG_FLAGS = (
+    ("--grid", "grid", "grid_resolution", int, "uniform grid resolution"),
+    ("--samples", "samples", "random_samples", int, "number of seeded random samples"),
+    ("--seed", "seed", "rng_seed", int, "random sample seed"),
+    ("--tol", "tol", "eq_tol", float, "equality tolerance"),
+    ("--bisect-tol", "bisect_tol", "bisect_tol", float, "bisection tolerance"),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid", type=int, help="uniform grid resolution")
-    common.add_argument("--samples", type=int, help="number of seeded random samples")
-    common.add_argument("--seed", type=int, help="random sample seed")
-    common.add_argument("--tol", type=float, help="equality tolerance")
-    common.add_argument("--bisect-tol", type=float, dest="bisect_tol", help="bisection tolerance")
+    for flag, dest, _, kind, text in _CONFIG_FLAGS:
+        common.add_argument(flag, dest=dest, type=kind, help=text)
     common.add_argument(
         "--format", choices=("text", "json", "csv"), default="text", help="output format"
     )
@@ -738,17 +737,7 @@ def _resolve_config(args) -> CheckConfig:
     path = args.config or os.environ.get("OVERLAPKIT_CONFIG")
     if path:
         config = load_config(path)
-    overrides = {}
-    if args.grid is not None:
-        overrides["grid_resolution"] = args.grid
-    if args.samples is not None:
-        overrides["random_samples"] = args.samples
-    if args.seed is not None:
-        overrides["rng_seed"] = args.seed
-    if args.tol is not None:
-        overrides["eq_tol"] = args.tol
-    if args.bisect_tol is not None:
-        overrides["bisect_tol"] = args.bisect_tol
+    overrides = {key: getattr(args, dest) for _, dest, key, *_ in _CONFIG_FLAGS if getattr(args, dest) is not None}
     return replace(config, **overrides) if overrides else config
 
 

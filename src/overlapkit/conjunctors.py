@@ -29,13 +29,14 @@ is a first-witness mesh scan of the 21^3 triple grid, and T3 and
 check_idempotent take the first largest deviation over the samples.
 
 The named catalog is one table, _CATALOG: the role, parameter, note and
-formula pair of each name. catalog() and CATALOG_NAMES read it, and so do
+formula of each name. catalog() and CATALOG_NAMES read it, and so do
 the CLI's parsers and its catalog listing.
 
-Every catalog entry and construction carries an array form of its formula
-(numerics._vectorized), which FusionFunction.values evaluates; the piecewise
-ones use np.where with guarded denominators and every ** goes through
-numerics._pow, so array and scalar values agree bit for bit.
+Every catalog entry and construction is one formula over the numerics
+primitives (_min, _max, _prod, _fsum, _pow, _where, _branch), marked with
+numerics._vectorized, so the same body gives a point on floats and
+FusionFunction.values a mesh on arrays, bit for bit alike. Piecewise
+formulas guard their denominators or branch lazily.
 
 Binary functions are checked at the configured grid resolution; ternary and
 wider ones on a reduced grid (21 points for arity 3, 11 beyond) to keep the
@@ -61,16 +62,22 @@ from .numerics import (
     PreconditionError,
     UnitValue,
     _apart,
-    _array_form,
+    _branch,
     _fsum,
+    _is_array,
+    _jump_bound,
+    _max,
     _mesh_values,
+    _min,
     _pointwise,
     _pow,
+    _prod,
     _product_mesh,
     _scan_mesh,
     _value,
     _values,
     _vectorized,
+    _where,
     iteration_count,
     sorted_samples,
     uniform_grid,
@@ -85,8 +92,8 @@ class FusionFunction:
 
     The role is a claim set by constructors; check_axioms verifies it. Output
     is validated into [0,1] on every call. values() evaluates whole arrays
-    with the array form constructors attach to fn, and point by point
-    through __call__ when fn has none.
+    with fn when a constructor marked it numerics._vectorized, and point by
+    point through __call__ when not.
     """
 
     fn: Callable[..., float]
@@ -116,10 +123,12 @@ class FusionFunction:
             )
         return _values(self, xs)
 
-    def _raw_values(self, xs: tuple) -> np.ndarray:
-        # fn's values without the range check, as truncate_overlap uses them.
-        form = _array_form(self.fn)
-        return _pointwise(self.fn, xs) if form is None else form(*xs)
+    def _raw_values(self, *xs):
+        # fn's values without the range check, on floats or arrays, as truncate_overlap uses them.
+        if not _is_array(*xs):
+            return self.fn(*xs)
+        xs = np.broadcast_arrays(*xs)
+        return self.fn(*xs) if getattr(self.fn, "vectorized", False) else _pointwise(self.fn, xs)
 
     def param(self, name: str) -> float:
         return dict(self.params)[name]
@@ -229,85 +238,54 @@ def _require_arity(params: dict) -> int:
     return n
 
 
-def _pn_factor(xs: tuple[float, ...]) -> float:
+def _pn_factor(xs: tuple):
     # fsum keeps the sum-gate decision independent of argument order,
     # which naive left-to-right addition is not near the threshold.
-    return 0.0 if math.fsum(xs) <= 1.0 else min(xs)
+    return _where(_fsum(*xs) <= 1.0, 0.0, _min(*xs))
 
 
-def _pn_factor_array(xs: tuple[np.ndarray, ...]) -> np.ndarray:
-    return np.where(_fsum(xs) <= 1.0, 0.0, reduce(np.minimum, xs))
+def _o_v(x, y):
+    return _branch((x >= 0.5) & (y >= 0.5), _o_v_bump, _min(x, y), x, y)
 
 
-def _o_v(x: float, y: float) -> float:
-    if x >= 0.5 and y >= 0.5:
-        s = (2.0 * x - 1.0) ** 2 * (2.0 * y - 1.0) ** 2
-        return 0.5 * (1.0 + s)
-    return min(x, y)
+def _o_v_bump(x, y):
+    return 0.5 * (1.0 + _pow(2.0 * x - 1.0, 2) * _pow(2.0 * y - 1.0, 2))
 
 
-def _o_v_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.minimum(x, y)
-    bump = (x >= 0.5) & (y >= 0.5)
-    s = _pow(2.0 * x[bump] - 1.0, 2) * _pow(2.0 * y[bump] - 1.0, 2)
-    out[bump] = 0.5 * (1.0 + s)
-    return out
-
-
-def _o_db_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    total = x + y
-    zero = total == 0.0
-    return np.where(zero, 0.0, 2.0 * x * y / np.where(zero, 1.0, total))
+def _o_db(x, y):
+    zero = x + y == 0.0
+    return _where(zero, 0.0, 2.0 * x * y / _where(zero, 1.0, x + y))
 
 
 class _Entry(NamedTuple):
     role: str
     param: Optional[str]
     note: str
-    fn: Callable[..., float]
-    array_fn: Callable[..., np.ndarray]
+    fn: Callable
 
 
 # The named catalog entries. param is None, "p" (an exponent p > 0) or "n"
 # (the arity, n >= 2); an entry with a parameter takes its value as the
-# first argument of both its scalar formula and its array form.
+# first argument of its formula.
 _CATALOG = {
-    "O_mM": _Entry(
-        "overlap", None, "minimum times squared maximum",
-        lambda x, y: min(x, y) * max(x * x, y * y),
-        lambda x, y: np.minimum(x, y) * np.maximum(x * x, y * y),
-    ),
-    "O_DB": _Entry(
-        "overlap", None, "doubled product over the sum",
-        lambda x, y: 0.0 if x + y == 0.0 else 2.0 * x * y / (x + y),
-        _o_db_array,
-    ),
-    "O_P": _Entry(
-        "overlap", "p", "powered product",
-        lambda p, x, y: x**p * y**p,
-        lambda p, x, y: _pow(x, p) * _pow(y, p),
-    ),
-    "O_V": _Entry("overlap", None, "bump above (0.5, 0.5), minimum elsewhere", _o_v, _o_v_array),
-    "O_min": _Entry("overlap", None, "minimum", lambda x, y: min(x, y), np.minimum),
+    "O_mM": _Entry("overlap", None, "minimum times squared maximum", lambda x, y: _min(x, y) * _max(x * x, y * y)),
+    "O_DB": _Entry("overlap", None, "doubled product over the sum", _o_db),
+    "O_P": _Entry("overlap", "p", "powered product", lambda p, x, y: _pow(x, p) * _pow(y, p)),
+    "O_V": _Entry("overlap", None, "bump above (0.5, 0.5), minimum elsewhere", _o_v),
+    "O_min": _Entry("overlap", None, "minimum", lambda x, y: _min(x, y)),
     "GO_max": _Entry(
-        "general_overlap", None, "thresholded sum of squares",
-        lambda x, y: max(0.0, x * x + y * y - 1.0),
-        lambda x, y: np.maximum(0.0, x * x + y * y - 1.0),
+        "general_overlap", None, "thresholded sum of squares", lambda x, y: _max(0.0, x * x + y * y - 1.0)
     ),
     "GO_TL": _Entry(
         "general_overlap", "p", "powered minimum times truncated sum",
-        lambda p, x, y: min(x, y) ** p * max(0.0, x + y - 1.0),
-        lambda p, x, y: _pow(np.minimum(x, y), p) * np.maximum(0.0, x + y - 1.0),
+        lambda p, x, y: _pow(_min(x, y), p) * _max(0.0, x + y - 1.0),
     ),
     "GO_PN": _Entry(
-        "general_overlap", "n", "product gated by coordinate sum",
-        lambda n, *xs: math.prod(xs) * _pn_factor(xs),
-        lambda n, *xs: reduce(np.multiply, xs) * _pn_factor_array(xs),
+        "general_overlap", "n", "product gated by coordinate sum", lambda n, *xs: _prod(*xs) * _pn_factor(xs)
     ),
     "GO_GN": _Entry(
         "general_overlap", "n", "geometric mean gated by coordinate sum",
-        lambda n, *xs: math.prod(xs) ** (1.0 / n) * _pn_factor(xs),
-        lambda n, *xs: _pow(reduce(np.multiply, xs), 1.0 / n) * _pn_factor_array(xs),
+        lambda n, *xs: _pow(_prod(*xs), 1.0 / n) * _pn_factor(xs),
     ),
 }
 
@@ -335,9 +313,8 @@ def catalog(name: str, **params: float) -> FusionFunction:
     extra = set(params) - {entry.param}
     if extra:
         raise PreconditionError(f"unexpected parameters {sorted(extra)}")
-    # partial gives every object its own fn, which _vectorized marks.
     return FusionFunction(
-        fn=_vectorized(partial(entry.fn, *args), partial(entry.array_fn, *args)),
+        fn=_vectorized(partial(entry.fn, *args)),
         arity=arity,
         role=entry.role,
         label=label,
@@ -348,14 +325,14 @@ def catalog(name: str, **params: float) -> FusionFunction:
 def grouping_max() -> FusionFunction:
     """The maximum, the basic grouping function."""
     return FusionFunction(
-        fn=_vectorized(lambda x, y: max(x, y), np.maximum), arity=2, role="grouping", label="max_grouping"
+        fn=_vectorized(lambda x, y: _max(x, y)), arity=2, role="grouping", label="max_grouping"
     )
 
 
 def grouping_probsum() -> FusionFunction:
     """Probabilistic sum 1 - (1-x)(1-y), a strict grouping function."""
     return FusionFunction(
-        fn=_vectorized(lambda x, y: 1.0 - (1.0 - x) * (1.0 - y), lambda x, y: 1.0 - (1.0 - x) * (1.0 - y)),
+        fn=_vectorized(lambda x, y: 1.0 - (1.0 - x) * (1.0 - y)),
         arity=2,
         role="grouping",
         label="prob_sum",
@@ -380,19 +357,15 @@ def truncate_overlap(overlap: FusionFunction, a: float) -> FusionFunction:
     if not 0.0 < av < 1.0:
         raise PreconditionError("truncation level a must lie in (0,1)")
 
-    def fn(x: float, y: float, _o=overlap.fn, _a=av) -> float:
-        cut = _o(max(x, y), _a)
-        return max(0.0, _o(x, y) - cut) / (1.0 - cut)
-
-    def array_fn(x: np.ndarray, y: np.ndarray, _o=overlap, _a=av) -> np.ndarray:
-        cut = _o._raw_values((np.maximum(x, y), np.full(x.shape, _a)))
-        # A cut of 1 divides by zero in the scalar form; here it leaves
-        # [0, 1] (inf or nan), so the caller re-runs the points as scalars.
+    def fn(x, y, _o=overlap, _a=av):
+        cut = _o._raw_values(_max(x, y), _a)
+        # A cut of 1 divides by zero: ZeroDivisionError on floats; on arrays inf
+        # or nan, outside [0, 1], so the caller re-runs the points as scalars.
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.maximum(0.0, _o._raw_values((x, y)) - cut) / (1.0 - cut)
+            return _max(0.0, _o._raw_values(x, y) - cut) / (1.0 - cut)
 
     return FusionFunction(
-        fn=_vectorized(fn, array_fn),
+        fn=_vectorized(fn),
         arity=2,
         role="general_overlap",
         label=f"trunc:{overlap.label},a={av:g}",
@@ -468,19 +441,12 @@ def piecewise_neutral_go(e: float) -> FusionFunction:
     if not 0.0 < ev <= 1.0:
         raise PreconditionError("neutral element e must lie in (0,1]")
 
-    def fn(x: float, y: float, _e=ev) -> float:
-        if max(x, y) <= _e:
-            return min(x, y)
-        if min(x, y) >= _e:
-            return max(x, y)
-        return x * y / _e
-
-    def array_fn(x: np.ndarray, y: np.ndarray, _e=ev) -> np.ndarray:
-        lo, hi = np.minimum(x, y), np.maximum(x, y)
-        return np.where(hi <= _e, lo, np.where(lo >= _e, hi, x * y / _e))
+    def fn(x, y, _e=ev):
+        lo, hi = _min(x, y), _max(x, y)
+        return _where(hi <= _e, lo, _where(lo >= _e, hi, x * y / _e))
 
     return FusionFunction(
-        fn=_vectorized(fn, array_fn),
+        fn=_vectorized(fn),
         arity=2,
         role="general_overlap",
         label=f"neutral_go:e={ev:g}",
@@ -494,16 +460,12 @@ def idempotent_go(p: float, q: float) -> FusionFunction:
     if not (math.isfinite(pv) and pv > 0.0 and math.isfinite(qv) and qv > 0.0):
         raise PreconditionError("idempotent_go needs p > 0 and q > 0")
 
-    def fn(x: float, y: float, _p=pv, _q=qv) -> float:
-        mean = 0.5 * (x**_p * y**_q + x**_q * y**_p)
-        return mean ** (1.0 / (_p + _q))
-
-    def array_fn(x: np.ndarray, y: np.ndarray, _p=pv, _q=qv) -> np.ndarray:
+    def fn(x, y, _p=pv, _q=qv):
         mean = 0.5 * (_pow(x, _p) * _pow(y, _q) + _pow(x, _q) * _pow(y, _p))
         return _pow(mean, 1.0 / (_p + _q))
 
     return FusionFunction(
-        fn=_vectorized(fn, array_fn),
+        fn=_vectorized(fn),
         arity=2,
         role="general_overlap",
         label=f"idem_go:p={pv:g},q={qv:g}",
@@ -597,7 +559,7 @@ def _monotone_check(axiom: str, tensor: np.ndarray, xs: np.ndarray, tol: float) 
 
 
 def _continuity_check(axiom: str, tensor: np.ndarray, xs: np.ndarray) -> AxiomCheck:
-    bound = 10.0 / len(xs)
+    bound = _jump_bound(len(xs))
     jumps = (np.abs(np.diff(tensor, axis=axis)) for axis in range(tensor.ndim))
     return _bound_check(axiom, jumps, xs, bound, note=f"adjacent-cell jump bound {bound:g}")
 

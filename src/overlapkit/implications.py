@@ -23,14 +23,14 @@ thresholds to nearby sample points, decides strict vs non-strict by
 evaluating at the candidate itself, and accepts a fit only when the fitted
 family reproduces the implication on the whole mesh.
 
-The compositions (gon, tn, gn, ql, d, the natural negation and the
-recovered connective) are written once over numerics._value, so the same
-body evaluates a point on floats and a mesh on the array forms of its
-parts. ro keeps a scalar bisection and its array twin
-(numerics._bisect_sup_array), and the crisp family a scalar and an array
-formula. The I1/I2 grid and the two mesh scans of classify_crisp run on
-arrays; the corner identities and the threshold bisections are point
-queries and stay scalar.
+Every constructor attaches one function, written once over numerics: the
+compositions (gon, tn, gn, ql, d, the natural negation and the recovered
+connective) over numerics._value, ql and d through the lazy
+numerics._branch, ro over numerics._sup, which bisects a point or a mesh,
+and the crisp family over numerics._where. So the same body evaluates a
+point on floats and a mesh on arrays. The I1/I2 grid and the two mesh
+scans of classify_crisp run on arrays; the corner identities and the
+threshold bisections are point queries and stay scalar.
 """
 
 from __future__ import annotations
@@ -48,15 +48,16 @@ from .numerics import (
     PreconditionError,
     UnitValue,
     _apart,
-    _bisect_sup_array,
+    _branch,
     _bracket,
     _mesh_values,
     _product_mesh,
     _scan_mesh,
+    _sup,
     _value,
     _values,
     _vectorized,
-    bisect_sup,
+    _where,
     sorted_samples,
     uniform_grid,
 )
@@ -72,10 +73,12 @@ class Implication:
 
     family records which constructor produced it and parts holds the operand
     objects, so reports can trace an implication back to its ingredients.
-    values() evaluates whole arrays with the array form constructors attach
-    to fn, and point by point through __call__ when fn has none (a user
-    function, or an object rebuilt with dataclasses.replace).
+    values() evaluates whole arrays with fn when a constructor marked it
+    numerics._vectorized, and point by point through __call__ when not (a
+    user function, or an object rebuilt with dataclasses.replace).
     """
+
+    arity = 2
 
     fn: Callable[[float, float], float]
     label: str
@@ -127,7 +130,7 @@ def _negated_composite(conn: FusionFunction, negation: Negation, family: str, ke
         return _value(_n, _value(_c, x, _value(_n, y)))
 
     return Implication(
-        fn=_vectorized(fn, fn),
+        fn=_vectorized(fn),
         label=f"{family}({conn.label}, {negation.label})",
         family=family,
         parts=((key, conn), ("negation", negation)),
@@ -153,7 +156,7 @@ def make_gn(grouping: FusionFunction, negation: Negation) -> Implication:
         return _value(_g, _value(_n, x), y)
 
     return Implication(
-        fn=_vectorized(fn, fn),
+        fn=_vectorized(fn),
         label=f"gn({grouping.label}, {negation.label})",
         family="gn",
         parts=(("grouping", grouping), ("negation", negation)),
@@ -174,10 +177,10 @@ def make_ql(overlap: FusionFunction, grouping: FusionFunction) -> Implication:
         raise PreconditionError("make_ql needs a grouping function")
 
     def fn(x, y, _o=overlap, _g=grouping):
-        return _at_x_one(x, y, lambda ys: _value(_g, 0.0, _value(_o, 1.0, ys)))
+        return _branch(x == 1.0, lambda ys: _value(_g, 0.0, _value(_o, 1.0, ys)), 1.0, y)
 
     return Implication(
-        fn=_vectorized(fn, fn),
+        fn=_vectorized(fn),
         label=f"ql({overlap.label}, {grouping.label})",
         family="ql",
         parts=(("overlap", overlap), ("grouping", grouping)),
@@ -197,14 +200,11 @@ def make_residual(overlap: FusionFunction, config: CheckConfig = DEFAULT_CONFIG)
         raise PreconditionError("make_residual needs a conjunctive connective")
     tol = config.bisect_tol
 
-    def fn(x: float, y: float, _o=overlap, _tol=tol) -> float:
-        return float(bisect_sup(lambda z: float(_o(x, z)) <= y, tol=_tol))
-
-    def array_fn(x: np.ndarray, y: np.ndarray, _o=overlap, _tol=tol) -> np.ndarray:
-        return _bisect_sup_array(lambda z, xs, ys: _o.values(xs, z) <= ys, _tol, x, y)
+    def fn(x, y, _o=overlap, _tol=tol):
+        return _sup(lambda z, xs, ys: _value(_o, xs, z) <= ys, _tol, x, y)
 
     return Implication(
-        fn=_vectorized(fn, array_fn),
+        fn=_vectorized(fn),
         label=f"ro({overlap.label})",
         family="ro",
         parts=(("overlap", overlap),),
@@ -219,10 +219,10 @@ def make_d(grouping: FusionFunction) -> Implication:
         raise PreconditionError("make_d needs a grouping function")
 
     def fn(x, y, _g=grouping):
-        return _at_x_one(x, y, lambda ys: _value(_g, 0.0, ys))
+        return _branch(x == 1.0, lambda ys: _value(_g, 0.0, ys), 1.0, y)
 
     return Implication(
-        fn=_vectorized(fn, fn),
+        fn=_vectorized(fn),
         label=f"d({grouping.label})",
         family="d",
         parts=(("grouping", grouping),),
@@ -264,18 +264,13 @@ def make_crisp_family(kind: str, alpha: float, beta: float) -> Implication:
     x_strict = kind in ("C2", "C4")
     y_strict = kind in ("C2", "C3")
 
-    def fn(x: float, y: float, _a=a, _b=b, _xs=x_strict, _ys=y_strict) -> float:
+    def fn(x, y, _a=a, _b=b, _xs=x_strict, _ys=y_strict):
         in_x = x > _a if _xs else x >= _a
         in_y = y < _b if _ys else y <= _b
-        return 0.0 if in_x and in_y else 1.0
-
-    def array_fn(x: np.ndarray, y: np.ndarray, _a=a, _b=b, _xs=x_strict, _ys=y_strict) -> np.ndarray:
-        in_x = x > _a if _xs else x >= _a
-        in_y = y < _b if _ys else y <= _b
-        return np.where(in_x & in_y, 0.0, 1.0)
+        return _where(in_x & in_y, 0.0, 1.0)
 
     return Implication(
-        fn=_vectorized(fn, array_fn),
+        fn=_vectorized(fn),
         label=f"crisp({kind}, {a:g}, {b:g})",
         family="crisp",
         params=(("alpha", a), ("beta", b)),
@@ -297,7 +292,7 @@ def natural_negation(implication: Implication) -> Negation:
     def fn(x, _i=implication):
         return _value(_i, x, 0.0)
 
-    return Negation(fn=_vectorized(fn, fn), label=f"nat({implication.label})")
+    return Negation(fn=_vectorized(fn), label=f"nat({implication.label})")
 
 
 def recover_go(
@@ -310,10 +305,11 @@ def recover_go(
     Needs a strict negation for the numeric inverse to exist. For
     I = make_gon(GO, N) the result is within twice the bisection tolerance
     of GO only where N^{-1} is well conditioned in floats: at grid 21 with
-    40 samples, for zadeh, power:1.5 and power:2 (worst 2.4e-9). For
-    power:p, 1 - v**p rounds to 1 once v**p < 2**-53: O_P:p=2 deviates
-    5e-7 at power:3, O_mM 5e-4 at (0.05, 0.1) at power:5 and 9.0e-3 at
-    (0.1, 0.3) at power:8. Near (1, 1) it deviates 4e-8 at power:0.5.
+    40 samples, for zadeh and power:p with p in [0.75, 2] (worst 5.7e-9
+    over the binary catalog). For power:p, 1 - v**p rounds to 1 once
+    v**p < 2**-53: O_P:p=2 deviates 5e-7 at power:3, O_mM 5e-4 at
+    (0.05, 0.1) at power:5 and 9.0e-3 at (0.1, 0.3) at power:8. Near
+    (1, 1), GO_TL:p=2 deviates 4e-8 at power:0.5 and 3.5e-6 at power:0.3.
     """
     if not getattr(negation, "is_strict", False):
         raise PreconditionError("recover_go requires a strict negation")
@@ -323,7 +319,7 @@ def recover_go(
         return _value(_inv, _value(_i, x, _value(_inv, y)))
 
     return FusionFunction(
-        fn=_vectorized(fn, fn),
+        fn=_vectorized(fn),
         arity=2,
         role="general_overlap",
         label=f"recovered({implication.label})",
@@ -439,17 +435,3 @@ def _agrees_on_mesh(i1: Implication, i2: Implication, mesh: tuple, tol: float) -
     witness, _, _ = _scan_mesh(mesh, lambda x, y: (_value(i1, x, y), _value(i2, x, y)), _apart(tol))
     return witness is None
 
-
-def _at_x_one(x, y, branch: Callable):
-    """branch(y) where x == 1, else 1: the body of ql and d.
-
-    x and y are floats or arrays. branch sees only the points where x == 1,
-    so on an array it is evaluated only where the scalar form would be.
-    """
-    if not isinstance(x, np.ndarray):
-        return branch(y) if x == 1.0 else 1.0
-    out = np.ones(len(x))
-    at_one = x == 1.0
-    if at_one.any():
-        out[at_one] = branch(y[at_one])
-    return out

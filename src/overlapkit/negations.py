@@ -13,6 +13,9 @@ Constructors declare the class flags they are known to satisfy; classify()
 re-derives the same flags numerically on the sample grid, so the two routes
 can be checked against each other. The N-dual transform N(f(N(x1),...,N(xn)))
 is also provided here because it only needs the negation.
+
+Each negation, the dual and the numeric inverse is one body over numerics
+(its primitives, _value, _invert): a point on floats, a mesh on arrays.
 """
 
 from __future__ import annotations
@@ -28,13 +31,14 @@ from .numerics import (
     CheckConfig,
     PreconditionError,
     UnitValue,
-    _invert_strict_array,
+    _invert,
+    _jump_bound,
     _mesh_values,
     _pow,
     _value,
     _values,
     _vectorized,
-    invert_strict,
+    _where,
     sorted_samples,
     uniform_grid,
 )
@@ -45,10 +49,13 @@ class Negation:
     """A unary connective on [0,1] plus declared classification claims.
 
     The is_* flags are claims set by constructors from known facts about the
-    family; classify() verifies them numerically. Constructors give fn an
-    array form (numerics._vectorized); values() evaluates a whole array with
-    it, and point by point through __call__ when fn has none.
+    family; classify() verifies them numerically. Constructors write fn over
+    the numerics primitives (numerics._vectorized); values() evaluates a
+    whole array with it, and point by point through __call__ when fn is not
+    marked so.
     """
+
+    arity = 1
 
     fn: Callable[[float], float]
     label: str
@@ -106,7 +113,7 @@ class NegationClassification:
 def make_standard() -> Negation:
     """The standard negation 1 - x (strict, strong, frontier)."""
     return Negation(
-        fn=_vectorized(lambda x: 1.0 - x, lambda x: 1.0 - x),
+        fn=_vectorized(lambda x: 1.0 - x),
         label="zadeh",
         is_strict=True,
         is_strong=True,
@@ -125,18 +132,12 @@ def make_crisp(kind: str, alpha: float) -> Negation:
     if kind == "lower":
         if not 0.0 <= a < 1.0:
             raise PreconditionError("lower crisp negation needs alpha in [0,1)")
-        fn = _vectorized(
-            lambda x, _a=a: 0.0 if x > _a else 1.0,
-            lambda x, _a=a: np.where(x > _a, 0.0, 1.0),
-        )
+        fn = _vectorized(lambda x, _a=a: _where(x > _a, 0.0, 1.0))
         label = f"crisp_lower:{a:g}"
     elif kind == "upper":
         if not 0.0 < a <= 1.0:
             raise PreconditionError("upper crisp negation needs alpha in (0,1]")
-        fn = _vectorized(
-            lambda x, _a=a: 0.0 if x >= _a else 1.0,
-            lambda x, _a=a: np.where(x >= _a, 0.0, 1.0),
-        )
+        fn = _vectorized(lambda x, _a=a: _where(x >= _a, 0.0, 1.0))
         label = f"crisp_upper:{a:g}"
     else:
         raise PreconditionError(f"unknown crisp kind {kind!r} (want lower|upper)")
@@ -159,7 +160,7 @@ def make_power_strict(p: float) -> Negation:
     if not (math.isfinite(pv) and pv > 0.0):
         raise PreconditionError("power negation needs p > 0")
     return Negation(
-        fn=_vectorized(lambda x, _p=pv: 1.0 - x**_p, lambda x, _p=pv: 1.0 - _pow(x, _p)),
+        fn=_vectorized(lambda x, _p=pv: 1.0 - _pow(x, _p)),
         label=f"power:{pv:g}",
         params=(("p", pv),),
         is_strict=True,
@@ -200,7 +201,7 @@ def classify(negation: Negation, config: CheckConfig = DEFAULT_CONFIG) -> Negati
 
     flats = np.nonzero(steps >= 0.0)[0]
     strictly_decreasing = flats.size == 0
-    jump_bound = 10.0 / config.grid_resolution
+    jump_bound = _jump_bound(config.grid_resolution)
     jumps = np.nonzero(np.abs(steps) > jump_bound)[0]
     continuous = jumps.size == 0
     if not strictly_decreasing:
@@ -264,7 +265,7 @@ def dual(f, negation: Negation):
         return _value(_n, _value(_f, *[_value(_n, x) for x in xs]))
 
     return FusionFunction(
-        fn=_vectorized(fn, fn),
+        fn=_vectorized(fn),
         arity=f.arity,
         role="aggregation",
         label=f"dual({f.label}, {negation.label})",
@@ -275,18 +276,15 @@ def dual(f, negation: Negation):
 def inverse_negation(negation: Negation, tol: float | None = None) -> Negation:
     """Numeric inverse of a strict negation, itself packaged as a Negation.
 
-    Each evaluation bisects N (numerics.invert_strict, and its array twin
-    on meshes), so the result is within the bisection tolerance of the true
-    inverse rather than exact.
+    Each evaluation bisects N (numerics.invert_strict on a point, its array
+    twin on a mesh), so the result is within the bisection tolerance of the
+    true inverse rather than exact.
     """
     if not negation.is_strict:
         raise PreconditionError("inverse_negation requires a strict negation")
     t = DEFAULT_CONFIG.bisect_tol if tol is None else float(tol)
     return Negation(
-        fn=_vectorized(
-            lambda y, _n=negation, _t=t: float(invert_strict(_n, y, _t)),
-            lambda y, _n=negation, _t=t: _invert_strict_array(_n, y, _t),
-        ),
+        fn=_vectorized(lambda y, _n=negation, _t=t: _invert(_n, y, _t)),
         label=f"inv({negation.label})",
         params=negation.params,
         is_strict=True,

@@ -14,12 +14,15 @@ bisection except find_neutral's runs on one scalar loop, _bracket, or on
 its array twin _bisect_array, which takes the same steps per element; each
 caller keeps its own endpoint handling.
 
-Meshes are evaluated as numpy arrays and single points as floats; _value
-picks the path from its input. Closed-form constructors attach an array
-form to each scalar formula with _vectorized; every ** in an array form
-goes through _pow, Python's float pow per element, because numpy's
-vectorized power rounds differently on a few percent of points. A
-composition is one body over _value, attached as its own array form.
+Meshes are evaluated as numpy arrays and single points as floats, and only
+this module chooses between them. Each connective formula is written once
+over the primitives _min, _max, _prod, _fsum, _pow, _where and the lazy
+_branch, and marked with _vectorized; compositions go through _value, and
+_sup and _invert pick the scalar or the array bisection. On floats each
+primitive runs the Python builtin, on arrays the numpy ufunc, except that
+_pow and _fsum run Python's pow and math.fsum per element: numpy's power
+rounds differently on a few percent of points, so the bits would differ.
+
 _scan_mesh is the blockwise first-witness scan and _mesh_values the
 blockwise full evaluation. Both re-run points as scalars when array
 evaluation raises UnitRangeError or PreconditionError, so the error or
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -269,6 +272,20 @@ def _invert_strict_array(negation, y: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
+def _sup(pred: Callable[..., bool], tol: float, *xs):
+    """bisect_sup of z -> pred(z, *xs) at a point (floats) or at each point of the arrays xs."""
+    if _is_array(*xs):
+        return _bisect_sup_array(pred, tol, *xs)
+    return float(bisect_sup(lambda z: pred(z, *xs), tol))
+
+
+def _invert(negation, y, tol: float):
+    """invert_strict at the float y, or at every element of the array y."""
+    if _is_array(y):
+        return _invert_strict_array(negation, y, tol)
+    return float(invert_strict(negation, y, tol))
+
+
 def _scan(
     points: Iterable[tuple],
     sides: Callable[[tuple], tuple[float, float]],
@@ -307,6 +324,11 @@ def _apart(tol: float) -> Callable[[float, float], tuple[bool, float]]:
     return relation
 
 
+def _jump_bound(resolution: int) -> float:
+    """The largest adjacent-cell jump a continuity check accepts on a grid of resolution points."""
+    return 10.0 / resolution
+
+
 # ---------------------------------------------------------------------------
 # Array evaluation
 # ---------------------------------------------------------------------------
@@ -321,19 +343,22 @@ FIRST_BLOCK = 256
 _RESCALAR = (UnitRangeError, PreconditionError)
 
 
-def _vectorized(fn: Callable, array_fn: Callable) -> Callable:
-    """Attach array_fn, the same formula on float64 arrays, to the scalar fn.
+def _vectorized(fn: Callable) -> Callable:
+    """Mark fn as written over this module's primitives: it takes floats or float64 arrays.
 
-    The array form rides on the scalar function object, so an object built
-    with another fn (dataclasses.replace) loses it and evaluates meshes
-    point by point instead.
+    The mark rides on the function object, so an object built with another
+    fn (dataclasses.replace) loses it and evaluates meshes point by point.
     """
-    fn.array = array_fn
+    fn.vectorized = True
     return fn
 
 
-def _array_form(fn: Callable) -> Optional[Callable]:
-    return getattr(fn, "array", None)
+def _is_array(*xs) -> bool:
+    # A loop, not any() over a generator: this runs on every scalar primitive call.
+    for x in xs:
+        if isinstance(x, np.ndarray):
+            return True
+    return False
 
 
 def _checked(values: np.ndarray) -> np.ndarray:
@@ -353,35 +378,68 @@ def _values(obj, xs: tuple) -> np.ndarray:
     """obj.values(*xs) of a Negation, FusionFunction or Implication.
 
     The arguments broadcast to equal-length 1-d float64 arrays. Evaluates
-    the array form of obj.fn with the range check of __call__, or calls
-    obj point by point when fn has none.
+    obj.fn on them with the range check of __call__ when fn is marked
+    _vectorized, and calls obj point by point when it is not.
     """
     xs = tuple(np.atleast_1d(c) for c in np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs)))
-    form = _array_form(obj.fn)
-    return _pointwise(obj, xs) if form is None else _checked(form(*xs))
-
-
-def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
-    """base ** exponent through Python's float pow, one element at a time.
-
-    numpy's vectorized power rounds differently from the scalar pow() on a
-    few percent of points, and x*x differs from x**2.0 on some, so array
-    forms use this wherever the scalar formula has a **.
-    """
-    return np.array([b**exponent for b in base.tolist()], dtype=float)
-
-
-def _fsum(xs: tuple) -> np.ndarray:
-    """math.fsum of each point of the columns xs."""
-    return np.array([math.fsum(p) for p in _scalar_points(xs)], dtype=float)
+    return _checked(obj.fn(*xs)) if getattr(obj.fn, "vectorized", False) else _pointwise(obj, xs)
 
 
 def _value(obj, *xs):
     """obj at a point (a float) or on a mesh (an array): the input picks the path."""
+    # The loop of _is_array, inline: every composition calls this at every level.
     for x in xs:
         if isinstance(x, np.ndarray):
             return obj.values(*xs)
     return float(obj(*xs))
+
+
+# The formula primitives: floats or arrays in (any array picks the array path), the same bits out.
+
+
+def _min(*xs):
+    return reduce(np.minimum, xs) if _is_array(*xs) else min(xs)
+
+
+def _max(*xs):
+    return reduce(np.maximum, xs) if _is_array(*xs) else max(xs)
+
+
+def _prod(*xs):
+    return reduce(np.multiply, xs) if _is_array(*xs) else math.prod(xs)
+
+
+def _fsum(*xs):
+    """math.fsum of xs, at each point of the arrays xs."""
+    if _is_array(*xs):
+        return np.array([math.fsum(p) for p in _scalar_points(xs)], dtype=float)
+    return math.fsum(xs)
+
+
+def _pow(base, exponent: float):
+    """base ** exponent; on an array Python's float pow per element, as numpy's power rounds differently."""
+    if _is_array(base):
+        return np.array([b**exponent for b in base.tolist()], dtype=float)
+    return base**exponent
+
+
+def _where(cond, a, b):
+    """a where cond holds, else b. Both are evaluated; see _branch for a lazy choice."""
+    return np.where(cond, a, b) if _is_array(cond, a, b) else (a if cond else b)
+
+
+def _branch(cond, branch: Callable, other, *xs):
+    """branch(*xs) where cond holds, else other.
+
+    On floats cond is a bool; on arrays a mask, and branch sees only the
+    elements of the arrays xs where it holds, as the scalar form would.
+    """
+    if not _is_array(cond):
+        return branch(*xs) if cond else other
+    out = np.full(cond.shape, other, dtype=float)
+    if cond.any():
+        out[cond] = branch(*(x[cond] for x in xs))
+    return out
 
 
 def _product_mesh(axis: np.ndarray, arity: int) -> tuple[np.ndarray, ...]:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import overlapkit as ok
 
@@ -183,6 +185,39 @@ def test_recover_go_examples():
     rec = ok.recover_go(ok.make_gon(ok.catalog("O_P", p=1), nz), nz)
     assert float(rec(0.8, 0.9)) == pytest.approx(0.72, abs=RECOVER_TOL)
     assert rec.role == "general_overlap"
+
+
+COARSE = ok.CheckConfig(grid_resolution=21, random_samples=40)
+
+
+def _recovery(name: str, params: dict, p: float):
+    """compare(GO, recover_go(gon(GO, power:p), power:p)) at COARSE."""
+    go, negation = ok.catalog(name, **params), ok.make_power_strict(p)
+    return ok.compare(go, ok.recover_go(ok.make_gon(go, negation), negation, COARSE), COARSE)
+
+
+@settings(max_examples=30, deadline=None)
+@given(entry=st.sampled_from(BINARY_ENTRIES), p=st.floats(min_value=0.75, max_value=2.0))
+def test_recover_go_within_twice_bisect_tol_for_moderate_powers(entry, p):
+    assert _recovery(*entry, p).deviation <= 2 * COARSE.bisect_tol
+
+
+# The misses recover_go's docstring documents: power:p whose inverse is
+# ill-conditioned in floats, measured at COARSE.
+@pytest.mark.parametrize(
+    "name, params, p, deviation",
+    [
+        ("O_P", {"p": 2}, 3.0, "5.1e-07"),
+        ("O_mM", {}, 5.0, "0.0005"),
+        ("O_mM", {}, 8.0, "0.009"),
+        ("GO_TL", {"p": 2}, 0.5, "3.9e-08"),
+        ("GO_TL", {"p": 2}, 0.3, "3.5e-06"),
+    ],
+)
+def test_recover_go_misses_where_the_inverse_is_ill_conditioned(name, params, p, deviation):
+    got = _recovery(name, params, p).deviation
+    assert got > 2 * COARSE.bisect_tol
+    assert f"{got:.2g}" == deviation
 
 
 def test_recover_go_requires_strict():

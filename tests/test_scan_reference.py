@@ -25,7 +25,7 @@ import pytest
 import overlapkit as ok
 from overlapkit import numerics, properties
 from overlapkit.cli import parse_connective, parse_implication, table2_instances
-from overlapkit.numerics import _scan, _vectorized
+from overlapkit.numerics import _min, _scan, _vectorized, _where
 
 # One instance per family not already among the table2 instances (gon, tn).
 FAMILY_EXPRESSIONS = (
@@ -80,10 +80,7 @@ def test_array_scan_matches_scalar_reference(k, scalar_kernels):
 def _leaky_min(cut: float) -> ok.FusionFunction:
     """min(x, y), except 1 + x wherever x > cut: it leaves [0, 1] there."""
     return ok.FusionFunction(
-        fn=_vectorized(
-            lambda x, y: 1.0 + x if x > cut else min(x, y),
-            lambda x, y: np.where(x > cut, 1.0 + x, np.minimum(x, y)),
-        ),
+        fn=_vectorized(lambda x, y: _where(x > cut, 1.0 + x, _min(x, y))),
         arity=2,
         role="overlap",
         label=f"leaky_min:{cut:g}",
