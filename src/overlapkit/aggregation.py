@@ -31,11 +31,12 @@ from .numerics import (
     _max,
     _min,
     _prod,
+    _sample_mesh,
     _scan_mesh,
     _value,
     _vectorized,
 )
-from .properties import PropertyReport, _pair_mesh, _report
+from .properties import PropertyReport, _report
 
 AGGREGATION_NAMES = ("mean", "min", "max", "product")
 
@@ -178,7 +179,7 @@ def check_commutes(
     connective_route = make_gon(aggregate_go(dual(agg, negation), gos, config), negation)
 
     witness, count, worst = _scan_mesh(
-        _pair_mesh(config),
+        _sample_mesh(config, 2),
         lambda x, y: (_value(implication_route, x, y), _value(connective_route, x, y)),
         _apart(config.eq_tol),
     )

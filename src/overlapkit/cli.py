@@ -90,9 +90,7 @@ from .numerics import (
     PreconditionError,
     UnitRangeError,
     UnitValue,
-    _mesh_values,
-    _product_mesh,
-    _value,
+    _tensor,
     load_config,
     uniform_grid,
 )
@@ -454,17 +452,15 @@ def _cmd_eval(args, config: CheckConfig) -> _Result:
     if arity > 2:
         raise PreconditionError("grid dump supports arity <= 2; use --at for wider connectives")
     axis = uniform_grid(config)
+    values = _tensor(obj, axis).tolist()
     grid = axis.tolist()
-    (flat,) = _mesh_values(_product_mesh(axis, arity), lambda *p: (_value(obj, *p),))
     # The axis is formatted once; the rows are formatted only when written.
     labels = [_fmt(g) for g in grid]
     if arity == 1:
-        values = flat.tolist()
         rows = ([g, _fmt(v)] for g, v in zip(labels, values))
         return _Result({"expression": obj.label, "grid": grid, "values": values}, ["x", "value"], rows)
-    matrix = flat.reshape(len(grid), len(grid)).tolist()
-    rows = ([x, y, _fmt(v)] for x, row in zip(labels, matrix) for y, v in zip(labels, row))
-    return _Result({"expression": obj.label, "grid": grid, "values": matrix}, ["x", "y", "value"], rows)
+    rows = ([x, y, _fmt(v)] for x, row in zip(labels, values) for y, v in zip(labels, row))
+    return _Result({"expression": obj.label, "grid": grid, "values": values}, ["x", "y", "value"], rows)
 
 
 _ROLE_TO_SET = {

@@ -19,14 +19,14 @@ maxima), and a continuity heuristic bounding jumps between adjacent grid
 cells by 10/resolution. "Only if" directions that survive the search are
 reported as "no counterexample found on grid", never as proved.
 
-check_axioms evaluates the function once on the grid, as one array
-evaluation of the grid points, and every check reads that tensor. The
-converse checks -- the O2/O3/G2/G3 "only if" directions and GO2a/GO3a --
-are one mask scan parameterized by side (overlap or grouping);
-grouping_from and overlap_from run the same scan on the tensor of their
-source before building its N-dual with negations.dual. Associativity (T2)
-is a first-witness mesh scan of the 21^3 triple grid, and T3 and
-check_idempotent take the first largest deviation over the samples.
+check_axioms evaluates the function once on the grid with numerics._tensor,
+and every check reads that tensor. The converse checks -- the O2/O3/G2/G3
+"only if" directions and GO2a/GO3a -- are one mask scan parameterized by
+side (overlap or grouping); grouping_from and overlap_from run the same
+scan on the tensor of their source before building its N-dual with
+negations.dual. Associativity (T2) is a first-witness mesh scan of the
+reduced triple grid, and T3 and check_idempotent take the first largest
+deviation over the samples.
 
 The named catalog is one table, _CATALOG: the role, parameter, note and
 formula of each name. catalog() and CATALOG_NAMES read it, and so do
@@ -38,10 +38,11 @@ numerics._vectorized, so the same body gives a point on floats and
 FusionFunction.values a mesh on arrays, bit for bit alike. Piecewise
 formulas guard their denominators or branch lazily.
 
-Binary functions are checked at the configured grid resolution; ternary and
-wider ones on a reduced grid (21 points for arity 3, 11 beyond) to keep the
-suite at desk scale. A grid of more than MAX_GRID_POINTS points (arity 7
-and up, or a binary grid of over 3162 per axis) is refused with a
+The grid along each coordinate is numerics._axis: the configured
+resolution for unary and binary functions, a reduced grid (21 points for
+arity 3, 11 beyond) for wider ones and for T2, to keep the suite at desk
+scale. A grid of more than numerics.MAX_GRID_POINTS points (arity 7 and
+up, or a binary grid of over 3162 per axis) is refused with a
 PreconditionError.
 """
 
@@ -62,18 +63,19 @@ from .numerics import (
     PreconditionError,
     UnitValue,
     _apart,
+    _axis,
     _branch,
+    _first,
     _fsum,
-    _is_array,
+    _grid_mesh,
     _jump_bound,
     _max,
     _mesh_values,
     _min,
-    _pointwise,
     _pow,
     _prod,
-    _product_mesh,
     _scan_mesh,
+    _tensor,
     _value,
     _values,
     _vectorized,
@@ -122,13 +124,6 @@ class FusionFunction:
                 f"{self.label} takes {self.arity} arguments, got {len(xs)}"
             )
         return _values(self, xs)
-
-    def _raw_values(self, *xs):
-        # fn's values without the range check, on floats or arrays, as truncate_overlap uses them.
-        if not _is_array(*xs):
-            return self.fn(*xs)
-        xs = np.broadcast_arrays(*xs)
-        return self.fn(*xs) if getattr(self.fn, "vectorized", False) else _pointwise(self.fn, xs)
 
     def param(self, name: str) -> float:
         return dict(self.params)[name]
@@ -358,11 +353,11 @@ def truncate_overlap(overlap: FusionFunction, a: float) -> FusionFunction:
         raise PreconditionError("truncation level a must lie in (0,1)")
 
     def fn(x, y, _o=overlap, _a=av):
-        cut = _o._raw_values(_max(x, y), _a)
+        cut = _value(_o, _max(x, y), _a)
         # A cut of 1 divides by zero: ZeroDivisionError on floats; on arrays inf
         # or nan, outside [0, 1], so the caller re-runs the points as scalars.
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _max(0.0, _o._raw_values(x, y) - cut) / (1.0 - cut)
+            return _max(0.0, _value(_o, x, y) - cut) / (1.0 - cut)
 
     return FusionFunction(
         fn=_vectorized(fn),
@@ -419,7 +414,7 @@ def _dual_from(f: FusionFunction, negation, config: CheckConfig, side: str) -> F
         raise PreconditionError(f"{who} needs a binary function")
     if not getattr(negation, "is_strict", False):
         raise PreconditionError(f"{who} requires a strict negation")
-    xs = _axis_grid(config, 2)
+    xs = _axis(config, 2)
     tensor = _tensor(f, xs)
     for level in (0.0, 1.0):
         check = _converse_check("converse", side, level, tensor, xs, config.eq_tol)
@@ -478,34 +473,6 @@ def idempotent_go(p: float, q: float) -> FusionFunction:
 # ---------------------------------------------------------------------------
 
 
-def check_resolution(config: CheckConfig, arity: int) -> int:
-    """Grid resolution used for a given arity (reduced beyond binary)."""
-    if arity <= 2:
-        return config.grid_resolution
-    return 21 if arity == 3 else 11
-
-
-def _axis_grid(config: CheckConfig, arity: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, check_resolution(config, arity))
-
-
-# Largest grid _tensor evaluates. Beyond it the arity, not the resolution,
-# drives the size (the columns of 11^7 points take over a gigabyte), so a
-# wider connective is refused rather than evaluated.
-MAX_GRID_POINTS = 10**7
-
-
-def _tensor(f: FusionFunction, xs: np.ndarray) -> np.ndarray:
-    # Compared as logarithms, so a huge arity never builds len(xs)**arity.
-    if f.arity * math.log(len(xs)) > math.log(MAX_GRID_POINTS):
-        raise PreconditionError(
-            f"{f.label}: arity {f.arity} needs a grid of {len(xs)}^{f.arity} points,"
-            f" more than {MAX_GRID_POINTS}"
-        )
-    (vals,) = _mesh_values(_product_mesh(xs, f.arity), lambda *p: (_value(f, *p),))
-    return vals.reshape((len(xs),) * f.arity)
-
-
 def _mask_check(
     axiom: str,
     mask: np.ndarray,
@@ -520,10 +487,9 @@ def _mask_check(
     meets the points in. deviation is a number, or an array shaped like mask
     that is read at the witness.
     """
-    hits = np.argwhere(mask)
-    if len(hits) == 0:
+    at = _first(mask)
+    if at is None:
         return None
-    at = tuple(int(k) for k in hits[0])
     if isinstance(deviation, np.ndarray):
         deviation = deviation[at]
     return AxiomCheck(
@@ -620,7 +586,7 @@ def check_axioms(f: FusionFunction, axiom_set: str, config: CheckConfig = DEFAUL
     checker = _AXIOM_SETS.get(axiom_set)
     if checker is None:
         raise PreconditionError(f"unknown axiom set {axiom_set!r} (want O|G|GO|T)")
-    xs = _axis_grid(config, f.arity)
+    xs = _axis(config, f.arity)
     checks = checker(f, _tensor(f, xs), xs, config)
     return AxiomReport(label=f.label, axiom_set=axiom_set, checks=tuple(checks))
 
@@ -736,7 +702,7 @@ def check_associativity(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG)
     if f.arity != 2:
         raise PreconditionError("associativity applies to binary functions")
     witness, _, worst = _scan_mesh(
-        _product_mesh(np.linspace(0.0, 1.0, 21), 3),
+        _grid_mesh(config, 3),
         lambda x, y, z: (_value(f, _value(f, x, y), z), _value(f, x, _value(f, y, z))),
         _apart(config.eq_tol),
     )
@@ -747,7 +713,7 @@ def check_associativity(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG)
 
 def continuity_heuristic(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG) -> AxiomCheck:
     """Standalone adjacent-jump continuity check (used for aggregations)."""
-    xs = _axis_grid(config, f.arity)
+    xs = _axis(config, f.arity)
     return _continuity_check("continuity", _tensor(f, xs), xs)
 
 

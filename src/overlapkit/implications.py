@@ -28,9 +28,9 @@ compositions (gon, tn, gn, ql, d, the natural negation and the recovered
 connective) over numerics._value, ql and d through the lazy
 numerics._branch, ro over numerics._sup, which bisects a point or a mesh,
 and the crisp family over numerics._where. So the same body evaluates a
-point on floats and a mesh on arrays. The I1/I2 grid and the two mesh
-scans of classify_crisp run on arrays; the corner identities and the
-threshold bisections are point queries and stay scalar.
+point on floats and a mesh on arrays. The I1/I2 grid (numerics._tensor)
+and the two mesh scans of classify_crisp run on arrays; the corner
+identities and the threshold bisections are point queries and stay scalar.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ from .numerics import (
     _apart,
     _branch,
     _bracket,
-    _mesh_values,
     _product_mesh,
     _scan_mesh,
     _sup,
+    _tensor,
     _value,
     _values,
     _vectorized,
@@ -341,8 +341,7 @@ def check_implication_axioms(
     """
     xs = uniform_grid(config)
     tol = config.eq_tol
-    (m,) = _mesh_values(_product_mesh(xs, 2), lambda x, y: (_value(implication, x, y),))
-    m = m.reshape(len(xs), len(xs))
+    m = _tensor(implication, xs)
     checks = []
     for axiom, excess, note in (
         ("I1", m - np.minimum.accumulate(m, axis=0), "not antitone in the first argument"),

@@ -31,10 +31,11 @@ from .numerics import (
     CheckConfig,
     PreconditionError,
     UnitValue,
+    _first,
     _invert,
     _jump_bound,
-    _mesh_values,
     _pow,
+    _tensor,
     _value,
     _values,
     _vectorized,
@@ -178,7 +179,7 @@ def classify(negation: Negation, config: CheckConfig = DEFAULT_CONFIG) -> Negati
     """
     tol = config.eq_tol
     samples = sorted_samples(config)
-    vals = _negation_values(negation, samples)
+    vals = _tensor(negation, samples)
     witnesses: dict = {}
 
     boundary_ok = vals[0] == 1.0 and vals[-1] == 0.0
@@ -187,66 +188,43 @@ def classify(negation: Negation, config: CheckConfig = DEFAULT_CONFIG) -> Negati
 
     # Antitonic: no later value may exceed an earlier one (checked via the
     # running minimum so every pair is covered, not just neighbors).
-    running_min = np.minimum.accumulate(vals)
-    rises = np.nonzero(vals[1:] > running_min[:-1] + tol)[0]
-    antitonic = rises.size == 0
-    if not antitonic:
-        j = int(rises[0]) + 1
+    rise = _first(vals[1:] > np.minimum.accumulate(vals)[:-1] + tol)
+    if rise is not None:
+        j = rise[0] + 1
         i = int(np.argmin(vals[:j]))
         witnesses["antitonic"] = (float(samples[i]), float(samples[j]))
 
     grid = uniform_grid(config)
-    gvals = _negation_values(negation, grid)
-    steps = np.diff(gvals)
+    steps = np.diff(_tensor(negation, grid))
+    # The first flat step, else the first jump past the continuity bound.
+    step = _first(steps >= 0.0) or _first(np.abs(steps) > _jump_bound(config.grid_resolution))
+    if step is not None:
+        i = step[0]
+        witnesses["strict"] = (float(grid[i]), float(grid[i + 1]))
 
-    flats = np.nonzero(steps >= 0.0)[0]
-    strictly_decreasing = flats.size == 0
-    jump_bound = _jump_bound(config.grid_resolution)
-    jumps = np.nonzero(np.abs(steps) > jump_bound)[0]
-    continuous = jumps.size == 0
-    if not strictly_decreasing:
-        i = int(flats[0])
-        witnesses.setdefault("strict", (float(grid[i]), float(grid[i + 1])))
-    elif not continuous:
-        i = int(jumps[0])
-        witnesses.setdefault("strict", (float(grid[i]), float(grid[i + 1])))
-
-    nn = _negation_values(negation, vals)
-    invol_bad = np.nonzero(np.abs(nn - samples) > tol)[0]
-    involutive = invol_bad.size == 0
-    if not involutive:
-        i = int(invol_bad[0])
-        witnesses["strong"] = (float(samples[i]), float(nn[i]))
-
-    off_levels = np.nonzero(np.minimum(vals, 1.0 - vals) > tol)[0]
-    two_valued = off_levels.size == 0
-    if not two_valued:
-        i = int(off_levels[0])
-        witnesses["crisp"] = (float(samples[i]), float(vals[i]))
-
+    nn = _tensor(negation, vals)
     interior = (samples > 0.0) & (samples < 1.0)
-    at_levels = interior & ((vals <= tol) | (vals >= 1.0 - tol))
-    frontier_ok = not np.any(at_levels)
-    if not frontier_ok:
-        i = int(np.nonzero(at_levels)[0][0])
-        witnesses["frontier"] = (float(samples[i]), float(vals[i]))
+    # A failed class's witness: the first sample where it fails and the value read there.
+    for name, mask, values in (
+        ("strong", np.abs(nn - samples) > tol, nn),
+        ("crisp", np.minimum(vals, 1.0 - vals) > tol, vals),
+        ("frontier", interior & ((vals <= tol) | (vals >= 1.0 - tol)), vals),
+    ):
+        at = _first(mask)
+        if at is not None:
+            witnesses[name] = (float(samples[at]), float(values[at]))
 
-    is_negation = boundary_ok and antitonic
-    is_strict = is_negation and strictly_decreasing and continuous
+    is_negation = boundary_ok and rise is None
+    is_strict = is_negation and step is None
     return NegationClassification(
         is_negation=is_negation,
         is_strict=is_strict,
-        is_strong=is_strict and involutive,
-        is_crisp=is_negation and two_valued,
-        is_frontier=is_negation and frontier_ok,
+        is_strong=is_strict and "strong" not in witnesses,
+        is_crisp=is_negation and "crisp" not in witnesses,
+        is_frontier=is_negation and "frontier" not in witnesses,
         witnesses=witnesses,
         samples_checked=len(samples),
     )
-
-
-def _negation_values(negation: Negation, xs: np.ndarray) -> np.ndarray:
-    (values,) = _mesh_values((xs,), lambda x: (_value(negation, x),))
-    return values
 
 
 def dual(f, negation: Negation):

@@ -2,11 +2,11 @@
 
 All connectives in this package map [0,1]^n into [0,1]. This module owns the
 small numeric core everything else leans on: a validating float type, the
-check configuration (grid resolution, tolerances, RNG seed), deterministic
-sample grids, two bisection kernels -- the supremum of a downward-closed
-predicate (used by residual implications) and the inversion of a strictly
-decreasing map (used by duality and recovery roundtrips) -- and the mesh
-kernels every pointwise check runs on.
+check configuration (grid resolution, tolerances, RNG seed), the grid layer
+that decides which points every check visits, two bisection kernels -- the
+supremum of a downward-closed predicate (used by residual implications) and
+the inversion of a strictly decreasing map (used by duality and recovery
+roundtrips) -- and the mesh kernels every pointwise check runs on.
 
 Bisections run a fixed iteration count ceil(log2(1/tol)) + 2 rather than
 testing convergence, so results are bit-for-bit deterministic. Every
@@ -29,6 +29,10 @@ evaluation raises UnitRangeError or PreconditionError, so the error or
 witness reported is the one met first in point order. The scalar scan
 _scan serves that fallback and is the reference the tests compare the
 array scan against.
+
+The grid layer builds every sample mesh: _axis is the one reduced-grid
+rule, _sample_mesh the mesh the property scans walk, and _tensor the one
+full evaluation of an object on a product grid.
 """
 
 from __future__ import annotations
@@ -150,9 +154,7 @@ def sample_grid(config: CheckConfig = DEFAULT_CONFIG) -> list[UnitValue]:
 
     Deterministic for a given config: same seed, same list.
     """
-    pts = [UnitValue(v) for v in np.linspace(0.0, 1.0, config.grid_resolution)]
-    pts.extend(UnitValue(v) for v in random_points(config))
-    return pts
+    return [UnitValue(v) for v in np.concatenate((uniform_grid(config), random_points(config)))]
 
 
 @lru_cache(maxsize=32)
@@ -175,7 +177,7 @@ def uniform_grid(config: CheckConfig = DEFAULT_CONFIG) -> np.ndarray:
 @lru_cache(maxsize=32)
 def sorted_samples(config: CheckConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Sorted, deduplicated union of the uniform grid and the random points."""
-    merged = np.unique(np.asarray(sample_grid(config), dtype=float))
+    merged = np.unique(np.concatenate((uniform_grid(config), random_points(config))))
     merged.setflags(write=False)
     return merged
 
@@ -363,9 +365,9 @@ def _is_array(*xs) -> bool:
 
 def _checked(values: np.ndarray) -> np.ndarray:
     """values if all lie in [0, 1], else UnitRangeError naming the first."""
-    bad = ~((values >= 0.0) & (values <= 1.0))
-    if bad.any():
-        raise UnitRangeError(f"value {float(values[np.argmax(bad)])!r} is not in [0, 1]")
+    at = _first(~((values >= 0.0) & (values <= 1.0)))
+    if at is not None:
+        raise UnitRangeError(f"value {float(values[at])!r} is not in [0, 1]")
     return values
 
 
@@ -442,11 +444,6 @@ def _branch(cond, branch: Callable, other, *xs):
     return out
 
 
-def _product_mesh(axis: np.ndarray, arity: int) -> tuple[np.ndarray, ...]:
-    """Columns of itertools.product(axis, repeat=arity), in its order."""
-    return tuple(g.ravel() for g in np.meshgrid(*[np.asarray(axis, dtype=float)] * arity, indexing="ij"))
-
-
 def _blocks(n: int, first: int = FIRST_BLOCK):
     """(start, stop) over range(n) in blocks doubling from first up to MAX_BLOCK."""
     start, size = 0, first
@@ -485,9 +482,9 @@ def _scan_mesh(
             witness, count, rest = _scan(_scalar_points(cols, start), lambda p: sides(*p), relation)
             return witness, start + count, max(worst, rest)
         failed, deviation = relation(lhs, rhs)
-        hits = np.flatnonzero(failed)
-        if hits.size:
-            k = int(hits[0])
+        hit = _first(failed)
+        if hit is not None:
+            (k,) = hit
             worst = max(worst, float(deviation[: k + 1].max()))
             point = tuple(float(c[k]) for c in block)
             return (point, float(lhs[k]), float(rhs[k]), float(deviation[k])), start + k + 1, worst
@@ -511,3 +508,56 @@ def _mesh_values(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple]) -> tupl
             parts.append([np.array(col, dtype=float) for col in zip(*rows)])
             break
     return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+# ---------------------------------------------------------------------------
+# Grid layer: which points a check visits
+# ---------------------------------------------------------------------------
+
+# Largest grid _tensor evaluates: the columns of 11^7 points take over a
+# gigabyte, so arity 7 and up, or a binary grid of over 3162 points per
+# axis, is refused rather than evaluated.
+MAX_GRID_POINTS = 10**7
+
+
+def _axis(config: CheckConfig, arity: int) -> np.ndarray:
+    """The grid along each coordinate: the configured one up to arity 2, 21 points for 3, 11 beyond."""
+    if arity <= 2:
+        return uniform_grid(config)
+    return np.linspace(0.0, 1.0, 21 if arity == 3 else 11)
+
+
+def _product_mesh(axis: np.ndarray, arity: int) -> tuple[np.ndarray, ...]:
+    """Columns of itertools.product(axis, repeat=arity), in its order."""
+    return tuple(g.ravel() for g in np.meshgrid(*[np.asarray(axis, dtype=float)] * arity, indexing="ij"))
+
+
+def _grid_mesh(config: CheckConfig, arity: int) -> tuple[np.ndarray, ...]:
+    """Columns of the product grid of _axis(config, arity), in C order."""
+    return _product_mesh(_axis(config, arity), arity)
+
+
+def _sample_mesh(config: CheckConfig, arity: int) -> tuple[np.ndarray, ...]:
+    """Columns of _grid_mesh(config, arity), then of the random points taken arity at a time."""
+    r = random_points(config)
+    m = len(r) // arity
+    return tuple(np.concatenate((g, r[k : arity * m : arity])) for k, g in enumerate(_grid_mesh(config, arity)))
+
+
+def _tensor(f, axis: np.ndarray) -> np.ndarray:
+    """f (a Negation, FusionFunction or Implication) on the product grid of axis, one tensor axis per argument."""
+    # Compared as logarithms, so a huge arity never builds len(axis)**arity.
+    if f.arity * math.log(len(axis)) > math.log(MAX_GRID_POINTS):
+        raise PreconditionError(
+            f"{f.label}: arity {f.arity} needs a grid of {len(axis)}^{f.arity} points,"
+            f" more than {MAX_GRID_POINTS}"
+        )
+    (vals,) = _mesh_values(_product_mesh(axis, f.arity), lambda *p: (_value(f, *p),))
+    return vals.reshape((len(axis),) * f.arity)
+
+
+def _first(mask: np.ndarray) -> Optional[tuple[int, ...]]:
+    """Index of the first True of mask in C order, or None when there is none."""
+    if not mask.any():
+        return None
+    return tuple(int(k) for k in np.unravel_index(int(np.argmax(mask)), mask.shape))

@@ -19,13 +19,15 @@ of 1 as a violation, since the property demands strict distance from 1.
 Failing scans stop at the lexicographically first witness so reports are
 deterministic. Every property scan runs on numerics._scan_mesh, which
 evaluates the mesh as arrays in doubling blocks and reports what the
-scalar scan numerics._scan would; compare and range_is_proper evaluate the
-whole mesh with numerics._mesh_values. Each check's sides are written once
-with numerics._value, so the same code runs on block arrays and, in the
-scalar fallback, on floats. Pairwise scans walk the uniform grid mesh plus
-seeded random pairs; triple scans (EP/EP1) use a reduced 21-point mesh plus
-random triples to stay at desk scale. pair_points and triple_points yield
-those meshes point by point, in the order of the columns the scans use.
+scalar scan numerics._scan would; compare evaluates the whole pair mesh
+with numerics._mesh_values, and range_is_proper the sample square with
+numerics._tensor. Each check's sides are written once with
+numerics._value, so the same code runs on block arrays and, in the scalar
+fallback, on floats. The scans walk numerics._sample_mesh: pairwise scans
+the uniform grid mesh plus seeded random pairs, triple scans (EP/EP1) the
+reduced grid of numerics._axis (21 points) plus random triples, to stay at
+desk scale. pair_points and triple_points yield those meshes point by
+point, in the order of the columns the scans use.
 """
 
 from __future__ import annotations
@@ -42,20 +44,19 @@ from .numerics import (
     CheckConfig,
     PreconditionError,
     _apart,
+    _axis,
     _mesh_values,
-    _product_mesh,
+    _sample_mesh,
     _scan_mesh,
+    _tensor,
     _value,
     random_points,
     sorted_samples,
-    uniform_grid,
 )
 
 UNARY_PROPERTIES = ("NP", "IP", "LOP", "ROP", "IB")
 EP_VARIANTS = ("EP", "EP1")
 CP_VARIANTS = ("CP", "LCP", "RCP")
-
-EP_GRID_RESOLUTION = 21
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,8 @@ def _report(pid: str, witness: Optional[tuple], count: int, note: str = "") -> P
 
 
 def pair_points(config: CheckConfig) -> Iterator[tuple[float, float]]:
-    grid = uniform_grid(config)
+    """The pair mesh point by point, in the order of numerics._sample_mesh(config, 2)."""
+    grid = _axis(config, 2)
     for x in grid:
         for y in grid:
             yield float(x), float(y)
@@ -133,7 +135,8 @@ def pair_points(config: CheckConfig) -> Iterator[tuple[float, float]]:
 
 
 def triple_points(config: CheckConfig) -> Iterator[tuple[float, float, float]]:
-    grid = np.linspace(0.0, 1.0, EP_GRID_RESOLUTION)
+    """The triple mesh point by point, in the order of numerics._sample_mesh(config, 3)."""
+    grid = _axis(config, 3)
     for x in grid:
         for y in grid:
             for z in grid:
@@ -141,24 +144,6 @@ def triple_points(config: CheckConfig) -> Iterator[tuple[float, float, float]]:
     r = random_points(config)
     for k in range(0, len(r) - 2, 3):
         yield float(r[k]), float(r[k + 1]), float(r[k + 2])
-
-
-def _random_tuples(config: CheckConfig, arity: int) -> list[np.ndarray]:
-    r = random_points(config)
-    m = len(r) // arity
-    return [r[k : arity * m : arity] for k in range(arity)]
-
-
-def _pair_mesh(config: CheckConfig) -> tuple[np.ndarray, ...]:
-    """pair_points(config) as coordinate columns, in the same order."""
-    grid = _product_mesh(uniform_grid(config), 2)
-    return tuple(np.concatenate(cols) for cols in zip(grid, _random_tuples(config, 2)))
-
-
-def _triple_mesh(config: CheckConfig) -> tuple[np.ndarray, ...]:
-    """triple_points(config) as coordinate columns, in the same order."""
-    grid = _product_mesh(np.linspace(0.0, 1.0, EP_GRID_RESOLUTION), 3)
-    return tuple(np.concatenate(cols) for cols in zip(grid, _random_tuples(config, 3)))
 
 
 def check_unary_property(
@@ -185,10 +170,10 @@ def check_unary_property(
         samples = sorted_samples(config)
         points, sides = (samples, samples), at_one
     elif prop == "LOP":
-        x, y = _pair_mesh(config)
+        x, y = _sample_mesh(config, 2)
         points, sides = (x[x <= y], y[x <= y]), at_one
     elif prop == "ROP":
-        x, y = _pair_mesh(config)
+        x, y = _sample_mesh(config, 2)
         points, sides = (x[x > y], y[x > y]), at_one
         note = (
             "strict bound: values within eq_tol of 1 violate ROP; "
@@ -199,7 +184,7 @@ def check_unary_property(
             return lhs >= rhs - tol, rhs - lhs
 
     else:
-        points = _pair_mesh(config)
+        points = _sample_mesh(config, 2)
 
         def sides(x, y):
             inner = _value(implication, x, y)
@@ -234,7 +219,7 @@ def check_ep(
         def relation(lhs, rhs):
             return (lhs >= 1.0 - tol) & (rhs < 1.0 - tol), 1.0 - rhs
 
-    witness, count, _ = _scan_mesh(_triple_mesh(config), sides, relation)
+    witness, count, _ = _scan_mesh(_sample_mesh(config, 3), sides, relation)
     return _report(variant, witness, count, note=note)
 
 
@@ -259,7 +244,7 @@ def check_contraposition(
         "LCP": lambda x, y: (v(i, v(n, x), y), v(i, v(n, y), x)),
         "RCP": lambda x, y: (v(i, x, v(n, y)), v(i, y, v(n, x))),
     }[variant]
-    witness, count, _ = _scan_mesh(_pair_mesh(config), sides, _apart(budget))
+    witness, count, _ = _scan_mesh(_sample_mesh(config, 2), sides, _apart(budget))
     pid = {"CP": "CP", "LCP": "L-CP", "RCP": "R-CP"}[variant]
     return _report(pid, witness, count, note=f"negation {negation.label}")
 
@@ -286,7 +271,7 @@ class Comparison:
 
 def compare(i1: Implication, i2: Implication, config: CheckConfig = DEFAULT_CONFIG) -> Comparison:
     """Max |i1 - i2| over the pair mesh with the first maximizing point."""
-    x, y = _pair_mesh(config)
+    x, y = _sample_mesh(config, 2)
     left, right = _mesh_values((x, y), lambda a, b: (_value(i1, a, b), _value(i2, a, b)))
     k = int(np.argmax(np.abs(left - right)))
     lhs, rhs = float(left[k]), float(right[k])
@@ -302,9 +287,7 @@ def range_is_proper(implication: Implication, config: CheckConfig = DEFAULT_CONF
     points in both coordinates); a uniform grid alone can overstate gaps for
     implications whose level sets are diagonal.
     """
-    mesh = _product_mesh(sorted_samples(config), 2)
-    (values,) = _mesh_values(mesh, lambda x, y: (_value(implication, x, y),))
-    values.sort()
+    values = np.sort(_tensor(implication, sorted_samples(config)), axis=None)
     threshold = 2.0 / config.grid_resolution
     if values[0] - 0.0 > threshold or 1.0 - values[-1] > threshold:
         return True

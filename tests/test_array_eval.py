@@ -25,8 +25,7 @@ from hypothesis import strategies as st
 
 import overlapkit as ok
 from overlapkit import numerics
-from overlapkit.numerics import _product_mesh, sorted_samples
-from overlapkit.properties import _pair_mesh, _triple_mesh
+from overlapkit.numerics import _product_mesh, _sample_mesh, sorted_samples
 
 CFG = ok.DEFAULT_CONFIG
 ALPHA, BETA = 0.5, 0.3
@@ -153,31 +152,31 @@ def _argument_sets(obj, mesh):
 
 
 def test_pair_mesh_lists_pair_points_in_order():
-    assert list(zip(*(c.tolist() for c in _pair_mesh(CFG)))) == list(ok.pair_points(CFG))
+    assert list(zip(*(c.tolist() for c in _sample_mesh(CFG, 2)))) == list(ok.pair_points(CFG))
 
 
 def test_triple_mesh_lists_triple_points_in_order():
-    assert list(zip(*(c.tolist() for c in _triple_mesh(CFG)))) == list(ok.triple_points(CFG))
+    assert list(zip(*(c.tolist() for c in _sample_mesh(CFG, 3)))) == list(ok.triple_points(CFG))
 
 
 @pytest.mark.parametrize("samples", [0, 1, 2, 3, 5])
 def test_meshes_match_generators_for_short_random_parts(samples):
     cfg = ok.CheckConfig(grid_resolution=3, random_samples=samples)
-    assert list(zip(*(c.tolist() for c in _pair_mesh(cfg)))) == list(ok.pair_points(cfg))
-    assert list(zip(*(c.tolist() for c in _triple_mesh(cfg)))) == list(ok.triple_points(cfg))
+    assert list(zip(*(c.tolist() for c in _sample_mesh(cfg, 2)))) == list(ok.pair_points(cfg))
+    assert list(zip(*(c.tolist() for c in _sample_mesh(cfg, 3)))) == list(ok.triple_points(cfg))
 
 
 @pytest.mark.parametrize("name", sorted(OBJECTS))
 def test_pair_mesh_bit_identical(name):
     obj = OBJECTS[name]
-    for cols in _argument_sets(obj, _pair_mesh(CFG)):
+    for cols in _argument_sets(obj, _sample_mesh(CFG, 2)):
         _assert_bit_identical(obj, cols)
 
 
 @pytest.mark.parametrize("name", sorted(OBJECTS))
 def test_triple_mesh_bit_identical(name):
     obj = OBJECTS[name]
-    for cols in _argument_sets(obj, _triple_mesh(CFG)):
+    for cols in _argument_sets(obj, _sample_mesh(CFG, 3)):
         _assert_bit_identical(obj, cols)
 
 

@@ -145,14 +145,23 @@ def test_axioms_explicit_set_failure(capsys):
 
 
 
-@pytest.mark.parametrize("n", ["40", "70", "1e20"])
-def test_axioms_of_a_huge_arity_exit_3(n, capsys):
-    # The axiom grid would hold 11^n points: refused before it is built.
-    assert run(["axioms", f"GO_PN:n={n}"]) == 3
+@pytest.mark.parametrize(
+    "argv, arity",
+    [
+        pytest.param(["axioms", "GO_PN:n=40"], 40, id="40"),
+        pytest.param(["axioms", "GO_PN:n=70"], 70, id="70"),
+        pytest.param(["axioms", "GO_PN:n=1e20"], 10**20, id="1e20"),
+        pytest.param(["eval", "gon(O_min, zadeh)", "--grid", "3163"], 2, id="eval-grid-3163"),
+    ],
+)
+def test_axioms_of_a_huge_arity_exit_3(argv, arity, capsys):
+    # The grid would hold more than 10^7 points (11^n for the axioms, 3163^2
+    # for the dump): refused before it is built.
+    assert run(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert f"arity {int(float(n))} " in captured.err
+    assert f"arity {arity} " in captured.err
 
 def test_axioms_json(capsys):
     assert run(["axioms", "O_min", "--format", "json"]) == 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import warnings
 
+import numpy as np
 import pytest
 
 import overlapkit as ok
@@ -118,6 +119,16 @@ def test_truncate_overlap_breaks_o2(coarse):
     rep = ok.check_axioms(trunc, "GO", coarse)
     assert rep.passed
     assert not ok.check_axioms(trunc, "O", coarse).check("O2").passed
+
+
+def test_truncate_overlap_rejects_a_source_value_outside_the_unit_interval():
+    # The cut 1.25 * 0.95 * 0.9 leaves [0, 1]; it must raise, not hide behind a negative denominator.
+    leaky = ok.FusionFunction(fn=lambda x, y: 1.25 * x * y, arity=2, role="overlap", label="leaky")
+    trunc = ok.truncate_overlap(leaky, 0.9)
+    with pytest.raises(ok.UnitRangeError, match=r"value 1\.06875 "):
+        trunc(0.95, 0.5)
+    with pytest.raises(ok.UnitRangeError, match=r"value 1\.06875 "):
+        trunc.values(np.array([0.95]), np.array([0.5]))
 
 
 def test_truncate_overlap_param_range():

@@ -4,7 +4,8 @@ overlapkit.__all__ is pinned name by name, and so are the parameter names,
 order and defaults of the four property checkers whose reports the
 benchmark tracer (bench/spans.py) reads: it binds each call's arguments and
 looks up ``prop`` and ``config`` by name. So are the parameters of the two
-bisection kernels, which the benchmark's probes pass by position.
+bisection kernels, which the benchmark's probes pass by position, and the
+private helpers the benchmark harness reaches outside __all__.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import inspect
 import pytest
 
 import overlapkit as ok
+from overlapkit import cli, numerics, properties
 
 PUBLIC_NAMES = [
     "AGGREGATION_NAMES",
@@ -142,3 +144,27 @@ def test_traced_binding_finds_prop_and_config():
         bound.apply_defaults()
         assert bound.arguments.get("prop") == ("NP" if name == "check_unary_property" else None)
         assert bound.arguments["config"] == (ok.DEFAULT_CONFIG if name in ("check_ep", "compare") else cfg)
+
+
+# What the benchmark harness binds outside the public names: bench/spans.py
+# counts mesh points through the two generators and wraps each class's own
+# __call__; bench/run.py warms the three grid caches and builds the parser.
+@pytest.mark.parametrize("name", ["pair_points", "triple_points"])
+def test_mesh_generators(name):
+    fn = getattr(properties, name)
+    assert inspect.isgeneratorfunction(fn)
+    assert list(inspect.signature(fn).parameters) == ["config"]
+
+
+@pytest.mark.parametrize("name", ["uniform_grid", "random_points", "sorted_samples"])
+def test_grid_caches(name):
+    assert list(inspect.signature(getattr(numerics, name)).parameters) == ["config"]
+
+
+def test_parser_builder_takes_no_arguments():
+    assert not inspect.signature(cli._build_parser).parameters
+
+
+@pytest.mark.parametrize("cls", [ok.Negation, ok.FusionFunction, ok.Implication], ids=lambda c: c.__name__)
+def test_scalar_call_is_defined_on_the_class(cls):
+    assert callable(cls.__dict__["__call__"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import overlapkit as ok
 from overlapkit.conjunctors import _CATALOG
-from overlapkit.properties import _pair_mesh
+from overlapkit.numerics import _sample_mesh
 
 from conftest import NEGATION_CATALOG
 
@@ -126,7 +126,7 @@ def test_dual_involution_for_strong(name, p):
     # catalog entry (the n-ary ones at n = 2) and any exponent p.
     f = ok.catalog(name, **{"p": {"p": p}, "n": {"n": 2}}.get(_CATALOG[name].param, {}))
     nz = ok.make_standard()
-    x, y = _pair_mesh(ok.DEFAULT_CONFIG)
+    x, y = _sample_mesh(ok.DEFAULT_CONFIG, 2)
     back = ok.dual(ok.dual(f, nz), nz)
     assert np.abs(back.values(x, y) - f.values(x, y)).max() <= ok.DEFAULT_CONFIG.eq_tol
 

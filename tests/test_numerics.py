@@ -9,6 +9,7 @@ import pytest
 
 import overlapkit as ok
 from overlapkit.numerics import (
+    _axis,
     config_from_mapping,
     iteration_count,
     random_points,
@@ -169,3 +170,15 @@ def test_invert_strict_roundtrip():
 def test_invert_strict_rejects_crisp():
     with pytest.raises(ok.PreconditionError):
         ok.invert_strict(ok.make_crisp("upper", 0.5), 0.3, 1e-8)
+
+
+@pytest.mark.parametrize("resolution", [101, 11])
+def test_reduced_grids(resolution):
+    # The configured grid up to two coordinates; 21 points for three and 11
+    # beyond, whatever the configured resolution (finer than it at 11).
+    cfg = ok.CheckConfig(grid_resolution=resolution)
+    assert [len(_axis(cfg, k)) for k in range(1, 7)] == [resolution, resolution, 21, 11, 11, 11]
+    # EP holds for tn(O_min, zadeh), so the scan visits the whole triple mesh.
+    report = ok.check_ep(ok.make_tn(ok.catalog("O_min"), ok.make_standard()), "EP", cfg)
+    assert report.holds
+    assert report.samples_checked == 21**3 + cfg.random_samples // 3

@@ -103,7 +103,7 @@ def test_leak_after_the_first_witness_still_reports_the_witness(scalar_kernels):
 
 def test_leak_before_the_first_witness_raises_the_scalar_error(scalar_kernels):
     implication = ok.make_gon(_leaky_min(0.005), ok.make_standard())
-    x, y = properties._pair_mesh(ok.DEFAULT_CONFIG)
+    x, y = numerics._sample_mesh(ok.DEFAULT_CONFIG, 2)
     # A plain array pass evaluates the lhs I(x, y) over the whole first block
     # and meets its leak first, at (0.01, 0) ...
     with pytest.raises(ok.UnitRangeError, match="value 1.01 is not in"):
