@@ -84,6 +84,7 @@ from .negations import (
 )
 from .numerics import (
     DEFAULT_CONFIG,
+    MAX_GRID_POINTS,
     CheckConfig,
     ConfigError,
     OverlapkitError,
@@ -632,6 +633,8 @@ def _cmd_search(args, config: CheckConfig) -> _Result:
         raise ParseError("search template must contain a {} placeholder")
     if args.steps < 1:
         raise ParseError(f"--steps must be >= 1, got {args.steps}")
+    if args.steps > MAX_GRID_POINTS:
+        raise ParseError(f"--steps must be at most {MAX_GRID_POINTS}, got {args.steps}")
     prop = _normalize_prop(args.prop)
     negation = parse_negation(args.negation)
     header = ["expression"] + _PROPS_HEADER

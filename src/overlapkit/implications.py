@@ -201,7 +201,7 @@ def make_residual(overlap: FusionFunction, config: CheckConfig = DEFAULT_CONFIG)
     tol = config.bisect_tol
 
     def fn(x, y, _o=overlap, _tol=tol):
-        return _sup(lambda z, xs, ys: _value(_o, xs, z) <= ys, _tol, x, y)
+        return _sup(lambda xs, ys, z: _value(_o, xs, z) <= ys, _tol, x, y)
 
     return Implication(
         fn=_vectorized(fn),

@@ -254,9 +254,9 @@ def dual(f, negation: Negation):
 def inverse_negation(negation: Negation, tol: float | None = None) -> Negation:
     """Numeric inverse of a strict negation, itself packaged as a Negation.
 
-    Each evaluation bisects N (numerics.invert_strict on a point, its array
-    twin on a mesh), so the result is within the bisection tolerance of the
-    true inverse rather than exact.
+    Each evaluation bisects N (numerics._invert, one body for a point and a
+    mesh), so the result is within the bisection tolerance of the true
+    inverse rather than exact; y = 0 and y = 1 map exactly to 1 and 0.
     """
     if not negation.is_strict:
         raise PreconditionError("inverse_negation requires a strict negation")

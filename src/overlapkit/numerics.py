@@ -10,18 +10,19 @@ roundtrips) -- and the mesh kernels every pointwise check runs on.
 
 Bisections run a fixed iteration count ceil(log2(1/tol)) + 2 rather than
 testing convergence, so results are bit-for-bit deterministic. Every
-bisection except find_neutral's runs on one scalar loop, _bracket, or on
-its array twin _bisect_array, which takes the same steps per element; each
-caller keeps its own endpoint handling.
+bisection except find_neutral's runs on one loop, _bracket, on floats or
+on arrays, where each element takes the steps its float would. _sup and
+_invert are one body each for a point and a mesh, and bisect only the
+points whose result is not an exact endpoint.
 
 Meshes are evaluated as numpy arrays and single points as floats, and only
 this module chooses between them. Each connective formula is written once
-over the primitives _min, _max, _prod, _fsum, _pow, _where and the lazy
-_branch, and marked with _vectorized; compositions go through _value, and
-_sup and _invert pick the scalar or the array bisection. On floats each
-primitive runs the Python builtin, on arrays the numpy ufunc, except that
-_pow and _fsum run Python's pow and math.fsum per element: numpy's power
-rounds differently on a few percent of points, so the bits would differ.
+over the primitives _min, _max, _prod, _fsum, _pow, _where, _all, _not and
+the lazy _branch, and marked with _vectorized; compositions go through
+_value. On floats each primitive runs the Python builtin, on arrays the
+numpy ufunc, except that _pow and _fsum run Python's pow and math.fsum per
+element: numpy's power rounds differently on a few percent of points, so
+the bits would differ.
 
 _scan_mesh is the blockwise first-witness scan and _mesh_values the
 blockwise full evaluation. Both re-run points as scalars when array
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -81,6 +82,12 @@ class UnitValue(float):
         return f"UnitValue({float(self)!r})"
 
 
+# Largest product mesh, grid_resolution, random_samples and search --steps:
+# the columns of 11^7 points take over a gigabyte, so arity 7 and up, or a
+# binary grid of over 3162 points per axis, is refused rather than evaluated.
+MAX_GRID_POINTS = 10**7
+
+
 @dataclass(frozen=True)
 class CheckConfig:
     """Knobs for every numeric check.
@@ -102,6 +109,9 @@ class CheckConfig:
             raise ConfigError("grid_resolution must be an integer >= 2")
         if not isinstance(self.random_samples, int) or self.random_samples < 0:
             raise ConfigError("random_samples must be a nonnegative integer")
+        for name in ("grid_resolution", "random_samples"):
+            if getattr(self, name) > MAX_GRID_POINTS:
+                raise ConfigError(f"{name} must be at most {MAX_GRID_POINTS}")
         if not isinstance(self.rng_seed, int):
             raise ConfigError("rng_seed must be an integer")
         for name in ("eq_tol", "bisect_tol"):
@@ -189,30 +199,20 @@ def iteration_count(tol: float) -> int:
     return max(1, math.ceil(math.log2(1.0 / tol))) + 2
 
 
-def _bracket(holds: Callable[[float], bool], tol: float) -> tuple[float, float]:
-    """Final bracket (lo, hi) of bisecting [0, 1]: lo moves up to mid where holds(mid), else hi down."""
-    lo, hi = 0.0, 1.0
-    for _ in range(iteration_count(tol)):
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+def _bracket(holds: Callable, tol: float, lo=0.0, hi=1.0) -> tuple:
+    """Final bracket (lo, hi) of bisecting [lo, hi]: lo moves up to mid where holds(mid), else hi down.
 
-
-def _bisect_array(holds: Callable[[np.ndarray], np.ndarray], n: int, tol: float) -> np.ndarray:
-    """Final midpoints of _bracket for n points at once, bit-identical to it.
-
-    holds(mid) tests every point's mid; each element takes the scalar steps.
+    holds(mid) is a bool on floats and a mask on arrays, which step elementwise.
     """
-    lo, hi = np.zeros(n), np.ones(n)
     for _ in range(iteration_count(tol)):
         mid = 0.5 * (lo + hi)
         ok = holds(mid)
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
-    return 0.5 * (lo + hi)
+        # isinstance inline, not _where: this runs at every step of every scalar bisection.
+        if isinstance(ok, np.ndarray):
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        else:
+            lo, hi = (mid, hi) if ok else (lo, mid)
+    return lo, hi
 
 
 def bisect_sup(pred: Callable[[float], bool], tol: float) -> UnitValue:
@@ -221,28 +221,7 @@ def bisect_sup(pred: Callable[[float], bool], tol: float) -> UnitValue:
     pred must hold at 0 and be true exactly on an initial segment [0, z*].
     Returns z with |z - z*| <= tol.
     """
-    if not pred(0.0):
-        raise PreconditionError("bisect_sup requires pred(0) to hold")
-    if pred(1.0):
-        return UnitValue(1.0)
-    lo, hi = _bracket(pred, tol)
-    return UnitValue(0.5 * (lo + hi))
-
-
-def _bisect_sup_array(pred: Callable[..., np.ndarray], tol: float, *cols: np.ndarray) -> np.ndarray:
-    """bisect_sup for each point of the columns cols at once.
-
-    pred(z, *cols) tests z against each point's predicate. Only the points
-    whose predicate fails at 1 are bisected, on _bisect_array.
-    """
-    n = len(cols[0])
-    if not pred(np.zeros(n), *cols).all():
-        raise PreconditionError("bisect_sup requires pred(0) to hold")
-    out = np.ones(n)
-    todo = ~pred(np.ones(n), *cols)
-    sub = tuple(c[todo] for c in cols)
-    out[todo] = _bisect_array(lambda mid: pred(mid, *sub), len(sub[0]), tol)
-    return out
+    return UnitValue(_sup(pred, tol))
 
 
 def invert_strict(negation, y: float, tol: float) -> UnitValue:
@@ -254,38 +233,35 @@ def invert_strict(negation, y: float, tol: float) -> UnitValue:
     """
     if not getattr(negation, "is_strict", False):
         raise PreconditionError("invert_strict requires a negation declared strict")
-    target = UnitValue(y)
-    if target >= 1.0:
-        return UnitValue(0.0)
-    if target <= 0.0:
-        return UnitValue(1.0)
-    # N(lo) >= target >= N(hi) throughout
-    lo, hi = _bracket(lambda mid: negation(mid) >= target, tol)
-    return UnitValue(0.5 * (lo + hi))
-
-
-def _invert_strict_array(negation, y: np.ndarray, tol: float) -> np.ndarray:
-    """invert_strict at every element of y, with its endpoints and its test N(mid) >= target."""
-    target = _checked(y)
-    out = np.where(target >= 1.0, 0.0, 1.0)
-    inner = (target > 0.0) & (target < 1.0)
-    sub = target[inner]
-    out[inner] = _bisect_array(lambda mid: negation.values(mid) >= sub, len(sub), tol)
-    return out
+    return UnitValue(_invert(negation, y, tol))
 
 
 def _sup(pred: Callable[..., bool], tol: float, *xs):
-    """bisect_sup of z -> pred(z, *xs) at a point (floats) or at each point of the arrays xs."""
-    if _is_array(*xs):
-        return _bisect_sup_array(pred, tol, *xs)
-    return float(bisect_sup(lambda z: pred(z, *xs), tol))
+    """bisect_sup of z -> pred(*xs, z) at a point (floats) or at each point of the arrays xs.
+
+    Where pred holds at 1 the result is exactly 1; only the other points are
+    bisected. z comes last, so partial binds a point without a Python frame per step.
+    """
+    if not _all(pred(*xs, 0.0)):
+        raise PreconditionError("bisect_sup requires pred(0) to hold")
+
+    def bisect(*p):
+        lo, hi = _bracket(partial(pred, *p), tol)
+        return 0.5 * (lo + hi)
+
+    return _branch(_not(pred(*xs, 1.0)), bisect, 1.0, *xs)
 
 
 def _invert(negation, y, tol: float):
-    """invert_strict at the float y, or at every element of the array y."""
-    if _is_array(y):
-        return _invert_strict_array(negation, y, tol)
-    return float(invert_strict(negation, y, tol))
+    """invert_strict at the float y, or at every element of the array y: exact at y = 0 and 1, else bisected."""
+    t = _checked(y) if _is_array(y) else float(UnitValue(y))
+
+    def bisect(s):
+        # The bracket starts as arrays on a mesh, so every step evaluates N on one.
+        lo, hi = _bracket(lambda mid: _value(negation, mid) >= s, tol, _min(s, 0.0), _max(s, 1.0))
+        return 0.5 * (lo + hi)
+
+    return _branch((t > 0.0) & (t < 1.0), bisect, _where(t >= 1.0, 0.0, 1.0), t)
 
 
 def _scan(
@@ -425,6 +401,15 @@ def _pow(base, exponent: float):
     return base**exponent
 
 
+def _all(cond) -> bool:
+    """Whether cond holds: a bool on floats, every element of a mask on arrays."""
+    return bool(cond.all()) if _is_array(cond) else bool(cond)
+
+
+def _not(cond):
+    return ~cond if _is_array(cond) else not cond
+
+
 def _where(cond, a, b):
     """a where cond holds, else b. Both are evaluated; see _branch for a lazy choice."""
     return np.where(cond, a, b) if _is_array(cond, a, b) else (a if cond else b)
@@ -435,6 +420,7 @@ def _branch(cond, branch: Callable, other, *xs):
 
     On floats cond is a bool; on arrays a mask, and branch sees only the
     elements of the arrays xs where it holds, as the scalar form would.
+    other is a float, or on arrays also an array of cond's shape.
     """
     if not _is_array(cond):
         return branch(*xs) if cond else other
@@ -514,12 +500,6 @@ def _mesh_values(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple]) -> tupl
 # Grid layer: which points a check visits
 # ---------------------------------------------------------------------------
 
-# Largest grid _tensor evaluates: the columns of 11^7 points take over a
-# gigabyte, so arity 7 and up, or a binary grid of over 3162 points per
-# axis, is refused rather than evaluated.
-MAX_GRID_POINTS = 10**7
-
-
 def _axis(config: CheckConfig, arity: int) -> np.ndarray:
     """The grid along each coordinate: the configured one up to arity 2, 21 points for 3, 11 beyond."""
     if arity <= 2:
@@ -528,7 +508,10 @@ def _axis(config: CheckConfig, arity: int) -> np.ndarray:
 
 
 def _product_mesh(axis: np.ndarray, arity: int) -> tuple[np.ndarray, ...]:
-    """Columns of itertools.product(axis, repeat=arity), in its order."""
+    """Columns of itertools.product(axis, repeat=arity), in its order, refused above MAX_GRID_POINTS."""
+    # Compared as logarithms, so a huge arity never builds len(axis)**arity.
+    if arity * math.log(len(axis)) > math.log(MAX_GRID_POINTS):
+        raise PreconditionError(f"arity {arity} needs {len(axis)}^{arity} points, more than {MAX_GRID_POINTS}")
     return tuple(g.ravel() for g in np.meshgrid(*[np.asarray(axis, dtype=float)] * arity, indexing="ij"))
 
 
@@ -546,12 +529,6 @@ def _sample_mesh(config: CheckConfig, arity: int) -> tuple[np.ndarray, ...]:
 
 def _tensor(f, axis: np.ndarray) -> np.ndarray:
     """f (a Negation, FusionFunction or Implication) on the product grid of axis, one tensor axis per argument."""
-    # Compared as logarithms, so a huge arity never builds len(axis)**arity.
-    if f.arity * math.log(len(axis)) > math.log(MAX_GRID_POINTS):
-        raise PreconditionError(
-            f"{f.label}: arity {f.arity} needs a grid of {len(axis)}^{f.arity} points,"
-            f" more than {MAX_GRID_POINTS}"
-        )
     (vals,) = _mesh_values(_product_mesh(axis, f.arity), lambda *p: (_value(f, *p),))
     return vals.reshape((len(axis),) * f.arity)
 

@@ -228,23 +228,21 @@ def check_contraposition(
     negation: Negation,
     variant: str = "CP",
     config: CheckConfig = DEFAULT_CONFIG,
-    tol: Optional[float] = None,
 ) -> PropertyReport:
     """Contraposition laws CP, LCP, RCP with respect to a given negation.
 
-    tol overrides eq_tol; pass a looser bound when the negation itself is a
-    bisection-backed numeric inverse.
+    Sides are compared at config.eq_tol; pass a config with a looser eq_tol
+    when the negation itself is a bisection-backed numeric inverse.
     """
     if variant not in CP_VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r} (want CP, LCP, or RCP)")
-    budget = config.eq_tol if tol is None else float(tol)
     i, n, v = implication, negation, _value
     sides = {
         "CP": lambda x, y: (v(i, x, y), v(i, v(n, y), v(n, x))),
         "LCP": lambda x, y: (v(i, v(n, x), y), v(i, v(n, y), x)),
         "RCP": lambda x, y: (v(i, x, v(n, y)), v(i, y, v(n, x))),
     }[variant]
-    witness, count, _ = _scan_mesh(_sample_mesh(config, 2), sides, _apart(budget))
+    witness, count, _ = _scan_mesh(_sample_mesh(config, 2), sides, _apart(config.eq_tol))
     pid = {"CP": "CP", "LCP": "L-CP", "RCP": "R-CP"}[variant]
     return _report(pid, witness, count, note=f"negation {negation.label}")
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -118,7 +119,8 @@ def test_criterion_05_contraposition_ladder(announce, binary_catalog, negations)
         for n in (ok.make_standard(), ok.make_power_strict(2)):
             imp = ok.make_gon(go, n)
             inv = ok.inverse_negation(n)
-            if not ok.check_contraposition(imp, inv, "RCP", tol=COMPOSED_TOL).holds:
+            composed = replace(ok.DEFAULT_CONFIG, eq_tol=COMPOSED_TOL)
+            if not ok.check_contraposition(imp, inv, "RCP", config=composed).holds:
                 problems.append(f"R-CP gon({go.label}, {n.label})")
     nz = ok.make_standard()
     for go in binary_catalog:

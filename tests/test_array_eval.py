@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import overlapkit as ok
-from overlapkit import numerics
 from overlapkit.numerics import _product_mesh, _sample_mesh, sorted_samples
 
 CFG = ok.DEFAULT_CONFIG
@@ -232,9 +231,6 @@ def test_inverse_and_recovery_meshes_make_no_scalar_calls(monkeypatch):
 
     for cls in (ok.Negation, ok.Implication):
         monkeypatch.setattr(cls, "__call__", counted(cls.__call__))
-    # Every scalar inversion goes through numerics._invert, which looks
-    # invert_strict up in its own module.
-    monkeypatch.setattr(numerics, "invert_strict", counted(numerics.invert_strict))
 
     def scalar_calls(run) -> int:
         calls.clear()

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from overlapkit import numerics
 from overlapkit.cli import _CATALOG_ROWS, _head_kind, run
 
 
@@ -152,6 +153,7 @@ def test_axioms_explicit_set_failure(capsys):
         pytest.param(["axioms", "GO_PN:n=70"], 70, id="70"),
         pytest.param(["axioms", "GO_PN:n=1e20"], 10**20, id="1e20"),
         pytest.param(["eval", "gon(O_min, zadeh)", "--grid", "3163"], 2, id="eval-grid-3163"),
+        pytest.param(["props", "gon(O_min, zadeh)", "--prop", "LOP", "--grid", "3163"], 2, id="props-grid-3163"),
     ],
 )
 def test_axioms_of_a_huge_arity_exit_3(argv, arity, capsys):
@@ -162,6 +164,24 @@ def test_axioms_of_a_huge_arity_exit_3(argv, arity, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert f"arity {arity} " in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "gon(O_min, zadeh)"],
+        ["props", "gon(O_min, zadeh)", "--prop", "LOP"],
+        ["props", "gon(O_min, zadeh)", "--prop", "CP"],
+        ["compare", "gon(O_min, zadeh)", "gon(GO_max, zadeh)"],
+    ],
+    ids=["eval", "props-LOP", "props-CP", "compare"],
+)
+def test_every_product_mesh_above_the_bound_exits_3(argv, monkeypatch, capsys):
+    # With the bound at 100 points, the 11^2 grid is refused by every verb, not only the dump.
+    monkeypatch.setattr(numerics, "MAX_GRID_POINTS", 100)
+    assert run(argv + ["--grid", "11", "--samples", "0"]) == 3
+    assert "arity 2 needs 11^2 points, more than 100" in capsys.readouterr().err
+
 
 def test_axioms_json(capsys):
     assert run(["axioms", "O_min", "--format", "json"]) == 0
@@ -286,6 +306,15 @@ def test_search_rejects_steps_below_one(steps, capsys):
     assert "--steps must be >= 1" in captured.err
 
 
+def test_search_rejects_steps_above_the_grid_bound(capsys):
+    code = run(["search", "gon(O_P:p={}, zadeh)", "--prop", "EP",
+                "--range", "1", "2", "--steps", "10000001"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --steps must be at most 10000000") and captured.err.count("\n") == 1
+
+
 def test_search_no_violation(capsys):
     code = run(["search", "gon(GO_TL:p={}, zadeh)", "--prop", "L-CP",
                 "--range", "1", "3", "--steps", "3", "--assert"])
@@ -373,6 +402,15 @@ def test_bad_config_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("grid_resolution : 21\n")
     assert run(["eval", "zadeh", "--at", "0.5", "--config", str(cfg)]) == 2
+
+
+def test_oversized_config_values_exit_2(tmp_path, capsys):
+    assert run(["eval", "zadeh", "--at", "0.5", "--grid", "10000001"]) == 2
+    assert "grid_resolution must be at most 10000000" in capsys.readouterr().err
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("random_samples = 10000001\n")
+    assert run(["eval", "zadeh", "--at", "0.5", "--config", str(cfg)]) == 2
+    assert "random_samples must be at most 10000000" in capsys.readouterr().err
 
 
 def test_missing_config_exits_3(tmp_path):

@@ -98,7 +98,6 @@ CHECKER_PARAMETERS = {
         ("negation", _EMPTY),
         ("variant", "CP"),
         ("config", ok.DEFAULT_CONFIG),
-        ("tol", None),
     ],
     "compare": [("i1", _EMPTY), ("i2", _EMPTY), ("config", ok.DEFAULT_CONFIG)],
 }

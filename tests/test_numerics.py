@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import overlapkit as ok
 from overlapkit.numerics import (
     _axis,
+    _bracket,
     config_from_mapping,
     iteration_count,
     random_points,
@@ -49,6 +52,8 @@ def test_default_config_values():
         {"eq_tol": 0.0},
         {"eq_tol": -1e-9},
         {"bisect_tol": 0.0},
+        {"grid_resolution": 10**7 + 1},
+        {"random_samples": 10**7 + 1},
     ],
 )
 def test_config_validation(kwargs):
@@ -170,6 +175,33 @@ def test_invert_strict_roundtrip():
 def test_invert_strict_rejects_crisp():
     with pytest.raises(ok.PreconditionError):
         ok.invert_strict(ok.make_crisp("upper", 0.5), 0.3, 1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=16),
+    st.sampled_from([1e-8, 1e-12]),
+)
+def test_bracket_on_arrays_takes_the_steps_of_each_float(thresholds, tol):
+    c = np.array(thresholds)
+    lo, hi = _bracket(lambda m: m <= c, tol, np.zeros(len(c)), np.ones(len(c)))
+    for k, ck in enumerate(thresholds):
+        want = _bracket(lambda m: m <= ck, tol)
+        assert (float(lo[k]).hex(), float(hi[k]).hex()) == tuple(v.hex() for v in want)
+
+
+def test_a_point_and_a_mesh_raise_the_same_bisection_errors():
+    ro = ok.make_residual(ok.grouping_max().with_role("general_overlap"))
+    inv = ok.inverse_negation(ok.make_standard())
+    cases = [
+        (ok.PreconditionError, r"^bisect_sup requires pred\(0\) to hold$", ro, (0.5, 0.1)),
+        (ok.UnitRangeError, r"^value 1\.5 is not in \[0, 1\]$", inv, (1.5,)),
+    ]
+    for error, message, obj, point in cases:
+        with pytest.raises(error, match=message):
+            obj(*point)
+        with pytest.raises(error, match=message):
+            obj.values(*(np.array([0.25, x]) for x in point))
 
 
 @pytest.mark.parametrize("resolution", [101, 11])

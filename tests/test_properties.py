@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import overlapkit as ok
@@ -95,7 +97,7 @@ def test_rcp_with_numeric_inverse():
         n = make()
         imp = _gon("O_min", n)
         inv = ok.inverse_negation(n)
-        assert ok.check_contraposition(imp, inv, "RCP", tol=2e-8).holds
+        assert ok.check_contraposition(imp, inv, "RCP", config=replace(ok.DEFAULT_CONFIG, eq_tol=2e-8)).holds
 
 
 def test_ql_fails_lcp_for_every_catalog_negation():
