@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import re
@@ -453,15 +454,13 @@ def _cmd_eval(args, config: CheckConfig) -> _Result:
     if arity > 2:
         raise PreconditionError("grid dump supports arity <= 2; use --at for wider connectives")
     axis = uniform_grid(config)
-    values = _tensor(obj, axis).tolist()
+    values = _tensor(obj, axis)
     grid = axis.tolist()
     # The axis is formatted once; the rows are formatted only when written.
     labels = [_fmt(g) for g in grid]
-    if arity == 1:
-        rows = ([g, _fmt(v)] for g, v in zip(labels, values))
-        return _Result({"expression": obj.label, "grid": grid, "values": values}, ["x", "value"], rows)
-    rows = ([x, y, _fmt(v)] for x, row in zip(labels, values) for y, v in zip(labels, row))
-    return _Result({"expression": obj.label, "grid": grid, "values": values}, ["x", "y", "value"], rows)
+    rows = ([*p, _fmt(v)] for p, v in zip(itertools.product(labels, repeat=arity), values.flat))
+    payload = {"expression": obj.label, "grid": grid, "values": values.tolist()}
+    return _Result(payload, ["x", "y"][:arity] + ["value"], rows)
 
 
 _ROLE_TO_SET = {

@@ -62,6 +62,7 @@ from .numerics import (
     CheckConfig,
     PreconditionError,
     UnitValue,
+    _Record,
     _apart,
     _axis,
     _branch,
@@ -133,7 +134,7 @@ class FusionFunction:
 
 
 @dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(_Record):
     """Outcome of one axiom: pass/fail, witness point, worst deviation."""
 
     axiom: str
@@ -142,16 +143,6 @@ class AxiomCheck:
     deviation: float = 0.0
     note: str = ""
     informational: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "passed": self.passed,
-            "witness": None if self.witness is None else list(self.witness),
-            "deviation": self.deviation,
-            "note": self.note,
-            "informational": self.informational,
-        }
 
 
 @dataclass(frozen=True)

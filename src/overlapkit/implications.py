@@ -64,7 +64,11 @@ from .numerics import (
 
 FAMILIES = ("gon", "gn", "ql", "ro", "d", "tn", "crisp", "agg")
 
-CRISP_KINDS = ("C1", "C2", "C3", "C4")
+# kind: (x compared strictly with alpha, y compared strictly with beta). The
+# admissible thresholds follow: alpha in [0, 1) when x is compared strictly,
+# else (0, 1]; beta in (0, 1] when y is compared strictly, else [0, 1).
+_CRISP_STRICT = {"C1": (False, False), "C2": (True, True), "C3": (False, True), "C4": (True, False)}
+CRISP_KINDS = tuple(_CRISP_STRICT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,16 +241,6 @@ def make_tn(tnorm: FusionFunction, negation: Negation) -> Implication:
     return _negated_composite(tnorm, negation, "tn", "tnorm")
 
 
-_CRISP_RANGES = {
-    # kind: (test of alpha, test of beta), the admissible threshold ranges
-    # that make_crisp_family's docstring lists
-    "C1": (lambda a: 0.0 < a <= 1.0, lambda b: 0.0 <= b < 1.0),
-    "C2": (lambda a: 0.0 <= a < 1.0, lambda b: 0.0 < b <= 1.0),
-    "C3": (lambda a: 0.0 < a <= 1.0, lambda b: 0.0 < b <= 1.0),
-    "C4": (lambda a: 0.0 <= a < 1.0, lambda b: 0.0 <= b < 1.0),
-}
-
-
 def make_crisp_family(kind: str, alpha: float, beta: float) -> Implication:
     """Two-valued threshold implications, zero exactly on one corner region.
 
@@ -258,11 +252,11 @@ def make_crisp_family(kind: str, alpha: float, beta: float) -> Implication:
     if kind not in CRISP_KINDS:
         raise PreconditionError(f"unknown crisp kind {kind!r} (want C1..C4)")
     a, b = float(alpha), float(beta)
-    ok_a, ok_b = _CRISP_RANGES[kind]
-    if not (ok_a(a) and ok_b(b)):
+    x_strict, y_strict = _CRISP_STRICT[kind]
+    a_ok = 0.0 <= a < 1.0 if x_strict else 0.0 < a <= 1.0
+    b_ok = 0.0 < b <= 1.0 if y_strict else 0.0 <= b < 1.0
+    if not (a_ok and b_ok):
         raise PreconditionError(f"parameters ({a:g}, {b:g}) out of range for {kind}")
-    x_strict = kind in ("C2", "C4")
-    y_strict = kind in ("C2", "C3")
 
     def fn(x, y, _a=a, _b=b, _xs=x_strict, _ys=y_strict):
         in_x = x > _a if _xs else x >= _a
@@ -415,12 +409,7 @@ def classify_crisp(
         x_strict = float(implication(a, 0.0)) > 0.5
         for b in b_cands:
             y_strict = float(implication(1.0, b)) >= 0.5
-            kind = {
-                (False, False): "C1",
-                (True, True): "C2",
-                (False, True): "C3",
-                (True, False): "C4",
-            }[(x_strict, y_strict)]
+            kind = next(k for k, strict in _CRISP_STRICT.items() if strict == (x_strict, y_strict))
             try:
                 fitted = make_crisp_family(kind, a, b)
             except PreconditionError:

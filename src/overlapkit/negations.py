@@ -31,6 +31,7 @@ from .numerics import (
     CheckConfig,
     PreconditionError,
     UnitValue,
+    _Record,
     _first,
     _invert,
     _jump_bound,
@@ -78,7 +79,7 @@ class Negation:
 
 
 @dataclass(frozen=True)
-class NegationClassification:
+class NegationClassification(_Record):
     """Numerically verified class membership with falsifying witnesses.
 
     witnesses maps a failed class name ("strict", "strong", ...) to the
@@ -98,17 +99,6 @@ class NegationClassification:
         if not self.witnesses:
             return None
         return next(iter(self.witnesses.values()))
-
-    def as_dict(self) -> dict:
-        return {
-            "is_negation": self.is_negation,
-            "is_strict": self.is_strict,
-            "is_strong": self.is_strong,
-            "is_crisp": self.is_crisp,
-            "is_frontier": self.is_frontier,
-            "witnesses": {k: list(v) for k, v in self.witnesses.items()},
-            "samples_checked": self.samples_checked,
-        }
 
 
 def make_standard() -> Negation:

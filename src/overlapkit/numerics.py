@@ -31,6 +31,9 @@ witness reported is the one met first in point order. The scalar scan
 _scan serves that fallback and is the reference the tests compare the
 array scan against.
 
+_plain is the one serializer of the report dataclasses, and _Record gives
+each of them as_dict() through it.
+
 The grid layer builds every sample mesh: _axis is the one reduced-grid
 rule, _sample_mesh the mesh the property scans walk, and _tensor the one
 full evaluation of an object on a product grid.
@@ -39,7 +42,7 @@ full evaluation of an object on a product grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache, partial, reduce
 from typing import Callable, Iterable, Optional
 
@@ -82,6 +85,24 @@ class UnitValue(float):
         return f"UnitValue({float(self)!r})"
 
 
+def _plain(value):
+    """value as JSON data: a dataclass as its fields in order (keyed by metadata "key" if set), tuples as lists."""
+    if is_dataclass(value):
+        return {f.metadata.get("key", f.name): _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
+class _Record:
+    """Base of the report dataclasses: as_dict() is the _plain form of the report."""
+
+    def as_dict(self) -> dict:
+        return _plain(self)
+
+
 # Largest product mesh, grid_resolution, random_samples and search --steps:
 # the columns of 11^7 points take over a gigabyte, so arity 7 and up, or a
 # binary grid of over 3162 points per axis, is refused rather than evaluated.
@@ -112,8 +133,8 @@ class CheckConfig:
         for name in ("grid_resolution", "random_samples"):
             if getattr(self, name) > MAX_GRID_POINTS:
                 raise ConfigError(f"{name} must be at most {MAX_GRID_POINTS}")
-        if not isinstance(self.rng_seed, int):
-            raise ConfigError("rng_seed must be an integer")
+        if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
+            raise ConfigError("rng_seed must be a nonnegative integer")
         for name in ("eq_tol", "bisect_tol"):
             value = getattr(self, name)
             if not (isinstance(value, float) and math.isfinite(value) and value > 0.0):
@@ -146,16 +167,20 @@ def load_config(path: str) -> CheckConfig:
     eq_tol, bisect_tol. Blank lines and '#' comments are ignored. Missing
     keys keep their defaults.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text") from exc
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = text.partition("=")
-            values[key.strip()] = raw.strip()
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, raw = text.partition("=")
+        values[key.strip()] = raw.strip()
     return config_from_mapping(values)
 
 

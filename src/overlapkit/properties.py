@@ -9,7 +9,7 @@ Property ids:
 * IB: I(x, I(x, y)) = I(x, y) (iterative Boolean law).
 * EP: I(x, I(y, z)) = I(y, I(x, z)) (exchange principle).
 * EP1: I(x, I(y, z)) = 1 implies I(y, I(x, z)) = 1 (exchange at 1 only).
-* CP / LCP / RCP: contraposition laws parameterized by a negation N,
+* CP / L-CP / R-CP: contraposition laws parameterized by a negation N,
   comparing I(x, y) with I(N(y), N(x)), I(N(x), y) with I(N(y), x), and
   I(x, N(y)) with I(y, N(x)) respectively.
 
@@ -17,23 +17,26 @@ All verdicts are grid verdicts: "holds_on_grid" never claims a proof.
 Equality checks compare within eq_tol; ROP treats any value within eq_tol
 of 1 as a violation, since the property demands strict distance from 1.
 Failing scans stop at the lexicographically first witness so reports are
-deterministic. Every property scan runs on numerics._scan_mesh, which
-evaluates the mesh as arrays in doubling blocks and reports what the
-scalar scan numerics._scan would; compare evaluates the whole pair mesh
-with numerics._mesh_values, and range_is_proper the sample square with
-numerics._tensor. Each check's sides are written once with
-numerics._value, so the same code runs on block arrays and, in the scalar
-fallback, on floats. The scans walk numerics._sample_mesh: pairwise scans
-the uniform grid mesh plus seeded random pairs, triple scans (EP/EP1) the
-reduced grid of numerics._axis (21 points) plus random triples, to stay at
-desk scale. pair_points and triple_points yield those meshes point by
-point, in the order of the columns the scans use.
+deterministic.
+
+The ten scans are the rows of one table, _PROPERTIES, keyed by report id:
+the mesh each walks, its two sides, the relation that fails a point and the
+note. _check runs a row on numerics._scan_mesh, which evaluates the mesh as
+arrays in doubling blocks and reports what the scalar scan numerics._scan
+would; the public checkers only validate the id. NP and IP walk the sorted
+samples, the other pairwise scans numerics._sample_mesh (the uniform grid
+mesh plus seeded random pairs), EP and EP1 the triple mesh on the reduced
+grid of numerics._axis (21 points) plus random triples. pair_points and
+triple_points yield those meshes point by point, in column order. compare
+evaluates the whole pair mesh with numerics._mesh_values, range_is_proper
+the sample square with numerics._tensor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,6 +49,7 @@ from .numerics import (
     _apart,
     _axis,
     _mesh_values,
+    _Record,
     _sample_mesh,
     _scan_mesh,
     _tensor,
@@ -60,7 +64,7 @@ CP_VARIANTS = ("CP", "LCP", "RCP")
 
 
 @dataclass(frozen=True)
-class PropertyWitness:
+class PropertyWitness(_Record):
     """A failing point with both evaluated sides and their distance."""
 
     point: tuple
@@ -68,20 +72,12 @@ class PropertyWitness:
     rhs: float
     deviation: float
 
-    def as_dict(self) -> dict:
-        return {
-            "point": list(self.point),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "deviation": self.deviation,
-        }
-
 
 @dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(_Record):
     """Outcome of one property scan over the sampled mesh."""
 
-    property_id: str
+    property_id: str = field(metadata={"key": "property"})
     status: str
     witness: Optional[PropertyWitness]
     samples_checked: int
@@ -93,15 +89,6 @@ class PropertyReport:
 
     def __bool__(self) -> bool:
         return self.holds
-
-    def as_dict(self) -> dict:
-        return {
-            "property": self.property_id,
-            "status": self.status,
-            "witness": None if self.witness is None else self.witness.as_dict(),
-            "samples_checked": self.samples_checked,
-            "note": self.note,
-        }
 
     def summary(self) -> str:
         head = f"{self.property_id:<5} {self.status}"
@@ -146,52 +133,87 @@ def triple_points(config: CheckConfig) -> Iterator[tuple[float, float, float]]:
         yield float(r[k]), float(r[k + 1]), float(r[k + 2])
 
 
+class _Property(NamedTuple):
+    """A row of _PROPERTIES.
+
+    mesh(config) gives the columns to scan; sides(i, n, *point) the (lhs,
+    rhs), with i and n the implication and the negation under
+    numerics._value; relation(eq_tol) the test of a point;
+    note.format(negation) the report's note.
+    """
+
+    mesh: Callable[[CheckConfig], tuple]
+    sides: Callable[..., tuple]
+    relation: Callable[[float], Callable] = _apart
+    note: str = ""
+
+
+def _pairs_where(keep: Callable, config: CheckConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The pair mesh at the points where keep(x, y) holds."""
+    x, y = _sample_mesh(config, 2)
+    mask = keep(x, y)
+    return x[mask], y[mask]
+
+
+def _at_one(i, n, x, y):
+    # IP and LOP compare with 1 by _apart: |v - 1| is 1 - v exactly for v <= 1.
+    return i(x, y), 1.0
+
+
+def _ib_sides(i, n, x, y):
+    inner = i(x, y)
+    return i(x, inner), inner
+
+
+def _ep_sides(i, n, x, y, z):
+    return i(x, i(y, z)), i(y, i(x, z))
+
+
+_pairs = partial(_sample_mesh, arity=2)
+_triples = partial(_sample_mesh, arity=3)
+_BY_NEGATION = "negation {0.label}"
+
+_PROPERTIES = {
+    "NP": _Property(lambda c: np.broadcast_arrays(1.0, sorted_samples(c)), lambda i, n, x, y: (i(x, y), y)),
+    "IP": _Property(lambda c: (sorted_samples(c),) * 2, _at_one),
+    "LOP": _Property(partial(_pairs_where, np.less_equal), _at_one),
+    "ROP": _Property(
+        partial(_pairs_where, np.greater),
+        _at_one,
+        lambda tol: lambda lhs, rhs: (lhs >= rhs - tol, rhs - lhs),
+        "strict bound: values within eq_tol of 1 violate ROP; witness deviation is the distance to 1",
+    ),
+    "IB": _Property(_pairs, _ib_sides),
+    "EP": _Property(_triples, _ep_sides),
+    "EP1": _Property(
+        _triples,
+        _ep_sides,
+        lambda tol: lambda lhs, rhs: ((lhs >= 1.0 - tol) & (rhs < 1.0 - tol), 1.0 - rhs),
+        "one side at 1 must force the other to 1",
+    ),
+    "CP": _Property(_pairs, lambda i, n, x, y: (i(x, y), i(n(y), n(x))), note=_BY_NEGATION),
+    "L-CP": _Property(_pairs, lambda i, n, x, y: (i(n(x), y), i(n(y), x)), note=_BY_NEGATION),
+    "R-CP": _Property(_pairs, lambda i, n, x, y: (i(x, n(y)), i(y, n(x))), note=_BY_NEGATION),
+}
+
+
+def _check(
+    pid: str, implication: Implication, negation: Optional[Negation], config: CheckConfig
+) -> PropertyReport:
+    """The PropertyReport of scanning row pid of _PROPERTIES."""
+    row = _PROPERTIES[pid]
+    sides = partial(row.sides, partial(_value, implication), partial(_value, negation))
+    witness, count, _ = _scan_mesh(row.mesh(config), sides, row.relation(config.eq_tol))
+    return _report(pid, witness, count, row.note.format(negation))
+
+
 def check_unary_property(
     implication: Implication, prop: str, config: CheckConfig = DEFAULT_CONFIG
 ) -> PropertyReport:
     """Check NP, IP, LOP, ROP, or IB for one implication."""
     if prop not in UNARY_PROPERTIES:
         raise PreconditionError(f"unknown property {prop!r} (want one of {UNARY_PROPERTIES})")
-    tol = config.eq_tol
-    # IP and LOP compare with 1 by _apart too: |v - 1| is 1 - v exactly for v <= 1.
-    relation, note = _apart(tol), ""
-
-    def at_one(x, y):
-        return _value(implication, x, y), 1.0
-
-    if prop == "NP":
-        samples = sorted_samples(config)
-        points = (np.ones(len(samples)), samples)
-
-        def sides(x, y):
-            return _value(implication, x, y), y
-
-    elif prop == "IP":
-        samples = sorted_samples(config)
-        points, sides = (samples, samples), at_one
-    elif prop == "LOP":
-        x, y = _sample_mesh(config, 2)
-        points, sides = (x[x <= y], y[x <= y]), at_one
-    elif prop == "ROP":
-        x, y = _sample_mesh(config, 2)
-        points, sides = (x[x > y], y[x > y]), at_one
-        note = (
-            "strict bound: values within eq_tol of 1 violate ROP; "
-            "witness deviation is the distance to 1"
-        )
-
-        def relation(lhs, rhs):
-            return lhs >= rhs - tol, rhs - lhs
-
-    else:
-        points = _sample_mesh(config, 2)
-
-        def sides(x, y):
-            inner = _value(implication, x, y)
-            return _value(implication, x, inner), inner
-
-    witness, count, _ = _scan_mesh(points, sides, relation)
-    return _report(prop, witness, count, note)
+    return _check(prop, implication, None, config)
 
 
 def check_ep(
@@ -205,22 +227,7 @@ def check_ep(
     """
     if variant not in EP_VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r} (want EP or EP1)")
-    tol = config.eq_tol
-
-    def sides(x, y, z):
-        lhs = _value(implication, x, _value(implication, y, z))
-        return lhs, _value(implication, y, _value(implication, x, z))
-
-    if variant == "EP":
-        relation, note = _apart(tol), ""
-    else:
-        note = "one side at 1 must force the other to 1"
-
-        def relation(lhs, rhs):
-            return (lhs >= 1.0 - tol) & (rhs < 1.0 - tol), 1.0 - rhs
-
-    witness, count, _ = _scan_mesh(_sample_mesh(config, 3), sides, relation)
-    return _report(variant, witness, count, note=note)
+    return _check(variant, implication, None, config)
 
 
 def check_contraposition(
@@ -232,23 +239,16 @@ def check_contraposition(
     """Contraposition laws CP, LCP, RCP with respect to a given negation.
 
     Sides are compared at config.eq_tol; pass a config with a looser eq_tol
-    when the negation itself is a bisection-backed numeric inverse.
+    when the negation itself is a bisection-backed numeric inverse. The
+    reports are named CP, L-CP and R-CP.
     """
     if variant not in CP_VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r} (want CP, LCP, or RCP)")
-    i, n, v = implication, negation, _value
-    sides = {
-        "CP": lambda x, y: (v(i, x, y), v(i, v(n, y), v(n, x))),
-        "LCP": lambda x, y: (v(i, v(n, x), y), v(i, v(n, y), x)),
-        "RCP": lambda x, y: (v(i, x, v(n, y)), v(i, y, v(n, x))),
-    }[variant]
-    witness, count, _ = _scan_mesh(_sample_mesh(config, 2), sides, _apart(config.eq_tol))
-    pid = {"CP": "CP", "LCP": "L-CP", "RCP": "R-CP"}[variant]
-    return _report(pid, witness, count, note=f"negation {negation.label}")
+    return _check({"LCP": "L-CP", "RCP": "R-CP"}.get(variant, variant), implication, negation, config)
 
 
 @dataclass(frozen=True)
-class Comparison:
+class Comparison(_Record):
     """Sup distance between two implications over the sampled pairs."""
 
     deviation: float
@@ -256,15 +256,6 @@ class Comparison:
     lhs: float
     rhs: float
     samples_checked: int
-
-    def as_dict(self) -> dict:
-        return {
-            "deviation": self.deviation,
-            "at": list(self.at),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "samples_checked": self.samples_checked,
-        }
 
 
 def compare(i1: Implication, i2: Implication, config: CheckConfig = DEFAULT_CONFIG) -> Comparison:

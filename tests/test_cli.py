@@ -413,6 +413,24 @@ def test_oversized_config_values_exit_2(tmp_path, capsys):
     assert "random_samples must be at most 10000000" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_2(tmp_path, capsys):
+    argv = ["props", "gon(O_min, zadeh)", "--prop", "LOP", "--grid", "5"]
+    assert run([*argv, "--seed", "-1"]) == 2
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("rng_seed = -1\n")
+    assert run([*argv, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: rng_seed must be a nonnegative integer\n" * 2
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"grid_resolution = 21 # \xff\n")
+    assert run(["eval", "zadeh", "--at", "0.5", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg) in err and err.count("\n") == 1
+
+
 def test_missing_config_exits_3(tmp_path):
     assert run(["eval", "zadeh", "--at", "0.5", "--config", str(tmp_path / "nope.cfg")]) == 3
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import overlapkit as ok
+from overlapkit.numerics import _min, _vectorized
 
 from conftest import BINARY_ENTRIES, CATALOG_ENTRIES
 
@@ -314,6 +315,16 @@ def test_find_neutral_examples():
     assert ok.find_neutral(ok.catalog("O_DB")) is None
     assert ok.find_neutral(ok.piecewise_neutral_go(0.5)) == pytest.approx(0.5, abs=1e-9)
     assert ok.find_neutral(ok.piecewise_neutral_go(0.3)) == pytest.approx(0.3, abs=1e-9)
+
+
+@pytest.mark.parametrize("e", [0.434, 0.691])
+def test_find_neutral_accepts_a_bisected_neutral_element(e):
+    # min(1, x*y/e) has neutral element e, which lies between grid points,
+    # so only the bisection fallback can find it.
+    f = ok.FusionFunction(
+        fn=_vectorized(lambda x, y: _min(1.0, x * y / e)), arity=2, role="general_overlap", label="scaled"
+    )
+    assert ok.find_neutral(f) == pytest.approx(e, abs=1e-8)
 
 
 def test_check_idempotent_examples():

@@ -54,6 +54,7 @@ def test_default_config_values():
         {"bisect_tol": 0.0},
         {"grid_resolution": 10**7 + 1},
         {"random_samples": 10**7 + 1},
+        {"rng_seed": -1},
     ],
 )
 def test_config_validation(kwargs):
@@ -91,6 +92,13 @@ def test_load_config_rejects_garbage(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("grid_resolution 31\n")
     with pytest.raises(ok.ConfigError):
+        ok.load_config(str(path))
+
+
+def test_load_config_rejects_non_utf8_text(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"# caf\xff\ngrid_resolution = 31\n")
+    with pytest.raises(ok.ConfigError, match="latin1.cfg"):
         ok.load_config(str(path))
 
 
