@@ -396,6 +396,8 @@ def _round_floats(obj):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _round_floats(obj.tolist())
     return obj
 
 
@@ -459,7 +461,7 @@ def _cmd_eval(args, config: CheckConfig) -> _Result:
     # The axis is formatted once; the rows are formatted only when written.
     labels = [_fmt(g) for g in grid]
     rows = ([*p, _fmt(v)] for p, v in zip(itertools.product(labels, repeat=arity), values.flat))
-    payload = {"expression": obj.label, "grid": grid, "values": values.tolist()}
+    payload = {"expression": obj.label, "grid": grid, "values": values}
     return _Result(payload, ["x", "y"][:arity] + ["value"], rows)
 
 

@@ -63,6 +63,7 @@ from .numerics import (
     PreconditionError,
     UnitValue,
     _Record,
+    _all,
     _apart,
     _axis,
     _branch,
@@ -345,10 +346,9 @@ def truncate_overlap(overlap: FusionFunction, a: float) -> FusionFunction:
 
     def fn(x, y, _o=overlap, _a=av):
         cut = _value(_o, _max(x, y), _a)
-        # A cut of 1 divides by zero: ZeroDivisionError on floats; on arrays inf
-        # or nan, outside [0, 1], so the caller re-runs the points as scalars.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _max(0.0, _value(_o, x, y) - cut) / (1.0 - cut)
+        if not _all(cut < 1.0):
+            raise PreconditionError(f"truncating {_o.label} at a={_a:g} divides by zero: O(max(x, y), a) is 1")
+        return _max(0.0, _value(_o, x, y) - cut) / (1.0 - cut)
 
     return FusionFunction(
         fn=_vectorized(fn),

@@ -24,12 +24,13 @@ numpy ufunc, except that _pow and _fsum run Python's pow and math.fsum per
 element: numpy's power rounds differently on a few percent of points, so
 the bits would differ.
 
-_scan_mesh is the blockwise first-witness scan and _mesh_values the
-blockwise full evaluation. Both re-run points as scalars when array
-evaluation raises UnitRangeError or PreconditionError, so the error or
-witness reported is the one met first in point order. The scalar scan
-_scan serves that fallback and is the reference the tests compare the
-array scan against.
+_scan_mesh is the first-witness scan and _mesh_values the full evaluation
+of a mesh, both over one block loop, _blockwise. When a block raises
+UnitRangeError or PreconditionError, _blockwise bisects on the block's
+prefix length for the first point that raises, hands on the clean prefix
+before it and then raises that point's error as its float evaluation
+does. So the witness or error reported is the one met first in point
+order, with no point evaluated as a scalar but the raising one.
 
 _plain is the one serializer of the report dataclasses, and _Record gives
 each of them as_dict() through it.
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache, partial, reduce
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -289,31 +290,6 @@ def _invert(negation, y, tol: float):
     return _branch((t > 0.0) & (t < 1.0), bisect, _where(t >= 1.0, 0.0, 1.0), t)
 
 
-def _scan(
-    points: Iterable[tuple],
-    sides: Callable[[tuple], tuple[float, float]],
-    relation: Callable[[float, float], tuple[bool, float]],
-) -> tuple[Optional[tuple], int, float]:
-    """First-witness scan of a pointwise relation over a mesh.
-
-    Visits points in order; sides(point) gives (lhs, rhs) and
-    relation(lhs, rhs) gives (failed, deviation). Stops at the first failing
-    point. Returns (witness, count, worst): witness is (point, lhs, rhs,
-    deviation) of that point or None, count the points visited (the failing
-    one included), worst the largest deviation seen.
-    """
-    worst, count = 0.0, 0
-    for point in points:
-        count += 1
-        lhs, rhs = sides(point)
-        failed, deviation = relation(lhs, rhs)
-        if deviation > worst:
-            worst = deviation
-        if failed:
-            return (point, lhs, rhs, deviation), count, worst
-    return None, count, worst
-
-
 def _apart(tol: float) -> Callable[[float, float], tuple[bool, float]]:
     """Scan relation failing where the two sides differ by more than tol.
 
@@ -341,9 +317,9 @@ def _jump_bound(resolution: int) -> float:
 MAX_BLOCK = 8192
 FIRST_BLOCK = 256
 
-# What array evaluation raises where the scalar order might meet another
-# error or witness first; the kernels then re-run the points as scalars.
-_RESCALAR = (UnitRangeError, PreconditionError)
+# What evaluating a block raises when one of its points is out of range or
+# breaks a contract; the kernels then look for the first such point.
+_POINT_ERRORS = (UnitRangeError, PreconditionError)
 
 
 def _vectorized(fn: Callable) -> Callable:
@@ -455,7 +431,7 @@ def _branch(cond, branch: Callable, other, *xs):
     return out
 
 
-def _blocks(n: int, first: int = FIRST_BLOCK):
+def _blocks(n: int, first: int):
     """(start, stop) over range(n) in blocks doubling from first up to MAX_BLOCK."""
     start, size = 0, first
     while start < n:
@@ -464,8 +440,35 @@ def _blocks(n: int, first: int = FIRST_BLOCK):
         start, size = stop, min(2 * size, MAX_BLOCK)
 
 
-def _scalar_points(cols: tuple, start: int = 0):
-    return zip(*(c[start:].tolist() for c in cols))
+def _scalar_points(cols: tuple):
+    return zip(*(c.tolist() for c in cols))
+
+
+def _blockwise(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple], first: int):
+    """(start, arrays) for each block of _blocks over the columns cols, arrays being fn(*block) broadcast.
+
+    Points evaluate independently, so a prefix of a block raises exactly
+    when one of its points does. A block that raises is bisected on its
+    prefix length for its first raising point k, in at most 13 evaluations
+    for MAX_BLOCK points. The clean prefix before k is yielded; resuming
+    raises k's error as fn raises it on k's floats, the error a point-by-point
+    run meets first, or, should the floats pass, the array error.
+    """
+    for start, stop in _blocks(len(cols[0]), first):
+        block = tuple(c[start:stop] for c in cols)
+        # clean is the longest prefix known to evaluate, raising the shortest known to raise.
+        clean, raising, m = 0, stop - start + 1, stop - start
+        while raising - clean > 1:
+            try:
+                arrays, clean = np.broadcast_arrays(*fn(*(c[:m] for c in block))), m
+            except _POINT_ERRORS as exc:
+                error, raising = exc, m
+            m = (clean + raising) // 2
+        if clean:
+            yield start, arrays
+        if clean < stop - start:
+            fn(*(float(c[clean]) for c in block))
+            raise error
 
 
 def _scan_mesh(
@@ -473,51 +476,39 @@ def _scan_mesh(
     sides: Callable[..., tuple],
     relation: Callable,
 ) -> tuple[Optional[tuple], int, float]:
-    """Blockwise array twin of _scan over the points given as columns.
+    """First-witness scan of a pointwise relation over the points given as columns.
 
     sides(*coords) gives (lhs, rhs) and relation(lhs, rhs) gives (failed,
-    deviation), on block arrays here and on floats in _scan. Blocks double
-    in size, so a scan failing at point k evaluates about 2k points plus
-    one block. Returns _scan's (witness, count, worst) with Python floats.
-    When array evaluation raises, the scan re-runs from that block on
-    _scan, so the error or witness met first in scalar order is the one
-    reported.
+    deviation), both on block arrays. Stops at the first failing point.
+    Returns (witness, count, worst) with Python floats: witness is (point,
+    lhs, rhs, deviation) of that point or None, count the points visited
+    (the failing one included), worst the largest deviation seen. Blocks
+    double in size, so a scan failing at point k evaluates about 2k points
+    plus one block. When a point's sides raise, the scan reports a witness
+    before that point if there is one and raises the point's error
+    otherwise, as a point-by-point scan would.
     """
-    n = len(cols[0])
     worst = 0.0
-    for start, stop in _blocks(n):
-        block = tuple(c[start:stop] for c in cols)
-        try:
-            lhs, rhs = np.broadcast_arrays(*sides(*block))
-        except _RESCALAR:
-            witness, count, rest = _scan(_scalar_points(cols, start), lambda p: sides(*p), relation)
-            return witness, start + count, max(worst, rest)
+    for start, (lhs, rhs) in _blockwise(cols, sides, FIRST_BLOCK):
         failed, deviation = relation(lhs, rhs)
         hit = _first(failed)
         if hit is not None:
             (k,) = hit
             worst = max(worst, float(deviation[: k + 1].max()))
-            point = tuple(float(c[k]) for c in block)
+            point = tuple(float(c[start + k]) for c in cols)
             return (point, float(lhs[k]), float(rhs[k]), float(deviation[k])), start + k + 1, worst
         worst = max(worst, float(deviation.max()))
-    return None, n, worst
+    return None, len(cols[0]), worst
 
 
 def _mesh_values(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple]) -> tuple[np.ndarray, ...]:
     """Every point's fn(*coords), a tuple of values, as one array per entry.
 
-    Evaluates blocks of MAX_BLOCK points as arrays. When array evaluation
-    raises, the points from that block on are evaluated one at a time in
-    order, so the error raised is the one the scalar order meets first.
+    Evaluates blocks of MAX_BLOCK points as arrays. When a point raises, the
+    error raised is that of the first such point, as a point-by-point
+    evaluation would raise it.
     """
-    parts = []
-    for start, stop in _blocks(len(cols[0]), MAX_BLOCK):
-        try:
-            parts.append(np.broadcast_arrays(*fn(*(c[start:stop] for c in cols))))
-        except _RESCALAR:
-            rows = [fn(*p) for p in _scalar_points(cols, start)]
-            parts.append([np.array(col, dtype=float) for col in zip(*rows)])
-            break
+    parts = [arrays for _, arrays in _blockwise(cols, fn, MAX_BLOCK)]
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 

@@ -22,11 +22,11 @@ deterministic.
 The ten scans are the rows of one table, _PROPERTIES, keyed by report id:
 the mesh each walks, its two sides, the relation that fails a point and the
 note. _check runs a row on numerics._scan_mesh, which evaluates the mesh as
-arrays in doubling blocks and reports what the scalar scan numerics._scan
-would; the public checkers only validate the id. NP and IP walk the sorted
-samples, the other pairwise scans numerics._sample_mesh (the uniform grid
-mesh plus seeded random pairs), EP and EP1 the triple mesh on the reduced
-grid of numerics._axis (21 points) plus random triples. pair_points and
+arrays in doubling blocks and reports the witness or error a point-by-point
+scan would; the public checkers only validate the id. NP and IP walk the
+sorted samples, the other pairwise scans numerics._sample_mesh (the uniform
+grid mesh plus seeded random pairs), EP and EP1 the triple mesh on the
+reduced grid of numerics._axis (21 points) plus random triples. pair_points and
 triple_points yield those meshes point by point, in column order. compare
 evaluates the whole pair mesh with numerics._mesh_values, range_is_proper
 the sample square with numerics._tensor.
@@ -100,7 +100,7 @@ class PropertyReport(_Record):
 
 
 def _report(pid: str, witness: Optional[tuple], count: int, note: str = "") -> PropertyReport:
-    """PropertyReport from a _scan result: its witness tuple (or None) and count."""
+    """PropertyReport from a _scan_mesh result: its witness tuple (or None) and count."""
     return PropertyReport(
         property_id=pid,
         status="fails" if witness is not None else "holds_on_grid",

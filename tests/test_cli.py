@@ -57,6 +57,23 @@ def test_eval_out_of_range_exits_3():
     assert run(["eval", "zadeh", "--at", "2.0"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["axioms", "trunc:O_P:p=1e-17,a=0.5", "--grid", "11"],
+        ["eval", "trunc:O_P:p=1e-17,a=0.5", "--at", "0.5", "0.5"],
+        ["props", "gon(trunc:O_P:p=1e-17,a=0.5, zadeh)", "--prop", "all", "--grid", "11"],
+    ],
+    ids=["axioms", "eval", "props"],
+)
+def test_truncation_with_a_cut_of_one_exits_3(argv, capsys):
+    # (0.5 * x) ** 1e-17 rounds to 1.0: one error line, not a ZeroDivisionError traceback.
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: truncating O_P:p=1e-17 at a=0.5 divides by zero: O(max(x, y), a) is 1\n"
+
+
 def test_parse_error_exits_2():
     assert run(["eval", "nonsense("]) == 2
     assert run(["eval", "gon(O_min)"]) == 2

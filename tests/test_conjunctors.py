@@ -132,6 +132,18 @@ def test_truncate_overlap_rejects_a_source_value_outside_the_unit_interval():
         trunc.values(np.array([0.95]), np.array([0.5]))
 
 
+def test_truncate_overlap_refuses_a_cut_of_one_alike_on_floats_and_arrays():
+    # (0.5 * 0.5) ** 1e-17 rounds to 1.0, so renormalizing by 1 - cut would divide by zero.
+    trunc = ok.truncate_overlap(ok.catalog("O_P", p=1e-17), 0.5)
+    message = r"^truncating O_P:p=1e-17 at a=0\.5 divides by zero: O\(max\(x, y\), a\) is 1$"
+    with pytest.raises(ok.PreconditionError, match=message):
+        trunc(0.5, 0.5)
+    with pytest.raises(ok.PreconditionError, match=message):
+        trunc.values(np.array([0.2, 0.5]), np.array([0.1, 0.5]))
+    with pytest.raises(ok.PreconditionError, match=message):
+        ok.check_axioms(trunc, "GO", ok.CheckConfig(grid_resolution=11))
+
+
 def test_truncate_overlap_param_range():
     with pytest.raises(ok.PreconditionError):
         ok.truncate_overlap(ok.catalog("O_P", p=1), 0.0)

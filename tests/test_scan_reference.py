@@ -1,31 +1,39 @@
 """The blockwise array scan reports what the scalar scan reports, at grid 101.
 
 The reference runs the same checkers with the mesh kernels swapped for their
-scalar forms: numerics._scan over the points as Python floats, and a
-point-by-point loop for full-mesh evaluations, each point evaluated through
-__call__. Every report -- verdict, witness, sides, deviation and
-samples_checked -- must be equal, for the ten properties and compare, on the
-five table2 instances plus one instance of each remaining family. The golden
-test covers grid 21; this one covers the default grid, where the array scan
-runs several blocks.
+scalar forms, defined here: _scan, a first-witness loop over the points as
+Python floats, and a point-by-point loop for full-mesh evaluations, each
+point evaluated through __call__. Every report -- verdict, witness, sides,
+deviation and samples_checked -- must be equal, for the ten properties and
+compare, on the five table2 instances plus one instance of each remaining
+family. The golden test covers grid 21; this one covers the default grid,
+where the array scan runs several blocks.
 
 T2 (associativity), T3 and check_idempotent are compared with the scalar
 loops they replaced, on catalog entries and constructions.
 
 Two cases pin the error order: a connective that leaves [0, 1] only after
 the first witness still reports that witness, and one that leaves it first
-raises the UnitRangeError the scalar order meets first.
+raises the UnitRangeError the scalar order meets first. A hypothesis test
+draws connectives that leak on random regions, inside gon, tn and ro at
+small random configs, and requires every property check and compare to
+report, or raise, what the scalar reference does.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import overlapkit as ok
 from overlapkit import numerics, properties
 from overlapkit.cli import parse_connective, parse_implication, table2_instances
-from overlapkit.numerics import _min, _scan, _vectorized, _where
+from overlapkit.numerics import _min, _prod, _vectorized, _where
 
 # One instance per family not already among the table2 instances (gon, tn).
 FAMILY_EXPRESSIONS = (
@@ -38,6 +46,20 @@ FAMILY_EXPRESSIONS = (
 )
 
 INSTANCES = list(table2_instances()) + [(parse_implication(e), ok.make_standard()) for e in FAMILY_EXPRESSIONS]
+
+
+def _scan(points, sides, relation):
+    """First-witness scan point by point: (witness, count, worst) as numerics._scan_mesh returns them."""
+    worst, count = 0.0, 0
+    for point in points:
+        count += 1
+        lhs, rhs = sides(point)
+        failed, deviation = relation(lhs, rhs)
+        if deviation > worst:
+            worst = deviation
+        if failed:
+            return (point, lhs, rhs, deviation), count, worst
+    return None, count, worst
 
 
 def _scalar_scan_mesh(cols, sides, relation):
@@ -93,8 +115,8 @@ def test_leak_after_the_first_witness_still_reports_the_witness(scalar_kernels):
     # The first array block holds points past the leak, so it raises ...
     with pytest.raises(ok.UnitRangeError):
         implication.values(samples[: numerics.FIRST_BLOCK], samples[: numerics.FIRST_BLOCK])
-    # ... and the scan falls back to the scalar order, which fails IP at
-    # I(x, x) = 1 - x for a small x before it reaches the leak.
+    # ... and the scan still scans the clean prefix before the leak, which
+    # fails IP at I(x, x) = 1 - x for a small x.
     got = properties.check_unary_property(implication, "IP")
     assert got.status == "fails" and got.witness.point[0] < 0.5
     scalar_kernels()
@@ -116,6 +138,71 @@ def test_leak_before_the_first_witness_raises_the_scalar_error(scalar_kernels):
     with pytest.raises(ok.UnitRangeError) as scalar_error:
         properties.check_contraposition(implication, ok.make_standard(), "CP")
     assert str(array_error.value) == str(scalar_error.value) == "value 2.0 is not in [0, 1]"
+
+
+# What a leaky connective gives where it leaks: a value above 1 or NaN
+# (UnitRangeError; a NumPy scalar is worded np.float64(...) on floats only)
+# or, inside the range, a positive value at y = 0, which ro's bisection
+# refuses (PreconditionError).
+LEAKS = {
+    "above": lambda x, y: 1.0 + x,
+    "nan": lambda x, y: np.nan,
+    "numpy": lambda x, y: np.float64(1.0) + x,
+    "inside": lambda x, y: 0.5 + 0.5 * x,
+}
+FAMILIES = {
+    "gon": lambda f, cfg: ok.make_gon(f, ok.make_standard()),
+    "tn": lambda f, cfg: ok.make_tn(f, ok.make_standard()),
+    "ro": lambda f, cfg: ok.make_residual(f, cfg),
+}
+
+
+def _outcome(run):
+    """run()'s report as a dict, or the class and text of the library error it raises."""
+    try:
+        return run().as_dict()
+    except ok.OverlapkitError as error:
+        return type(error), str(error)
+
+
+def _outcomes(implication, negation, other, config) -> list:
+    runs = [partial(properties._check, pid, implication, negation, config) for pid in properties._PROPERTIES]
+    runs.append(partial(properties.compare, implication, other, config))
+    return [_outcome(run) for run in runs]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    cx=st.floats(0.0, 1.0),
+    cy=st.floats(0.0, 1.0),
+    leak=st.sampled_from(sorted(LEAKS)),
+    base=st.sampled_from([_min, _prod]),
+    vectorized=st.booleans(),
+    family=st.sampled_from(sorted(FAMILIES)),
+    config=st.builds(
+        ok.CheckConfig,
+        grid_resolution=st.integers(2, 30),
+        random_samples=st.integers(0, 60),
+        rng_seed=st.integers(0, 3),
+        bisect_tol=st.sampled_from([1e-3, 1e-6]),
+    ),
+)
+def test_leaky_checks_match_the_scalar_reference(cx, cy, leak, base, vectorized, family, config):
+    # The connective leaks where x > cx and y >= cy, so a scan may meet a
+    # witness or an error first, in any block.
+    def fn(x, y, _leak=LEAKS[leak]):
+        return _where((x > cx) & (y >= cy), _leak(x, y), base(x, y))
+
+    f = ok.FusionFunction(fn=_vectorized(fn), arity=2, role="overlap", label=f"leaky:{cx!r},{cy!r}")
+    if not vectorized:
+        f = dataclasses.replace(f, fn=lambda x, y: fn(x, y))
+    implication, negation = FAMILIES[family](f, config), ok.make_standard()
+    other = ok.make_gon(ok.catalog("O_min"), negation)
+    got = _outcomes(implication, negation, other, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(properties, "_scan_mesh", _scalar_scan_mesh)
+        patch.setattr(properties, "_mesh_values", _scalar_mesh_values)
+        assert got == _outcomes(implication, negation, other, config)
 
 
 # Connectives for the T2, T3 and idempotency references: associative ones
