@@ -81,6 +81,21 @@ CRISP_EXPRESSIONS = (
     "gon(GO_max, zadeh)",
 )
 
+# User connectives and implications, evaluated point by point, that fail the
+# axioms no catalog entry fails: each connective with the sets it is checked
+# against, then implications failing I1-I5 between them.
+USER_CONNECTIVES = (
+    ("x*y^2", 2, lambda x, y: x * y * y, ("O", "G", "GO", "T")),  # fails O1, G1, GO1, T1
+    ("|x-y|", 2, lambda x, y: abs(x - y), ("O", "G", "GO")),  # fails O4, G4, GO4
+    ("step(x+y>1)", 2, lambda x, y: 1.0 if x + y > 1.0 else 0.0, ("O", "G", "GO")),  # fails O5, G5, GO5
+    ("xyz/2", 3, lambda x, y, z: 0.5 * x * y * z, ("GO",)),  # fails GO3
+)
+USER_IMPLICATIONS = (
+    ("proj", lambda x, y: x),  # fails I1, I3, I5
+    ("1-x", lambda x, y: 1.0 - x),  # fails I4
+    ("1-y", lambda x, y: 1.0 - y),  # fails I2, I4, I5
+)
+
 COMPARE_PAIRS = (
     ("gon(O_P:p=1, zadeh)", "gn(dualG(O_P:p=1, zadeh), zadeh)"),
     ("gon(GO_max, zadeh)", "tn(O_min, zadeh)"),
@@ -168,6 +183,12 @@ def _cases() -> dict:
         cases[f"axioms/{expr}"] = lambda e=expr: _axiom_sets(
             _quiet(parse_connective, e), ("O", "G", "GO")
         )
+    for label, arity, fn, sets in USER_CONNECTIVES:
+        f = ok.FusionFunction(fn=fn, arity=arity, role="aggregation", label=label)
+        cases[f"axioms/{label}"] = lambda f=f, s=sets: _axiom_sets(f, s)
+    for label, fn in USER_IMPLICATIONS:
+        i = ok.Implication(fn=fn, label=label, family="gon")
+        cases[f"implication_axioms/{label}"] = lambda i=i: ok.check_implication_axioms(i, CFG).as_dict()
     for kind, conn, neg in DUALS:
         cases[f"dual/{kind}({conn}, {neg})"] = lambda k=kind, c=conn, n=neg: _dual(k, c, n)
     cases["dual/negations.dual(O_P:p=2, power:2)"] = lambda: _plain_dual()
