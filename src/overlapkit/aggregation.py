@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conjunctors import FusionFunction, check_axioms, continuity_heuristic
+from .conjunctors import FusionFunction, check_axioms, continuity_heuristic, dual
 from .implications import Implication, make_gon
-from .negations import Negation, classify, dual
+from .negations import Negation, classify
 from .numerics import (
     DEFAULT_CONFIG,
     CheckConfig,

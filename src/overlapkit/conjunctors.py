@@ -19,14 +19,19 @@ maxima), and a continuity heuristic bounding jumps between adjacent grid
 cells by 10/resolution. "Only if" directions that survive the search are
 reported as "no counterexample found on grid", never as proved.
 
-check_axioms evaluates the function once on the grid with numerics._tensor,
-and every check reads that tensor. The converse checks -- the O2/O3/G2/G3
-"only if" directions and GO2a/GO3a -- are one mask scan parameterized by
-side (overlap or grouping); grouping_from and overlap_from run the same
-scan on the tensor of their source before building its N-dual with
-negations.dual. Associativity (T2) is a first-witness mesh scan of the
-reduced triple grid, and T3 and check_idempotent take the first largest
-deviation over the samples.
+The axioms are data: _AXIOMS holds the rows of each set, O, G, GO, T and
+the implication set I (I1-I5), in report order. A row gives the axiom id,
+its check -- symmetry, an exact boundary then its converse, monotonicity
+along given axes in a given direction, continuity, a corner value within
+a tolerance, associativity on the reduced triple grid, or the largest
+deviation of f(x, 1) from x over the samples -- and its notes on failure
+and on a pass. One runner, _check_set, evaluates the function once on the
+grid with numerics._tensor and walks the rows; check_axioms and
+implications.check_implication_axioms only choose the set, and "I" is
+reachable only from the latter. continuity_heuristic, check_associativity
+and the converse scan of grouping_from and overlap_from call the same row
+checks; the two constructions then build the N-dual with dual, which lives
+here beside them.
 
 The named catalog is one table, _CATALOG: the role, parameter, note and
 formula of each name. catalog() and CATALOG_NAMES read it, and so do
@@ -50,13 +55,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .negations import dual
 from .numerics import (
     DEFAULT_CONFIG,
     CheckConfig,
@@ -147,34 +151,26 @@ class AxiomCheck(_Record):
 
 
 @dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Record):
     """Per-axiom results for one function against one axiom set.
 
     Informational entries (the GO2a/GO3a converses) do not count toward the
-    aggregate verdict: a general overlap may legitimately fail them.
+    aggregate verdict passed: a general overlap may legitimately fail them.
     """
 
     label: str
     axiom_set: str
+    passed: bool = field(init=False)
     checks: tuple[AxiomCheck, ...]
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks if not c.informational)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", all(c.passed for c in self.checks if not c.informational))
 
     def check(self, axiom: str) -> AxiomCheck:
         for c in self.checks:
             if c.axiom == axiom:
                 return c
         raise KeyError(axiom)
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "axiom_set": self.axiom_set,
-            "passed": self.passed,
-            "checks": [c.as_dict() for c in self.checks],
-        }
 
     def summary(self) -> str:
         lines = [f"{self.label} [{self.axiom_set}] -> {'PASS' if self.passed else 'FAIL'}"]
@@ -399,6 +395,28 @@ _DUAL_FROM = {
 }
 
 
+def dual(f: FusionFunction, negation) -> FusionFunction:
+    """N-dual of a fusion function: N(f(N(x1),...,N(xn))).
+
+    Keeps the arity; the result is tagged with the neutral 'aggregation' role
+    because duality preserves aggregation-function status but may swap the
+    conjunctive/disjunctive roles.
+    """
+    if not isinstance(f, FusionFunction):
+        raise PreconditionError("dual expects a FusionFunction")
+
+    def fn(*xs, _f=f, _n=negation):
+        return _value(_n, _value(_f, *[_value(_n, x) for x in xs]))
+
+    return FusionFunction(
+        fn=_vectorized(fn),
+        arity=f.arity,
+        role="aggregation",
+        label=f"dual({f.label}, {negation.label})",
+        params=f.params,
+    )
+
+
 def _dual_from(f: FusionFunction, negation, config: CheckConfig, side: str) -> FusionFunction:
     who, role, head, failure = _DUAL_FROM[side]
     if f.arity != 2:
@@ -408,9 +426,9 @@ def _dual_from(f: FusionFunction, negation, config: CheckConfig, side: str) -> F
     xs = _axis(config, 2)
     tensor = _tensor(f, xs)
     for level in (0.0, 1.0):
-        check = _converse_check("converse", side, level, tensor, xs, config.eq_tol)
-        if not check.passed:
-            warnings.warn(f"{f.label} {failure.format(check.witness)}", stacklevel=3)
+        witness, _ = _converse(f, tensor, xs, config, side=side, level=level)
+        if witness is not None:
+            warnings.warn(f"{f.label} {failure.format(witness)}", stacklevel=3)
             role = "aggregation"
             break
     return replace(dual(f, negation), role=role, label=f"{head}({f.label}, {negation.label})")
@@ -460,189 +478,115 @@ def idempotent_go(p: float, q: float) -> FusionFunction:
 
 
 # ---------------------------------------------------------------------------
-# Grid engine
+# Axiom engine
 # ---------------------------------------------------------------------------
 
 
-def _mask_check(
-    axiom: str,
-    mask: np.ndarray,
-    xs: np.ndarray,
-    deviation: float | np.ndarray = 0.0,
-    note: str = "",
-    informational: bool = False,
-) -> Optional[AxiomCheck]:
-    """The failing check at the first True of mask, or None when there is none.
-
-    First means C order over the grid axes, the order a nested loop over xs
-    meets the points in. deviation is a number, or an array shaped like mask
-    that is read at the witness.
-    """
-    at = _first(mask)
-    if at is None:
-        return None
-    if isinstance(deviation, np.ndarray):
-        deviation = deviation[at]
-    return AxiomCheck(
-        axiom=axiom,
-        passed=False,
-        witness=tuple(float(xs[k]) for k in at),
-        deviation=float(deviation),
-        note=note,
-        informational=informational,
-    )
+def _point(at: tuple, xs: np.ndarray) -> tuple:
+    """The grid point at the tensor index at."""
+    return tuple(float(xs[k]) for k in at)
 
 
-def _bound_check(axiom: str, excesses, xs: np.ndarray, bound: float, note: str = "") -> AxiomCheck:
-    """Fail at the first excess array (one per axis) topping bound; else pass with the largest."""
+def _bounded(excesses, xs: np.ndarray, bound: float) -> tuple:
+    """Witness and top of the first excess array (one per axis) topping bound, else (None, the largest)."""
     worst = 0.0
     for excess in excesses:
         top = float(excess.max())
         worst = max(worst, top)
         if top > bound:
-            return _mask_check(axiom, excess > bound, xs, top, note)
-    return AxiomCheck(axiom=axiom, passed=True, deviation=worst, note=note)
+            return _point(_first(excess > bound), xs), top
+    return None, worst
 
 
-def _symmetry_check(axiom: str, tensor: np.ndarray, xs: np.ndarray, tol: float) -> AxiomCheck:
+# The row checks of _AXIOMS: check(f, tensor, xs, config, **row parameters)
+# gives (witness, deviation), the witness None when the axiom holds. First
+# means C order over the tensor, the order a nested loop over xs meets the
+# points in.
+
+
+def _symmetric(f, tensor, xs, config) -> tuple:
     swaps = (np.abs(tensor - np.swapaxes(tensor, axis, axis + 1)) for axis in range(tensor.ndim - 1))
-    return _bound_check(axiom, swaps, xs, tol)
+    return _bounded(swaps, xs, config.eq_tol)
 
 
-def _monotone_check(axiom: str, tensor: np.ndarray, xs: np.ndarray, tol: float) -> AxiomCheck:
-    # Running maxima cover every pair along each axis, not just neighbors.
-    drops = (np.maximum.accumulate(tensor, axis=axis) - tensor for axis in range(tensor.ndim))
-    return _bound_check(axiom, drops, xs, tol)
+def _monotone(f, tensor, xs, config, direction: int = 1, axes=None) -> tuple:
+    """Isotone (direction 1) or antitone (-1) along each of axes, by default every axis."""
+    # Running maxima cover every pair along an axis, not just neighbors. Negation is exact, so an
+    # antitone drop is the tensor minus its running minimum, bit for bit.
+    signed = tensor if direction > 0 else -tensor
+    drops = (np.maximum.accumulate(signed, axis=axis) - signed for axis in axes or range(tensor.ndim))
+    return _bounded(drops, xs, config.eq_tol)
 
 
-def _continuity_check(axiom: str, tensor: np.ndarray, xs: np.ndarray) -> AxiomCheck:
-    bound = _jump_bound(len(xs))
+def _continuous(f, tensor, xs, config) -> tuple:
     jumps = (np.abs(np.diff(tensor, axis=axis)) for axis in range(tensor.ndim))
-    return _bound_check(axiom, jumps, xs, bound, note=f"adjacent-cell jump bound {bound:g}")
+    return _bounded(jumps, xs, _jump_bound(len(xs)))
 
 
-def _zero_slices_exact(axiom: str, tensor: np.ndarray, xs: np.ndarray) -> AxiomCheck:
-    # "if" direction of GO2/O2: a zero coordinate must force value exactly 0.
-    for axis in range(tensor.ndim):
-        face = tuple(0 if k == axis else slice(None) for k in range(tensor.ndim))
-        mask = np.zeros(tensor.shape, dtype=bool)
-        mask[face] = tensor[face] != 0.0
-        failed = _mask_check(axiom, mask, xs, float(np.abs(tensor[face]).max()))
-        if failed is not None:
-            return failed
-    return AxiomCheck(axiom=axiom, passed=True)
+def _zero_faces(f, tensor, xs, config) -> tuple:
+    """The "if" direction of GO2: a zero coordinate forces the value exactly 0."""
+    index = np.indices(tensor.shape, sparse=True)
+    faces = (np.where(index[axis] == 0, np.abs(tensor), 0.0) for axis in range(tensor.ndim))
+    return _bounded(faces, xs, 0.0)
 
 
-_NO_CE = "no counterexample found on grid"
+def _corner(f, tensor, xs, config, want: float, point: Optional[tuple] = None, exact: bool = True) -> tuple:
+    """f at the corner point, by default (want, ..., want), against want: exactly, or within eq_tol."""
+    point = point or (want,) * f.arity
+    deviation = abs(float(f(*point)) - want)
+    return (None if deviation <= (0.0 if exact else config.eq_tol) else point), deviation
 
 
-def _converse_check(
-    axiom: str,
-    side: str,
-    level: float,
-    tensor: np.ndarray,
-    xs: np.ndarray,
-    tol: float,
-    note: str = "",
-    informational: bool = False,
-) -> AxiomCheck:
+def _lines(f, tensor, xs, config, level: float) -> tuple:
+    """f(level, s) and f(s, level) equal level exactly for every sample s.
+
+    level is 0 on the overlap zero lines and 1 on the grouping one lines.
+    """
+    samples = sorted_samples(config)
+    edge = np.full(len(samples), level)
+    # The points (level, s) and (s, level) for each sample s, in that order.
+    cols = (np.stack([edge, samples], axis=1).ravel(), np.stack([samples, edge], axis=1).ravel())
+    witness, _, _ = _scan_mesh(
+        cols,
+        lambda x, y: (_value(f, x, y), level),
+        lambda got, want: (got != want, abs(got - want)),
+    )
+    return (None, 0.0) if witness is None else (witness[0], witness[3])
+
+
+def _converse(f, tensor, xs, config, side: str, level: float) -> tuple:
     """Converse boundary condition: level (0 or 1) is reached only where allowed.
 
     The overlap side allows 0 only with a zero argument (O2, GO2a) and 1
     only at the all-ones corner (O3, GO3a); the grouping side allows 0 only
     at the all-zero corner (G2) and 1 only with a one argument (G3). A
-    failure's deviation is the value reached, except on the informational
-    GO2a/GO3a entries, which report none.
+    failure's deviation is the value reached.
     """
+    tol = config.eq_tol
     if level == 0.0:
         hit, away = tensor <= tol, xs > 0.0
     else:
         hit, away = tensor >= 1.0 - tol, xs < 1.0
     # Overlap zeros and grouping ones need every coordinate away from level.
     join = np.logical_and if (side == "overlap") == (level == 0.0) else np.logical_or
-    mask = hit & reduce(join, np.meshgrid(*[away] * tensor.ndim, indexing="ij", sparse=True))
-    failed = _mask_check(axiom, mask, xs, 0.0 if informational else tensor, note, informational)
-    return failed or AxiomCheck(axiom=axiom, passed=True, note=_NO_CE, informational=informational)
+    at = _first(hit & reduce(join, np.meshgrid(*[away] * tensor.ndim, indexing="ij", sparse=True)))
+    return (None, 0.0) if at is None else (_point(at, xs), float(tensor[at]))
 
 
-def check_axioms(f: FusionFunction, axiom_set: str, config: CheckConfig = DEFAULT_CONFIG) -> AxiomReport:
-    """Verify one of the axiom sets O, G, GO, or T on the grid.
-
-    O/G/T demand a binary function; GO accepts any arity. The report's
-    aggregate verdict ignores the informational GO2a/GO3a entries. The
-    function is evaluated once on the grid; every check reads that tensor.
-    """
-    if axiom_set in ("O", "G", "T") and f.arity != 2:
-        raise PreconditionError(f"axiom set {axiom_set} applies to binary functions")
-    checker = _AXIOM_SETS.get(axiom_set)
-    if checker is None:
-        raise PreconditionError(f"unknown axiom set {axiom_set!r} (want O|G|GO|T)")
-    xs = _axis(config, f.arity)
-    checks = checker(f, _tensor(f, xs), xs, config)
-    return AxiomReport(label=f.label, axiom_set=axiom_set, checks=tuple(checks))
-
-
-# Side -> (axiom prefix, failure notes of the "only if" scans at levels 0 and 1).
-_BINARY_SETS = {
-    "overlap": ("O", "zero at nonzero arguments", "reaches 1 away from (1,1)"),
-    "grouping": ("G", "zero away from (0,0)", "reaches 1 without a 1 argument"),
-}
-
-
-def _check_binary_axioms(side: str, f: FusionFunction, tensor, xs, config: CheckConfig) -> list[AxiomCheck]:
-    """O1-O5 or G1-G5, mirror images of each other.
-
-    The level the side takes on whole boundary lines (0 for overlaps, 1 for
-    groupings) must hold exactly along them; the other level exactly at its
-    corner. Where it does, the converse is scanned on the tensor.
-    """
-    prefix, *notes = _BINARY_SETS[side]
-    tol = config.eq_tol
-    checks = [_symmetry_check(prefix + "1", tensor, xs, tol)]
-    for level, axiom, note in zip((0.0, 1.0), (prefix + "2", prefix + "3"), notes):
-        if (level == 0.0) == (side == "overlap"):
-            bad = _boundary_lines_exact(f, config, level)
-        else:
-            bad = _corner_exact(f, level)
-        failed = None if bad is None else AxiomCheck(axiom, False, *bad)
-        checks.append(failed or _converse_check(axiom, side, level, tensor, xs, tol, note))
-    checks.append(_monotone_check(prefix + "4", tensor, xs, tol))
-    checks.append(_continuity_check(prefix + "5", tensor, xs))
-    return checks
-
-
-def _check_general_overlap_axioms(f: FusionFunction, tensor, xs, config: CheckConfig) -> list[AxiomCheck]:
-    tol = config.eq_tol
-    checks = [_symmetry_check("GO1", tensor, xs, tol), _zero_slices_exact("GO2", tensor, xs)]
-
-    bad = _corner_exact(f, 1.0)
-    checks.append(AxiomCheck("GO3", True) if bad is None else AxiomCheck("GO3", False, *bad))
-    checks.append(_monotone_check("GO4", tensor, xs, tol))
-    checks.append(_continuity_check("GO5", tensor, xs))
-    for level, axiom, note in (
-        (0.0, "GO2a", "zero at all-nonzero arguments"),
-        (1.0, "GO3a", "reaches 1 below the all-ones corner"),
-    ):
-        checks.append(_converse_check(axiom, "overlap", level, tensor, xs, tol, note, informational=True))
-    return checks
-
-
-def _check_tnorm_axioms(f: FusionFunction, tensor, xs, config: CheckConfig) -> list[AxiomCheck]:
-    tol = config.eq_tol
-    checks = [_symmetry_check("T1", tensor, xs, tol)]
-    checks.append(replace(check_associativity(f, config), axiom="T2"))
-
-    worst, at = _worst_sample(config, lambda x: _value(f, x, 1.0))
-    checks.append(
-        AxiomCheck(
-            axiom="T3",
-            passed=worst <= tol,
-            witness=None if worst <= tol else (at, 1.0),
-            deviation=worst,
-            note="neutral element 1",
-        )
+def _associative(f, tensor, xs, config) -> tuple:
+    """f(f(x,y),z) = f(x,f(y,z)) within eq_tol on the reduced triple grid, whatever tensor and xs are."""
+    witness, _, worst = _scan_mesh(
+        _grid_mesh(config, 3),
+        lambda x, y, z: (_value(f, _value(f, x, y), z), _value(f, x, _value(f, y, z))),
+        _apart(config.eq_tol),
     )
-    return checks
+    return (None, worst) if witness is None else (witness[0], witness[3])
+
+
+def _neutral_one(f, tensor, xs, config) -> tuple:
+    """f(x, 1) = x within eq_tol over the sorted samples, with the largest deviation."""
+    worst, at = _worst_sample(config, lambda x: _value(f, x, 1.0))
+    return (None if worst <= config.eq_tol else (at, 1.0)), worst
 
 
 def _worst_sample(config: CheckConfig, g: Callable) -> tuple[float, Optional[float]]:
@@ -654,58 +598,129 @@ def _worst_sample(config: CheckConfig, g: Callable) -> tuple[float, Optional[flo
     return worst, (float(samples[k]) if worst > 0.0 else None)
 
 
-_AXIOM_SETS = {
-    "O": partial(_check_binary_axioms, "overlap"),
-    "G": partial(_check_binary_axioms, "grouping"),
-    "GO": _check_general_overlap_axioms,
-    "T": _check_tnorm_axioms,
+class _Axiom(NamedTuple):
+    """A row of _AXIOMS.
+
+    check is one of the row checks above. exact, when set, is a check that
+    runs first, the exact boundary an "only if" converse rests on; when it
+    fails, it decides the row, with no note. failed and held are the notes
+    when check fails and when the row holds; {jump} in them is the
+    continuity bound of the grid. An informational row reports no deviation
+    and does not count toward the report's verdict.
+    """
+
+    axiom: str
+    check: Callable
+    failed: str = ""
+    held: str = ""
+    informational: bool = False
+    exact: Optional[Callable] = None
+
+
+_NO_CE = "no counterexample found on grid"
+_JUMP = "adjacent-cell jump bound {jump:g}"
+
+
+def _converse_row(axiom: str, side: str, level: float, failed: str, **kw) -> _Axiom:
+    return _Axiom(axiom, partial(_converse, side=side, level=level), failed, _NO_CE, **kw)
+
+
+# Axiom set -> its rows, in report order. O and G are mirror images: the
+# level a side takes on whole boundary lines (0 for overlaps, 1 for
+# groupings) must hold exactly along them, the other level exactly at its
+# corner, and where it does the "only if" converse is scanned. "I" is run
+# by implications.check_implication_axioms only.
+_AXIOMS = {
+    "O": (
+        _Axiom("O1", _symmetric),
+        _converse_row("O2", "overlap", 0.0, "zero at nonzero arguments", exact=partial(_lines, level=0.0)),
+        _converse_row("O3", "overlap", 1.0, "reaches 1 away from (1,1)", exact=partial(_corner, want=1.0)),
+        _Axiom("O4", _monotone),
+        _Axiom("O5", _continuous, _JUMP, _JUMP),
+    ),
+    "G": (
+        _Axiom("G1", _symmetric),
+        _converse_row("G2", "grouping", 0.0, "zero away from (0,0)", exact=partial(_corner, want=0.0)),
+        _converse_row("G3", "grouping", 1.0, "reaches 1 without a 1 argument", exact=partial(_lines, level=1.0)),
+        _Axiom("G4", _monotone),
+        _Axiom("G5", _continuous, _JUMP, _JUMP),
+    ),
+    "GO": (
+        _Axiom("GO1", _symmetric),
+        _Axiom("GO2", _zero_faces),
+        _Axiom("GO3", partial(_corner, want=1.0)),
+        _Axiom("GO4", _monotone),
+        _Axiom("GO5", _continuous, _JUMP, _JUMP),
+        _converse_row("GO2a", "overlap", 0.0, "zero at all-nonzero arguments", informational=True),
+        _converse_row("GO3a", "overlap", 1.0, "reaches 1 below the all-ones corner", informational=True),
+    ),
+    "T": (
+        _Axiom("T1", _symmetric),
+        _Axiom("T2", _associative),
+        _Axiom("T3", _neutral_one, "neutral element 1", "neutral element 1"),
+    ),
+    "I": (
+        _Axiom("I1", partial(_monotone, direction=-1, axes=(0,)), "not antitone in the first argument"),
+        _Axiom("I2", partial(_monotone, axes=(1,)), "not isotone in the second argument"),
+        _Axiom("I3", partial(_corner, want=1.0, point=(0.0, 0.0), exact=False)),
+        _Axiom("I4", partial(_corner, want=1.0, point=(1.0, 1.0), exact=False)),
+        _Axiom("I5", partial(_corner, want=0.0, point=(1.0, 0.0), exact=False)),
+    ),
 }
 
 
-def _corner_exact(f: FusionFunction, value: float):
-    """f(value, ..., value) == value exactly: None, else (witness, deviation)."""
-    corner = tuple([value] * f.arity)
-    got = float(f(*corner))
-    return None if got == value else (corner, abs(got - value))
-
-
-def _boundary_lines_exact(f: FusionFunction, config: CheckConfig, value: float):
-    """Exact boundary sweep: f(value, s) and f(s, value) == value for all s.
-
-    value is 0 for the overlap zero lines and 1 for the grouping one lines.
-    Returns None on success, else (witness, deviation).
-    """
-    samples = sorted_samples(config)
-    level = np.full(len(samples), value)
-    # The points (value, s) and (s, value) for each sample s, in that order.
-    xs = np.stack([level, samples], axis=1).ravel()
-    ys = np.stack([samples, level], axis=1).ravel()
-    witness, _, _ = _scan_mesh(
-        (xs, ys),
-        lambda x, y: (_value(f, x, y), value),
-        lambda got, want: (got != want, abs(got - want)),
+def _verdict(row: _Axiom, f, tensor, xs: np.ndarray, config: CheckConfig) -> AxiomCheck:
+    """The AxiomCheck of one row on f's tensor over the grid xs."""
+    witness, deviation, note = None, 0.0, ""
+    if row.exact is not None:
+        witness, deviation = row.exact(f, tensor, xs, config)
+    if witness is None:
+        witness, deviation = row.check(f, tensor, xs, config)
+        note = (row.held if witness is None else row.failed).format(jump=_jump_bound(len(xs)))
+    return AxiomCheck(
+        axiom=row.axiom,
+        passed=witness is None,
+        witness=witness,
+        deviation=0.0 if row.informational else deviation,
+        note=note,
+        informational=row.informational,
     )
-    return None if witness is None else (witness[0], witness[3])
+
+
+def _check_set(f, axiom_set: str, config: CheckConfig) -> AxiomReport:
+    """Every row of _AXIOMS[axiom_set] on f (a FusionFunction or Implication), evaluated once on its grid."""
+    xs = _axis(config, f.arity)
+    tensor = _tensor(f, xs)
+    checks = tuple(_verdict(row, f, tensor, xs, config) for row in _AXIOMS[axiom_set])
+    return AxiomReport(label=f.label, axiom_set=axiom_set, checks=checks)
+
+
+def check_axioms(f: FusionFunction, axiom_set: str, config: CheckConfig = DEFAULT_CONFIG) -> AxiomReport:
+    """Verify one of the axiom sets O, G, GO, or T on the grid.
+
+    O/G/T demand a binary function; GO accepts any arity. The report's
+    aggregate verdict ignores the informational GO2a/GO3a entries. The
+    function is evaluated once on the grid; every check reads that tensor.
+    """
+    if axiom_set in ("O", "G", "T") and f.arity != 2:
+        raise PreconditionError(f"axiom set {axiom_set} applies to binary functions")
+    if axiom_set not in ("O", "G", "GO", "T"):
+        raise PreconditionError(f"unknown axiom set {axiom_set!r} (want O|G|GO|T)")
+    return _check_set(f, axiom_set, config)
 
 
 def check_associativity(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG) -> AxiomCheck:
     """Grid check of f(f(x,y),z) = f(x,f(y,z)) on a reduced triple grid."""
     if f.arity != 2:
         raise PreconditionError("associativity applies to binary functions")
-    witness, _, worst = _scan_mesh(
-        _grid_mesh(config, 3),
-        lambda x, y, z: (_value(f, _value(f, x, y), z), _value(f, x, _value(f, y, z))),
-        _apart(config.eq_tol),
-    )
-    if witness is not None:
-        return AxiomCheck(axiom="associativity", passed=False, witness=witness[0], deviation=witness[3])
-    return AxiomCheck(axiom="associativity", passed=True, deviation=worst)
+    # The check reads neither a tensor nor xs; xs is the axis of the triple grid it scans.
+    return _verdict(_Axiom("associativity", _associative), f, None, _axis(config, 3), config)
 
 
 def continuity_heuristic(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG) -> AxiomCheck:
     """Standalone adjacent-jump continuity check (used for aggregations)."""
     xs = _axis(config, f.arity)
-    return _continuity_check("continuity", _tensor(f, xs), xs)
+    return _verdict(_Axiom("continuity", _continuous, _JUMP, _JUMP), f, _tensor(f, xs), xs, config)
 
 
 # ---------------------------------------------------------------------------

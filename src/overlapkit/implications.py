@@ -13,9 +13,10 @@ Families built here (labels follow the CLI grammar):
 
 check_implication_axioms verifies the defining conditions on the grid:
 antitone in the first argument (I1), isotone in the second (I2), and the
-corner values I(0,0) = 1 (I3), I(1,1) = 1 (I4), I(1,0) = 0 (I5). Corner
-checks use eq_tol so bisection-backed residuals are not penalized for their
-final-bracket width.
+corner values I(0,0) = 1 (I3), I(1,1) = 1 (I4), I(1,0) = 0 (I5). They are
+the "I" rows of the axiom table conjunctors._AXIOMS, run by the same
+runner as the connective axiom sets. Corner checks use eq_tol so
+bisection-backed residuals are not penalized for their final-bracket width.
 
 classify_crisp inverts the crisp construction: when an implication is
 two-valued on the sample mesh it bisects the zero-region boundary, snaps the
@@ -29,8 +30,8 @@ connective) over numerics._value, ql and d through the lazy
 numerics._branch, ro over numerics._sup, which bisects a point or a mesh,
 and the crisp family over numerics._where. So the same body evaluates a
 point on floats and a mesh on arrays. The I1/I2 grid (numerics._tensor)
-and the two mesh scans of classify_crisp run on arrays; the corner
-identities and the threshold bisections are point queries and stay scalar.
+and the two mesh scans of classify_crisp run on arrays; the I3-I5 corners
+and the threshold bisections are point queries and stay scalar.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .conjunctors import AxiomCheck, AxiomReport, FusionFunction, _mask_check
+from .conjunctors import AxiomReport, FusionFunction, _check_set
 from .negations import Negation, inverse_negation
 from .numerics import (
     DEFAULT_CONFIG,
@@ -53,13 +54,11 @@ from .numerics import (
     _product_mesh,
     _scan_mesh,
     _sup,
-    _tensor,
     _value,
     _values,
     _vectorized,
     _where,
     sorted_samples,
-    uniform_grid,
 )
 
 FAMILIES = ("gon", "gn", "ql", "ro", "d", "tn", "crisp", "agg")
@@ -333,27 +332,7 @@ def check_implication_axioms(
     Monotonicity uses running extrema so every grid pair is covered, not
     just neighbors; corner identities are compared within eq_tol.
     """
-    xs = uniform_grid(config)
-    tol = config.eq_tol
-    m = _tensor(implication, xs)
-    checks = []
-    for axiom, excess, note in (
-        ("I1", m - np.minimum.accumulate(m, axis=0), "not antitone in the first argument"),
-        ("I2", np.maximum.accumulate(m, axis=1) - m, "not isotone in the second argument"),
-    ):
-        top = float(excess.max())
-        checks.append(
-            _mask_check(axiom, excess > tol, xs, top, note)
-            or AxiomCheck(axiom=axiom, passed=True, deviation=top)
-        )
-
-    for axiom, point, want in (("I3", (0.0, 0.0), 1.0), ("I4", (1.0, 1.0), 1.0), ("I5", (1.0, 0.0), 0.0)):
-        got = float(implication(*point))
-        dev = abs(got - want)
-        checks.append(
-            AxiomCheck(axiom=axiom, passed=dev <= tol, witness=None if dev <= tol else point, deviation=dev)
-        )
-    return AxiomReport(label=implication.label, axiom_set="I", checks=tuple(checks))
+    return _check_set(implication, "I", config)
 
 
 def _snap_candidates(pred: Callable[[float], bool], samples) -> Optional[list[float]]:

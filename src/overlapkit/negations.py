@@ -11,11 +11,12 @@ The classes that matter downstream:
 
 Constructors declare the class flags they are known to satisfy; classify()
 re-derives the same flags numerically on the sample grid, so the two routes
-can be checked against each other. The N-dual transform N(f(N(x1),...,N(xn)))
-is also provided here because it only needs the negation.
+can be checked against each other. The N-dual of a fusion function,
+N(f(N(x1),...,N(xn))), is conjunctors.dual, beside the grouping and overlap
+constructions built on it; this module imports nothing from conjunctors.
 
-Each negation, the dual and the numeric inverse is one body over numerics
-(its primitives, _value, _invert): a point on floats, a mesh on arrays.
+Each negation and the numeric inverse is one body over numerics (its
+primitives, _invert): a point on floats, a mesh on arrays.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .numerics import (
     _jump_bound,
     _pow,
     _tensor,
-    _value,
     _values,
     _vectorized,
     _where,
@@ -214,30 +214,6 @@ def classify(negation: Negation, config: CheckConfig = DEFAULT_CONFIG) -> Negati
         is_frontier=is_negation and "frontier" not in witnesses,
         witnesses=witnesses,
         samples_checked=len(samples),
-    )
-
-
-def dual(f, negation: Negation):
-    """N-dual of a fusion function: N(f(N(x1),...,N(xn))).
-
-    Keeps the arity; the result is tagged with the neutral 'aggregation' role
-    because duality preserves aggregation-function status but may swap the
-    conjunctive/disjunctive roles.
-    """
-    from .conjunctors import FusionFunction
-
-    if not isinstance(f, FusionFunction):
-        raise PreconditionError("dual expects a FusionFunction")
-
-    def fn(*xs, _f=f, _n=negation):
-        return _value(_n, _value(_f, *[_value(_n, x) for x in xs]))
-
-    return FusionFunction(
-        fn=_vectorized(fn),
-        arity=f.arity,
-        role="aggregation",
-        label=f"dual({f.label}, {negation.label})",
-        params=f.params,
     )
 
 

@@ -79,7 +79,7 @@ class UnitValue(float):
     def __new__(cls, value: float) -> "UnitValue":
         v = float(value)
         if math.isnan(v) or v < 0.0 or v > 1.0:
-            raise UnitRangeError(f"value {value!r} is not in [0, 1]")
+            raise UnitRangeError(f"value {v!r} is not in [0, 1]")
         return super().__new__(cls, v)
 
     def __repr__(self) -> str:

@@ -13,6 +13,7 @@ import overlapkit as ok
 from overlapkit.numerics import (
     _axis,
     _bracket,
+    _vectorized,
     config_from_mapping,
     iteration_count,
     random_points,
@@ -210,6 +211,16 @@ def test_a_point_and_a_mesh_raise_the_same_bisection_errors():
             obj(*point)
         with pytest.raises(error, match=message):
             obj.values(*(np.array([0.25, x]) for x in point))
+
+
+def test_a_point_and_a_mesh_word_a_numpy_scalar_range_error_alike():
+    # On floats the formula returns np.float64(1.5), on arrays an array; both name the value as a float.
+    fn = _vectorized(lambda x, y: np.float64(2.0) * x + y)
+    f = ok.FusionFunction(fn=fn, arity=2, role="aggregation", label="f")
+    with pytest.raises(ok.UnitRangeError, match=r"^value 1\.5 is not in \[0, 1\]$"):
+        f(0.5, 0.5)
+    with pytest.raises(ok.UnitRangeError, match=r"^value 1\.5 is not in \[0, 1\]$"):
+        f.values(np.array([0.25, 0.5]), np.array([0.25, 0.5]))
 
 
 @pytest.mark.parametrize("resolution", [101, 11])

@@ -140,10 +140,9 @@ def test_leak_before_the_first_witness_raises_the_scalar_error(scalar_kernels):
     assert str(array_error.value) == str(scalar_error.value) == "value 2.0 is not in [0, 1]"
 
 
-# What a leaky connective gives where it leaks: a value above 1 or NaN
-# (UnitRangeError; a NumPy scalar is worded np.float64(...) on floats only)
-# or, inside the range, a positive value at y = 0, which ro's bisection
-# refuses (PreconditionError).
+# What a leaky connective gives where it leaks: a value above 1 or NaN, as
+# a float or a NumPy scalar (UnitRangeError), or, inside the range, a
+# positive value at y = 0, which ro's bisection refuses (PreconditionError).
 LEAKS = {
     "above": lambda x, y: 1.0 + x,
     "nan": lambda x, y: np.nan,

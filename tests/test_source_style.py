@@ -1,8 +1,9 @@
-"""Source layout of the package: lines at most 115 characters, one statement per line."""
+"""Source layout of the package: lines at most 115 characters, one statement per line, imports at module level."""
 
 from __future__ import annotations
 
 import ast
+import textwrap
 import tokenize
 from pathlib import Path
 
@@ -63,3 +64,35 @@ def test_no_compound_statement_starts_its_body_on_its_header_line(path):
                 if body and lines[body[0].lineno - 1][: body[0].col_offset].strip():
                     packed.append(body[0].lineno)
     assert packed == [], f"{path.name}: bodies on their header line at {sorted(packed)}"
+
+
+def _imports_in_functions(source: str) -> list[int]:
+    """Lines of the import statements inside a function body, nested ones included."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= {n.lineno for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))}
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    inner = _imports_in_functions(path.read_text(encoding="utf-8"))
+    assert inner == [], f"{path.name}: imports inside functions on lines {inner}"
+
+
+def test_an_import_inside_a_function_is_found():
+    source = textwrap.dedent(
+        """\
+        import math
+
+
+        class C:
+            def f(self):
+                def g():
+                    import os
+
+                from . import x
+        """
+    )
+    assert _imports_in_functions(source) == [7, 9]
