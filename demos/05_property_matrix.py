@@ -38,7 +38,7 @@ def main() -> None:
 
     print()
     print("== the five-instance matrix ==")
-    instances = table2_instances(ok.DEFAULT_CONFIG)
+    instances = table2_instances()
     labels = [imp.label for imp, _ in instances]
     print(f"{'property':<9} " + " ".join(f"{lab:<28}" for lab in labels))
     for prop in TABLE2_PROPERTIES:

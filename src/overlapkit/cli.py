@@ -586,7 +586,7 @@ TABLE2_EXPECTED = {
 }
 
 
-def table2_instances(config: CheckConfig = DEFAULT_CONFIG):
+def table2_instances():
     """The five built-in instances, one per implication class column."""
     o_min = catalog("O_min")
     zadeh = make_standard()
@@ -603,7 +603,7 @@ def table2_instances(config: CheckConfig = DEFAULT_CONFIG):
 
 def table2_matrix(config: CheckConfig = DEFAULT_CONFIG):
     """Compute the yes/no matrix: rows TABLE2_PROPERTIES, one column per instance."""
-    instances = table2_instances(config)
+    instances = table2_instances()
     columns = [impl.label for impl, _ in instances]
     rows = {}
     for prop in TABLE2_PROPERTIES:
@@ -697,6 +697,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate an expression")
+    p.set_defaults(command=_cmd_eval)
     p.add_argument("expression")
     p.add_argument(
         "--at",
@@ -707,28 +708,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("axioms", parents=[common], help="axiom report for a connective")
+    p.set_defaults(command=_cmd_axioms)
     p.add_argument("expression")
     p.add_argument("--set", choices=("O", "G", "GO", "T"), help="axiom set (default: from role)")
 
     p = sub.add_parser("props", parents=[common], help="property reports for an implication")
+    p.set_defaults(command=_cmd_props)
     p.add_argument("expression")
     p.add_argument("--prop", default="all", help="comma list of properties, or 'all'")
     p.add_argument("--negation", default="zadeh", help="negation for CP/LCP/RCP (default zadeh)")
 
     p = sub.add_parser("compare", parents=[common], help="sup deviation of two implications")
+    p.set_defaults(command=_cmd_compare)
     p.add_argument("expression")
     p.add_argument("expression2")
 
-    sub.add_parser("table2", parents=[common], help="property matrix of the built-in instances")
+    p = sub.add_parser("table2", parents=[common], help="property matrix of the built-in instances")
+    p.set_defaults(command=_cmd_table2)
 
     p = sub.add_parser("search", parents=[common], help="scan a parameter range for a violation")
+    p.set_defaults(command=_cmd_search)
     p.add_argument("template", help="implication expression with a {} placeholder")
     p.add_argument("--prop", required=True, help="property to test at each step")
     p.add_argument("--range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
     p.add_argument("--steps", type=int, default=11, help="number of values to try (>= 1)")
     p.add_argument("--negation", default="zadeh", help="negation for CP/LCP/RCP (default zadeh)")
 
-    sub.add_parser("catalog", parents=[common], help="list the expression grammar")
+    p = sub.add_parser("catalog", parents=[common], help="list the expression grammar")
+    p.set_defaults(command=_cmd_catalog)
     return parser
 
 
@@ -741,17 +748,6 @@ def _resolve_config(args) -> CheckConfig:
     return replace(config, **overrides) if overrides else config
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "axioms": _cmd_axioms,
-    "props": _cmd_props,
-    "compare": _cmd_compare,
-    "table2": _cmd_table2,
-    "search": _cmd_search,
-    "catalog": _cmd_catalog,
-}
-
-
 def run(argv: list[str]) -> int:
     """Parse and execute one command; returns the process exit code.
 
@@ -762,7 +758,7 @@ def run(argv: list[str]) -> int:
         warnings.simplefilter("always")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            result = _COMMANDS[args.verb](args, _resolve_config(args))
+            result = args.command(args, _resolve_config(args))
             _emit(result, args.format)
         except (ParseError, ConfigError, PreconditionError, UnitRangeError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -40,8 +40,9 @@ the CLI's parsers and its catalog listing.
 Every catalog entry and construction is one formula over the numerics
 primitives (_min, _max, _prod, _fsum, _pow, _where, _branch), marked with
 numerics._vectorized, so the same body gives a point on floats and
-FusionFunction.values a mesh on arrays, bit for bit alike. Piecewise
-formulas guard their denominators or branch lazily.
+FusionFunction.values a mesh on arrays, bit for bit alike. The call and
+values() are numerics._Connective's, shared with Negation and
+Implication. Piecewise formulas guard their denominators or branch lazily.
 
 The grid along each coordinate is numerics._axis: the configured
 resolution for unary and binary functions, a reduced grid (21 points for
@@ -66,6 +67,7 @@ from .numerics import (
     CheckConfig,
     PreconditionError,
     UnitValue,
+    _Connective,
     _Record,
     _all,
     _apart,
@@ -83,7 +85,6 @@ from .numerics import (
     _scan_mesh,
     _tensor,
     _value,
-    _values,
     _vectorized,
     _where,
     iteration_count,
@@ -95,13 +96,13 @@ ROLES = ("overlap", "grouping", "general_overlap", "t_norm", "aggregation")
 
 
 @dataclass(frozen=True, eq=False)
-class FusionFunction:
+class FusionFunction(_Connective):
     """An n-ary connective on [0,1]^n with a role claim and a label.
 
-    The role is a claim set by constructors; check_axioms verifies it. Output
-    is validated into [0,1] on every call. values() evaluates whole arrays
-    with fn when a constructor marked it numerics._vectorized, and point by
-    point through __call__ when not.
+    The role is a claim set by constructors; check_axioms verifies it. Calls
+    and values() follow the one contract of numerics._Connective: the output
+    is validated into [0,1], and arrays are evaluated with fn when a
+    constructor marked it numerics._vectorized.
     """
 
     fn: Callable[..., float]
@@ -116,23 +117,7 @@ class FusionFunction:
         if self.arity < 1:
             raise PreconditionError("arity must be positive")
 
-    def __call__(self, *xs: float) -> UnitValue:
-        if len(xs) != self.arity:
-            raise PreconditionError(
-                f"{self.label} takes {self.arity} arguments, got {len(xs)}"
-            )
-        return UnitValue(self.fn(*xs))
-
-    def values(self, *xs) -> np.ndarray:
-        """f at every point of the arrays xs, bit-identical to __call__ pointwise."""
-        if len(xs) != self.arity:
-            raise PreconditionError(
-                f"{self.label} takes {self.arity} arguments, got {len(xs)}"
-            )
-        return _values(self, xs)
-
-    def param(self, name: str) -> float:
-        return dict(self.params)[name]
+    __call__ = _Connective.__call__
 
     def with_role(self, role: str) -> "FusionFunction":
         return replace(self, role=role)

@@ -29,9 +29,11 @@ compositions (gon, tn, gn, ql, d, the natural negation and the recovered
 connective) over numerics._value, ql and d through the lazy
 numerics._branch, ro over numerics._sup, which bisects a point or a mesh,
 and the crisp family over numerics._where. So the same body evaluates a
-point on floats and a mesh on arrays. The I1/I2 grid (numerics._tensor)
-and the two mesh scans of classify_crisp run on arrays; the I3-I5 corners
-and the threshold bisections are point queries and stay scalar.
+point on floats and a mesh on arrays, through the call and values() of
+numerics._Connective that Implication shares with Negation and
+FusionFunction. The I1/I2 grid (numerics._tensor) and the two mesh scans
+of classify_crisp run on arrays; the I3-I5 corners and the threshold
+bisections are point queries and stay scalar.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .numerics import (
     DEFAULT_CONFIG,
     CheckConfig,
     PreconditionError,
-    UnitValue,
+    _Connective,
     _apart,
     _branch,
     _bracket,
@@ -55,7 +57,6 @@ from .numerics import (
     _scan_mesh,
     _sup,
     _value,
-    _values,
     _vectorized,
     _where,
     sorted_samples,
@@ -71,14 +72,15 @@ CRISP_KINDS = tuple(_CRISP_STRICT)
 
 
 @dataclass(frozen=True, eq=False)
-class Implication:
+class Implication(_Connective):
     """A binary map on [0,1]^2 built by one of the named constructors.
 
     family records which constructor produced it and parts holds the operand
     objects, so reports can trace an implication back to its ingredients.
-    values() evaluates whole arrays with fn when a constructor marked it
-    numerics._vectorized, and point by point through __call__ when not (a
-    user function, or an object rebuilt with dataclasses.replace).
+    Calls and values() follow the one contract of numerics._Connective;
+    arrays go point by point through the call when fn is not marked
+    numerics._vectorized (a user function, or an object rebuilt with
+    dataclasses.replace).
     """
 
     arity = 2
@@ -93,15 +95,7 @@ class Implication:
         if self.family not in FAMILIES:
             raise PreconditionError(f"unknown implication family {self.family!r}")
 
-    def __call__(self, x: float, y: float) -> UnitValue:
-        return UnitValue(self.fn(x, y))
-
-    def values(self, x, y) -> np.ndarray:
-        """I at every point of the arrays x, y, bit-identical to __call__ pointwise."""
-        return _values(self, (x, y))
-
-    def part(self, name: str):
-        return dict(self.parts)[name]
+    __call__ = _Connective.__call__
 
 
 class CrispFit(NamedTuple):

@@ -16,7 +16,10 @@ N(f(N(x1),...,N(xn))), is conjunctors.dual, beside the grouping and overlap
 constructions built on it; this module imports nothing from conjunctors.
 
 Each negation and the numeric inverse is one body over numerics (its
-primitives, _invert): a point on floats, a mesh on arrays.
+primitives, _invert): a point on floats, a mesh on arrays. A Negation is
+called and evaluated on arrays through numerics._Connective, the contract
+it shares with FusionFunction and Implication, so a wrong argument count
+is a PreconditionError.
 """
 
 from __future__ import annotations
@@ -31,14 +34,13 @@ from .numerics import (
     DEFAULT_CONFIG,
     CheckConfig,
     PreconditionError,
-    UnitValue,
+    _Connective,
     _Record,
     _first,
     _invert,
     _jump_bound,
     _pow,
     _tensor,
-    _values,
     _vectorized,
     _where,
     sorted_samples,
@@ -47,14 +49,13 @@ from .numerics import (
 
 
 @dataclass(frozen=True, eq=False)
-class Negation:
+class Negation(_Connective):
     """A unary connective on [0,1] plus declared classification claims.
 
     The is_* flags are claims set by constructors from known facts about the
     family; classify() verifies them numerically. Constructors write fn over
-    the numerics primitives (numerics._vectorized); values() evaluates a
-    whole array with it, and point by point through __call__ when fn is not
-    marked so.
+    the numerics primitives (numerics._vectorized). Calls and values() follow
+    the one contract of numerics._Connective.
     """
 
     arity = 1
@@ -67,15 +68,7 @@ class Negation:
     is_crisp: bool = False
     is_frontier: bool = False
 
-    def __call__(self, x: float) -> UnitValue:
-        return UnitValue(self.fn(x))
-
-    def values(self, x) -> np.ndarray:
-        """N at every element of x, bit-identical to __call__ elementwise."""
-        return _values(self, (x,))
-
-    def param(self, name: str) -> float:
-        return dict(self.params)[name]
+    __call__ = _Connective.__call__
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,17 @@ on arrays, where each element takes the steps its float would. _sup and
 _invert are one body each for a point and a mesh, and bisect only the
 points whose result is not an exact endpoint.
 
-Meshes are evaluated as numpy arrays and single points as floats, and only
-this module chooses between them. Each connective formula is written once
-over the primitives _min, _max, _prod, _fsum, _pow, _where, _all, _not and
-the lazy _branch, and marked with _vectorized; compositions go through
-_value. On floats each primitive runs the Python builtin, on arrays the
-numpy ufunc, except that _pow and _fsum run Python's pow and math.fsum per
-element: numpy's power rounds differently on a few percent of points, so
-the bits would differ.
+_Connective is the one evaluation contract of Negation, FusionFunction
+and Implication: a call checks the argument count and range-checks fn's
+value into a UnitValue, and values() makes the same check and evaluates
+arrays. Meshes are evaluated as numpy arrays and single points as floats,
+and only this module chooses between them. Each connective formula is
+written once over the primitives _min, _max, _prod, _fsum, _pow, _where,
+_all, _not and the lazy _branch, and marked with _vectorized; compositions
+go through _value. On floats each primitive runs the Python builtin, on
+arrays the numpy ufunc, except that _pow and _fsum run Python's pow and
+math.fsum per element: numpy's power rounds differently on a few percent
+of points, so the bits would differ.
 
 _scan_mesh is the first-witness scan and _mesh_values the full evaluation
 of a mesh, both over one block loop, _blockwise. When a block raises
@@ -36,8 +39,10 @@ _plain is the one serializer of the report dataclasses, and _Record gives
 each of them as_dict() through it.
 
 The grid layer builds every sample mesh: _axis is the one reduced-grid
-rule, _sample_mesh the mesh the property scans walk, and _tensor the one
-full evaluation of an object on a product grid.
+rule, _sample_mesh the mesh the property scans walk and the one place its
+point order is written (properties.pair_points and triple_points yield its
+points), and _tensor the one full evaluation of an object on a product
+grid.
 """
 
 from __future__ import annotations
@@ -348,20 +353,36 @@ def _checked(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _pointwise(fn: Callable, xs: tuple) -> np.ndarray:
-    """fn(*point) as floats for each point of the columns xs, in order."""
-    return np.array([float(fn(*p)) for p in _scalar_points(xs)], dtype=float)
+class _Connective:
+    """The one evaluation contract of Negation, FusionFunction and Implication.
 
-
-def _values(obj, xs: tuple) -> np.ndarray:
-    """obj.values(*xs) of a Negation, FusionFunction or Implication.
-
-    The arguments broadcast to equal-length 1-d float64 arrays. Evaluates
-    obj.fn on them with the range check of __call__ when fn is marked
-    _vectorized, and calls obj point by point when it is not.
+    A subclass has fn, label and arity. Its call evaluates fn at a point and
+    range-checks the result into a UnitValue. values() broadcasts the arrays
+    xs to equal-length 1-d float64 arrays and evaluates them with fn and the
+    same range check when fn is marked _vectorized, and point by point
+    through the call when it is not. Both refuse a wrong argument count with
+    the same PreconditionError. Each subclass binds __call__ =
+    _Connective.__call__ as its own attribute, so a tracer (bench/spans.py)
+    can wrap one class's scalar calls and count them apart.
     """
-    xs = tuple(np.atleast_1d(c) for c in np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs)))
-    return _checked(obj.fn(*xs)) if getattr(obj.fn, "vectorized", False) else _pointwise(obj, xs)
+
+    def _check_arity(self, xs: tuple) -> None:
+        if len(xs) != self.arity:
+            raise PreconditionError(f"{self.label} takes {self.arity} arguments, got {len(xs)}")
+
+    def __call__(self, *xs: float) -> UnitValue:
+        # _check_arity's test inline: this runs at every scalar evaluation.
+        if len(xs) != self.arity:
+            self._check_arity(xs)
+        return UnitValue(self.fn(*xs))
+
+    def values(self, *xs) -> np.ndarray:
+        """The object at every point of the arrays xs, bit-identical to the call pointwise."""
+        self._check_arity(xs)
+        xs = tuple(np.atleast_1d(c) for c in np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs)))
+        if getattr(self.fn, "vectorized", False):
+            return _checked(self.fn(*xs))
+        return np.array([float(self(*p)) for p in _scalar_points(xs)], dtype=float)
 
 
 def _value(obj, *xs):

@@ -27,9 +27,11 @@ scan would; the public checkers only validate the id. NP and IP walk the
 sorted samples, the other pairwise scans numerics._sample_mesh (the uniform
 grid mesh plus seeded random pairs), EP and EP1 the triple mesh on the
 reduced grid of numerics._axis (21 points) plus random triples. pair_points and
-triple_points yield those meshes point by point, in column order. compare
-evaluates the whole pair mesh with numerics._mesh_values, range_is_proper
-the sample square with numerics._tensor.
+triple_points yield the points of those meshes as Python floats, in
+numerics._sample_mesh's order, so they too refuse a mesh of more than
+numerics.MAX_GRID_POINTS points. compare evaluates the whole pair mesh
+with numerics._mesh_values, range_is_proper the sample square with
+numerics._tensor.
 """
 
 from __future__ import annotations
@@ -47,14 +49,13 @@ from .numerics import (
     CheckConfig,
     PreconditionError,
     _apart,
-    _axis,
     _mesh_values,
     _Record,
     _sample_mesh,
+    _scalar_points,
     _scan_mesh,
     _tensor,
     _value,
-    random_points,
     sorted_samples,
 )
 
@@ -111,26 +112,13 @@ def _report(pid: str, witness: Optional[tuple], count: int, note: str = "") -> P
 
 
 def pair_points(config: CheckConfig) -> Iterator[tuple[float, float]]:
-    """The pair mesh point by point, in the order of numerics._sample_mesh(config, 2)."""
-    grid = _axis(config, 2)
-    for x in grid:
-        for y in grid:
-            yield float(x), float(y)
-    r = random_points(config)
-    for k in range(0, len(r) - 1, 2):
-        yield float(r[k]), float(r[k + 1])
+    """The pair mesh point by point: the points of numerics._sample_mesh(config, 2), in order."""
+    yield from _scalar_points(_sample_mesh(config, 2))
 
 
 def triple_points(config: CheckConfig) -> Iterator[tuple[float, float, float]]:
-    """The triple mesh point by point, in the order of numerics._sample_mesh(config, 3)."""
-    grid = _axis(config, 3)
-    for x in grid:
-        for y in grid:
-            for z in grid:
-                yield float(x), float(y), float(z)
-    r = random_points(config)
-    for k in range(0, len(r) - 2, 3):
-        yield float(r[k]), float(r[k + 1]), float(r[k + 2])
+    """The triple mesh point by point: the points of numerics._sample_mesh(config, 3), in order."""
+    yield from _scalar_points(_sample_mesh(config, 3))
 
 
 class _Property(NamedTuple):

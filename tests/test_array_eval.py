@@ -9,8 +9,8 @@ compared as bit patterns (so the sign of a zero counts), on:
 * random points from hypothesis, mixed with the crisp thresholds, their
   float neighbours and O_DB's x + y = 0 corner.
 
-The array meshes must list exactly the points of pair_points/triple_points,
-in the same order.
+The array meshes and pair_points/triple_points must list exactly the points
+of the nested-loop reference generators kept here, in the same order.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import overlapkit as ok
-from overlapkit.numerics import _product_mesh, _sample_mesh, sorted_samples
+from overlapkit.numerics import _axis, _product_mesh, _sample_mesh, random_points, sorted_samples
 
 CFG = ok.DEFAULT_CONFIG
 ALPHA, BETA = 0.5, 0.3
@@ -150,19 +150,58 @@ def _argument_sets(obj, mesh):
     return picks if len(mesh) > arity else picks[:1]
 
 
+def _reference_pairs(config):
+    """The pair mesh as nested loops: the grid of _axis(config, 2) row by row, then random points in pairs."""
+    grid = _axis(config, 2)
+    for x in grid:
+        for y in grid:
+            yield float(x), float(y)
+    r = random_points(config)
+    for k in range(0, len(r) - 1, 2):
+        yield float(r[k]), float(r[k + 1])
+
+
+def _reference_triples(config):
+    """The triple mesh as nested loops: the grid of _axis(config, 3) in C order, then random points in threes."""
+    grid = _axis(config, 3)
+    for x in grid:
+        for y in grid:
+            for z in grid:
+                yield float(x), float(y), float(z)
+    r = random_points(config)
+    for k in range(0, len(r) - 2, 3):
+        yield float(r[k]), float(r[k + 1]), float(r[k + 2])
+
+
+def _assert_same_points(got, want):
+    """The points of got are those of want, as Python floats, in the same order."""
+    got, want = list(got), list(want)
+    assert got == want
+    assert all(type(v) is float for p in got for v in p)
+
+
+def _mesh_points(config, arity):
+    return zip(*(c.tolist() for c in _sample_mesh(config, arity)))
+
+
 def test_pair_mesh_lists_pair_points_in_order():
-    assert list(zip(*(c.tolist() for c in _sample_mesh(CFG, 2)))) == list(ok.pair_points(CFG))
+    _assert_same_points(_mesh_points(CFG, 2), _reference_pairs(CFG))
+    _assert_same_points(ok.pair_points(CFG), _reference_pairs(CFG))
 
 
 def test_triple_mesh_lists_triple_points_in_order():
-    assert list(zip(*(c.tolist() for c in _sample_mesh(CFG, 3)))) == list(ok.triple_points(CFG))
+    _assert_same_points(_mesh_points(CFG, 3), _reference_triples(CFG))
+    _assert_same_points(ok.triple_points(CFG), _reference_triples(CFG))
 
 
 @pytest.mark.parametrize("samples", [0, 1, 2, 3, 5])
 def test_meshes_match_generators_for_short_random_parts(samples):
-    cfg = ok.CheckConfig(grid_resolution=3, random_samples=samples)
-    assert list(zip(*(c.tolist() for c in _sample_mesh(cfg, 2)))) == list(ok.pair_points(cfg))
-    assert list(zip(*(c.tolist() for c in _sample_mesh(cfg, 3)))) == list(ok.triple_points(cfg))
+    for grid in (2, 3, 37):
+        cfg = ok.CheckConfig(grid_resolution=grid, random_samples=samples)
+        _assert_same_points(_mesh_points(cfg, 2), _reference_pairs(cfg))
+        _assert_same_points(ok.pair_points(cfg), _reference_pairs(cfg))
+        _assert_same_points(_mesh_points(cfg, 3), _reference_triples(cfg))
+        _assert_same_points(ok.triple_points(cfg), _reference_triples(cfg))
 
 
 @pytest.mark.parametrize("name", sorted(OBJECTS))
@@ -206,8 +245,20 @@ def test_values_reject_out_of_range_like_call():
     zadeh = ok.make_standard()
     with pytest.raises(ok.UnitRangeError, match="value -1.0 is not in"):
         zadeh.values(np.array([0.5, 2.0]))
-    with pytest.raises(ok.PreconditionError, match="takes 3 arguments, got 2"):
-        ok.catalog("GO_PN", n=3).values(np.array([0.5]), np.array([0.5]))
+    x = np.array([0.5])
+    gon = ok.make_gon(ok.catalog("O_min"), zadeh)
+    # Every connective words a wrong argument count alike, on a call and on values().
+    for wrong, text in (
+        (lambda: ok.catalog("GO_PN", n=3).values(x, x), "GO_PN:n=3 takes 3 arguments, got 2"),
+        (lambda: ok.catalog("GO_PN", n=3)(0.5, 0.5), "GO_PN:n=3 takes 3 arguments, got 2"),
+        (lambda: zadeh(0.1, 0.2), "zadeh takes 1 arguments, got 2"),
+        (lambda: zadeh.values(x, x), "zadeh takes 1 arguments, got 2"),
+        (lambda: gon(0.1), r"gon\(O_min, zadeh\) takes 2 arguments, got 1"),
+        (lambda: gon.values(x), r"gon\(O_min, zadeh\) takes 2 arguments, got 1"),
+        (lambda: gon.values(x, x, x), r"gon\(O_min, zadeh\) takes 2 arguments, got 3"),
+    ):
+        with pytest.raises(ok.PreconditionError, match=text):
+            wrong()
 
 
 def test_replaced_fn_drops_the_array_form():

@@ -168,7 +168,7 @@ def _cases() -> dict:
         cases[f"implication_axioms/{expr}"] = lambda e=expr: ok.check_implication_axioms(
             parse_implication(e, CFG), CFG
         ).as_dict()
-    for impl, neg in table2_instances(CFG):
+    for impl, neg in table2_instances():
         cases[f"props/{impl.label} ~ {neg.label}"] = lambda i=impl, n=neg: _properties(i, n)
         cases[f"implication_axioms/{impl.label}"] = lambda i=impl: ok.check_implication_axioms(
             i, CFG

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 import overlapkit as ok
+from overlapkit import numerics
 
 from conftest import BINARY_ENTRIES, NEGATION_CATALOG
 
@@ -200,3 +201,13 @@ def test_pair_and_triple_points_deterministic():
     assert a == b
     t = list(ok.triple_points(ok.CheckConfig(grid_resolution=11, random_samples=30)))
     assert t == list(ok.triple_points(ok.CheckConfig(grid_resolution=11, random_samples=30)))
+
+
+def test_pair_and_triple_points_refuse_a_mesh_above_the_bound(monkeypatch):
+    # The generators walk numerics._sample_mesh, so they refuse what every pairwise check refuses.
+    monkeypatch.setattr(numerics, "MAX_GRID_POINTS", 100)
+    cfg = ok.CheckConfig(grid_resolution=11, random_samples=0)
+    with pytest.raises(ok.PreconditionError, match=r"arity 2 needs 11\^2 points, more than 100"):
+        next(ok.pair_points(cfg))
+    with pytest.raises(ok.PreconditionError, match=r"arity 3 needs 21\^3 points, more than 100"):
+        next(ok.triple_points(cfg))

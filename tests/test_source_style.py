@@ -96,3 +96,102 @@ def test_an_import_inside_a_function_is_found():
         """
     )
     assert _imports_in_functions(source) == [7, 9]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names an import in source binds that no expression of source reads, __future__ imports aside."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(bound - read)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    # __init__.py is left out: it imports names to re-export them.
+    unused = _unused_imports(path.read_text(encoding="utf-8"))
+    assert unused == [], f"{path.name}: imported but unused: {unused}"
+
+
+def test_an_unused_import_is_found():
+    source = textwrap.dedent(
+        """\
+        from __future__ import annotations
+
+        import os
+        import os.path
+        import numpy as np
+        from .numerics import _first, _values as values, sample_grid
+
+
+        def f(x: sample_grid) -> float:
+            return np.sum(_first(x))
+        """
+    )
+    assert _unused_imports(source) == ["os", "values"]
+
+
+def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """module:name for each module-level _private name of sources that no code of sources reads or imports."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    unreferenced = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            private = [n for n in names if n.startswith("_") and not n.startswith("__")]
+            unreferenced += [f"{module}:{n}" for n in private if n not in referenced]
+    return unreferenced
+
+
+def test_every_private_name_is_referenced():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert _unreferenced_private_names(sources) == []
+
+
+def test_an_unreferenced_private_name_is_found():
+    sources = {
+        "a.py": textwrap.dedent(
+            """\
+            __all__ = ["public"]
+            _LIMIT, _dead_constant = 3, 4
+
+
+            def _used():
+                return _LIMIT
+
+
+            def _dead():
+                return _used()
+
+
+            class _Base:
+                pass
+
+
+            def public():
+                return 0
+            """
+        ),
+        "b.py": "from .a import _used\n\n\nclass C(a._Base):\n    pass\n",
+    }
+    assert _unreferenced_private_names(sources) == ["a.py:_dead_constant", "a.py:_dead"]
