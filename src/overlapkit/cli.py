@@ -45,7 +45,7 @@ import re
 import sys
 import warnings
 from dataclasses import replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -675,7 +675,9 @@ _CONFIG_FLAGS = (
 )
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every verb, built once per process: parse_args keeps no state between calls."""
     common = argparse.ArgumentParser(add_help=False)
     for flag, dest, _, kind, text in _CONFIG_FLAGS:
         common.add_argument(flag, dest=dest, type=kind, help=text)

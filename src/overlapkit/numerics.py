@@ -23,9 +23,12 @@ and only this module chooses between them. Each connective formula is
 written once over the primitives _min, _max, _prod, _fsum, _pow, _where,
 _all, _not and the lazy _branch, and marked with _vectorized; compositions
 go through _value. On floats each primitive runs the Python builtin, on
-arrays the numpy ufunc, except that _pow and _fsum run Python's pow and
-math.fsum per element: numpy's power rounds differently on a few percent
-of points, so the bits would differ.
+arrays the numpy ufunc, with two exceptions. _pow runs Python's pow once
+per distinct element (_distinct, from DISTINCT_FLOOR elements up), since
+numpy's power rounds differently from host to host. _fsum of two columns
+is np.add(a, b) + 0.0, the one correctly rounded sum with fsum's +0.0 for
+-0.0 + -0.0; a non-finite sum, or more columns, runs math.fsum per point.
+The array path of _invert bisects each distinct y once.
 
 _scan_mesh is the first-witness scan and _mesh_values the full evaluation
 of a mesh, both over one block loop, _blockwise. When a block raises
@@ -39,10 +42,10 @@ _plain is the one serializer of the report dataclasses, and _Record gives
 each of them as_dict() through it.
 
 The grid layer builds every sample mesh: _axis is the one reduced-grid
-rule, _sample_mesh the mesh the property scans walk and the one place its
-point order is written (properties.pair_points and triple_points yield its
-points), and _tensor the one full evaluation of an object on a product
-grid.
+rule, _sample_mesh the mesh the property scans walk (cached and read-only)
+and the one place its point order is written (properties.pair_points and
+triple_points yield its points), and _tensor the one full evaluation of an
+object on a product grid.
 """
 
 from __future__ import annotations
@@ -292,7 +295,15 @@ def _invert(negation, y, tol: float):
         lo, hi = _bracket(lambda mid: _value(negation, mid) >= s, tol, _min(s, 0.0), _max(s, 1.0))
         return 0.5 * (lo + hi)
 
-    return _branch((t > 0.0) & (t < 1.0), bisect, _where(t >= 1.0, 0.0, 1.0), t)
+    def bisect_distinct(s):
+        # A mesh repeats its y values: bisect each distinct one once and scatter the results back.
+        distinct = _distinct(s)
+        if distinct is None:
+            return bisect(s)
+        values, inverse = distinct
+        return bisect(values)[inverse]
+
+    return _branch((t > 0.0) & (t < 1.0), bisect_distinct, _where(t >= 1.0, 0.0, 1.0), t)
 
 
 def _apart(tol: float) -> Callable[[float, float], tuple[bool, float]]:
@@ -379,10 +390,32 @@ class _Connective:
     def values(self, *xs) -> np.ndarray:
         """The object at every point of the arrays xs, bit-identical to the call pointwise."""
         self._check_arity(xs)
-        xs = tuple(np.atleast_1d(c) for c in np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs)))
+        xs = _columns(xs)
         if getattr(self.fn, "vectorized", False):
             return _checked(self.fn(*xs))
         return np.array([float(self(*p)) for p in _scalar_points(xs)], dtype=float)
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _columns(xs: tuple) -> tuple[np.ndarray, ...]:
+    """xs broadcast to equal-length 1-d float64 arrays, the form values() evaluates.
+
+    Compositions pass such columns, and a float beside them becomes a
+    constant column, without np.broadcast_arrays: it costs about 10 us a
+    call, several times a whole evaluation of a short block.
+    """
+    n = None
+    for x in xs:
+        if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1 and n in (None, len(x)):
+            n = len(x)
+        elif type(x) is not float:
+            break
+    else:
+        if n is not None:
+            return tuple(x if type(x) is np.ndarray else np.full(n, x) for x in xs)
+    return tuple(np.atleast_1d(c) for c in np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs)))
 
 
 def _value(obj, *xs):
@@ -410,17 +443,53 @@ def _prod(*xs):
 
 
 def _fsum(*xs):
-    """math.fsum of xs, at each point of the arrays xs."""
-    if _is_array(*xs):
-        return np.array([math.fsum(p) for p in _scalar_points(xs)], dtype=float)
-    return math.fsum(xs)
+    """math.fsum of xs, at each point of the arrays xs.
+
+    Two finite terms have one correctly rounded sum, np.add's; + 0.0 turns
+    its -0.0 into fsum's 0.0. Other arrays go through math.fsum per point.
+    """
+    if not _is_array(*xs):
+        return math.fsum(xs)
+    if len(xs) == 2:
+        # Quiet: a non-finite sum goes to math.fsum, which returns or raises as on floats.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add(*xs) + 0.0
+        if np.isfinite(total).all():
+            return total
+    return np.array([math.fsum(p) for p in _scalar_points(xs)], dtype=float)
 
 
 def _pow(base, exponent: float):
-    """base ** exponent; on an array Python's float pow per element, as numpy's power rounds differently."""
-    if _is_array(base):
+    """base ** exponent; on an array Python's float pow once per distinct element (see _distinct).
+
+    Not numpy's power: its bits depend on the CPU's vector kernels.
+    """
+    if not _is_array(base):
+        return base**exponent
+    distinct = _distinct(base)
+    if distinct is None:
         return np.array([b**exponent for b in base.tolist()], dtype=float)
-    return base**exponent
+    values, inverse = distinct
+    return np.array([b**exponent for b in values.tolist()], dtype=float)[inverse]
+
+
+# Shortest column _distinct deduplicates. np.unique's fixed cost (15-45 us a
+# call) outweighs the pow calls it saves on short columns, most of all on
+# columns with no repeats: with a floor of 256, classify of an inverse power
+# negation (columns of 301 distinct samples) took 5.9 ms against 4.8 ms.
+DISTINCT_FLOOR = 1024
+
+
+def _distinct(col):
+    """(values, inverse) with values[inverse] equal to the float64 column col bit for bit, or None.
+
+    Keyed on the bit pattern, so -0.0 and 0.0 stay apart. None for a float
+    and for a column shorter than DISTINCT_FLOOR.
+    """
+    if not _is_array(col) or len(col) < DISTINCT_FLOOR:
+        return None
+    bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
+    return bits.view(np.float64), inverse
 
 
 def _all(cond) -> bool:
@@ -557,11 +626,20 @@ def _grid_mesh(config: CheckConfig, arity: int) -> tuple[np.ndarray, ...]:
     return _product_mesh(_axis(config, arity), arity)
 
 
+@lru_cache(maxsize=4)
 def _sample_mesh(config: CheckConfig, arity: int) -> tuple[np.ndarray, ...]:
-    """Columns of _grid_mesh(config, arity), then of the random points taken arity at a time."""
+    """Columns of _grid_mesh(config, arity), then of the random points taken arity at a time, read-only.
+
+    Cached like uniform_grid, as every property scan walks it, but for few
+    meshes: one at 3162 points per axis holds 160 MB. A mesh over
+    MAX_GRID_POINTS raises on every call, since lru_cache keeps no errors.
+    """
     r = random_points(config)
     m = len(r) // arity
-    return tuple(np.concatenate((g, r[k : arity * m : arity])) for k, g in enumerate(_grid_mesh(config, arity)))
+    cols = tuple(np.concatenate((g, r[k : arity * m : arity])) for k, g in enumerate(_grid_mesh(config, arity)))
+    for col in cols:
+        col.setflags(write=False)
+    return cols
 
 
 def _tensor(f, axis: np.ndarray) -> np.ndarray:

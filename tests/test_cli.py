@@ -9,7 +9,7 @@ import json
 import pytest
 
 from overlapkit import numerics
-from overlapkit.cli import _CATALOG_ROWS, _head_kind, run
+from overlapkit.cli import _CATALOG_ROWS, _build_parser, _head_kind, run
 
 
 def _lines(capsys) -> list[str]:
@@ -469,3 +469,50 @@ def test_seed_flag_changes_samples(capsys):
     other = json.loads(capsys.readouterr().out)
     # the verdict is seed-independent even though the sample set is not
     assert base[0]["status"] == other[0]["status"] == "fails"
+
+
+# --- one parser per process -------------------------------------------------
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_runs(capsys):
+    assert _build_parser() is _build_parser()
+    assert run(["eval", "O_min", "--at", "0.2", "0.9", "--at", "0.6", "0.4", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["values"] == [0.2, 0.4]
+    # A fresh --at list and the text default of --format.
+    assert run(["eval", "O_min", "--at", "0.3", "0.8"]) == 0
+    assert capsys.readouterr().out == "0.300000000\n"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["eval"],
+        ["eval", "zadeh", "--at", "0.5", "--format", "yaml"],
+        ["search", "ro(O_P:p={})", "--prop", "NP", "--range", "1"],
+        ["nope"],
+    ],
+)
+def test_a_run_that_argparse_exits_leaves_the_next_run_unchanged(bad, capsys):
+    good = ["eval", "gon(GO_max, zadeh)", "--at", "0.6", "0.2", "--at", "0.1", "0.3", "--format", "csv"]
+    run(good)
+    before = capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        run(bad)
+    assert exit_.value.code == 2
+    capsys.readouterr()
+    run(good)
+    after = capsys.readouterr()
+    assert (after.out, after.err) == (before.out, before.err)
+
+
+@pytest.mark.parametrize("verb", [[], ["eval"], ["props"], ["search"], ["catalog"]])
+def test_help_of_the_shared_parser_is_that_of_a_fresh_one(verb, capsys):
+    with pytest.raises(SystemExit):
+        _build_parser.__wrapped__().parse_args([*verb, "--help"])
+    reference = capsys.readouterr().out
+    assert reference.startswith("usage: overlapkit")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_:
+            run([*verb, "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == reference

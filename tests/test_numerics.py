@@ -11,8 +11,15 @@ from hypothesis import strategies as st
 
 import overlapkit as ok
 from overlapkit.numerics import (
+    DISTINCT_FLOOR,
     _axis,
     _bracket,
+    _columns,
+    _distinct,
+    _fsum,
+    _invert,
+    _pow,
+    _sample_mesh,
     _vectorized,
     config_from_mapping,
     iteration_count,
@@ -233,3 +240,123 @@ def test_reduced_grids(resolution):
     report = ok.check_ep(ok.make_tn(ok.catalog("O_min"), ok.make_standard()), "EP", cfg)
     assert report.holds
     assert report.samples_checked == 21**3 + cfg.random_samples // 3
+
+
+# The array forms of _fsum, _pow and _invert against their float forms, bit for bit.
+
+_SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _repeated(pool: list[float], n: int, seed: int) -> np.ndarray:
+    """n draws from pool, so a column of heavy repeats."""
+    return np.array(pool)[np.random.default_rng(seed).integers(0, len(pool), n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.one_of(_SIGNED_ZEROS, _FINITE), st.one_of(_SIGNED_ZEROS, _FINITE)), min_size=1))
+def test_fsum_of_two_columns_is_math_fsum_per_point(pairs):
+    a, b = (np.array(col) for col in zip(*pairs))
+    try:
+        want = [math.fsum(p) for p in pairs]
+    except OverflowError:
+        # Two finite terms overflow: the columns fall back to math.fsum per point and raise alike.
+        with pytest.raises(OverflowError):
+            _fsum(a, b)
+        return
+    assert _bits(_fsum(a, b)) == _bits(want)
+
+
+def test_fsum_of_two_columns_keeps_signed_zeros_and_non_finite_terms_as_math_fsum():
+    zeros = [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (1.0, -1.0), (-1.0, 1.0)]
+    a, b = (np.array(col) for col in zip(*zeros))
+    assert _bits(_fsum(a, b)) == _bits([math.fsum(p) for p in zeros])
+    inf = math.inf
+    assert _bits(_fsum(np.array([inf, 0.5]), np.array([1.0, 0.5]))) == _bits([inf, 1.0])
+    assert math.isnan(_fsum(np.array([math.nan]), np.array([1.0]))[0])
+    with pytest.raises(ValueError):
+        _fsum(np.array([inf]), np.array([-inf]))
+
+
+_BASES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-310]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pool=st.lists(_BASES, min_size=1, max_size=20),
+    n=st.sampled_from([1, 7, DISTINCT_FLOOR - 1, DISTINCT_FLOOR, 3 * DISTINCT_FLOOR]),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.one_of(st.sampled_from([1.0, 2.0, 3.0, 0.5, 1e-3]), st.floats(min_value=0.01, max_value=20.0)),
+)
+def test_pow_on_a_column_is_float_pow_per_element(pool, n, seed, exponent):
+    col = _repeated(pool, n, seed)
+    assert _bits(_pow(col, exponent)) == _bits([b**exponent for b in col.tolist()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pool=st.lists(st.one_of(_BASES, st.floats(min_value=-1.0, max_value=0.0)), min_size=1, max_size=20),
+    n=st.sampled_from([5, DISTINCT_FLOOR, 2 * DISTINCT_FLOOR + 3]),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.sampled_from([1.0, 3.0, 5.0, 7.0]),
+)
+def test_pow_of_negative_bases_to_odd_integer_exponents_is_float_pow_per_element(pool, n, seed, exponent):
+    col = _repeated(pool, n, seed)
+    assert _bits(_pow(col, exponent)) == _bits([b**exponent for b in col.tolist()])
+
+
+def test_distinct_keeps_signed_zeros_apart_and_refuses_short_columns():
+    col = np.tile([0.0, -0.0, 0.5], DISTINCT_FLOOR)
+    values, inverse = _distinct(col)
+    assert len(values) == 3
+    assert values[inverse].tobytes() == col.tobytes()
+    assert _distinct(col[: DISTINCT_FLOOR - 1]) is None
+    assert _distinct(0.5) is None
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    p=st.floats(min_value=0.3, max_value=4.0),
+    pool=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inverting_a_column_of_repeated_values_is_invert_strict_per_point(p, pool, seed):
+    negation = ok.make_power_strict(p)
+    y = _repeated(pool + [0.0, 1.0], DISTINCT_FLOOR + 100, seed)
+    assert _bits(_invert(negation, y, 1e-8)) == _bits([ok.invert_strict(negation, v, 1e-8) for v in y.tolist()])
+
+
+def test_inverting_the_pair_mesh_y_column_is_invert_strict_per_point():
+    # Each grid value once per mesh row, then the random tail: the mesh compare walks over recover_go.
+    negation = ok.make_power_strict(2.0)
+    _, y = _sample_mesh(ok.CheckConfig(grid_resolution=41), 2)
+    assert _bits(_invert(negation, y, 1e-8)) == _bits([ok.invert_strict(negation, v, 1e-8) for v in y.tolist()])
+
+
+def test_the_sample_mesh_is_read_only_and_its_refusal_is_not_cached():
+    for col in _sample_mesh(ok.DEFAULT_CONFIG, 2):
+        assert not col.flags.writeable
+    huge = ok.CheckConfig(grid_resolution=4000)
+    for _ in range(2):
+        with pytest.raises(ok.PreconditionError):
+            _sample_mesh(huge, 2)
+
+
+def test_values_takes_ready_columns_as_they_are_and_broadcasts_the_rest():
+    x = np.linspace(0.0, 1.0, 5)
+    cols = _columns((x, 0.25))
+    assert cols[0] is x
+    assert _bits(cols[1]) == _bits(np.full(5, 0.25))
+    general = [(0.25, 0.5), (x, np.float64(0.25)), (x, [0.5] * 5), (x.astype(np.float32), 0.25), (x, x[:1])]
+    for xs in general:
+        want = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in xs))
+        assert [_bits(c) for c in _columns(xs)] == [_bits(c) for c in want]
+    with pytest.raises(ValueError):
+        _columns((x, x[:3]))

@@ -195,3 +195,42 @@ def test_an_unreferenced_private_name_is_found():
         "b.py": "from .a import _used\n\n\nclass C(a._Base):\n    pass\n",
     }
     assert _unreferenced_private_names(sources) == ["a.py:_dead_constant", "a.py:_dead"]
+
+
+# The float-or-array choice for sums, powers and deduplication is made in numerics alone.
+NUMERICS_ONLY = {("math", "fsum"), ("np", "unique"), ("numpy", "unique"), ("np", "power"), ("numpy", "power")}
+
+
+def _numerics_only_uses(source: str) -> list[str]:
+    """line:module.name for each NUMERICS_ONLY function that source reads or imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            used = [(node.value.id, node.attr)]
+        elif isinstance(node, ast.ImportFrom):
+            used = [(node.module, alias.name) for alias in node.names]
+        else:
+            continue
+        found += [f"{node.lineno}:{m}.{n}" for m, n in used if (m, n) in NUMERICS_ONLY]
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "numerics.py"], ids=lambda p: p.name)
+def test_fsum_unique_and_power_are_called_only_in_numerics(path):
+    uses = _numerics_only_uses(path.read_text(encoding="utf-8"))
+    assert uses == [], f"{path.name}: use numerics._fsum, _pow or _distinct instead: {uses}"
+
+
+def test_a_use_of_fsum_unique_or_power_is_found():
+    source = textwrap.dedent(
+        """\
+        import math
+        import numpy as np
+        from numpy import power
+
+
+        def f(x):
+            return math.fsum(x) + np.unique(x)[0] + np.sum(x) + math.prod(x)
+        """
+    )
+    assert _numerics_only_uses(source) == ["3:numpy.power", "7:math.fsum", "7:np.unique"]
