@@ -410,8 +410,9 @@ def _emit(result: _Result, fmt: str) -> None:
         writer.writerow(result.header)
         writer.writerows(result.rows)
     else:
-        for line in map(" ".join, result.rows) if result.text is None else result.text:
-            print(line)
+        # One write per line, without joining a whole grid dump into one string.
+        lines = map(" ".join, result.rows) if result.text is None else result.text
+        sys.stdout.writelines(line + "\n" for line in lines)
 
 
 def _yes(holds: bool) -> str:

@@ -23,12 +23,14 @@ and only this module chooses between them. Each connective formula is
 written once over the primitives _min, _max, _prod, _fsum, _pow, _where,
 _all, _not and the lazy _branch, and marked with _vectorized; compositions
 go through _value. On floats each primitive runs the Python builtin, on
-arrays the numpy ufunc, with two exceptions. _pow runs Python's pow once
-per distinct element (_distinct, from DISTINCT_FLOOR elements up), since
-numpy's power rounds differently from host to host. _fsum of two columns
-is np.add(a, b) + 0.0, the one correctly rounded sum with fsum's +0.0 for
--0.0 + -0.0; a non-finite sum, or more columns, runs math.fsum per point.
-The array path of _invert bisects each distinct y once.
+arrays the numpy ufunc, with two exceptions. _pow is np.float_power, which
+calls the C library's pow as Python's float pow does, not np.power, whose
+vector kernels round differently from host to host; a non-finite result
+runs Python's pow per element, so errors stay as on floats. _fsum of two
+columns is np.add(a, b) + 0.0, the one correctly rounded sum with fsum's
++0.0 for -0.0 + -0.0; a non-finite sum, or more columns, runs math.fsum
+per point. The array path of _invert bisects each distinct y once
+(_distinct, from DISTINCT_FLOOR elements up).
 
 _scan_mesh is the first-witness scan and _mesh_values the full evaluation
 of a mesh, both over one block loop, _blockwise. When a block raises
@@ -460,23 +462,28 @@ def _fsum(*xs):
 
 
 def _pow(base, exponent: float):
-    """base ** exponent; on an array Python's float pow once per distinct element (see _distinct).
+    """base ** exponent; on an array one np.float_power call, which runs the C library's pow per element.
 
-    Not numpy's power: its bits depend on the CPU's vector kernels.
+    Python's float pow ends in that same pow, so the bits agree. Not numpy's
+    power: its bits depend on the CPU's vector kernels. A non-finite element
+    (0.0 to a negative power, a negative base to a fractional one, a NaN)
+    sends the whole column through Python's pow, which returns or raises as
+    on floats.
     """
     if not _is_array(base):
         return base**exponent
-    distinct = _distinct(base)
-    if distinct is None:
-        return np.array([b**exponent for b in base.tolist()], dtype=float)
-    values, inverse = distinct
-    return np.array([b**exponent for b in values.tolist()], dtype=float)[inverse]
+    with np.errstate(all="ignore"):
+        result = np.float_power(base, exponent)
+    if np.isfinite(result).all():
+        return result
+    return np.array([b**exponent for b in base.tolist()], dtype=float)
 
 
-# Shortest column _distinct deduplicates. np.unique's fixed cost (15-45 us a
-# call) outweighs the pow calls it saves on short columns, most of all on
-# columns with no repeats: with a floor of 256, classify of an inverse power
-# negation (columns of 301 distinct samples) took 5.9 ms against 4.8 ms.
+# Shortest column _distinct deduplicates, for _invert's bisections. np.unique's
+# fixed cost (15-45 us a call) outweighs what it saves on short columns, most
+# of all on columns with no repeats: with a floor of 256, classify of an
+# inverse power negation (columns of 301 distinct samples) took 5.9 ms against
+# 4.8 ms when _pow deduplicated too.
 DISTINCT_FLOOR = 1024
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import overlapkit as ok
+from overlapkit import numerics
 from overlapkit.numerics import (
     DISTINCT_FLOOR,
     _axis,
@@ -310,6 +312,46 @@ def test_pow_on_a_column_is_float_pow_per_element(pool, n, seed, exponent):
 def test_pow_of_negative_bases_to_odd_integer_exponents_is_float_pow_per_element(pool, n, seed, exponent):
     col = _repeated(pool, n, seed)
     assert _bits(_pow(col, exponent)) == _bits([b**exponent for b in col.tolist()])
+
+
+@pytest.mark.parametrize(
+    "bad, exponent, error",
+    [
+        (1e300, 2.0, OverflowError),
+        (0.0, -1.0, ZeroDivisionError),
+        # Python's pow gives a complex number, which np.array(..., dtype=float) refuses.
+        (-0.5, 0.5, TypeError),
+    ],
+)
+def test_pow_on_a_column_raises_what_float_pow_raises_and_warns_nothing(bad, exponent, error):
+    col = np.array([0.25, bad, 0.75])
+    with pytest.raises(error):
+        np.array([b**exponent for b in col.tolist()], dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            _pow(col, exponent)
+
+
+def test_pow_of_a_nan_base_is_nan_and_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _pow(np.array([0.5, math.nan, 0.0]), 1.75)
+    assert _bits(got) == _bits([0.5**1.75, math.nan**1.75, 0.0])
+
+
+def test_pow_of_a_large_random_column_is_float_pow_bit_for_bit():
+    col = np.random.default_rng(1).random(200_000)
+    assert _bits(_pow(col, 1.75)) == _bits([b**1.75 for b in col.tolist()])
+
+
+def test_pow_does_not_deduplicate(monkeypatch):
+    def refuse(col):
+        raise AssertionError("_pow called _distinct")
+
+    monkeypatch.setattr(numerics, "_distinct", refuse)
+    col = np.array([0.5, 0.25, 0.5])
+    assert _bits(_pow(col, 2.0)) == _bits([b**2.0 for b in col.tolist()])
 
 
 def test_distinct_keeps_signed_zeros_apart_and_refuses_short_columns():

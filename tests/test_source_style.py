@@ -198,7 +198,15 @@ def test_an_unreferenced_private_name_is_found():
 
 
 # The float-or-array choice for sums, powers and deduplication is made in numerics alone.
-NUMERICS_ONLY = {("math", "fsum"), ("np", "unique"), ("numpy", "unique"), ("np", "power"), ("numpy", "power")}
+NUMERICS_ONLY = {
+    ("math", "fsum"),
+    ("np", "unique"),
+    ("numpy", "unique"),
+    ("np", "power"),
+    ("numpy", "power"),
+    ("np", "float_power"),
+    ("numpy", "float_power"),
+}
 
 
 def _numerics_only_uses(source: str) -> list[str]:
@@ -226,11 +234,18 @@ def test_a_use_of_fsum_unique_or_power_is_found():
         """\
         import math
         import numpy as np
-        from numpy import power
+        from numpy import float_power, power
 
 
         def f(x):
-            return math.fsum(x) + np.unique(x)[0] + np.sum(x) + math.prod(x)
+            y = np.float_power(x, 2.0)
+            return math.fsum(x) + np.unique(x)[0] + np.sum(x) + math.prod(y)
         """
     )
-    assert _numerics_only_uses(source) == ["3:numpy.power", "7:math.fsum", "7:np.unique"]
+    assert _numerics_only_uses(source) == [
+        "3:numpy.float_power",
+        "3:numpy.power",
+        "7:np.float_power",
+        "8:math.fsum",
+        "8:np.unique",
+    ]
