@@ -27,7 +27,7 @@ def main() -> None:
 
     print()
     print("== residuals break left contraposition ==")
-    rep = ok.check_contraposition(goguen, ok.make_standard(), "LCP")
+    rep = ok.check_property(goguen, "LCP", ok.make_standard())
     print(rep.summary())
 
     print()
@@ -36,7 +36,7 @@ def main() -> None:
     print("where the product is associative:")
     for p in np.linspace(1.0, 2.0, 5):
         imp = ok.make_gon(ok.catalog("O_P", p=float(p)), ok.make_standard())
-        rep = ok.check_ep(imp, "EP")
+        rep = ok.check_property(imp, "EP")
         state = "holds" if rep.holds else f"fails at {rep.witness.point}"
         print(f"  p = {p:.2f}: {state}")
 

@@ -5,7 +5,7 @@ Verbs:
 * eval EXPR [--at x y ...]: value(s) at points, or a grid dump without --at.
 * axioms EXPR [--set O|G|GO|T]: axiom report for a connective.
 * props EXPR [--prop LIST] [--negation NEG]: property reports for an
-  implication.
+  implication; a name is a report id (L-CP), in any case, hyphens optional.
 * compare EXPR1 EXPR2: sup deviation over the sampled pairs.
 * table2: yes/no property matrix over the five built-in implication
   instances (one per implication class), as text, JSON, or CSV.
@@ -13,6 +13,10 @@ Verbs:
   evenly spaced values into a {} placeholder and report the first property
   violation.
 * catalog: list every named constructor and its grammar.
+
+props, table2 and search scan through properties.check_property, and
+resolve every --prop name before the first scan. `eval --at` leaves a
+wrong coordinate count to the connective's own argument check.
 
 Expression grammar: one list of forms, _FORMS, which the parsers read and
 `catalog` prints, one row per constructor with an example, its kind and a
@@ -96,16 +100,7 @@ from .numerics import (
     load_config,
     uniform_grid,
 )
-from .properties import (
-    CP_VARIANTS,
-    EP_VARIANTS,
-    UNARY_PROPERTIES,
-    PropertyReport,
-    check_contraposition,
-    check_ep,
-    check_unary_property,
-    compare,
-)
+from .properties import _PROPERTIES, PropertyReport, _property_id, check_property, compare
 
 
 class ParseError(OverlapkitError):
@@ -440,13 +435,7 @@ def _cmd_eval(args, config: CheckConfig) -> _Result:
     obj = _parse_any(args.expression, config)
     arity = obj.arity
     if args.at:
-        points = []
-        for raw in args.at:
-            if len(raw) != arity:
-                raise PreconditionError(
-                    f"{obj.label} takes {arity} coordinates, got {len(raw)}"
-                )
-            points.append(tuple(float(UnitValue(v)) for v in raw))
+        points = [tuple(float(UnitValue(v)) for v in raw) for raw in args.at]
         values = [float(obj(*p)) for p in points]
         return _Result(
             {"expression": obj.label, "points": points, "values": values},
@@ -519,36 +508,20 @@ def _cmd_axioms(args, config: CheckConfig) -> _Result:
     return _Result(report.as_dict(), header, rows, [report.summary()], not report.passed)
 
 
-def _normalize_prop(name: str) -> str:
-    return name.strip().upper().replace("-", "")
-
-
-_ALL_PROPS = list(UNARY_PROPERTIES) + list(EP_VARIANTS) + list(CP_VARIANTS)
-
-
-def _run_property(
-    implication: Implication,
-    prop: str,
-    negation: Negation,
-    config: CheckConfig,
-) -> PropertyReport:
-    if prop in UNARY_PROPERTIES:
-        return check_unary_property(implication, prop, config)
-    if prop in EP_VARIANTS:
-        return check_ep(implication, prop, config)
-    if prop in CP_VARIANTS:
-        return check_contraposition(implication, negation, prop, config)
-    raise ParseError(f"unknown property {prop!r} (want one of {_ALL_PROPS})")
+def _prop_id(name: str) -> str:
+    """The report id of a --prop name, in any case and with hyphens anywhere; a ParseError if none."""
+    try:
+        return _property_id(name.strip().upper().replace("-", ""))
+    except PreconditionError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _cmd_props(args, config: CheckConfig) -> _Result:
     implication = parse_implication(args.expression, config)
     negation = parse_negation(args.negation)
-    if args.prop.strip().lower() == "all":
-        props = _ALL_PROPS
-    else:
-        props = [_normalize_prop(p) for p in args.prop.split(",")]
-    reports = [_run_property(implication, p, negation, config) for p in props]
+    # Every name is resolved before the first scan runs.
+    pids = list(_PROPERTIES) if args.prop.strip().lower() == "all" else [_prop_id(p) for p in args.prop.split(",")]
+    reports = [check_property(implication, pid, negation, config) for pid in pids]
     return _Result(
         [r.as_dict() for r in reports],
         _PROPS_HEADER,
@@ -605,15 +578,11 @@ def table2_instances():
 def table2_matrix(config: CheckConfig = DEFAULT_CONFIG):
     """Compute the yes/no matrix: rows TABLE2_PROPERTIES, one column per instance."""
     instances = table2_instances()
-    columns = [impl.label for impl, _ in instances]
-    rows = {}
-    for prop in TABLE2_PROPERTIES:
-        cells = []
-        for impl, neg in instances:
-            report = _run_property(impl, _normalize_prop(prop), neg, config)
-            cells.append(_yes(report.holds))
-        rows[prop] = cells
-    return columns, rows
+    rows = {
+        prop: [_yes(check_property(impl, prop, neg, config).holds) for impl, neg in instances]
+        for prop in TABLE2_PROPERTIES
+    }
+    return [impl.label for impl, _ in instances], rows
 
 
 def _cmd_table2(args, config: CheckConfig) -> _Result:
@@ -637,18 +606,18 @@ def _cmd_search(args, config: CheckConfig) -> _Result:
         raise ParseError(f"--steps must be >= 1, got {args.steps}")
     if args.steps > MAX_GRID_POINTS:
         raise ParseError(f"--steps must be at most {MAX_GRID_POINTS}, got {args.steps}")
-    prop = _normalize_prop(args.prop)
     negation = parse_negation(args.negation)
+    pid = _prop_id(args.prop)
     header = ["expression"] + _PROPS_HEADER
     lo, hi = args.range
     for value in np.linspace(lo, hi, args.steps):
         expr = args.template.replace("{}", f"{float(value):g}")
-        report = _run_property(parse_implication(expr, config), prop, negation, config)
+        report = check_property(parse_implication(expr, config), pid, negation, config)
         if not report.holds:
             row = [expr] + _report_row(report)
             text = [f"{expr}: {report.summary()}"]
             return _Result({"expression": expr, **report.as_dict()}, header, [row], text, True)
-    return _Result(None, header, [], [f"no {prop} violation found in [{lo:g}, {hi:g}]"])
+    return _Result(None, header, [], [f"no {pid.replace('-', '')} violation found in [{lo:g}, {hi:g}]"])
 
 
 def _cmd_catalog(args, config: CheckConfig) -> _Result:

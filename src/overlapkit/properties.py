@@ -21,9 +21,12 @@ deterministic.
 
 The ten scans are the rows of one table, _PROPERTIES, keyed by report id:
 the mesh each walks, its two sides, the relation that fails a point and the
-note. _check runs a row on numerics._scan_mesh, which evaluates the mesh as
-arrays in doubling blocks and reports the witness or error a point-by-point
-scan would; the public checkers only validate the id. NP and IP walk the
+note. check_property is the one entry point: it takes a report id or the
+same id without its hyphen (L-CP or LCP) and runs the row on
+numerics._scan_mesh, which evaluates the mesh as arrays in doubling blocks
+and reports the witness or error a point-by-point scan would.
+check_unary_property, check_ep and check_contraposition only refuse an id
+outside their group and call it. NP and IP walk the
 sorted samples, the other pairwise scans numerics._sample_mesh (the uniform
 grid mesh plus seeded random pairs), EP and EP1 the triple mesh on the
 reduced grid of numerics._axis (21 points) plus random triples. pair_points and
@@ -185,11 +188,31 @@ _PROPERTIES = {
 }
 
 
-def _check(
-    pid: str, implication: Implication, negation: Optional[Negation], config: CheckConfig
+# Each report id without its hyphen -> the report id.
+_UNHYPHENATED = {pid.replace("-", ""): pid for pid in _PROPERTIES}
+
+
+def _property_id(prop: str) -> str:
+    """The report id of prop, written as one or without its hyphen; PreconditionError for any other name."""
+    pid = _UNHYPHENATED.get(prop, prop)
+    if pid not in _PROPERTIES:
+        raise PreconditionError(f"unknown property {prop!r} (want one of {list(_UNHYPHENATED)})")
+    return pid
+
+
+def check_property(
+    implication: Implication, prop: str, negation: Optional[Negation] = None, config: CheckConfig = DEFAULT_CONFIG
 ) -> PropertyReport:
-    """The PropertyReport of scanning row pid of _PROPERTIES."""
+    """Scan one property, named by its report id or the id without its hyphen (L-CP or LCP).
+
+    CP, L-CP and R-CP evaluate the negation, so they refuse a missing one;
+    the other properties ignore it.
+    """
+    pid = _property_id(prop)
     row = _PROPERTIES[pid]
+    # The rows whose note names the negation are the rows that evaluate it.
+    if negation is None and row.note == _BY_NEGATION:
+        raise PreconditionError(f"{pid} needs a negation")
     sides = partial(row.sides, partial(_value, implication), partial(_value, negation))
     witness, count, _ = _scan_mesh(row.mesh(config), sides, row.relation(config.eq_tol))
     return _report(pid, witness, count, row.note.format(negation))
@@ -201,7 +224,7 @@ def check_unary_property(
     """Check NP, IP, LOP, ROP, or IB for one implication."""
     if prop not in UNARY_PROPERTIES:
         raise PreconditionError(f"unknown property {prop!r} (want one of {UNARY_PROPERTIES})")
-    return _check(prop, implication, None, config)
+    return check_property(implication, prop, config=config)
 
 
 def check_ep(
@@ -215,7 +238,7 @@ def check_ep(
     """
     if variant not in EP_VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r} (want EP or EP1)")
-    return _check(variant, implication, None, config)
+    return check_property(implication, variant, config=config)
 
 
 def check_contraposition(
@@ -232,7 +255,7 @@ def check_contraposition(
     """
     if variant not in CP_VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r} (want CP, LCP, or RCP)")
-    return _check({"LCP": "L-CP", "RCP": "R-CP"}.get(variant, variant), implication, negation, config)
+    return check_property(implication, variant, negation, config)
 
 
 @dataclass(frozen=True)

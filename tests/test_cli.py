@@ -8,8 +8,9 @@ import json
 
 import pytest
 
-from overlapkit import numerics
+from overlapkit import cli, numerics
 from overlapkit.cli import _CATALOG_ROWS, _build_parser, _head_kind, run
+from overlapkit.properties import check_property
 
 
 def _lines(capsys) -> list[str]:
@@ -49,8 +50,12 @@ def test_eval_aggregated_family(capsys):
     assert _lines(capsys) == ["0.968750000"]
 
 
-def test_eval_arity_mismatch_exits_3():
+def test_eval_arity_mismatch_exits_3(capsys):
+    # The connective's own argument check refuses the point.
     assert run(["eval", "GO_PN:n=3", "--at", "0.5", "0.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: GO_PN:n=3 takes 3 arguments, got 2\n"
 
 
 def test_eval_out_of_range_exits_3():
@@ -250,6 +255,52 @@ def test_props_contraposition_negation_flag(capsys):
     assert code == 0
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """The property ids the CLI's scans were asked for, in call order."""
+    asked = []
+
+    def counting(implication, prop, negation=None, config=numerics.DEFAULT_CONFIG):
+        asked.append(prop)
+        return check_property(implication, prop, negation, config)
+
+    monkeypatch.setattr(cli, "check_property", counting)
+    return asked
+
+
+@pytest.mark.parametrize("names", ["EP2.5", "NP,", "NP,EP<p>", "all,NP"])
+def test_props_refuses_an_unknown_name_before_any_scan(names, scans, capsys):
+    assert run(["props", "gon(O_min, zadeh)", "--prop", names, "--grid", "11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown property ") and captured.err.count("\n") == 1
+    assert scans == []
+
+
+def test_props_names_take_any_case_and_hyphens(scans, capsys):
+    argv = ["props", "gon(O_min, zadeh)", "--prop", " l-cp , ep1,R-CP,np ", "--grid", "11", "--format", "csv"]
+    assert run(argv) == 0
+    assert scans == ["L-CP", "EP1", "R-CP", "NP"]
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [r[0] for r in rows[1:]] == scans
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["props", "gon(O_min)", "--negation", "nope", "--prop", "EP2"], "error: gon needs two arguments: 'gon(O_min)'"),
+        (["props", "gon(O_min, zadeh)", "--negation", "nope", "--prop", "EP2"], "error: not a negation expression: 'nope'"),
+        (["search", "gon(O_P:p={}, zadeh)", "--negation", "nope", "--prop", "EP2", "--range", "1", "2"],
+         "error: not a negation expression: 'nope'"),
+    ],
+    ids=["expression", "negation", "search-negation"],
+)
+def test_props_reports_the_expression_then_the_negation_then_the_names(argv, message, scans, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert scans == []
+
+
 # --- compare ----------------------------------------------------------------
 
 
@@ -345,6 +396,23 @@ def test_search_no_violation(capsys):
     assert rows == [
         ["expression", "property", "status", "witness", "lhs", "rhs", "deviation", "samples_checked"]
     ]
+
+
+@pytest.mark.parametrize("prop", ["EP2", "all", "NP,IP"])
+def test_search_refuses_an_unknown_name_before_any_scan(prop, scans, capsys):
+    code = run(["search", "gon(O_P:p={}, zadeh)", "--prop", prop, "--range", "1", "2", "--steps", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown property ")
+    assert scans == []
+
+
+def test_search_names_the_property_without_its_hyphen(scans, capsys):
+    argv = ["search", "gon(GO_TL:p={}, zadeh)", "--prop", "l-cp", "--range", "1", "3", "--steps", "2", "--grid", "11"]
+    assert run(argv) == 0
+    assert _lines(capsys) == ["no LCP violation found in [1, 3]"]
+    assert scans == ["L-CP", "L-CP"]
 
 
 # --- catalog ----------------------------------------------------------------

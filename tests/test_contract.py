@@ -3,7 +3,8 @@
 overlapkit.__all__ is pinned name by name, and so are the parameter names,
 order and defaults of the four property checkers whose reports the
 benchmark tracer (bench/spans.py) reads: it binds each call's arguments and
-looks up ``prop`` and ``config`` by name. So are the parameters of the two
+looks up ``prop`` and ``config`` by name. check_property, the entry point
+the three old property checkers call, is pinned the same way. So are the parameters of the two
 bisection kernels, which the benchmark's probes pass by position, and the
 private helpers the benchmark harness reaches outside __all__.
 """
@@ -50,6 +51,7 @@ PUBLIC_NAMES = [
     "check_ep",
     "check_idempotent",
     "check_implication_axioms",
+    "check_property",
     "check_unary_property",
     "classify",
     "classify_crisp",
@@ -91,6 +93,12 @@ PUBLIC_NAMES = [
 _EMPTY = inspect.Parameter.empty
 
 CHECKER_PARAMETERS = {
+    "check_property": [
+        ("implication", _EMPTY),
+        ("prop", _EMPTY),
+        ("negation", None),
+        ("config", ok.DEFAULT_CONFIG),
+    ],
     "check_unary_property": [("implication", _EMPTY), ("prop", _EMPTY), ("config", ok.DEFAULT_CONFIG)],
     "check_ep": [("implication", _EMPTY), ("variant", "EP"), ("config", ok.DEFAULT_CONFIG)],
     "check_contraposition": [

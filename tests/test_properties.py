@@ -8,6 +8,7 @@ import pytest
 
 import overlapkit as ok
 from overlapkit import numerics
+from overlapkit.properties import CP_VARIANTS, EP_VARIANTS, UNARY_PROPERTIES
 
 from conftest import BINARY_ENTRIES, NEGATION_CATALOG
 
@@ -119,6 +120,73 @@ def test_cp_report_symmetric_under_role_swap():
         "CP",
     )
     assert direct.holds == swapped.holds
+
+
+# --- one entry point --------------------------------------------------------
+
+SMALL = ok.CheckConfig(grid_resolution=11, random_samples=5)
+REPORT_IDS = ("NP", "IP", "LOP", "ROP", "IB", "EP", "EP1", "CP", "L-CP", "R-CP")
+# Hyphenless id -> the report of the group checker that scans it.
+GROUP_REPORT = {
+    **dict.fromkeys(UNARY_PROPERTIES, lambda imp, v, neg: ok.check_unary_property(imp, v, SMALL)),
+    **dict.fromkeys(EP_VARIANTS, lambda imp, v, neg: ok.check_ep(imp, v, SMALL)),
+    **dict.fromkeys(CP_VARIANTS, lambda imp, v, neg: ok.check_contraposition(imp, neg, v, SMALL)),
+}
+
+
+@pytest.mark.parametrize("pid", REPORT_IDS)
+@pytest.mark.parametrize(
+    "go, negation",
+    [("O_min", ok.make_standard()), ("GO_max", ok.make_power_strict(2.0)), ("O_V", ok.make_crisp("upper", 0.5))],
+    ids=["O_min-zadeh", "GO_max-power", "O_V-crisp"],
+)
+def test_check_property_reports_what_the_group_checker_reports(pid, go, negation):
+    imp = ok.make_gon(ok.catalog(go), negation)
+    variant = pid.replace("-", "")
+    expected = GROUP_REPORT[variant](imp, variant, negation).as_dict()
+    assert expected["property"] == pid
+    for spelling in (pid, variant):
+        assert ok.check_property(imp, spelling, negation, SMALL).as_dict() == expected
+
+
+@pytest.mark.parametrize(
+    "checker, args, prop",
+    [
+        (ok.check_unary_property, (), "EP"),
+        (ok.check_unary_property, (), "LCP"),
+        (ok.check_ep, (), "NP"),
+        (ok.check_ep, (), "CP"),
+        (ok.check_contraposition, (ok.make_standard(),), "NP"),
+        (ok.check_contraposition, (ok.make_standard(),), "EP1"),
+        (ok.check_contraposition, (ok.make_standard(),), "L-CP"),
+    ],
+)
+def test_group_checkers_refuse_ids_outside_their_group(checker, args, prop):
+    imp = _gon("O_min", ok.make_standard())
+    with pytest.raises(ok.PreconditionError, match="unknown"):
+        checker(imp, *args, prop, SMALL)
+
+
+@pytest.mark.parametrize("prop", ["EP2", "np", "L-C-P", "", "all"])
+def test_check_property_refuses_an_unknown_name(prop):
+    with pytest.raises(ok.PreconditionError, match="unknown property"):
+        ok.check_property(_gon("O_min", ok.make_standard()), prop, ok.make_standard(), SMALL)
+
+
+@pytest.mark.parametrize("prop", ["CP", "L-CP", "LCP", "R-CP", "RCP"])
+def test_contraposition_without_a_negation_is_a_precondition_error(prop):
+    imp = _gon("O_min", ok.make_standard())
+    with pytest.raises(ok.PreconditionError, match="needs a negation"):
+        ok.check_property(imp, prop, None, SMALL)
+    if "-" not in prop:
+        with pytest.raises(ok.PreconditionError, match="needs a negation"):
+            ok.check_contraposition(imp, None, prop, SMALL)
+
+
+def test_properties_without_a_negation_ignore_it():
+    imp = _gon("O_min", ok.make_standard())
+    for pid in UNARY_PROPERTIES + EP_VARIANTS:
+        assert ok.check_property(imp, pid, config=SMALL) == ok.check_property(imp, pid, ok.make_top(), SMALL)
 
 
 # --- proposition suite ------------------------------------------------------

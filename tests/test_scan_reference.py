@@ -165,7 +165,9 @@ def _outcome(run):
 
 
 def _outcomes(implication, negation, other, config) -> list:
-    runs = [partial(properties._check, pid, implication, negation, config) for pid in properties._PROPERTIES]
+    runs = [
+        partial(properties.check_property, implication, pid, negation, config) for pid in properties._PROPERTIES
+    ]
     runs.append(partial(properties.compare, implication, other, config))
     return [_outcome(run) for run in runs]
 

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "overlapkit").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "overlapkit").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 MAX_WIDTH = 115
 COMPOUND = (
     ast.If,
@@ -27,6 +29,7 @@ COMPOUND = (
 
 def test_the_package_sources_are_found():
     assert {p.name for p in SOURCES} >= {"__init__.py", "numerics.py", "cli.py"}
+    assert {p.name for p in DEMOS} >= {"05_property_matrix.py"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -249,3 +252,48 @@ def test_a_use_of_fsum_unique_or_power_is_found():
         "8:math.fsum",
         "8:np.unique",
     ]
+
+
+# The checkers of one property group each; every other caller names check_property, the one entry point.
+GROUP_CHECKERS = {"check_unary_property", "check_ep", "check_contraposition"}
+
+
+def _group_checker_uses(source: str) -> list[str]:
+    """line:name for each name, attribute or import of source that is one of GROUP_CHECKERS."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if n in GROUP_CHECKERS]
+    return [f"{line}:{name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in SOURCES + DEMOS if p.name not in ("properties.py", "__init__.py")],
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_only_properties_names_the_group_checkers(path):
+    uses = _group_checker_uses(path.read_text(encoding="utf-8"))
+    assert uses == [], f"{path.name}: call check_property instead: {uses}"
+
+
+def test_a_use_of_a_group_checker_is_found():
+    source = textwrap.dedent(
+        """\
+        import overlapkit as ok
+        from overlapkit.properties import check_ep as exchange, check_property
+
+
+        def f(imp):
+            scan = ok.check_contraposition
+            return check_property(imp, "NP"), exchange(imp), scan(imp, ok.make_standard()), "check_unary_property"
+        """
+    )
+    assert _group_checker_uses(source) == ["2:check_ep", "6:check_contraposition"]
