@@ -33,7 +33,8 @@ themselves, so the three formats show the same digits.
 
 Exit codes: 0 success, 1 failed --assert, 2 parse/config error (including
 an unknown, missing or repeated constructor parameter), 3 precondition
-violation (including an out-of-range parameter value). Floats print with 9
+violation (including an out-of-range parameter value), 141 when the reader
+of stdout closes it before the output ends. Floats print with 9
 decimals; CSV is RFC 4180. Config resolution order: defaults, then --config
 file (or the OVERLAPKIT_CONFIG environment variable), then individual flags.
 """
@@ -452,7 +453,19 @@ def _cmd_eval(args, config: CheckConfig) -> _Result:
     labels = [_fmt(g) for g in grid]
     rows = ([*p, _fmt(v)] for p, v in zip(itertools.product(labels, repeat=arity), values.flat))
     payload = {"expression": obj.label, "grid": grid, "values": values}
-    return _Result(payload, ["x", "y"][:arity] + ["value"], rows)
+    return _Result(payload, ["x", "y"][:arity] + ["value"], rows, _dump_text(labels, values))
+
+
+def _dump_text(labels: list[str], values: np.ndarray) -> Iterable[str]:
+    """The text lines of a grid dump, one run along the last axis at a time.
+
+    Each run is one %-format of its "x y %.9f" lines, which gives _fmt's
+    digits: "%.9f" % v and f"{v:.9f}" agree on every float.
+    """
+    cells = [f"{label} %.9f" for label in labels]
+    for head, run in zip(itertools.product(labels, repeat=values.ndim - 1), values.reshape(-1, len(labels))):
+        prefix = "".join(f"{label} " for label in head)
+        yield (prefix + ("\n" + prefix).join(cells)) % tuple(run.tolist())
 
 
 _ROLE_TO_SET = {
@@ -732,6 +745,9 @@ def run(argv: list[str]) -> int:
         try:
             result = args.command(args, _resolve_config(args))
             _emit(result, args.format)
+        except BrokenPipeError:
+            # The reader closed stdout: not a missing file, and main's to handle.
+            raise
         except (ParseError, ConfigError, PreconditionError, UnitRangeError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2 if isinstance(exc, (ParseError, ConfigError)) else 3
@@ -739,7 +755,18 @@ def run(argv: list[str]) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    return run(sys.argv[1:] if argv is None else list(argv))
+    try:
+        code = run(sys.argv[1:] if argv is None else list(argv))
+        # Flushed here, so output still buffered meets a closed pipe below, not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout closed it. As in the Python docs' note on SIGPIPE,
+        # stdout goes to devnull so the flush at exit cannot raise again; the
+        # exit code is a shell's for a process SIGPIPE ends, 128 + 13.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

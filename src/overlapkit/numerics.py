@@ -11,9 +11,14 @@ roundtrips) -- and the mesh kernels every pointwise check runs on.
 Bisections run a fixed iteration count ceil(log2(1/tol)) + 2 rather than
 testing convergence, so results are bit-for-bit deterministic. Every
 bisection except find_neutral's runs on one loop, _bracket, on floats or
-on arrays, where each element takes the steps its float would. _sup and
-_invert are one body each for a point and a mesh, and bisect only the
-points whose result is not an exact endpoint.
+on arrays, where each element takes the steps its float would. Its bracket
+is dyadic: it starts at [0, 1] and halves at each step, so it is one
+array lo and a float width, and each step is one addition and one
+np.where. Its bounds and midpoints are exact float64 values for up to 53
+steps, so iteration_count refuses a tol below MIN_BISECT_TOL = 2**-51
+and CheckConfig a bisect_tol below it. _sup and _invert are one body each
+for a point and a mesh, and bisect only the points whose result is not an
+exact endpoint.
 
 _Connective is the one evaluation contract of Negation, FusionFunction
 and Implication: a call checks the argument count and range-checks fn's
@@ -30,7 +35,9 @@ runs Python's pow per element, so errors stay as on floats. _fsum of two
 columns is np.add(a, b) + 0.0, the one correctly rounded sum with fsum's
 +0.0 for -0.0 + -0.0; a non-finite sum, or more columns, runs math.fsum
 per point. The array path of _invert bisects each distinct y once
-(_distinct, from DISTINCT_FLOOR elements up).
+(_distinct, from DISTINCT_FLOOR elements up). _twice evaluates one
+composite at two points: on floats one after the other, on arrays once on
+the joined columns, so each connective it nests is called once for both.
 
 _scan_mesh is the first-witness scan and _mesh_values the full evaluation
 of a mesh, both over one block loop, _blockwise. When a block raises
@@ -119,6 +126,10 @@ class _Record:
 # binary grid of over 3162 points per axis, is refused rather than evaluated.
 MAX_GRID_POINTS = 10**7
 
+# Smallest bisection tolerance: iteration_count(MIN_BISECT_TOL) is 53, the
+# most steps whose dyadic midpoints float64 holds exactly on [0, 1] (_bracket).
+MIN_BISECT_TOL = 2.0**-51
+
 
 @dataclass(frozen=True)
 class CheckConfig:
@@ -127,7 +138,8 @@ class CheckConfig:
     grid_resolution equally spaced points (always including 0 and 1) plus
     random_samples extra points drawn from a seeded generator make up the
     sample set. eq_tol guards closed-form identities; bisect_tol guards
-    anything computed iteratively. The two tolerances are independent.
+    anything computed iteratively, and is at least MIN_BISECT_TOL. The two
+    tolerances are independent.
     """
 
     grid_resolution: int = 101
@@ -150,6 +162,8 @@ class CheckConfig:
             value = getattr(self, name)
             if not (isinstance(value, float) and math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be a positive finite float")
+        if self.bisect_tol < MIN_BISECT_TOL:
+            raise ConfigError(f"bisect_tol must be at least 2**-51 ({MIN_BISECT_TOL!r}), got {self.bisect_tol!r}")
 
 
 DEFAULT_CONFIG = CheckConfig()
@@ -229,26 +243,35 @@ def sorted_samples(config: CheckConfig = DEFAULT_CONFIG) -> np.ndarray:
 
 
 def iteration_count(tol: float) -> int:
-    """Fixed bisection iteration budget for a target tolerance."""
+    """Fixed bisection iteration budget for a target tolerance, at most 53 steps."""
     if not (isinstance(tol, float) and math.isfinite(tol) and tol > 0.0):
         raise PreconditionError("tolerance must be a positive finite float")
+    if tol < MIN_BISECT_TOL:
+        raise PreconditionError(f"tolerance {tol!r} is below 2**-51, finer than 53 bisection steps resolve")
     return max(1, math.ceil(math.log2(1.0 / tol))) + 2
 
 
-def _bracket(holds: Callable, tol: float, lo=0.0, hi=1.0) -> tuple:
-    """Final bracket (lo, hi) of bisecting [lo, hi]: lo moves up to mid where holds(mid), else hi down.
+def _bracket(holds: Callable, tol: float, lo=0.0) -> tuple:
+    """Final bracket (lo, hi) of bisecting [0, 1]: lo moves up to mid where holds(mid), else hi down.
 
-    holds(mid) is a bool on floats and a mask on arrays, which step elementwise.
+    lo is 0.0, or zeros as an array so that holds sees arrays from the first
+    step. holds(mid) is a bool on floats and a mask on arrays, which step
+    elementwise. The bracket is dyadic: after k steps hi is lo + 2**-k, and
+    for k <= 53 every such lo, hi and midpoint in [0, 1] is a float64, so
+    one array lo and the float width carry the bracket, and each midpoint is
+    the 0.5 * (lo + hi) of a two-bound loop bit for bit.
     """
+    width = 1.0
     for _ in range(iteration_count(tol)):
-        mid = 0.5 * (lo + hi)
+        width *= 0.5
+        mid = lo + width
         ok = holds(mid)
         # isinstance inline, not _where: this runs at every step of every scalar bisection.
         if isinstance(ok, np.ndarray):
-            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-        else:
-            lo, hi = (mid, hi) if ok else (lo, mid)
-    return lo, hi
+            lo = np.where(ok, mid, lo)
+        elif ok:
+            lo = mid
+    return lo, lo + width
 
 
 def bisect_sup(pred: Callable[[float], bool], tol: float) -> UnitValue:
@@ -293,8 +316,8 @@ def _invert(negation, y, tol: float):
     t = _checked(y) if _is_array(y) else float(UnitValue(y))
 
     def bisect(s):
-        # The bracket starts as arrays on a mesh, so every step evaluates N on one.
-        lo, hi = _bracket(lambda mid: _value(negation, mid) >= s, tol, _min(s, 0.0), _max(s, 1.0))
+        # lo starts as an array on a mesh, so every step evaluates N on one.
+        lo, hi = _bracket(lambda mid: _value(negation, mid) >= s, tol, _min(s, 0.0))
         return 0.5 * (lo + hi)
 
     def bisect_distinct(s):
@@ -526,6 +549,21 @@ def _branch(cond, branch: Callable, other, *xs):
     if cond.any():
         out[cond] = branch(*(x[cond] for x in xs))
     return out
+
+
+def _twice(g: Callable, *pairs: tuple) -> tuple:
+    """(g(*firsts), g(*seconds)), the firsts and seconds being the entries of the (first, second) pairs.
+
+    On floats g runs at the first point, then at the second. On equal-length
+    1-d arrays g runs once, on each pair joined into one column, and the two
+    halves of its result are returned: a composite g then calls each
+    connective once for both points, however deeply it nests them.
+    """
+    if not _is_array(*(v for pair in pairs for v in pair)):
+        return g(*(first for first, _ in pairs)), g(*(second for _, second in pairs))
+    values = g(*(np.concatenate(pair) for pair in pairs))
+    n = len(pairs[0][0])
+    return values[:n], values[n:]
 
 
 def _blocks(n: int, first: int):

@@ -58,6 +58,7 @@ from .numerics import (
     _scalar_points,
     _scan_mesh,
     _tensor,
+    _twice,
     _value,
     sorted_samples,
 )
@@ -157,7 +158,8 @@ def _ib_sides(i, n, x, y):
 
 
 def _ep_sides(i, n, x, y, z):
-    return i(x, i(y, z)), i(y, i(x, z))
+    # Both sides are I(a, I(b, z)), at (a, b) = (x, y) and (y, x): on a mesh, two calls of I.
+    return _twice(lambda a, b, c: i(a, i(b, c)), (x, y), (y, x), (z, z))
 
 
 _pairs = partial(_sample_mesh, arity=2)

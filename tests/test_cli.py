@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from overlapkit import cli, numerics
@@ -41,6 +47,34 @@ def test_eval_grid_dump(capsys):
     assert len(lines) == 11
     assert lines[0].split() == ["0.000000000", "1.000000000"]
     assert lines[-1].split() == ["1.000000000", "0.000000000"]
+
+
+def _per_row_dump(expression: str, grid: int) -> str:
+    """A text grid dump formatted a row at a time with _fmt, the reference for the run-at-a-time dump."""
+    obj = cli._parse_any(expression, numerics.CheckConfig(grid_resolution=grid))
+    axis = np.linspace(0.0, 1.0, grid)
+    labels = [cli._fmt(g) for g in axis.tolist()]
+    points = itertools.product(labels, repeat=obj.arity)
+    return "".join(" ".join([*p, cli._fmt(v)]) + "\n" for p, v in zip(points, numerics._tensor(obj, axis).flat))
+
+
+@pytest.mark.parametrize("grid", [2, 11, 101])
+@pytest.mark.parametrize("expression", ["zadeh", "power:2", "O_P:p=2", "O_mM", "ro(O_min)", "gon(GO_max, zadeh)"])
+def test_grid_dump_text_equals_the_per_row_format(expression, grid, capsys):
+    assert run(["eval", expression, "--grid", str(grid)]) == 0
+    assert capsys.readouterr().out == _per_row_dump(expression, grid)
+
+
+def test_grid_dump_runs_format_as_fmt_does():
+    values = np.array([[-0.0, 5e-324, 1.0], [0.1, 2.0 / 3.0, 1.0 - 2**-53]])
+    labels = ["0.000000000", "0.500000000", "1.000000000"]
+    want = [
+        "\n".join(f"{labels[i]} {labels[j]} {cli._fmt(values[i, j])}" for j in range(3)) for i in range(2)
+    ]
+    assert list(cli._dump_text(labels, values)) == want
+    one_run = "\n".join(f"{a} {cli._fmt(v)}" for a, v in zip(labels, values[0]))
+    assert list(cli._dump_text(labels, values[0])) == [one_run]
+    assert cli._fmt(-0.0) == "-0.000000000"
 
 
 def test_eval_aggregated_family(capsys):
@@ -518,6 +552,40 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
 
 def test_missing_config_exits_3(tmp_path):
     assert run(["eval", "zadeh", "--at", "0.5", "--config", str(tmp_path / "nope.cfg")]) == 3
+
+
+def test_a_bisect_tol_below_53_steps_exits_2(tmp_path, capsys):
+    assert run(["eval", "ro(O_min)", "--at", "0.5", "0.5", "--bisect-tol", "1e-20"]) == 2
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text("bisect_tol = 1e-20\n")
+    assert run(["eval", "ro(O_min)", "--at", "0.5", "0.5", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bisect_tol must be at least 2**-51 (4.440892098500626e-16), got 1e-20\n" * 2
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        # A grid-101 dump is far larger than a pipe's buffer: the writer is still writing when the reader leaves.
+        (["eval", "ro(O_min)"], b"0.000000000 0.000000000 1.000000000\n"),
+        # One short line, still buffered when the reader has already left.
+        (["eval", "zadeh", "--at", "0.5"], b""),
+    ],
+)
+def test_a_closed_pipe_exits_141_with_nothing_on_stderr(argv, read):
+    # Buffered stdout, as by default: PYTHONUNBUFFERED would write each line at once.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "overlapkit.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    first = proc.stdout.readline() if read else b""
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert (first, err) == (read, b"")
 
 
 # --- determinism ------------------------------------------------------------

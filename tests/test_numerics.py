@@ -62,6 +62,7 @@ def test_default_config_values():
         {"eq_tol": 0.0},
         {"eq_tol": -1e-9},
         {"bisect_tol": 0.0},
+        {"bisect_tol": 1e-20},
         {"grid_resolution": 10**7 + 1},
         {"random_samples": 10**7 + 1},
         {"rng_seed": -1},
@@ -147,6 +148,13 @@ def test_iteration_count():
     assert iteration_count(0.5) == 3
     # fixed-count bisection halves the bracket below tol
     assert 0.5 ** (iteration_count(1e-8) - 2) <= 1e-8
+    assert iteration_count(2**-51) == 53
+
+
+@pytest.mark.parametrize("tol", [2**-52, 1e-20, 5e-324])
+def test_iteration_count_refuses_a_tolerance_below_53_steps(tol):
+    with pytest.raises(ok.PreconditionError, match=r"below 2\*\*-51"):
+        iteration_count(tol)
 
 
 def test_bisect_sup_threshold():
@@ -202,10 +210,45 @@ def test_invert_strict_rejects_crisp():
 )
 def test_bracket_on_arrays_takes_the_steps_of_each_float(thresholds, tol):
     c = np.array(thresholds)
-    lo, hi = _bracket(lambda m: m <= c, tol, np.zeros(len(c)), np.ones(len(c)))
+    lo, hi = _bracket(lambda m: m <= c, tol, np.zeros(len(c)))
     for k, ck in enumerate(thresholds):
         want = _bracket(lambda m: m <= ck, tol)
         assert (float(lo[k]).hex(), float(hi[k]).hex()) == tuple(v.hex() for v in want)
+
+
+def _two_bound_bracket(holds, tol, lo=0.0, hi=1.0):
+    """The bisection loop with both bounds carried, the reference for _bracket's dyadic form."""
+    for _ in range(iteration_count(tol)):
+        mid = 0.5 * (lo + hi)
+        up = holds(mid)
+        if isinstance(up, np.ndarray):
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        else:
+            lo, hi = (mid, hi) if up else (lo, mid)
+    return lo, hi
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=16),
+    st.sampled_from([0.5, 1e-3, 1e-8, 1e-12, 2**-51]),
+    st.sampled_from([np.less, np.less_equal]),
+)
+def test_bracket_matches_the_two_bound_loop(thresholds, tol, below):
+    c = np.array(thresholds)
+    got = _bracket(lambda m: below(m, c), tol, np.zeros(len(c)))
+    want = _two_bound_bracket(lambda m: below(m, c), tol, np.zeros(len(c)), np.ones(len(c)))
+    assert [_hex(v) for v in got] == [_hex(v) for v in want]
+    for ck in thresholds:
+
+        def holds(m, ck=ck):
+            return bool(below(m, ck))
+
+        assert [v.hex() for v in _bracket(holds, tol)] == [v.hex() for v in _two_bound_bracket(holds, tol)]
 
 
 def test_a_point_and_a_mesh_raise_the_same_bisection_errors():

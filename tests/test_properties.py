@@ -73,6 +73,18 @@ def test_ep_fails_for_go_max_with_triple_witness():
     assert len(rep.witness.point) == 3
 
 
+@pytest.mark.parametrize("variant", EP_VARIANTS)
+def test_ep_evaluates_each_block_in_two_implication_calls(variant, monkeypatch):
+    calls = []
+    values = ok.Implication.values
+    monkeypatch.setattr(ok.Implication, "values", lambda self, *xs: calls.append(len(xs[0])) or values(self, *xs))
+    report = ok.check_ep(_gon("O_min", ok.make_standard()), variant)
+    assert report.holds
+    blocks = [stop - start for start, stop in numerics._blocks(report.samples_checked, numerics.FIRST_BLOCK)]
+    # Each call evaluates both points of a block's sides: I(y, z) and I(x, z), then the two outer calls.
+    assert calls == [2 * n for n in blocks for _ in range(2)]
+
+
 def test_ep1_for_frontier_negation():
     # product keeps GO2a, and the standard negation is frontier
     assert ok.check_ep(_gon("O_P", ok.make_standard(), p=1), "EP1").holds

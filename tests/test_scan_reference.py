@@ -6,8 +6,9 @@ Python floats, and a point-by-point loop for full-mesh evaluations, each
 point evaluated through __call__. Every report -- verdict, witness, sides,
 deviation and samples_checked -- must be equal, for the ten properties and
 compare, on the five table2 instances plus one instance of each remaining
-family. The golden test covers grid 21; this one covers the default grid,
-where the array scan runs several blocks.
+family and one implication that evaluates point by point. The golden test
+covers grid 21; this one covers the default grid, where the array scan runs
+several blocks.
 
 T2 (associativity), T3 and check_idempotent are compared with the scalar
 loops they replaced, on catalog entries and constructions.
@@ -17,7 +18,10 @@ the first witness still reports that witness, and one that leaves it first
 raises the UnitRangeError the scalar order meets first. A hypothesis test
 draws connectives that leak on random regions, inside gon, tn and ro at
 small random configs, and requires every property check and compare to
-report, or raise, what the scalar reference does.
+report, or raise, what the scalar reference does. EP and EP1, which join
+their four evaluations into two calls on a mesh, are also checked against
+the sides written out point by point, on implications that leak in the
+second half of the joined call.
 """
 
 from __future__ import annotations
@@ -46,6 +50,13 @@ FAMILY_EXPRESSIONS = (
 )
 
 INSTANCES = list(table2_instances()) + [(parse_implication(e), ok.make_standard()) for e in FAMILY_EXPRESSIONS]
+
+# An implication rebuilt with dataclasses.replace loses the _vectorized mark,
+# so its mesh evaluations go point by point through the call.
+_QL = parse_implication("ql(O_min, max_grouping)")
+INSTANCES.append(
+    (dataclasses.replace(_QL, fn=lambda x, y: _QL.fn(x, y), label=f"{_QL.label} point by point"), ok.make_standard())
+)
 
 
 def _scan(points, sides, relation):
@@ -138,6 +149,64 @@ def test_leak_before_the_first_witness_raises_the_scalar_error(scalar_kernels):
     with pytest.raises(ok.UnitRangeError) as scalar_error:
         properties.check_contraposition(implication, ok.make_standard(), "CP")
     assert str(array_error.value) == str(scalar_error.value) == "value 2.0 is not in [0, 1]"
+
+
+def _lukasiewicz_except(overrides: dict) -> ok.Implication:
+    """min(1, 1 - a + b), which satisfies EP, except overrides[(a, b)] at each of its pairs."""
+
+    def fn(a, b):
+        v = _min(1.0, 1.0 - a + b)
+        for (pa, pb), value in overrides.items():
+            v = _where((a == pa) & (b == pb), value, v)
+        return v
+
+    return ok.Implication(fn=_vectorized(fn), label="lukasiewicz_except", family="gon")
+
+
+def _scalar_ep(implication, variant: str, config) -> properties.PropertyReport:
+    """EP or EP1 point by point with the sides written out: I(y, z), I(x, I(y, z)), I(x, z), I(y, I(x, z))."""
+    row = properties._PROPERTIES[variant]
+
+    def i(a, b):
+        return float(implication(a, b))
+
+    def sides(point):
+        x, y, z = point
+        return i(x, i(y, z)), i(y, i(x, z))
+
+    witness, count, _ = _scan(properties.triple_points(config), sides, row.relation(config.eq_tol))
+    return properties._report(variant, witness, count, row.note)
+
+
+@pytest.mark.parametrize("vectorized", [True, False], ids=["arrays", "point_by_point"])
+@pytest.mark.parametrize("variant", properties.EP_VARIANTS)
+@pytest.mark.parametrize("case", ["leak", "witness_then_leak", "outer_leak_first"])
+def test_ep_leaking_in_the_second_half_of_the_joined_call_matches_the_scalar_sides(case, variant, vectorized):
+    # The overrides sit at the first two random triples, k and k + 1, whose
+    # coordinates no grid point shares, so every point before k is clean.
+    # At k + 1, I(y, z) = 1 and the leak is met at I(x, z), the second half
+    # of the joined call I(y || x, z || z). "witness_then_leak" breaks EP and
+    # EP1 at k, in the same block, by I(x, z) = 0 there; "outer_leak_first"
+    # also leaks at I(x, I(y, z)) = I(x, 1), which the scalar sides meet first.
+    config = ok.DEFAULT_CONFIG
+    x, y, z = numerics._sample_mesh(config, 3)
+    k = len(numerics._grid_mesh(config, 3)[0])
+    assert min(1.0, 1.0 - y[k + 1] + z[k + 1]) == 1.0
+    overrides = {(float(x[k + 1]), float(z[k + 1])): 2.0}
+    if case == "witness_then_leak":
+        overrides[(float(x[k]), float(z[k]))] = 0.0
+    if case == "outer_leak_first":
+        overrides[(float(x[k + 1]), 1.0)] = 3.0
+    implication = _lukasiewicz_except(overrides)
+    if not vectorized:
+        implication = dataclasses.replace(implication, fn=lambda a, b, _f=implication.fn: _f(a, b))
+    got = _outcome(partial(properties.check_property, implication, variant, config=config))
+    assert got == _outcome(partial(_scalar_ep, implication, variant, config))
+    if case == "witness_then_leak":
+        assert (got["status"], got["samples_checked"]) == ("fails", k + 1)
+    else:
+        leaked = 3.0 if case == "outer_leak_first" else 2.0
+        assert got == (ok.UnitRangeError, f"value {leaked!r} is not in [0, 1]")
 
 
 # What a leaky connective gives where it leaks: a value above 1 or NaN, as

@@ -200,7 +200,7 @@ def test_an_unreferenced_private_name_is_found():
     assert _unreferenced_private_names(sources) == ["a.py:_dead_constant", "a.py:_dead"]
 
 
-# The float-or-array choice for sums, powers and deduplication is made in numerics alone.
+# The float-or-array choice for sums, powers, deduplication and joined columns is made in numerics alone.
 NUMERICS_ONLY = {
     ("math", "fsum"),
     ("np", "unique"),
@@ -209,6 +209,8 @@ NUMERICS_ONLY = {
     ("numpy", "power"),
     ("np", "float_power"),
     ("numpy", "float_power"),
+    ("np", "concatenate"),
+    ("numpy", "concatenate"),
 }
 
 
@@ -229,7 +231,7 @@ def _numerics_only_uses(source: str) -> list[str]:
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "numerics.py"], ids=lambda p: p.name)
 def test_fsum_unique_and_power_are_called_only_in_numerics(path):
     uses = _numerics_only_uses(path.read_text(encoding="utf-8"))
-    assert uses == [], f"{path.name}: use numerics._fsum, _pow or _distinct instead: {uses}"
+    assert uses == [], f"{path.name}: use numerics._fsum, _pow, _distinct or _twice instead: {uses}"
 
 
 def test_a_use_of_fsum_unique_or_power_is_found():
@@ -237,18 +239,20 @@ def test_a_use_of_fsum_unique_or_power_is_found():
         """\
         import math
         import numpy as np
-        from numpy import float_power, power
+        from numpy import concatenate, float_power, power
 
 
         def f(x):
-            y = np.float_power(x, 2.0)
+            y = np.float_power(np.concatenate((x, x)), 2.0)
             return math.fsum(x) + np.unique(x)[0] + np.sum(x) + math.prod(y)
         """
     )
     assert _numerics_only_uses(source) == [
+        "3:numpy.concatenate",
         "3:numpy.float_power",
         "3:numpy.power",
         "7:np.float_power",
+        "7:np.concatenate",
         "8:math.fsum",
         "8:np.unique",
     ]
