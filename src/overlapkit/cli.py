@@ -10,8 +10,8 @@ Verbs:
 * table2: yes/no property matrix over the five built-in implication
   instances (one per implication class), as text, JSON, or CSV.
 * search TEMPLATE --prop P --range LO HI [--steps N]: substitute N >= 1
-  evenly spaced values into a {} placeholder and report the first property
-  violation.
+  evenly spaced values from the finite range [LO, HI] into a {} placeholder
+  and report the first property violation.
 * catalog: list every named constructor and its grammar.
 
 props, table2 and search scan through properties.check_property, and
@@ -32,7 +32,8 @@ failed. _emit writes it in the --format asked for, and run() alone turns
 themselves, so the three formats show the same digits.
 
 Exit codes: 0 success, 1 failed --assert, 2 parse/config error (including
-an unknown, missing or repeated constructor parameter), 3 precondition
+an unknown, missing or repeated constructor parameter, and a NaN or
+infinite search --range bound), 3 precondition
 violation (including an out-of-range parameter value), 141 when the reader
 of stdout closes it before the output ends. Floats print with 9
 decimals; CSV is RFC 4180. Config resolution order: defaults, then --config
@@ -45,6 +46,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -619,10 +621,12 @@ def _cmd_search(args, config: CheckConfig) -> _Result:
         raise ParseError(f"--steps must be >= 1, got {args.steps}")
     if args.steps > MAX_GRID_POINTS:
         raise ParseError(f"--steps must be at most {MAX_GRID_POINTS}, got {args.steps}")
+    lo, hi = args.range
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParseError(f"--range must be two finite numbers, got {lo:g} {hi:g}")
     negation = parse_negation(args.negation)
     pid = _prop_id(args.prop)
     header = ["expression"] + _PROPS_HEADER
-    lo, hi = args.range
     for value in np.linspace(lo, hi, args.steps):
         expr = args.template.replace("{}", f"{float(value):g}")
         report = check_property(parse_implication(expr, config), pid, negation, config)

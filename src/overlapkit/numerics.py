@@ -18,7 +18,13 @@ np.where. Its bounds and midpoints are exact float64 values for up to 53
 steps, so iteration_count refuses a tol below MIN_BISECT_TOL = 2**-51
 and CheckConfig a bisect_tol below it. _sup and _invert are one body each
 for a point and a mesh, and bisect only the points whose result is not an
-exact endpoint.
+exact endpoint. One step on a mesh costs the connective's formula, one
+range check (two reductions), the comparison and the np.where: values()
+tests the arity inline and passes ready columns through untouched, and
+while _sup brackets a mesh it registers the columns it holds fixed, so
+_pow powers each of them once per exponent for the whole bracket. That
+registry (_fixed) is set for one bracket and restored in a finally, so
+nested bisections see their own columns and nothing outlives a bracket.
 
 _Connective is the one evaluation contract of Negation, FusionFunction
 and Implication: a call checks the argument count and range-checks fn's
@@ -31,7 +37,8 @@ go through _value. On floats each primitive runs the Python builtin, on
 arrays the numpy ufunc, with two exceptions. _pow is np.float_power, which
 calls the C library's pow as Python's float pow does, not np.power, whose
 vector kernels round differently from host to host; a non-finite result
-runs Python's pow per element, so errors stay as on floats. _fsum of two
+runs Python's pow per element, so errors stay as on floats, and a column a
+bisection holds fixed is powered at its first step only. _fsum of two
 columns is np.add(a, b) + 0.0, the one correctly rounded sum with fsum's
 +0.0 for -0.0 + -0.0; a non-finite sum, or more columns, runs math.fsum
 per point. The array path of _invert bisects each distinct y once
@@ -305,7 +312,18 @@ def _sup(pred: Callable[..., bool], tol: float, *xs):
         raise PreconditionError("bisect_sup requires pred(0) to hold")
 
     def bisect(*p):
-        lo, hi = _bracket(partial(pred, *p), tol)
+        # On a mesh the columns p (copies _branch made) stay fixed for the whole bracket, so _pow
+        # powers each once; they are made read-only, so a kept power cannot go stale.
+        global _fixed
+        outer = _fixed
+        if _is_array(*p):
+            for c in p:
+                c.flags.writeable = False
+            _fixed = {**outer, **{id(c): (c, {}) for c in p}}
+        try:
+            lo, hi = _bracket(partial(pred, *p), tol)
+        finally:
+            _fixed = outer
         return 0.5 * (lo + hi)
 
     return _branch(_not(pred(*xs, 1.0)), bisect, 1.0, *xs)
@@ -382,7 +400,15 @@ def _is_array(*xs) -> bool:
 
 
 def _checked(values: np.ndarray) -> np.ndarray:
-    """values if all lie in [0, 1], else UnitRangeError naming the first."""
+    """values if all lie in [0, 1], else UnitRangeError naming the first.
+
+    Two reductions pass an in-range array, and a NaN fails both; only an
+    array that fails builds the mask that finds the first bad value.
+    """
+    if not values.size:
+        return values
+    if np.minimum.reduce(values, axis=None) >= 0.0 and np.maximum.reduce(values, axis=None) <= 1.0:
+        return values
     at = _first(~((values >= 0.0) & (values <= 1.0)))
     if at is not None:
         raise UnitRangeError(f"value {float(values[at])!r} is not in [0, 1]")
@@ -414,7 +440,9 @@ class _Connective:
 
     def values(self, *xs) -> np.ndarray:
         """The object at every point of the arrays xs, bit-identical to the call pointwise."""
-        self._check_arity(xs)
+        # As in __call__: this runs at every step of every mesh bisection.
+        if len(xs) != self.arity:
+            self._check_arity(xs)
         xs = _columns(xs)
         if getattr(self.fn, "vectorized", False):
             return _checked(self.fn(*xs))
@@ -427,19 +455,23 @@ _FLOAT64 = np.dtype(np.float64)
 def _columns(xs: tuple) -> tuple[np.ndarray, ...]:
     """xs broadcast to equal-length 1-d float64 arrays, the form values() evaluates.
 
-    Compositions pass such columns, and a float beside them becomes a
-    constant column, without np.broadcast_arrays: it costs about 10 us a
-    call, several times a whole evaluation of a short block.
+    Compositions pass such columns, which come back as they are, and a
+    float beside them becomes a constant column, without
+    np.broadcast_arrays: it costs about 10 us a call, several times a whole
+    evaluation of a short block.
     """
     n = None
+    filled = False
     for x in xs:
-        if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1 and n in (None, len(x)):
+        if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1 and (n is None or n == len(x)):
             n = len(x)
-        elif type(x) is not float:
+        elif type(x) is float:
+            filled = True
+        else:
             break
     else:
         if n is not None:
-            return tuple(x if type(x) is np.ndarray else np.full(n, x) for x in xs)
+            return tuple(np.full(n, x) if type(x) is float else x for x in xs) if filled else xs
     return tuple(np.atleast_1d(c) for c in np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs)))
 
 
@@ -484,6 +516,12 @@ def _fsum(*xs):
     return np.array([math.fsum(p) for p in _scalar_points(xs)], dtype=float)
 
 
+# The columns a mesh bisection holds fixed while its bracket runs, by id:
+# id -> (column, {exponent: power}). _sup sets it for one _bracket run and
+# restores the outer one after, and _pow fills and reads it.
+_fixed: dict = {}
+
+
 def _pow(base, exponent: float):
     """base ** exponent; on an array one np.float_power call, which runs the C library's pow per element.
 
@@ -492,14 +530,25 @@ def _pow(base, exponent: float):
     (0.0 to a negative power, a negative base to a fractional one, a NaN)
     sends the whole column through Python's pow, which returns or raises as
     on floats.
+
+    A column that a mesh bisection holds fixed (_fixed, set by _sup for one
+    bracket) is powered once per exponent, at the first step; later steps
+    get that read-only power back. The same call on the same column gives
+    the same bits, and nothing is kept past the bracket.
     """
     if not _is_array(base):
         return base**exponent
+    held = _fixed.get(id(base))
+    if held is not None and exponent in held[1]:
+        return held[1][exponent]
     with np.errstate(all="ignore"):
         result = np.float_power(base, exponent)
-    if np.isfinite(result).all():
-        return result
-    return np.array([b**exponent for b in base.tolist()], dtype=float)
+    if not np.isfinite(result).all():
+        result = np.array([b**exponent for b in base.tolist()], dtype=float)
+    if held is not None:
+        result.flags.writeable = False
+        held[1][exponent] = result
+    return result
 
 
 # Shortest column _distinct deduplicates, for _invert's bisections. np.unique's

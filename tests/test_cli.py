@@ -417,6 +417,24 @@ def test_search_rejects_steps_above_the_grid_bound(capsys):
     assert captured.err.startswith("error: --steps must be at most 10000000") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "template, bounds, shown",
+    [
+        ("ro(O_P:p={})", ["1", "inf"], "1 inf"),
+        ("ro(O_P:p={})", ["inf", "2"], "inf 2"),
+        ("crisp(C3, {}, 0.5)", ["nan", "0.5"], "nan 0.5"),
+    ],
+    ids=["inf-hi", "inf-lo", "nan-lo"],
+)
+def test_search_refuses_a_non_finite_range_before_any_scan(template, bounds, shown, scans, capsys):
+    code = run(["search", template, "--prop", "IP", "--range", *bounds, "--steps", "3", "--grid", "11"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --range must be two finite numbers, got {shown}\n"
+    assert scans == []
+
+
 def test_search_no_violation(capsys):
     code = run(["search", "gon(GO_TL:p={}, zadeh)", "--prop", "L-CP",
                 "--range", "1", "3", "--steps", "3", "--assert"])

@@ -445,3 +445,151 @@ def test_values_takes_ready_columns_as_they_are_and_broadcasts_the_rest():
         assert [_bits(c) for c in _columns(xs)] == [_bits(c) for c in want]
     with pytest.raises(ValueError):
         _columns((x, x[:3]))
+
+
+# --- range check: two reductions, then the mask ------------------------------
+
+
+def _mask_checked(values: np.ndarray) -> np.ndarray:
+    """The range check as a mask alone: the reference the reductions must agree with."""
+    at = numerics._first(~((values >= 0.0) & (values <= 1.0)))
+    if at is not None:
+        raise ok.UnitRangeError(f"value {float(values[at])!r} is not in [0, 1]")
+    return values
+
+
+_OUT_OF_RANGE = st.sampled_from([math.nan, math.inf, -math.inf, -5e-324, 1.0 + 2.0**-52])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.one_of(st.tuples(st.integers(1, 40)), st.tuples(st.integers(1, 8), st.integers(1, 8))),
+    seed=st.integers(0, 2**32 - 1),
+    bad=st.lists(st.tuples(_OUT_OF_RANGE, st.integers(0, 2**16)), max_size=3),
+)
+def test_checked_names_the_first_bad_value_as_the_mask_does(shape, seed, bad):
+    values = np.random.default_rng(seed).random(shape)
+    values.flat[0] = -0.0
+    for value, at in bad:
+        values.flat[at % values.size] = value
+    if not bad:
+        assert numerics._checked(values) is values
+        return
+    with pytest.raises(ok.UnitRangeError) as want:
+        _mask_checked(values)
+    with pytest.raises(ok.UnitRangeError) as got:
+        numerics._checked(values)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_checked_passes_an_empty_array(shape):
+    empty = np.zeros(shape)
+    assert numerics._checked(empty) is empty
+
+
+def test_checked_passes_negative_zero():
+    values = np.array([0.5, -0.0, 1.0, 0.0])
+    assert numerics._checked(values) is values
+
+
+# --- fixed-column powers within a mesh bisection -----------------------------
+
+
+@pytest.fixture
+def float_power_calls(monkeypatch):
+    """The np.float_power calls made while the test runs, as a one-element list."""
+    calls = [0]
+    real = np.float_power
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "float_power", counting)
+    return calls
+
+
+def _unsettled_mesh(n: int = 40) -> tuple[np.ndarray, np.ndarray]:
+    """Columns on which a residual implication bisects some points and is exactly 1 at others."""
+    return np.linspace(0.05, 1.0, n), np.linspace(0.0, 0.9, n)
+
+
+@pytest.mark.parametrize(
+    "implication, calls",
+    [
+        # 31 evaluations of x**p * z**p (pred at 0 and 1, then 29 steps), x[cond]**p once in the bracket.
+        (ok.make_residual(ok.catalog("O_P", p=1.96)), 2 * 2 + 29 * 1 + 1),
+        # Five powers per evaluation, two of them of x: 3 a step, x**p and x**q once in the bracket.
+        (ok.make_residual(ok.idempotent_go(0.91, 2.0)), 2 * 5 + 29 * 3 + 2),
+    ],
+    ids=["ro(O_P:p=1.96)", "ro(idem_go:p=0.91,q=2)"],
+)
+def test_fixed_column_powers_are_taken_once_per_bracket(implication, calls, float_power_calls):
+    x, y = _unsettled_mesh()
+    got = implication.values(x, y)
+    assert float_power_calls[0] == calls
+    assert numerics._fixed == {}
+    assert _bits(got) == _bits([implication(a, b) for a, b in zip(x.tolist(), y.tolist())])
+
+
+def _raises(obj, *point) -> bool:
+    try:
+        obj(*point)
+    except ok.UnitRangeError:
+        return True
+    return False
+
+
+def test_fixed_column_powers_are_released_when_the_bracket_raises():
+    # Inside [0, 1] at z = 0 and z = 1, outside it for z in (0.3, 0.4), where some brackets step.
+    fn = _vectorized(lambda x, z: numerics._where((z > 0.3) & (z < 0.4), 1.5, numerics._pow(x, 2.0) * z))
+    ro = ok.make_residual(ok.FusionFunction(fn=fn, arity=2, role="overlap", label="band"))
+    x, y = np.linspace(0.05, 1.0, 40), np.linspace(0.3, 0.05, 40)
+    points = list(zip(x.tolist(), y.tolist()))
+    k = next(i for i, p in enumerate(points) if _raises(ro, *p))
+    assert 0 < k < len(points) - 1
+    with pytest.raises(ok.UnitRangeError) as at_point:
+        ro(*points[k])
+    assert str(at_point.value) == "value 1.5 is not in [0, 1]"
+    with pytest.raises(ok.UnitRangeError) as on_mesh:
+        ro.values(x, y)
+    assert str(on_mesh.value) == str(at_point.value)
+    assert numerics._fixed == {}
+    assert x.flags.writeable and y.flags.writeable
+    # The block loop hands on the clean prefix before point k, then raises k's error.
+    blocks = numerics._blockwise((x, y), lambda a, b: (ro.values(a, b),), numerics.FIRST_BLOCK)
+    start, (clean,) = next(blocks)
+    assert (start, len(clean)) == (0, k)
+    assert _bits(clean) == _bits([ro(*p) for p in points[:k]])
+    with pytest.raises(ok.UnitRangeError) as in_kernel:
+        next(blocks)
+    assert str(in_kernel.value) == str(at_point.value)
+    assert numerics._fixed == {}
+
+
+def test_fixed_column_powers_in_nested_bisections_match_the_scalar_reference():
+    zadeh, power2 = ok.make_standard(), ok.make_power_strict(2.0)
+    cfg = ok.CheckConfig(grid_resolution=6, random_samples=4)
+    # An overlap that is itself a residual implication: its bisection runs inside each outer step.
+    inner = ok.make_residual(ok.catalog("O_P", p=2), cfg)
+    fn = _vectorized(lambda x, z: 1.0 - numerics._value(inner, x, 1.0 - z))
+    residual_overlap = ok.FusionFunction(fn=fn, arity=2, role="overlap", label="1 - ro(O_P:p=2)(x, 1 - z)")
+    nested = {
+        "ro(1 - ro(O_P:p=2)(x, 1 - z))": ok.make_residual(residual_overlap, cfg),
+        "agg(min; ro(O_P:p=2), ro(O_DB))": ok.aggregate(
+            ok.make_aggregation("min", 2),
+            ok.OperatorFamily((ok.make_residual(ok.catalog("O_P", p=2)), ok.make_residual(ok.catalog("O_DB")))),
+        ),
+        "ro(recovered(gon(O_P:p=2, power:2)))": ok.make_residual(
+            ok.recover_go(ok.make_gon(ok.catalog("O_P", p=2), power2), power2, cfg), cfg
+        ),
+        "ro(recovered(gon(idem_go:p=0.91,q=2, zadeh)))": ok.make_residual(
+            ok.recover_go(ok.make_gon(ok.idempotent_go(0.91, 2.0), zadeh), zadeh, cfg), cfg
+        ),
+    }
+    x, y = _sample_mesh(cfg, 2)
+    for label, implication in nested.items():
+        got = implication.values(x, y)
+        assert numerics._fixed == {}, label
+        assert _bits(got) == _bits([implication(a, b) for a, b in zip(x.tolist(), y.tolist())]), label
