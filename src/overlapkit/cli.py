@@ -16,7 +16,10 @@ Verbs:
 
 props, table2 and search scan through properties.check_property, and
 resolve every --prop name before the first scan. `eval --at` leaves a
-wrong coordinate count to the connective's own argument check.
+wrong coordinate count to the connective's own argument check. A negative
+number is an argument, never an option string, in exponent notation and as
+-inf or -nan too, so `--range -1e-3 2` and `--at -inf 0.5` reach the
+program's own checks.
 
 Expression grammar: one list of forms, _FORMS, which the parsers read and
 `catalog` prints, one row per constructor with an example, its kind and a
@@ -662,6 +665,25 @@ _CONFIG_FLAGS = (
 )
 
 
+# A negative number as float() reads it, in decimal or exponent notation, or -inf or -nan.
+_NEGATIVE_NUMBER = re.compile(r"-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, taking every negative number _NEGATIVE_NUMBER matches for an argument.
+
+    argparse's own pattern reads -0.5 as a number but -1e-3 and -inf as
+    option strings, so those failed with a usage error before the
+    program's own checks of --range and --at could name the value. argparse
+    tries the pattern only on a token that names no option, so the common
+    parse pays nothing for it. The subparsers are built with this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse parser of every verb, built once per process: parse_args keeps no state between calls."""
@@ -679,7 +701,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--config", help="config file path (fallback: OVERLAPKIT_CONFIG)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="overlapkit",
         description="Evaluate and audit unit-interval connectives and implications.",
     )

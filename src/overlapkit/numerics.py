@@ -40,19 +40,27 @@ vector kernels round differently from host to host; a non-finite result
 runs Python's pow per element, so errors stay as on floats, and a column a
 bisection holds fixed is powered at its first step only. _fsum of two
 columns is np.add(a, b) + 0.0, the one correctly rounded sum with fsum's
-+0.0 for -0.0 + -0.0; a non-finite sum, or more columns, runs math.fsum
-per point. The array path of _invert bisects each distinct y once
-(_distinct, from DISTINCT_FLOOR elements up). _twice evaluates one
-composite at two points: on floats one after the other, on arrays once on
-the joined columns, so each connective it nests is called once for both.
++0.0 for -0.0 + -0.0, and of three columns _fsum3, the correctly rounded
+sum from TwoSum steps and one rounding to odd; a non-finite sum, three
+terms near overflow, or four or more columns, runs math.fsum per point.
+The array path of _invert bisects each distinct y once (_distinct, from
+DISTINCT_FLOOR elements up). _twice evaluates one composite at two
+points: on floats one after the other, on arrays once on the joined
+columns, up to MAX_JOINED points, so each connective it nests is called
+once for both. _twice_negated evaluates g at two argument pairs picked
+from (x, y, n(x), n(y)), in the scalar order on floats and on arrays with
+one call of n and one of g.
 
 _scan_mesh is the first-witness scan and _mesh_values the full evaluation
-of a mesh, both over one block loop, _blockwise. When a block raises
-UnitRangeError or PreconditionError, _blockwise bisects on the block's
-prefix length for the first point that raises, hands on the clean prefix
-before it and then raises that point's error as its float evaluation
-does. So the witness or error reported is the one met first in point
-order, with no point evaluated as a scalar but the raising one.
+of a mesh, both over one block loop, _blockwise: a scan takes blocks
+doubling from FIRST_BLOCK (1024 points) up to MAX_BLOCK (16384), a full
+evaluation takes blocks of MAX_BLOCK, so the grid-101 pair mesh is one
+block. When a block raises UnitRangeError or PreconditionError, _blockwise
+bisects on the block's prefix length for the first point that raises,
+hands on the clean prefix before it and then raises that point's error as
+its float evaluation does. So the witness or error reported is the one met
+first in point order, with no point evaluated as a scalar but the raising
+one.
 
 _plain is the one serializer of the report dataclasses, and _Record gives
 each of them as_dict() through it.
@@ -371,10 +379,22 @@ def _jump_bound(resolution: int) -> float:
 # Array evaluation
 # ---------------------------------------------------------------------------
 
-# Largest block a mesh kernel evaluates at once: with a few temporaries per
-# connective stage, a block holds well under a few MB.
-MAX_BLOCK = 8192
-FIRST_BLOCK = 256
+# Largest block a mesh kernel evaluates at once, and the first block of a
+# first-witness scan. Each block of a composition pays a fixed wrapper,
+# range-check and dispatch cost (a CP block of gon(GO_max, zadeh) took 64 us
+# at 256 points and 85 us at 1024 on a shared 2-core x86-64 host), so the
+# blocks are large: a full scan of the grid-101 pair mesh (10,301 points)
+# takes 4 blocks and a full evaluation of it one. A block with a few
+# temporaries per connective stage still holds only a few MB.
+MAX_BLOCK = 16384
+FIRST_BLOCK = 1024
+
+# Longest column _twice evaluates as one joined call. Past it, joining costs
+# more than the call it saves: on the host above, a CP block of
+# gon(GO_max, zadeh) at 8192 points took 413 us joined (columns of 16,384
+# float64, 128 KiB) and 154 us as two calls; at 4096 points, 97 us joined
+# and 105 us as two. At grid 101 every block a scan joins is within it.
+MAX_JOINED = 8192
 
 # What evaluating a block raises when one of its points is out of range or
 # breaks a contract; the kernels then look for the first such point.
@@ -499,11 +519,46 @@ def _prod(*xs):
     return reduce(np.multiply, xs) if _is_array(*xs) else math.prod(xs)
 
 
+def _two_sum(a, b):
+    """(s, e): s the rounded a + b and e its error, so s + e is a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+# Three columns whose magnitudes sum below this bound cannot overflow, in
+# math.fsum's partial sums or in the TwoSum steps.
+_FSUM3_BOUND = 2.0**1022
+
+
+def _fsum3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The correctly rounded a + b + c at each point, or None when a term is not finite or may overflow.
+
+    Boldo and Melquiond's sum of three (IEEE TC 2008): two TwoSum steps
+    give a + b + c = th + tl + ul exactly, with th the rounded a + (b + c);
+    tl + ul rounded to odd (the rounded sum, moved one ulp towards its
+    error when that error is not 0 and the rounded sum's last bit is even)
+    keeps the sticky bit that makes th + (tl + ul) round once, correctly.
+    """
+    # Quiet: huge terms overflow the bound's test, and a NaN or an infinity fails it.
+    with np.errstate(over="ignore"):
+        if not (np.abs(a) + np.abs(b) + np.abs(c) < _FSUM3_BOUND).all():
+            return None
+    uh, ul = _two_sum(b, c)
+    th, tl = _two_sum(a, uh)
+    v, e = _two_sum(tl, ul)
+    even = (v.view(np.uint64) & 1) == 0
+    v = np.where((e != 0.0) & even, np.nextafter(v, np.copysign(np.inf, e)), v)
+    return th + v + 0.0
+
+
 def _fsum(*xs):
     """math.fsum of xs, at each point of the arrays xs.
 
-    Two finite terms have one correctly rounded sum, np.add's; + 0.0 turns
-    its -0.0 into fsum's 0.0. Other arrays go through math.fsum per point.
+    Two finite terms have one correctly rounded sum, np.add's, and three
+    have _fsum3's; + 0.0 turns their -0.0 into fsum's 0.0. A non-finite
+    sum, three terms that may overflow and four or more terms go through
+    math.fsum per point.
     """
     if not _is_array(*xs):
         return math.fsum(xs)
@@ -512,6 +567,10 @@ def _fsum(*xs):
         with np.errstate(over="ignore", invalid="ignore"):
             total = np.add(*xs) + 0.0
         if np.isfinite(total).all():
+            return total
+    if len(xs) == 3:
+        total = _fsum3(*xs)
+        if total is not None:
             return total
     return np.array([math.fsum(p) for p in _scalar_points(xs)], dtype=float)
 
@@ -606,13 +665,36 @@ def _twice(g: Callable, *pairs: tuple) -> tuple:
     On floats g runs at the first point, then at the second. On equal-length
     1-d arrays g runs once, on each pair joined into one column, and the two
     halves of its result are returned: a composite g then calls each
-    connective once for both points, however deeply it nests them.
+    connective once for both points, however deeply it nests them. Arrays
+    whose joined columns would exceed MAX_JOINED run as floats do, first
+    then second.
     """
-    if not _is_array(*(v for pair in pairs for v in pair)):
+    if not _is_array(*(v for pair in pairs for v in pair)) or 2 * len(pairs[0][0]) > MAX_JOINED:
         return g(*(first for first, _ in pairs)), g(*(second for _, second in pairs))
     values = g(*(np.concatenate(pair) for pair in pairs))
     n = len(pairs[0][0])
     return values[:n], values[n:]
+
+
+def _twice_negated(g: Callable, n: Callable, x, y, first: tuple, second: tuple) -> tuple:
+    """(g(*first), g(*second)), each argument picked by index from (x, y, n(x), n(y)).
+
+    On floats g runs on the first arguments, then on the second, and each
+    n(.) is evaluated where an argument first needs it: the order of the
+    expression written out point by point. On equal-length 1-d arrays n
+    runs once, on y joined to x, and g once, on the two argument lists
+    joined, both through _twice, so up to MAX_JOINED.
+    """
+    if not _is_array(x, y):
+        args = (x, y)
+
+        def pick(k):
+            return args[k] if k < 2 else n(args[k - 2])
+
+        return g(*(pick(k) for k in first)), g(*(pick(k) for k in second))
+    ny, nx = _twice(n, (y, x))
+    args = (x, y, nx, ny)
+    return _twice(g, *((args[a], args[b]) for a, b in zip(first, second)))
 
 
 def _blocks(n: int, first: int):
@@ -633,10 +715,11 @@ def _blockwise(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple], first: in
 
     Points evaluate independently, so a prefix of a block raises exactly
     when one of its points does. A block that raises is bisected on its
-    prefix length for its first raising point k, in at most 13 evaluations
-    for MAX_BLOCK points. The clean prefix before k is yielded; resuming
-    raises k's error as fn raises it on k's floats, the error a point-by-point
-    run meets first, or, should the floats pass, the array error.
+    prefix length for its first raising point k, in at most 15 prefix
+    evaluations, the whole block's among them, for MAX_BLOCK points. The
+    clean prefix before k is yielded; resuming raises k's error as fn raises
+    it on k's floats, the error a point-by-point run meets first, or, should
+    the floats pass, the array error.
     """
     for start, stop in _blocks(len(cols[0]), first):
         block = tuple(c[start:stop] for c in cols)
@@ -667,10 +750,10 @@ def _scan_mesh(
     Returns (witness, count, worst) with Python floats: witness is (point,
     lhs, rhs, deviation) of that point or None, count the points visited
     (the failing one included), worst the largest deviation seen. Blocks
-    double in size, so a scan failing at point k evaluates about 2k points
-    plus one block. When a point's sides raise, the scan reports a witness
-    before that point if there is one and raises the point's error
-    otherwise, as a point-by-point scan would.
+    double in size from FIRST_BLOCK, so a scan failing at point k evaluates
+    at most about 2k points plus one block. When a point's sides raise, the
+    scan reports a witness before that point if there is one and raises the
+    point's error otherwise, as a point-by-point scan would.
     """
     worst = 0.0
     for start, (lhs, rhs) in _blockwise(cols, sides, FIRST_BLOCK):

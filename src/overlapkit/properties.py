@@ -23,18 +23,23 @@ The ten scans are the rows of one table, _PROPERTIES, keyed by report id:
 the mesh each walks, its two sides, the relation that fails a point and the
 note. check_property is the one entry point: it takes a report id or the
 same id without its hyphen (L-CP or LCP) and runs the row on
-numerics._scan_mesh, which evaluates the mesh as arrays in doubling blocks
-and reports the witness or error a point-by-point scan would.
-check_unary_property, check_ep and check_contraposition only refuse an id
-outside their group and call it. NP and IP walk the
-sorted samples, the other pairwise scans numerics._sample_mesh (the uniform
-grid mesh plus seeded random pairs), EP and EP1 the triple mesh on the
-reduced grid of numerics._axis (21 points) plus random triples. pair_points and
-triple_points yield the points of those meshes as Python floats, in
-numerics._sample_mesh's order, so they too refuse a mesh of more than
-numerics.MAX_GRID_POINTS points. compare evaluates the whole pair mesh
-with numerics._mesh_values, range_is_proper the sample square with
-numerics._tensor.
+numerics._scan_mesh, which evaluates the mesh as arrays in blocks doubling
+from 1024 points and reports the witness or error a point-by-point scan
+would. On a block, EP and EP1 join their four nestings into two
+implication calls (numerics._twice), and CP, L-CP and R-CP theirs into one
+negation call, on y and x joined, and one implication call, on both sides
+joined (numerics._twice_negated), each joined call up to
+numerics.MAX_JOINED points; a single point is evaluated as floats in the
+order the sides are written. check_unary_property, check_ep and
+check_contraposition only refuse an id outside their group and call it.
+NP and IP walk the sorted samples, the other pairwise scans
+numerics._sample_mesh (the uniform grid mesh plus seeded random pairs), EP
+and EP1 the triple mesh on the reduced grid of numerics._axis (21 points)
+plus random triples. pair_points and triple_points yield the points of
+those meshes as Python floats, in numerics._sample_mesh's order, so they
+too refuse a mesh of more than numerics.MAX_GRID_POINTS points. compare
+evaluates the whole pair mesh with numerics._mesh_values, range_is_proper
+the sample square with numerics._tensor.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from .numerics import (
     _scan_mesh,
     _tensor,
     _twice,
+    _twice_negated,
     _value,
     sorted_samples,
 )
@@ -184,9 +190,11 @@ _PROPERTIES = {
         lambda tol: lambda lhs, rhs: ((lhs >= 1.0 - tol) & (rhs < 1.0 - tol), 1.0 - rhs),
         "one side at 1 must force the other to 1",
     ),
-    "CP": _Property(_pairs, lambda i, n, x, y: (i(x, y), i(n(y), n(x))), note=_BY_NEGATION),
-    "L-CP": _Property(_pairs, lambda i, n, x, y: (i(n(x), y), i(n(y), x)), note=_BY_NEGATION),
-    "R-CP": _Property(_pairs, lambda i, n, x, y: (i(x, n(y)), i(y, n(x))), note=_BY_NEGATION),
+    # Each side is I at two of (x, y, N(x), N(y)), by index: CP compares I(x, y) with I(N(y), N(x)).
+    # On a mesh a block takes one call of N, on y and x joined, and one of I, on both sides joined.
+    "CP": _Property(_pairs, partial(_twice_negated, first=(0, 1), second=(3, 2)), note=_BY_NEGATION),
+    "L-CP": _Property(_pairs, partial(_twice_negated, first=(2, 1), second=(3, 0)), note=_BY_NEGATION),
+    "R-CP": _Property(_pairs, partial(_twice_negated, first=(0, 3), second=(1, 2)), note=_BY_NEGATION),
 }
 
 

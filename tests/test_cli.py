@@ -49,6 +49,16 @@ def test_eval_grid_dump(capsys):
     assert lines[-1].split() == ["1.000000000", "0.000000000"]
 
 
+def test_grid_101_dump_of_a_residual_runs_one_bisection_bracket(monkeypatch, capsys):
+    # The 10,201 points of the dump are one block, so ro's mesh bisection runs once.
+    brackets = []
+    bracket = numerics._bracket
+    monkeypatch.setattr(numerics, "_bracket", lambda *args: brackets.append(args) or bracket(*args))
+    assert run(["eval", "ro(O_P:p=2)"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 101**2
+    assert len(brackets) == 1
+
+
 def _per_row_dump(expression: str, grid: int) -> str:
     """A text grid dump formatted a row at a time with _fmt, the reference for the run-at-a-time dump."""
     obj = cli._parse_any(expression, numerics.CheckConfig(grid_resolution=grid))
@@ -94,6 +104,30 @@ def test_eval_arity_mismatch_exits_3(capsys):
 
 def test_eval_out_of_range_exits_3():
     assert run(["eval", "zadeh", "--at", "2.0"]) == 3
+
+
+@pytest.mark.parametrize("token", ["-0.001", "-1e-3", "-1E-3", "-1.0e-03"])
+def test_eval_at_a_negative_number_in_any_notation_reaches_the_range_check(token, capsys):
+    assert run(["eval", "O_min", "--at", token, "0.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: value -0.001 is not in [0, 1]\n"
+
+
+@pytest.mark.parametrize("token", ["-0.001", "-1e-3"])
+def test_search_range_with_a_negative_exponent_reaches_the_parameter_check(token, capsys):
+    assert run(["search", "ro(O_P:p={})", "--prop", "NP", "--range", token, "2", "--grid", "11"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: parameter 'p' must be > 0\n"
+
+
+def test_an_option_string_is_still_an_option(capsys):
+    # Only tokens that read as numbers are arguments: --at followed by -h still lacks its value.
+    with pytest.raises(SystemExit) as exit_:
+        run(["eval", "O_min", "--at", "-h"])
+    assert exit_.value.code == 2
+    assert "argument --at: expected at least one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -423,8 +457,12 @@ def test_search_rejects_steps_above_the_grid_bound(capsys):
         ("ro(O_P:p={})", ["1", "inf"], "1 inf"),
         ("ro(O_P:p={})", ["inf", "2"], "inf 2"),
         ("crisp(C3, {}, 0.5)", ["nan", "0.5"], "nan 0.5"),
+        # argparse alone would take these tokens for option strings and exit 2 with a usage block.
+        ("ro(O_P:p={})", ["-inf", "2"], "-inf 2"),
+        ("ro(O_P:p={})", ["1", "-Infinity"], "1 -inf"),
+        ("crisp(C3, {}, 0.5)", ["-nan", "0.5"], "nan 0.5"),
     ],
-    ids=["inf-hi", "inf-lo", "nan-lo"],
+    ids=["inf-hi", "inf-lo", "nan-lo", "minus-inf-lo", "minus-infinity-hi", "minus-nan-lo"],
 )
 def test_search_refuses_a_non_finite_range_before_any_scan(template, bounds, shown, scans, capsys):
     code = run(["search", template, "--prop", "IP", "--range", *bounds, "--steps", "3", "--grid", "11"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -325,6 +326,77 @@ def test_fsum_of_two_columns_keeps_signed_zeros_and_non_finite_terms_as_math_fsu
     assert math.isnan(_fsum(np.array([math.nan]), np.array([1.0]))[0])
     with pytest.raises(ValueError):
         _fsum(np.array([inf]), np.array([-inf]))
+
+
+_SUBNORMAL = st.floats(min_value=-(2.0**-1022), max_value=2.0**-1022)
+_TERMS = st.one_of(_SIGNED_ZEROS, _FINITE, _SUBNORMAL, st.floats(0.0, 1.0))
+
+
+@st.composite
+def _near_one(draw) -> tuple[float, float, float]:
+    """Three terms in some order, two in [0, 1] and a third that puts their sum within a few ulps of 1."""
+    a, b = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    c = 1.0 - a - b
+    for _ in range(draw(st.integers(0, 4))):
+        c = math.nextafter(c, draw(st.sampled_from([-math.inf, math.inf])))
+    return draw(st.permutations([a, b, c]))
+
+
+def _fsum_matches_math_fsum_per_point(triples) -> None:
+    a, b, c = (np.array(col) for col in zip(*triples))
+    try:
+        want = [math.fsum(p) for p in triples]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _fsum(a, b, c)
+        return
+    assert _bits(_fsum(a, b, c)) == _bits(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_TERMS, _TERMS, _TERMS), min_size=1))
+def test_fsum_of_three_columns_is_math_fsum_per_point(triples):
+    _fsum_matches_math_fsum_per_point(triples)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_near_one(), min_size=1, max_size=50))
+def test_fsum_of_three_columns_summing_within_ulps_of_one_is_math_fsum(triples):
+    _fsum_matches_math_fsum_per_point(triples)
+
+
+def test_fsum_of_three_columns_rounds_ties_and_sticky_bits_as_math_fsum():
+    # 1 + half an ulp is a tie, broken to even by 0 and upwards by any positive third term;
+    # the two TwoSum errors then carry it, and the odd rounding keeps the sticky bit.
+    half, tiny = 2.0**-53, 2.0**-1074
+    triples = [
+        (1.0, half, 0.0), (1.0, half, tiny), (1.0, half, -tiny), (half, tiny, 1.0),
+        (1.0 + 2**-52, half, -tiny), (1.0, half, half * 2**-60), (-1.0, -half, -tiny),
+        (1e16, 1.0, -1e16), (2.0**-1022, -(2.0**-1023), tiny),
+        (0.0, -0.0, -0.0), (-0.0, -0.0, -0.0), (1.0, -1.0, -0.0), (0.1, 0.2, -0.3),
+    ]
+    _fsum_matches_math_fsum_per_point(triples)
+
+
+def test_fsum_of_three_finite_columns_calls_no_math_fsum(monkeypatch):
+    a, b, c = (np.linspace(0.0, 1.0, 50) ** k for k in (1, 2, 3))
+    want = [math.fsum(p) for p in zip(a.tolist(), b.tolist(), c.tolist())]
+    monkeypatch.setattr(math, "fsum", lambda _: pytest.fail("math.fsum called"))
+    assert _bits(_fsum(a, b, c)) == _bits(want)
+
+
+def test_fsum_of_three_columns_keeps_non_finite_terms_and_overflow_as_math_fsum():
+    inf, big = math.inf, sys.float_info.max
+    # math.fsum raises on an overflow of its partial sums, although big + big - big is finite.
+    with pytest.raises(OverflowError):
+        _fsum(np.array([big]), np.array([big]), np.array([-big]))
+    assert _bits(_fsum(np.array([inf, 0.5]), np.array([1.0, 0.25]), np.array([2.0, 0.25]))) == _bits([inf, 1.0])
+    assert math.isnan(_fsum(np.array([math.nan]), np.array([1.0]), np.array([0.0]))[0])
+    with pytest.raises(ValueError):
+        _fsum(np.array([inf]), np.array([1.0]), np.array([-inf]))
+    # Four columns still sum point by point.
+    four = [(1.0, 2.0**-53, 2.0**-60, -(2.0**-1074))]
+    assert _bits(_fsum(*(np.array(col) for col in zip(*four)))) == _bits([math.fsum(p) for p in four])
 
 
 _BASES = st.one_of(

@@ -73,16 +73,33 @@ def test_ep_fails_for_go_max_with_triple_witness():
     assert len(rep.witness.point) == 3
 
 
-@pytest.mark.parametrize("variant", EP_VARIANTS)
-def test_ep_evaluates_each_block_in_two_implication_calls(variant, monkeypatch):
+def _joined_calls(n: int) -> list[int]:
+    """The lengths of the calls numerics._twice makes for a block of n points: one joined, or two past MAX_JOINED."""
+    return [2 * n] if 2 * n <= numerics.MAX_JOINED else [n, n]
+
+
+def _ep_implication_calls(variant: str, monkeypatch) -> tuple[list[int], list[int]]:
+    """The lengths of the Implication.values calls of an EP or EP1 scan that holds, and the scan's blocks."""
     calls = []
     values = ok.Implication.values
     monkeypatch.setattr(ok.Implication, "values", lambda self, *xs: calls.append(len(xs[0])) or values(self, *xs))
     report = ok.check_ep(_gon("O_min", ok.make_standard()), variant)
     assert report.holds
-    blocks = [stop - start for start, stop in numerics._blocks(report.samples_checked, numerics.FIRST_BLOCK)]
+    return calls, [stop - start for start, stop in numerics._blocks(report.samples_checked, numerics.FIRST_BLOCK)]
+
+
+@pytest.mark.parametrize("variant", EP_VARIANTS)
+def test_ep_evaluates_each_block_in_two_implication_calls(variant, monkeypatch):
+    calls, blocks = _ep_implication_calls(variant, monkeypatch)
     # Each call evaluates both points of a block's sides: I(y, z) and I(x, z), then the two outer calls.
     assert calls == [2 * n for n in blocks for _ in range(2)]
+
+
+def test_an_ep_block_past_max_joined_takes_two_calls_of_each(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_JOINED", 2048)
+    calls, blocks = _ep_implication_calls("EP", monkeypatch)
+    assert calls == [k for n in blocks for _ in range(2) for k in _joined_calls(n)]
+    assert max(calls) < 2 * max(blocks)
 
 
 def test_ep1_for_frontier_negation():
@@ -120,6 +137,39 @@ def test_ql_fails_lcp_for_every_catalog_negation():
         rep = ok.check_contraposition(imp, make(), "LCP")
         assert not rep.holds
         assert rep.witness is not None
+
+
+# Lukasiewicz's implication, a formula of its own: it calls no negation, so every N call counted is the scan's.
+_LUKASIEWICZ = ok.Implication(
+    fn=numerics._vectorized(lambda x, y: numerics._min(1.0, 1.0 - x + y)), label="lukasiewicz", family="gon"
+)
+
+
+@pytest.mark.parametrize("max_joined", [numerics.MAX_JOINED, 2048])
+@pytest.mark.parametrize("variant", CP_VARIANTS)
+def test_contraposition_evaluates_each_block_in_one_negation_and_one_implication_call(
+    variant, max_joined, monkeypatch
+):
+    monkeypatch.setattr(numerics, "MAX_JOINED", max_joined)
+    calls = {"N": [], "I": []}
+    for cls, key in ((ok.Negation, "N"), (ok.Implication, "I")):
+        values = cls.values
+        monkeypatch.setattr(
+            cls, "values", lambda self, *xs, _v=values, _k=key: calls[_k].append(len(xs[0])) or _v(self, *xs)
+        )
+    report = ok.check_contraposition(_LUKASIEWICZ, ok.make_standard(), variant)
+    assert report.holds
+    blocks = [stop - start for start, stop in numerics._blocks(report.samples_checked, numerics.FIRST_BLOCK)]
+    # N on y and x joined, then I on the two sides' arguments joined; past MAX_JOINED, two calls each.
+    want = [k for n in blocks for k in _joined_calls(n)]
+    assert calls == {"N": want, "I": want}
+    assert (max(want) < 2 * max(blocks)) == (max_joined == 2048)
+
+
+def test_a_grid_101_pair_scan_runs_four_blocks():
+    report = ok.check_contraposition(_LUKASIEWICZ, ok.make_standard(), "CP")
+    assert report.holds and report.samples_checked == 101**2 + ok.DEFAULT_CONFIG.random_samples // 2
+    assert len(list(numerics._blocks(report.samples_checked, numerics.FIRST_BLOCK))) == 4
 
 
 def test_cp_report_symmetric_under_role_swap():

@@ -19,9 +19,10 @@ raises the UnitRangeError the scalar order meets first. A hypothesis test
 draws connectives that leak on random regions, inside gon, tn and ro at
 small random configs, and requires every property check and compare to
 report, or raise, what the scalar reference does. EP and EP1, which join
-their four evaluations into two calls on a mesh, are also checked against
-the sides written out point by point, on implications that leak in the
-second half of the joined call.
+their four evaluations into two calls on a mesh, and CP, L-CP and R-CP,
+which join theirs into one negation call and one implication call, are
+also checked against the sides written out point by point, on connectives
+that leak in the second half of a joined call.
 """
 
 from __future__ import annotations
@@ -206,6 +207,86 @@ def test_ep_leaking_in_the_second_half_of_the_joined_call_matches_the_scalar_sid
         assert (got["status"], got["samples_checked"]) == ("fails", k + 1)
     else:
         leaked = 3.0 if case == "outer_leak_first" else 2.0
+        assert got == (ok.UnitRangeError, f"value {leaked!r} is not in [0, 1]")
+
+
+def _standard_except(overrides: dict) -> ok.Negation:
+    """1 - v, except overrides[v] at each of its points."""
+
+    def fn(v):
+        out = 1.0 - v
+        for pv, value in overrides.items():
+            out = _where(v == pv, value, out)
+        return out
+
+    return ok.Negation(fn=_vectorized(fn), label="standard_except")
+
+
+# The contraposition sides written out point by point, in the order of the scalar scan.
+_CP_SIDES = {
+    "CP": lambda i, n, x, y: (i(x, y), i(n(y), n(x))),
+    "L-CP": lambda i, n, x, y: (i(n(x), y), i(n(y), x)),
+    "R-CP": lambda i, n, x, y: (i(x, n(y)), i(y, n(x))),
+}
+
+# Each side's arguments under the standard negation, from (x, y): (first side, second side).
+_CP_ARGS = {
+    "CP": (lambda x, y: (x, y), lambda x, y: (1.0 - y, 1.0 - x)),
+    "L-CP": (lambda x, y: (1.0 - x, y), lambda x, y: (1.0 - y, x)),
+    "R-CP": (lambda x, y: (x, 1.0 - y), lambda x, y: (y, 1.0 - x)),
+}
+
+
+def _scalar_cp(implication, negation, variant: str, config) -> properties.PropertyReport:
+    row = properties._PROPERTIES[variant]
+
+    def sides(point):
+        return _CP_SIDES[variant](lambda a, b: float(implication(a, b)), lambda a: float(negation(a)), *point)
+
+    witness, count, _ = _scan(properties.pair_points(config), sides, row.relation(config.eq_tol))
+    return properties._report(variant, witness, count, row.note.format(negation))
+
+
+@pytest.mark.parametrize("max_joined", [numerics.MAX_JOINED, 1024], ids=["joined", "split"])
+@pytest.mark.parametrize("vectorized", [True, False], ids=["arrays", "point_by_point"])
+@pytest.mark.parametrize("variant", properties.CP_VARIANTS)
+@pytest.mark.parametrize("case", ["leak", "witness_then_leak", "scalar_order"])
+def test_cp_leaking_in_the_second_half_of_a_joined_call_matches_the_scalar_sides(
+    case, variant, vectorized, max_joined, monkeypatch
+):
+    # The overrides sit at the first two random pairs, k and k + 1, whose
+    # coordinates no grid point shares, so every point before k is clean.
+    # "leak" leaks at k + 1 in the second side, the second half of the joined
+    # I call. "witness_then_leak" also breaks the law at k, in the same
+    # block. "scalar_order" leaks N at x and at y and I at (x, y), all at
+    # k + 1: the joined N call on y || x meets N(y) first, the scalar sides
+    # meet I(x, y) (CP), N(x) (L-CP) or N(y) (R-CP) first. With MAX_JOINED
+    # at 1024 the block holding k runs as two calls of each, and must agree too.
+    monkeypatch.setattr(numerics, "MAX_JOINED", max_joined)
+    config = ok.DEFAULT_CONFIG
+    pid = properties._property_id(variant)
+    x, y = (c.tolist() for c in numerics._sample_mesh(config, 2))
+    k = len(numerics._grid_mesh(config, 2)[0])
+    first, second = _CP_ARGS[pid]
+    i_overrides, n_overrides = {}, {}
+    if case == "scalar_order":
+        i_overrides[(x[k + 1], y[k + 1])] = 3.0
+        n_overrides = {x[k + 1]: 4.0, y[k + 1]: 5.0}
+        leaked = {"CP": 3.0, "L-CP": 4.0, "R-CP": 5.0}[pid]
+    else:
+        i_overrides[second(x[k + 1], y[k + 1])] = 2.0
+        leaked = 2.0
+    if case == "witness_then_leak":
+        i_overrides[first(x[k], y[k])] = 0.0
+    implication, negation = _lukasiewicz_except(i_overrides), _standard_except(n_overrides)
+    if not vectorized:
+        implication = dataclasses.replace(implication, fn=lambda a, b, _f=implication.fn: _f(a, b))
+        negation = dataclasses.replace(negation, fn=lambda a, _f=negation.fn: _f(a))
+    got = _outcome(partial(properties.check_property, implication, variant, negation, config))
+    assert got == _outcome(partial(_scalar_cp, implication, negation, pid, config))
+    if case == "witness_then_leak":
+        assert (got["status"], got["samples_checked"]) == ("fails", k + 1)
+    else:
         assert got == (ok.UnitRangeError, f"value {leaked!r} is not in [0, 1]")
 
 
