@@ -681,6 +681,10 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        # argparse keeps its pattern in this private attribute; checked on
+        # CPython 3.11. Should a release rename it, -1e-3 and -inf would be
+        # option strings again: the "argparse negatives" CI job runs the
+        # tests of these tokens on the oldest and newest supported Pythons.
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 

@@ -46,15 +46,15 @@ terms near overflow, or four or more columns, runs math.fsum per point.
 The array path of _invert bisects each distinct y once (_distinct, from
 DISTINCT_FLOOR elements up). _twice evaluates one composite at two
 points: on floats one after the other, on arrays once on the joined
-columns, up to MAX_JOINED points, so each connective it nests is called
-once for both. _twice_negated evaluates g at two argument pairs picked
-from (x, y, n(x), n(y)), in the scalar order on floats and on arrays with
-one call of n and one of g.
+columns, so each connective it nests is called once for both.
+_twice_negated evaluates g at two argument pairs picked from (x, y, n(x),
+n(y)), in the scalar order on floats and on arrays with one call of n and
+one of g.
 
 _scan_mesh is the first-witness scan and _mesh_values the full evaluation
 of a mesh, both over one block loop, _blockwise: a scan takes blocks
-doubling from FIRST_BLOCK (1024 points) up to MAX_BLOCK (16384), a full
-evaluation takes blocks of MAX_BLOCK, so the grid-101 pair mesh is one
+doubling from FIRST_BLOCK (1024 points) up to SCAN_BLOCK (4096), a full
+evaluation blocks of MAX_BLOCK (16384), so the grid-101 pair mesh is one
 block. When a block raises UnitRangeError or PreconditionError, _blockwise
 bisects on the block's prefix length for the first point that raises,
 hands on the clean prefix before it and then raises that point's error as
@@ -379,22 +379,19 @@ def _jump_bound(resolution: int) -> float:
 # Array evaluation
 # ---------------------------------------------------------------------------
 
-# Largest block a mesh kernel evaluates at once, and the first block of a
-# first-witness scan. Each block of a composition pays a fixed wrapper,
-# range-check and dispatch cost (a CP block of gon(GO_max, zadeh) took 64 us
-# at 256 points and 85 us at 1024 on a shared 2-core x86-64 host), so the
-# blocks are large: a full scan of the grid-101 pair mesh (10,301 points)
-# takes 4 blocks and a full evaluation of it one. A block with a few
-# temporaries per connective stage still holds only a few MB.
-MAX_BLOCK = 16384
+# Block sizes of the mesh kernels. Each block of a composition pays a fixed
+# wrapper, range-check and dispatch cost (a CP block of gon(GO_max, zadeh)
+# took 64 us at 256 points and 85 us at 1024 on a shared 2-core x86-64
+# host), so blocks are large. But a call _twice joins past 8192 points
+# costs more than the call it saves (that CP block joined took 97 us at
+# 4096 points and 413 us at 8192, against 154 us as two calls), so a
+# first-witness scan takes blocks doubling from FIRST_BLOCK up to
+# SCAN_BLOCK: a full scan of the grid-101 pair mesh (10,301 points) takes
+# 4 blocks. A full evaluation takes blocks of MAX_BLOCK, so that of the
+# grid-101 pair mesh is one block.
 FIRST_BLOCK = 1024
-
-# Longest column _twice evaluates as one joined call. Past it, joining costs
-# more than the call it saves: on the host above, a CP block of
-# gon(GO_max, zadeh) at 8192 points took 413 us joined (columns of 16,384
-# float64, 128 KiB) and 154 us as two calls; at 4096 points, 97 us joined
-# and 105 us as two. At grid 101 every block a scan joins is within it.
-MAX_JOINED = 8192
+SCAN_BLOCK = 4096
+MAX_BLOCK = 16384
 
 # What evaluating a block raises when one of its points is out of range or
 # breaks a contract; the kernels then look for the first such point.
@@ -665,11 +662,9 @@ def _twice(g: Callable, *pairs: tuple) -> tuple:
     On floats g runs at the first point, then at the second. On equal-length
     1-d arrays g runs once, on each pair joined into one column, and the two
     halves of its result are returned: a composite g then calls each
-    connective once for both points, however deeply it nests them. Arrays
-    whose joined columns would exceed MAX_JOINED run as floats do, first
-    then second.
+    connective once for both points, however deeply it nests them.
     """
-    if not _is_array(*(v for pair in pairs for v in pair)) or 2 * len(pairs[0][0]) > MAX_JOINED:
+    if not _is_array(*(v for pair in pairs for v in pair)):
         return g(*(first for first, _ in pairs)), g(*(second for _, second in pairs))
     values = g(*(np.concatenate(pair) for pair in pairs))
     n = len(pairs[0][0])
@@ -683,7 +678,7 @@ def _twice_negated(g: Callable, n: Callable, x, y, first: tuple, second: tuple) 
     n(.) is evaluated where an argument first needs it: the order of the
     expression written out point by point. On equal-length 1-d arrays n
     runs once, on y joined to x, and g once, on the two argument lists
-    joined, both through _twice, so up to MAX_JOINED.
+    joined, both through _twice.
     """
     if not _is_array(x, y):
         args = (x, y)
@@ -697,20 +692,20 @@ def _twice_negated(g: Callable, n: Callable, x, y, first: tuple, second: tuple) 
     return _twice(g, *((args[a], args[b]) for a, b in zip(first, second)))
 
 
-def _blocks(n: int, first: int):
-    """(start, stop) over range(n) in blocks doubling from first up to MAX_BLOCK."""
+def _blocks(n: int, first: int, last: int):
+    """(start, stop) over range(n) in blocks doubling from first up to last."""
     start, size = 0, first
     while start < n:
         stop = min(n, start + size)
         yield start, stop
-        start, size = stop, min(2 * size, MAX_BLOCK)
+        start, size = stop, min(2 * size, last)
 
 
 def _scalar_points(cols: tuple):
     return zip(*(c.tolist() for c in cols))
 
 
-def _blockwise(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple], first: int):
+def _blockwise(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple], first: int, last: int):
     """(start, arrays) for each block of _blocks over the columns cols, arrays being fn(*block) broadcast.
 
     Points evaluate independently, so a prefix of a block raises exactly
@@ -721,7 +716,7 @@ def _blockwise(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple], first: in
     it on k's floats, the error a point-by-point run meets first, or, should
     the floats pass, the array error.
     """
-    for start, stop in _blocks(len(cols[0]), first):
+    for start, stop in _blocks(len(cols[0]), first, last):
         block = tuple(c[start:stop] for c in cols)
         # clean is the longest prefix known to evaluate, raising the shortest known to raise.
         clean, raising, m = 0, stop - start + 1, stop - start
@@ -750,13 +745,14 @@ def _scan_mesh(
     Returns (witness, count, worst) with Python floats: witness is (point,
     lhs, rhs, deviation) of that point or None, count the points visited
     (the failing one included), worst the largest deviation seen. Blocks
-    double in size from FIRST_BLOCK, so a scan failing at point k evaluates
-    at most about 2k points plus one block. When a point's sides raise, the
-    scan reports a witness before that point if there is one and raises the
-    point's error otherwise, as a point-by-point scan would.
+    double in size from FIRST_BLOCK up to SCAN_BLOCK, so a scan failing at
+    point k evaluates at most about 2k points plus one block. When a point's
+    sides raise, the scan reports a witness before that point if there is
+    one and raises the point's error otherwise, as a point-by-point scan
+    would.
     """
     worst = 0.0
-    for start, (lhs, rhs) in _blockwise(cols, sides, FIRST_BLOCK):
+    for start, (lhs, rhs) in _blockwise(cols, sides, FIRST_BLOCK, SCAN_BLOCK):
         failed, deviation = relation(lhs, rhs)
         hit = _first(failed)
         if hit is not None:
@@ -775,7 +771,7 @@ def _mesh_values(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple]) -> tupl
     error raised is that of the first such point, as a point-by-point
     evaluation would raise it.
     """
-    parts = [arrays for _, arrays in _blockwise(cols, fn, MAX_BLOCK)]
+    parts = [arrays for _, arrays in _blockwise(cols, fn, MAX_BLOCK, MAX_BLOCK)]
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 

@@ -24,13 +24,13 @@ the mesh each walks, its two sides, the relation that fails a point and the
 note. check_property is the one entry point: it takes a report id or the
 same id without its hyphen (L-CP or LCP) and runs the row on
 numerics._scan_mesh, which evaluates the mesh as arrays in blocks doubling
-from 1024 points and reports the witness or error a point-by-point scan
-would. On a block, EP and EP1 join their four nestings into two
-implication calls (numerics._twice), and CP, L-CP and R-CP theirs into one
-negation call, on y and x joined, and one implication call, on both sides
-joined (numerics._twice_negated), each joined call up to
-numerics.MAX_JOINED points; a single point is evaluated as floats in the
-order the sides are written. check_unary_property, check_ep and
+from 1024 up to 4096 points and reports the witness or error a
+point-by-point scan would. On a block, EP and EP1 join their four
+nestings into two implication calls (numerics._twice), and CP, L-CP and
+R-CP theirs into one negation call, on y and x joined, and one
+implication call, on both sides joined (numerics._twice_negated); a
+single point is evaluated as floats in the order the sides are written.
+check_unary_property, check_ep and
 check_contraposition only refuse an id outside their group and call it.
 NP and IP walk the sorted samples, the other pairwise scans
 numerics._sample_mesh (the uniform grid mesh plus seeded random pairs), EP

@@ -630,7 +630,7 @@ def test_fixed_column_powers_are_released_when_the_bracket_raises():
     assert numerics._fixed == {}
     assert x.flags.writeable and y.flags.writeable
     # The block loop hands on the clean prefix before point k, then raises k's error.
-    blocks = numerics._blockwise((x, y), lambda a, b: (ro.values(a, b),), numerics.FIRST_BLOCK)
+    blocks = numerics._blockwise((x, y), lambda a, b: (ro.values(a, b),), numerics.FIRST_BLOCK, numerics.SCAN_BLOCK)
     start, (clean,) = next(blocks)
     assert (start, len(clean)) == (0, k)
     assert _bits(clean) == _bits([ro(*p) for p in points[:k]])

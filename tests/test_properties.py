@@ -73,33 +73,21 @@ def test_ep_fails_for_go_max_with_triple_witness():
     assert len(rep.witness.point) == 3
 
 
-def _joined_calls(n: int) -> list[int]:
-    """The lengths of the calls numerics._twice makes for a block of n points: one joined, or two past MAX_JOINED."""
-    return [2 * n] if 2 * n <= numerics.MAX_JOINED else [n, n]
+def _scan_blocks(report) -> list[int]:
+    """The lengths of the blocks of a scan that visited report.samples_checked points."""
+    blocks = numerics._blocks(report.samples_checked, numerics.FIRST_BLOCK, numerics.SCAN_BLOCK)
+    return [stop - start for start, stop in blocks]
 
 
-def _ep_implication_calls(variant: str, monkeypatch) -> tuple[list[int], list[int]]:
-    """The lengths of the Implication.values calls of an EP or EP1 scan that holds, and the scan's blocks."""
+@pytest.mark.parametrize("variant", EP_VARIANTS)
+def test_ep_evaluates_each_block_in_two_implication_calls(variant, monkeypatch):
     calls = []
     values = ok.Implication.values
     monkeypatch.setattr(ok.Implication, "values", lambda self, *xs: calls.append(len(xs[0])) or values(self, *xs))
     report = ok.check_ep(_gon("O_min", ok.make_standard()), variant)
     assert report.holds
-    return calls, [stop - start for start, stop in numerics._blocks(report.samples_checked, numerics.FIRST_BLOCK)]
-
-
-@pytest.mark.parametrize("variant", EP_VARIANTS)
-def test_ep_evaluates_each_block_in_two_implication_calls(variant, monkeypatch):
-    calls, blocks = _ep_implication_calls(variant, monkeypatch)
     # Each call evaluates both points of a block's sides: I(y, z) and I(x, z), then the two outer calls.
-    assert calls == [2 * n for n in blocks for _ in range(2)]
-
-
-def test_an_ep_block_past_max_joined_takes_two_calls_of_each(monkeypatch):
-    monkeypatch.setattr(numerics, "MAX_JOINED", 2048)
-    calls, blocks = _ep_implication_calls("EP", monkeypatch)
-    assert calls == [k for n in blocks for _ in range(2) for k in _joined_calls(n)]
-    assert max(calls) < 2 * max(blocks)
+    assert calls == [2 * n for n in _scan_blocks(report) for _ in range(2)]
 
 
 def test_ep1_for_frontier_negation():
@@ -145,12 +133,8 @@ _LUKASIEWICZ = ok.Implication(
 )
 
 
-@pytest.mark.parametrize("max_joined", [numerics.MAX_JOINED, 2048])
 @pytest.mark.parametrize("variant", CP_VARIANTS)
-def test_contraposition_evaluates_each_block_in_one_negation_and_one_implication_call(
-    variant, max_joined, monkeypatch
-):
-    monkeypatch.setattr(numerics, "MAX_JOINED", max_joined)
+def test_contraposition_evaluates_each_block_in_one_negation_and_one_implication_call(variant, monkeypatch):
     calls = {"N": [], "I": []}
     for cls, key in ((ok.Negation, "N"), (ok.Implication, "I")):
         values = cls.values
@@ -159,17 +143,16 @@ def test_contraposition_evaluates_each_block_in_one_negation_and_one_implication
         )
     report = ok.check_contraposition(_LUKASIEWICZ, ok.make_standard(), variant)
     assert report.holds
-    blocks = [stop - start for start, stop in numerics._blocks(report.samples_checked, numerics.FIRST_BLOCK)]
-    # N on y and x joined, then I on the two sides' arguments joined; past MAX_JOINED, two calls each.
-    want = [k for n in blocks for k in _joined_calls(n)]
+    # N on y and x joined, then I on the two sides' arguments joined.
+    want = [2 * n for n in _scan_blocks(report)]
     assert calls == {"N": want, "I": want}
-    assert (max(want) < 2 * max(blocks)) == (max_joined == 2048)
 
 
-def test_a_grid_101_pair_scan_runs_four_blocks():
+def test_a_grid_101_pair_scan_runs_four_blocks_of_at_most_4096_points():
     report = ok.check_contraposition(_LUKASIEWICZ, ok.make_standard(), "CP")
     assert report.holds and report.samples_checked == 101**2 + ok.DEFAULT_CONFIG.random_samples // 2
-    assert len(list(numerics._blocks(report.samples_checked, numerics.FIRST_BLOCK))) == 4
+    # A joined call then stays within 8192 points.
+    assert _scan_blocks(report) == [1024, 2048, 4096, 10301 - 7168]
 
 
 def test_cp_report_symmetric_under_role_swap():

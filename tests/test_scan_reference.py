@@ -247,22 +247,17 @@ def _scalar_cp(implication, negation, variant: str, config) -> properties.Proper
     return properties._report(variant, witness, count, row.note.format(negation))
 
 
-@pytest.mark.parametrize("max_joined", [numerics.MAX_JOINED, 1024], ids=["joined", "split"])
 @pytest.mark.parametrize("vectorized", [True, False], ids=["arrays", "point_by_point"])
 @pytest.mark.parametrize("variant", properties.CP_VARIANTS)
 @pytest.mark.parametrize("case", ["leak", "witness_then_leak", "scalar_order"])
-def test_cp_leaking_in_the_second_half_of_a_joined_call_matches_the_scalar_sides(
-    case, variant, vectorized, max_joined, monkeypatch
-):
+def test_cp_leaking_in_the_second_half_of_a_joined_call_matches_the_scalar_sides(case, variant, vectorized):
     # The overrides sit at the first two random pairs, k and k + 1, whose
     # coordinates no grid point shares, so every point before k is clean.
     # "leak" leaks at k + 1 in the second side, the second half of the joined
     # I call. "witness_then_leak" also breaks the law at k, in the same
     # block. "scalar_order" leaks N at x and at y and I at (x, y), all at
     # k + 1: the joined N call on y || x meets N(y) first, the scalar sides
-    # meet I(x, y) (CP), N(x) (L-CP) or N(y) (R-CP) first. With MAX_JOINED
-    # at 1024 the block holding k runs as two calls of each, and must agree too.
-    monkeypatch.setattr(numerics, "MAX_JOINED", max_joined)
+    # meet I(x, y) (CP), N(x) (L-CP) or N(y) (R-CP) first.
     config = ok.DEFAULT_CONFIG
     pid = properties._property_id(variant)
     x, y = (c.tolist() for c in numerics._sample_mesh(config, 2))
