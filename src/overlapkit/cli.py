@@ -32,7 +32,10 @@ Output: every verb returns one _Result, which holds its JSON payload, its
 CSV header and rows, its text lines and whether the checked statement
 failed. _emit writes it in the --format asked for, and run() alone turns
 `failed` into exit code 1 when --assert is given. Verbs format their cells
-themselves, so the three formats show the same digits.
+themselves, so the three formats show the same digits. A grid dump's
+values stay one array, the payload's "values": the `dumps` module renders
+them when they are written, in spans of at most 4096 values, with one
+array kernel for their 9 decimals in all three formats.
 
 Exit codes: 0 success, 1 failed --assert, 2 parse/config error (including
 an unknown, missing or repeated constructor parameter, and a NaN or
@@ -47,8 +50,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
-import json
 import math
 import os
 import re
@@ -56,6 +57,7 @@ import sys
 import warnings
 from dataclasses import replace
 from functools import lru_cache, partial
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -74,6 +76,7 @@ from .conjunctors import (
     piecewise_neutral_go,
     truncate_overlap,
 )
+from .dumps import _json, _table
 from .implications import (
     Implication,
     make_crisp_family,
@@ -379,8 +382,11 @@ def _parse_any(text: str, config: CheckConfig):
 class _Result(NamedTuple):
     """What a verb produced, in every format, and whether its statement failed.
 
-    rows holds the CSV cells already formatted and may be a generator. text
-    None means each row joined by one space.
+    rows holds the CSV cells already formatted and may be a generator.
+    csv_text, when given, stands for rows: the CSV lines after the header,
+    already rendered, several to an item and without the item's last line
+    end. text None means each row joined by one space; an item of text may
+    also hold several lines.
     """
 
     payload: object
@@ -388,32 +394,31 @@ class _Result(NamedTuple):
     rows: Iterable
     text: Optional[Iterable[str]] = None
     failed: bool = False
-
-
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return round(obj, 9)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _round_floats(obj.tolist())
-    return obj
+    csv_text: Optional[Iterable[str]] = None
 
 
 def _emit(result: _Result, fmt: str) -> None:
-    """Write result to stdout as text, json or csv."""
+    """Write result to stdout as text, json or csv.
+
+    JSON is json.dumps(payload, indent=2) with every float rounded to 9
+    decimals, a grid dump's arrays rendered by dumps._json_array. A grid
+    dump's text and CSV lines come rendered, a span of whole runs to an
+    item (dumps._table): each item is one write, and its last line end
+    another.
+    """
     if fmt == "json":
-        print(json.dumps(_round_floats(result.payload), indent=2))
+        sys.stdout.writelines(_json(result.payload))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(result.header)
-        writer.writerows(result.rows)
+        if result.csv_text is None:
+            writer.writerows(result.rows)
+        else:
+            sys.stdout.writelines(chain.from_iterable((lines, "\r\n") for lines in result.csv_text))
     else:
-        # One write per line, without joining a whole grid dump into one string.
+        # An item and its line end are two writes, so a grid dump's span of lines is not copied to end it.
         lines = map(" ".join, result.rows) if result.text is None else result.text
-        sys.stdout.writelines(line + "\n" for line in lines)
+        sys.stdout.writelines(chain.from_iterable((line, "\n") for line in lines))
 
 
 def _yes(holds: bool) -> str:
@@ -453,24 +458,14 @@ def _cmd_eval(args, config: CheckConfig) -> _Result:
         raise PreconditionError("grid dump supports arity <= 2; use --at for wider connectives")
     axis = uniform_grid(config)
     values = _tensor(obj, axis)
-    grid = axis.tolist()
-    # The axis is formatted once; the rows are formatted only when written.
-    labels = [_fmt(g) for g in grid]
-    rows = ([*p, _fmt(v)] for p, v in zip(itertools.product(labels, repeat=arity), values.flat))
-    payload = {"expression": obj.label, "grid": grid, "values": values}
-    return _Result(payload, ["x", "y"][:arity] + ["value"], rows, _dump_text(labels, values))
-
-
-def _dump_text(labels: list[str], values: np.ndarray) -> Iterable[str]:
-    """The text lines of a grid dump, one run along the last axis at a time.
-
-    Each run is one %-format of its "x y %.9f" lines, which gives _fmt's
-    digits: "%.9f" % v and f"{v:.9f}" agree on every float.
-    """
-    cells = [f"{label} %.9f" for label in labels]
-    for head, run in zip(itertools.product(labels, repeat=values.ndim - 1), values.reshape(-1, len(labels))):
-        prefix = "".join(f"{label} " for label in head)
-        yield (prefix + ("\n" + prefix).join(cells)) % tuple(run.tolist())
+    # Rendered only in the format written, a span at a time.
+    return _Result(
+        {"expression": obj.label, "grid": axis.tolist(), "values": values},
+        ["x", "y"][:arity] + ["value"],
+        [],
+        _table(axis, values, " ", "\n"),
+        csv_text=_table(axis, values, ",", "\r\n"),
+    )
 
 
 _ROLE_TO_SET = {

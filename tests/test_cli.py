@@ -13,8 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from overlapkit import cli, numerics
+from overlapkit import cli, dumps, numerics
 from overlapkit.cli import _CATALOG_ROWS, _build_parser, _head_kind, run
 from overlapkit.properties import check_property
 
@@ -75,16 +77,138 @@ def test_grid_dump_text_equals_the_per_row_format(expression, grid, capsys):
     assert capsys.readouterr().out == _per_row_dump(expression, grid)
 
 
+def _grid_values(expression: str, grid: int):
+    obj = cli._parse_any(expression, numerics.CheckConfig(grid_resolution=grid))
+    axis = np.linspace(0.0, 1.0, grid)
+    return obj, axis, numerics._tensor(obj, axis)
+
+
+def _per_value_csv(expression: str, grid: int) -> str:
+    """A CSV grid dump written by csv.writer over _fmt cells, the reference for the array renderer."""
+    obj, axis, values = _grid_values(expression, grid)
+    labels = [cli._fmt(g) for g in axis.tolist()]
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["x", "y"][: obj.arity] + ["value"])
+    writer.writerows([*p, cli._fmt(v)] for p, v in zip(itertools.product(labels, repeat=obj.arity), values.flat))
+    return out.getvalue()
+
+
+def _rounded(obj):
+    return [_rounded(v) for v in obj] if isinstance(obj, list) else round(obj, 9)
+
+
+def _per_value_json(expression: str, grid: int) -> str:
+    """A JSON grid dump rounded and encoded a float at a time, the reference for the array renderer."""
+    obj, axis, values = _grid_values(expression, grid)
+    payload = {"expression": obj.label, "grid": _rounded(axis.tolist()), "values": _rounded(values.tolist())}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt, reference", [("csv", _per_value_csv), ("json", _per_value_json)])
+@pytest.mark.parametrize("grid", [2, 11, 101])
+@pytest.mark.parametrize("expression", ["zadeh", "power:2", "O_P:p=2", "O_mM", "ro(O_min)", "gon(GO_max, zadeh)"])
+def test_grid_dump_csv_and_json_equal_the_per_value_format(expression, grid, fmt, reference, capsys):
+    assert run(["eval", expression, "--grid", str(grid), "--format", fmt]) == 0
+    assert capsys.readouterr().out == reference(expression, grid)
+
+
 def test_grid_dump_runs_format_as_fmt_does():
     values = np.array([[-0.0, 5e-324, 1.0], [0.1, 2.0 / 3.0, 1.0 - 2**-53]])
+    axis = np.linspace(0.0, 1.0, 3)
     labels = ["0.000000000", "0.500000000", "1.000000000"]
-    want = [
-        "\n".join(f"{labels[i]} {labels[j]} {cli._fmt(values[i, j])}" for j in range(3)) for i in range(2)
-    ]
-    assert list(cli._dump_text(labels, values)) == want
+    want = ["\n".join(f"{labels[i]} {labels[j]} {cli._fmt(values[i, j])}" for i in range(2) for j in range(3))]
+    assert list(dumps._table(axis, values, " ", "\n")) == want
     one_run = "\n".join(f"{a} {cli._fmt(v)}" for a, v in zip(labels, values[0]))
-    assert list(cli._dump_text(labels, values[0])) == [one_run]
+    assert list(dumps._table(axis, values[0], " ", "\n")) == [one_run]
     assert cli._fmt(-0.0) == "-0.000000000"
+
+
+def _nine_decimals(values: np.ndarray) -> list[str]:
+    """The texts _fixed9 gives values, each wide one in its row's place."""
+    digits = np.empty(len(values), dumps._NINE)
+    wide = dumps._fixed9(values, digits)
+    texts = [text.decode("ascii") for text in digits.view("S11").tolist()]
+    for i, text in wide:
+        texts[i] = text
+    return texts
+
+
+def _assert_exact(values) -> None:
+    """_fixed9 writes "%.9f" % v, and _json_array json.dumps of round(v, 9), for every v of values."""
+    values = np.asarray(values, dtype=float)
+    floats = values.tolist()
+    assert _nine_decimals(values) == ["%.9f" % v for v in floats]
+    assert "".join(dumps._json_array(values, "")) == json.dumps([round(v, 9) for v in floats], indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64))
+def test_nine_decimals_are_exact_on_unit_floats(values):
+    _assert_exact(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.0, 1e-4, exclude_min=True, exclude_max=True), min_size=1, max_size=64))
+def test_nine_decimals_are_exact_where_repr_takes_an_exponent(values):
+    _assert_exact(values)
+
+
+def test_nine_decimals_are_exact_on_every_multiple_of_2_to_the_minus_20():
+    _assert_exact(np.arange(2**20 + 1) / 2**20)
+
+
+def _ulps_around(centres: np.ndarray, ulps: int = 4) -> np.ndarray:
+    steps = [centres]
+    for direction in (0.0, 2.0):
+        point = centres
+        for _ in range(ulps):
+            point = np.nextafter(point, direction)
+            steps.append(point)
+    return np.sort(np.clip(np.ravel(steps), 0.0, 1.0))
+
+
+def test_nine_decimals_are_exact_within_4_ulps_of_a_half_unit():
+    k = np.random.default_rng(0).integers(0, 10**9, 20_000)
+    edges = np.array([0, 1, 4, 99_999, 100_000, 499_999_999, 999_999_998, 999_999_999])
+    _assert_exact(_ulps_around((np.append(k, edges) + 0.5) * 1e-9))
+
+
+def test_nine_decimals_are_exact_at_the_special_values():
+    _assert_exact([-0.0, 5e-324, 1.0 - 2**-53, 0.0, 1.0, 1e-4, 1e-9, 5e-10, 9.99995e-5, 0.5])
+    _assert_exact(_ulps_around(np.array([1e-4, 9.99995e-5, 5e-10, 1.5e-9])))
+    _assert_exact(np.logspace(-12, -4, 2001))
+
+
+_REFERENCES = {"text": _per_row_dump, "csv": _per_value_csv, "json": _per_value_json}
+
+
+def _rendered_sizes(monkeypatch, capsys, expression: str, grid: int, fmt: str) -> list[int]:
+    """The number of values _decimals renders at each call of a dump that equals its per-value reference."""
+    sizes = []
+    decimals = dumps._decimals
+
+    def counted(values, *rest, **kw):
+        sizes.append(len(values))
+        return decimals(values, *rest, **kw)
+
+    monkeypatch.setattr(dumps, "_decimals", counted)
+    assert run(["eval", expression, "--grid", str(grid), "--format", fmt]) == 0
+    assert capsys.readouterr().out == _REFERENCES[fmt](expression, grid)
+    return sizes
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_a_grid_301_dump_renders_at_most_4096_values_of_whole_runs_at_a_time(fmt, monkeypatch, capsys):
+    sizes = _rendered_sizes(monkeypatch, capsys, "O_P:p=2", 301, fmt)
+    # The labels once (JSON's grid is a list), then 23 spans of 13 runs and one of the last 2.
+    assert sizes == [301] * (fmt != "json") + [13 * 301] * 23 + [2 * 301]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_a_negation_dump_longer_than_4096_values_renders_in_parts_of_its_run(fmt, monkeypatch, capsys):
+    sizes = _rendered_sizes(monkeypatch, capsys, "power:2", 5000, fmt)
+    assert sizes == [5000] * (fmt != "json") + [4096, 904]
 
 
 def test_eval_aggregated_family(capsys):
