@@ -19,12 +19,24 @@ steps, so iteration_count refuses a tol below MIN_BISECT_TOL = 2**-51
 and CheckConfig a bisect_tol below it. _sup and _invert are one body each
 for a point and a mesh, and bisect only the points whose result is not an
 exact endpoint. One step on a mesh costs the connective's formula, one
-range check (two reductions), the comparison and the np.where: values()
-tests the arity inline and passes ready columns through untouched, and
-while _sup brackets a mesh it registers the columns it holds fixed, so
-_pow powers each of them once per exponent for the whole bracket. That
-registry (_fixed) is set for one bracket and restored in a finally, so
-nested bisections see their own columns and nothing outlives a bracket.
+range check, the comparison and the np.where: values() tests the arity
+inline and passes ready columns through untouched. One registry, _fixed,
+lists the columns whose powers are cheap while a bracket runs: the
+columns _sup holds fixed, which _pow powers once per exponent for the
+whole bracket, and the current step's midpoints. At step k these hold at
+most 2**(k-1) distinct values, the odd multiples of the width, so while
+that table is at most a quarter of a column of at least
+MIDPOINT_TABLE_FLOOR (512) elements _pow powers the table and gathers.
+_sup and _bracket set the registry and restore it in a finally,
+so nested bisections see their own columns and nothing outlives a
+bracket.
+
+The range check, _checked, passes an in-range float64 array with one
+reduction: the maximum of its bits viewed as uint64 is at most those of
+1.0 exactly when every element lies in [+0.0, 1.0]. Anything else (-0.0,
+a NaN of either sign, a value out of range, another dtype) takes the two
+reductions, min and max, which pass -0.0, and only an array that fails
+them builds the mask that names the first bad value.
 
 _Connective is the one evaluation contract of Negation, FusionFunction
 and Implication: a call checks the argument count and range-checks fn's
@@ -37,8 +49,8 @@ go through _value. On floats each primitive runs the Python builtin, on
 arrays the numpy ufunc, with two exceptions. _pow is np.float_power, which
 calls the C library's pow as Python's float pow does, not np.power, whose
 vector kernels round differently from host to host; a non-finite result
-runs Python's pow per element, so errors stay as on floats, and a column a
-bisection holds fixed is powered at its first step only. _fsum of two
+runs Python's pow per element, so errors stay as on floats, and a column
+in _fixed is powered more cheaply with the same bits. _fsum of two
 columns is np.add(a, b) + 0.0, the one correctly rounded sum with fsum's
 +0.0 for -0.0 + -0.0, and of three columns _fsum3, the correctly rounded
 sum from TwoSum steps and one rounding to odd; a non-finite sum, three
@@ -275,17 +287,37 @@ def _bracket(holds: Callable, tol: float, lo=0.0) -> tuple:
     for k <= 53 every such lo, hi and midpoint in [0, 1] is a float64, so
     one array lo and the float width carry the bracket, and each midpoint is
     the 0.5 * (lo + hi) of a two-bound loop bit for bit.
+
+    At step k an array of midpoints holds at most 2**(k-1) distinct values,
+    the odd multiples of width. While that table is at most a quarter of an
+    array of at least MIDPOINT_TABLE_FLOOR elements, the midpoints are
+    registered in _fixed, so _pow powers the table and gathers; the registry
+    is restored when the bracket ends or raises.
     """
+    global _fixed
+    outer = _fixed
     width = 1.0
-    for _ in range(iteration_count(tol)):
-        width *= 0.5
-        mid = lo + width
-        ok = holds(mid)
-        # isinstance inline, not _where: this runs at every step of every scalar bisection.
-        if isinstance(ok, np.ndarray):
-            lo = np.where(ok, mid, lo)
-        elif ok:
-            lo = mid
+    on_array = type(lo) is np.ndarray
+    try:
+        for _ in range(iteration_count(tol)):
+            width *= 0.5
+            mid = lo + width
+            if on_array:
+                # Only float64 midpoints are the exact odd multiples the table holds.
+                if width * lo.size >= 2.0 and lo.size >= MIDPOINT_TABLE_FLOOR and lo.dtype is _FLOAT64:
+                    mid.flags.writeable = False
+                    _fixed = {**outer, id(mid): (mid, {}, (lo, width))}
+                else:
+                    _fixed = outer
+            ok = holds(mid)
+            # isinstance inline, not _where: this runs at every step of every scalar bisection.
+            if isinstance(ok, np.ndarray):
+                lo = np.where(ok, mid, lo)
+                on_array = True
+            elif ok:
+                lo = mid
+    finally:
+        _fixed = outer
     return lo, lo + width
 
 
@@ -327,7 +359,7 @@ def _sup(pred: Callable[..., bool], tol: float, *xs):
         if _is_array(*p):
             for c in p:
                 c.flags.writeable = False
-            _fixed = {**outer, **{id(c): (c, {}) for c in p}}
+            _fixed = {**outer, **{id(c): (c, {}, None) for c in p}}
         try:
             lo, hi = _bracket(partial(pred, *p), tol)
         finally:
@@ -416,13 +448,24 @@ def _is_array(*xs) -> bool:
     return False
 
 
+# The bits of 1.0. Viewed as uint64, the float64 values in [+0.0, 1.0] are
+# exactly those at most these bits: -0.0, other negatives and NaNs of either
+# sign lie above them.
+_ONE_BITS = 0x3FF0000000000000
+
+
 def _checked(values: np.ndarray) -> np.ndarray:
     """values if all lie in [0, 1], else UnitRangeError naming the first.
 
-    Two reductions pass an in-range array, and a NaN fails both; only an
-    array that fails builds the mask that finds the first bad value.
+    One reduction, the maximum of a float64 array's bits, passes an array
+    in [+0.0, 1.0]. Anything else -- -0.0, a NaN, a value out of range,
+    another dtype -- takes two reductions, which pass -0.0 and fail a NaN,
+    and only an array that fails them builds the mask that finds the first
+    bad value.
     """
     if not values.size:
+        return values
+    if values.dtype is _FLOAT64 and np.maximum.reduce(values.view(np.uint64), axis=None) <= _ONE_BITS:
         return values
     if np.minimum.reduce(values, axis=None) >= 0.0 and np.maximum.reduce(values, axis=None) <= 1.0:
         return values
@@ -572,10 +615,21 @@ def _fsum(*xs):
     return np.array([math.fsum(p) for p in _scalar_points(xs)], dtype=float)
 
 
-# The columns a mesh bisection holds fixed while its bracket runs, by id:
-# id -> (column, {exponent: power}). _sup sets it for one _bracket run and
-# restores the outer one after, and _pow fills and reads it.
+# The columns whose powers are cheap while a mesh bracket runs, by id:
+# id -> (column, {exponent: power}, steps). A column _sup holds fixed has
+# steps None and is powered once per exponent for the whole bracket. The
+# midpoint column lo + width of a _bracket step has steps (lo, width): its
+# values are the odd multiples (2j + 1) * width, j = lo * (0.5 / width), so
+# _pow powers that table and gathers. _sup and _bracket set it and restore
+# the outer one after, and _pow fills and reads it.
 _fixed: dict = {}
+
+# Shortest array of midpoints whose powers _pow takes from a table. The table
+# costs a few numpy calls more than powering the column: on a shared 2-core
+# x86-64 host an inversion bracket took 418 us with tables against 394 us
+# without at 256 points, about the same at 512, and 794 against 826 us at
+# 1024; over a residual benchmark pass a floor of 512 beat 768, 1024 and none.
+MIDPOINT_TABLE_FLOOR = 512
 
 
 def _pow(base, exponent: float):
@@ -587,24 +641,45 @@ def _pow(base, exponent: float):
     sends the whole column through Python's pow, which returns or raises as
     on floats.
 
-    A column that a mesh bisection holds fixed (_fixed, set by _sup for one
-    bracket) is powered once per exponent, at the first step; later steps
-    get that read-only power back. The same call on the same column gives
-    the same bits, and nothing is kept past the bracket.
+    A column registered in _fixed is powered more cheaply, with the same
+    bits: one that a mesh bisection holds fixed once per exponent, at the
+    first step, and a bracket step's midpoints by powering the table of
+    their distinct values and gathering (_bracket). Later calls with the
+    same exponent get that read-only power back, and nothing is kept past
+    the bracket.
     """
     if not _is_array(base):
         return base**exponent
     held = _fixed.get(id(base))
-    if held is not None and exponent in held[1]:
-        return held[1][exponent]
+    if held is None:
+        return _pow_column(base, exponent)
+    _, powers, steps = held
+    result = powers.get(exponent)
+    if result is None:
+        result = _pow_column(base, exponent) if steps is None else _pow_midpoints(base, exponent, *steps)
+        result.flags.writeable = False
+        powers[exponent] = result
+    return result
+
+
+def _pow_column(base: np.ndarray, exponent: float) -> np.ndarray:
     with np.errstate(all="ignore"):
         result = np.float_power(base, exponent)
     if not np.isfinite(result).all():
         result = np.array([b**exponent for b in base.tolist()], dtype=float)
-    if held is not None:
-        result.flags.writeable = False
-        held[1][exponent] = result
     return result
+
+
+def _pow_midpoints(mid: np.ndarray, exponent: float, lo: np.ndarray, width: float) -> np.ndarray:
+    """_pow_column(mid, exponent) for mid = lo + width on a dyadic bracket, from the table of its values."""
+    scale = 0.5 / width
+    # Exact: j * 2 * width + width is (2j + 1) * width, an exact float64 for the 53 steps _bracket takes.
+    table = np.arange(int(scale)) * (2.0 * width) + width
+    with np.errstate(all="ignore"):
+        powers = np.float_power(table, exponent)
+    if not np.isfinite(powers).all():
+        return _pow_column(mid, exponent)
+    return powers.take((lo * scale).astype(np.intp))
 
 
 # Shortest column _distinct deduplicates, for _invert's bisections. np.unique's

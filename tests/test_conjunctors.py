@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import overlapkit as ok
+from overlapkit import conjunctors, numerics
 from overlapkit.numerics import _min, _vectorized
 
 from conftest import BINARY_ENTRIES, CATALOG_ENTRIES
@@ -337,6 +338,165 @@ def test_find_neutral_accepts_a_bisected_neutral_element(e):
         fn=_vectorized(lambda x, y: _min(1.0, x * y / e)), arity=2, role="general_overlap", label="scaled"
     )
     assert ok.find_neutral(f) == pytest.approx(e, abs=1e-8)
+
+
+def _per_candidate_neutral(f, config=ok.DEFAULT_CONFIG):
+    """find_neutral with one first-witness scan per grid candidate: the reference for its one-walk grid phase."""
+    samples, grid = numerics.sorted_samples(config), numerics.uniform_grid(config)
+
+    def deviates(a, budget):
+        def sides(x):
+            return numerics._value(f, x, a), x
+
+        witness, _, _ = numerics._scan_mesh((samples,), sides, numerics._apart(budget))
+        return witness is not None
+
+    for a in grid.tolist():
+        if not deviates(a, config.eq_tol):
+            return ok.UnitValue(a)
+    (values,) = numerics._mesh_values((grid,), lambda a: (numerics._value(f, 0.5, a),))
+    gap = (values - 0.5).tolist()
+    for i in range(len(grid) - 1):
+        if gap[i] == 0.0 or gap[i] * gap[i + 1] >= 0.0:
+            continue
+        lo, hi, lo_val = float(grid[i]), float(grid[i + 1]), gap[i]
+        for _ in range(ok.iteration_count(config.bisect_tol)):
+            mid = 0.5 * (lo + hi)
+            mid_val = float(f(0.5, mid)) - 0.5
+            if mid_val == 0.0:
+                lo = hi = mid
+                break
+            if (mid_val < 0.0) == (lo_val < 0.0):
+                lo, lo_val = mid, mid_val
+            else:
+                hi = mid
+        if not deviates(0.5 * (lo + hi), 10.0 * config.bisect_tol):
+            return ok.UnitValue(0.5 * (lo + hi))
+    return None
+
+
+def _same(got, want) -> bool:
+    return (got is None and want is None) or (got is not None and want is not None and got.hex() == want.hex())
+
+
+_NEUTRAL_CASES = [(name, lambda n=name, p=params: ok.catalog(n, **p)) for name, params in BINARY_ENTRIES] + [
+    (f"neutral_go:e={e}", lambda e=e: ok.piecewise_neutral_go(e)) for e in (0.3, 0.5, 1.0, 0.437, 0.8125)
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in _NEUTRAL_CASES], ids=[n for n, _ in _NEUTRAL_CASES])
+def test_find_neutral_walks_the_grid_as_the_per_candidate_scans_do(make):
+    f = make()
+    want = _per_candidate_neutral(f)
+    assert _same(ok.find_neutral(f), want)
+    # A copy without the _vectorized mark evaluates its meshes point by point, with the same result.
+    copy = dataclasses.replace(f, fn=lambda x, y, _fn=f.fn: _fn(x, y))
+    assert _same(ok.find_neutral(copy), want)
+
+
+@pytest.mark.parametrize(
+    "cfg", [ok.CheckConfig(grid_resolution=2, random_samples=0), ok.CheckConfig(grid_resolution=7)]
+)
+def test_find_neutral_walks_small_grids_as_the_per_candidate_scans_do(cfg):
+    for make in (m for _, m in _NEUTRAL_CASES):
+        f = make()
+        assert _same(ok.find_neutral(f, cfg), _per_candidate_neutral(f, cfg)), f.label
+
+
+def test_find_neutral_walks_a_grid_wider_than_one_part_of_its_mesh(monkeypatch):
+    # Parts of 3 rows: the neutral element 0.5 lies in the 17th part, the others each run to their end.
+    monkeypatch.setattr(conjunctors, "_NEUTRAL_WALK", 3 * len(numerics.sorted_samples(ok.DEFAULT_CONFIG)) + 2)
+    for e in (0.5, 0.437):
+        f = ok.piecewise_neutral_go(e)
+        assert _same(ok.find_neutral(f), _per_candidate_neutral(f)), e
+
+
+def _leaky(row: float, at, calls: list):
+    """neutral_go(0.5), but 1.5 on the candidate row at the samples where at(x) holds; counts its array calls."""
+    base = ok.piecewise_neutral_go(0.5).fn
+
+    def fn(x, a):
+        if isinstance(x, np.ndarray):
+            calls.append(len(x))
+        return numerics._where((a == row) & at(x), 1.5, base(x, a))
+
+    return ok.FusionFunction(fn=_vectorized(fn), arity=2, role="general_overlap", label="leaky")
+
+
+def test_find_neutral_skips_a_candidate_that_leaks_after_its_first_deviation():
+    # f(x, 0.2) = 0.2 * x / 0.5 deviates from x at the first sample above 0, long before x > 0.9 leaks.
+    calls = []
+    f = _leaky(0.2, lambda x: x > 0.9, calls)
+    with pytest.raises(ok.UnitRangeError):
+        f(0.95, 0.2)
+    assert _per_candidate_neutral(f) == 0.5
+    assert ok.find_neutral(f) == 0.5
+
+
+def test_find_neutral_raises_the_error_of_a_candidate_that_leaks_before_any_deviation():
+    # At x = 0 no candidate deviates yet, so the leak at (0, 0.2) is met first.
+    f = _leaky(0.2, lambda x: x == 0.0, [])
+    with pytest.raises(ok.UnitRangeError) as want:
+        _per_candidate_neutral(f)
+    with pytest.raises(ok.UnitRangeError) as got:
+        ok.find_neutral(f)
+    assert str(got.value) == str(want.value) == "value 1.5 is not in [0, 1]"
+
+
+def _dividing(row: float):
+    """neutral_go(0.5) as a plain Python function, unmarked, that divides by zero on the candidate row."""
+    base = ok.piecewise_neutral_go(0.5)
+
+    def fn(x, a):
+        return x / 0.0 if a == row else float(base(x, a))
+
+    return ok.FusionFunction(fn=fn, arity=2, role="general_overlap", label="dividing")
+
+
+@pytest.mark.parametrize("row", [0.8, 0.2])
+def test_find_neutral_meets_other_errors_only_where_the_per_candidate_scans_do(row):
+    # Row 0.8 lies after the neutral element 0.5, which a walk in blocks evaluates before it passes 0.5.
+    cfg = ok.CheckConfig(grid_resolution=11, random_samples=10)
+    f = _dividing(row)
+    try:
+        want = _per_candidate_neutral(f, cfg)
+    except ZeroDivisionError as error:
+        with pytest.raises(ZeroDivisionError) as got:
+            ok.find_neutral(f, cfg)
+        assert str(got.value) == str(error)
+        assert row == 0.2
+    else:
+        assert want == 0.5 and row == 0.8
+        assert _same(ok.find_neutral(f, cfg), want)
+
+
+def test_find_neutral_stops_each_candidate_at_its_first_witness_after_another_error():
+    # 1201 samples: a candidate's scan takes two blocks. Row 0.2 deviates in its first block and divides by
+    # zero only in its second (x > 0.95), which its scan never evaluates; so does row 0.9, after the neutral 0.5.
+    cfg = ok.CheckConfig(grid_resolution=1001)
+    assert len(numerics.sorted_samples(cfg)) == 1201
+
+    def fn(x, a):
+        leak = ((a == 0.2) | (a == 0.9)) & (x > 0.95)
+        divided = numerics._branch(leak, lambda x: numerics._pow(0.0 * x, -1.0), 0.0, x)
+        return numerics._where(leak, divided, base(x, a))
+
+    base = ok.piecewise_neutral_go(0.5).fn
+    f = ok.FusionFunction(fn=_vectorized(fn), arity=2, role="general_overlap", label="late division")
+    with pytest.raises(ZeroDivisionError):
+        f(0.96, 0.2)
+    assert _per_candidate_neutral(f, cfg) == 0.5
+    assert ok.find_neutral(f, cfg) == 0.5
+
+
+def test_find_neutral_evaluates_the_grid_101_mesh_in_ten_calls():
+    # No leak, and no neutral element: the walk takes every candidate, the fallback one more call.
+    calls = []
+    f = _leaky(2.0, lambda x: x > 1.0, calls)
+    scaled = dataclasses.replace(f, fn=_vectorized(lambda x, a: f.fn(x, a) * 0.5))
+    assert ok.find_neutral(scaled) is None
+    assert len(calls) <= 10
+    assert sum(calls) == 101 * len(numerics.sorted_samples(ok.DEFAULT_CONFIG)) + 101
 
 
 def test_check_idempotent_examples():

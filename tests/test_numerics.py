@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import overlapkit as ok
@@ -519,7 +519,7 @@ def test_values_takes_ready_columns_as_they_are_and_broadcasts_the_rest():
         _columns((x, x[:3]))
 
 
-# --- range check: two reductions, then the mask ------------------------------
+# --- range check: one reduction, then two, then the mask ---------------------
 
 
 def _mask_checked(values: np.ndarray) -> np.ndarray:
@@ -565,17 +565,91 @@ def test_checked_passes_negative_zero():
     assert numerics._checked(values) is values
 
 
+def _checks_alike(values):
+    """Whether _checked returns values itself or raises the mask's message, as _mask_checked does."""
+    try:
+        _mask_checked(values)
+    except ok.UnitRangeError as want:
+        with pytest.raises(ok.UnitRangeError) as got:
+            numerics._checked(values)
+        assert str(got.value) == str(want)
+        return False
+    assert numerics._checked(values) is values
+    return True
+
+
+_NEGATIVE_NAN = float(np.copysign(math.nan, -1.0))
+
+# Each edge of the one-reduction bits test, and whether the range check passes it.
+_RANGE_EDGES = [
+    (0.0, True),
+    (-0.0, True),
+    (5e-324, True),
+    (-5e-324, False),
+    (1.0, True),
+    (float(np.nextafter(1.0, 2.0)), False),
+    (math.nan, False),
+    (_NEGATIVE_NAN, False),
+    (math.inf, False),
+    (-math.inf, False),
+]
+
+
+@pytest.mark.parametrize("value, passes", _RANGE_EDGES, ids=[repr(v) for v, _ in _RANGE_EDGES])
+@pytest.mark.parametrize("at", [0, 5, 9])
+def test_checked_treats_each_edge_of_the_bits_test_as_the_mask_does(value, passes, at):
+    values = np.linspace(0.0, 1.0, 10)
+    values[at] = value
+    assert np.signbit(values[at]) == np.signbit(value)
+    assert _checks_alike(values) == passes
+    # Strided and two-dimensional views of the same values.
+    assert _checks_alike(np.repeat(values, 2)[::2]) == passes
+    assert _checks_alike(values.reshape(2, 5)) == passes
+
+
+@pytest.mark.parametrize(
+    "values, passes",
+    [
+        (np.array([5], dtype=np.int64), False),
+        (np.array([0, 1], dtype=np.int64), True),
+        (np.array([0.25, 1.0], dtype=np.float32), True),
+        (np.array([0.25, 1.5], dtype=np.float32), False),
+        (np.array([0.25, -0.0], dtype=np.float32), True),
+        (np.array([0.25, np.nan], dtype=np.float32), False),
+        (np.array([0.25, 0.5]).astype(">f8"), True),
+        (np.array([0.25, -0.5]).astype(">f8"), False),
+    ],
+    ids=[
+        "int64 [5]", "int64 [0, 1]", "float32 in range", "float32 1.5", "float32 -0.0", "float32 nan", ">f8", ">f8 -0.5"
+    ],
+)
+def test_checked_treats_other_dtypes_as_the_mask_does(values, passes):
+    assert _checks_alike(values) == passes
+
+
+def test_checked_passes_a_float64_array_in_range_with_one_reduction(monkeypatch):
+    values = np.concatenate(([0.0, 5e-324, 1.0], np.random.default_rng(3).random(5000)))
+
+    class Refuse:
+        def reduce(self, *args, **kwargs):
+            raise AssertionError("the float reductions ran")
+
+    monkeypatch.setattr(np, "minimum", Refuse())
+    assert numerics._checked(values) is values
+
+
 # --- fixed-column powers within a mesh bisection -----------------------------
 
 
 @pytest.fixture
 def float_power_calls(monkeypatch):
-    """The np.float_power calls made while the test runs, as a one-element list."""
-    calls = [0]
+    """[calls, elements]: the np.float_power calls made while the test runs and the elements they powered."""
+    calls = [0, 0]
     real = np.float_power
 
     def counting(*args, **kwargs):
         calls[0] += 1
+        calls[1] += np.size(args[0])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np, "float_power", counting)
@@ -587,22 +661,121 @@ def _unsettled_mesh(n: int = 40) -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(0.05, 1.0, n), np.linspace(0.0, 0.9, n)
 
 
+def _midpoint_elements(m: int, steps: range) -> int:
+    """Elements of the midpoint columns of a bracket over m points: at step k the table of 2**(k-1) odd
+    multiples of the width while it is at most a quarter of a column of MIDPOINT_TABLE_FLOOR or more, else
+    the column itself."""
+    tabled = m >= numerics.MIDPOINT_TABLE_FLOOR
+    return sum(2 ** (k - 1) if tabled and 4 * 2 ** (k - 1) <= m else m for k in steps)
+
+
+@pytest.fixture
+def tables_on_short_columns(monkeypatch):
+    """Midpoint tables on columns of any length, so that short meshes exercise them."""
+    monkeypatch.setattr(numerics, "MIDPOINT_TABLE_FLOOR", 0)
+
+
 @pytest.mark.parametrize(
-    "implication, calls",
+    "implication, calls, elements",
     [
         # 31 evaluations of x**p * z**p (pred at 0 and 1, then 29 steps), x[cond]**p once in the bracket.
-        (ok.make_residual(ok.catalog("O_P", p=1.96)), 2 * 2 + 29 * 1 + 1),
+        # 6 points are bisected, too few for a table: 2 * 2 * 40 + 6 + 29 * 6.
+        (ok.make_residual(ok.catalog("O_P", p=1.96)), 2 * 2 + 29 * 1 + 1, 2 * 2 * 40 + 6 + 29 * 6),
         # Five powers per evaluation, two of them of x: 3 a step, x**p and x**q once in the bracket.
-        (ok.make_residual(ok.idempotent_go(0.91, 2.0)), 2 * 5 + 29 * 3 + 2),
+        # All 40 points are bisected, fewer than MIDPOINT_TABLE_FLOOR, so every column is powered.
+        (ok.make_residual(ok.idempotent_go(0.91, 2.0)), 2 * 5 + 29 * 3 + 2, 2 * 5 * 40 + 2 * 40 + 29 * 3 * 40),
     ],
     ids=["ro(O_P:p=1.96)", "ro(idem_go:p=0.91,q=2)"],
 )
-def test_fixed_column_powers_are_taken_once_per_bracket(implication, calls, float_power_calls):
+def test_fixed_column_powers_are_taken_once_per_bracket(implication, calls, elements, float_power_calls):
     x, y = _unsettled_mesh()
     got = implication.values(x, y)
-    assert float_power_calls[0] == calls
+    assert float_power_calls == [calls, elements]
     assert numerics._fixed == {}
     assert _bits(got) == _bits([implication(a, b) for a, b in zip(x.tolist(), y.tolist())])
+
+
+def test_fixed_midpoint_powers_of_a_short_column_come_from_tables_below_the_floor(
+    float_power_calls, tables_on_short_columns
+):
+    # With the floor lowered, the 40-point bracket of ro(idem_go) takes tables of 2, 4 and 8 values for
+    # z**q and z**p at steps 2-4 (step 1's midpoint is a float, filled to a column).
+    ro = ok.make_residual(ok.idempotent_go(0.91, 2.0))
+    x, y = _unsettled_mesh()
+    assert _bits(ro.values(x, y)) == _bits([ro(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    assert float_power_calls == [99, 2 * 5 * 40 + 2 * 40 + 29 * 40 + 2 * (40 + 2 + 4 + 8 + 25 * 40)]
+    assert numerics._fixed == {}
+
+
+def test_fixed_midpoint_powers_are_taken_from_tables_of_their_distinct_values(float_power_calls):
+    # 1000 points all bisected (x**p > y): each step powers a table while it is at most 250 values.
+    x, y = np.linspace(0.5, 1.0, 1000), np.linspace(0.0, 0.1, 1000)
+    ro = ok.make_residual(ok.catalog("O_P", p=2.5))
+    assert _bits(ro.values(x, y)) == _bits([ro(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    # The predicate at 0 and 1, x[cond] once, then the float midpoint of step 1 and steps 2-29.
+    tables = 2 * 2 * 1000 + 1000 + 1000 + _midpoint_elements(1000, range(2, 30))
+    assert float_power_calls == [34, tables]
+    assert tables < 2 * 2 * 1000 + 1000 + 29 * 1000
+    # An inverse bisects from an array lo, so its step 1 powers a table of one value; 511 points are too few.
+    inverse = ok.inverse_negation(ok.make_power_strict(2.5))
+    cases = [
+        (1000, _midpoint_elements(1000, range(1, 30))),
+        (512, 1 + 2 + 4 + 8 + 16 + 32 + 64 + 128 + 21 * 512),
+        (511, 29 * 511),
+    ]
+    for n, elements in cases:
+        float_power_calls[:] = [0, 0]
+        y = np.linspace(0.001, 0.999, n)
+        assert _bits(inverse.values(y)) == _bits([inverse(b) for b in y.tolist()])
+        assert float_power_calls == [29, elements], n
+
+
+_TABLE_SUBJECTS = {
+    "ro(O_P:p)": lambda p, q: ok.make_residual(ok.catalog("O_P", p=p)),
+    "ro(idem_go:p,q)": lambda p, q: ok.make_residual(ok.idempotent_go(p, q)),
+    "inverse_negation(power:p)": lambda p, q: ok.inverse_negation(ok.make_power_strict(p)),
+}
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    subject=st.sampled_from(sorted(_TABLE_SUBJECTS)),
+    p=st.floats(min_value=0.1, max_value=10.0),
+    q=st.floats(min_value=0.1, max_value=10.0),
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(subject="ro(idem_go:p,q)", p=0.91, q=2.0, n=3000, seed=1)
+@example(subject="inverse_negation(power:p)", p=2.5, q=1.0, n=3000, seed=2)
+@example(subject="inverse_negation(power:p)", p=0.37, q=1.0, n=512, seed=3)
+@example(subject="inverse_negation(power:p)", p=0.37, q=1.0, n=511, seed=3)
+def test_fixed_midpoint_table_powers_match_the_scalar_reference(subject, p, q, n, seed):
+    # Meshes from 1 to 3000 points, so that steps fall on both sides of the quarter-column table rule and
+    # of MIDPOINT_TABLE_FLOOR.
+    obj = _TABLE_SUBJECTS[subject](p, q)
+    rng = np.random.default_rng(seed)
+    xs = [rng.random(n), rng.random(n)][: obj.arity]
+    got = obj.values(*xs)
+    assert numerics._fixed == {}
+    assert _bits(got) == _bits([obj(*point) for point in zip(*(c.tolist() for c in xs))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.floats(min_value=0.1, max_value=10.0),
+    thresholds=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([1e-8, 2**-51]),
+)
+def test_fixed_midpoint_powers_in_a_bracket_are_float_pow_at_every_step(p, thresholds, n, seed, tol):
+    # The midpoints' powers at each of up to 53 steps, against the bracket of each float.
+    c = _repeated(thresholds, n, seed)
+    lo, hi = _bracket(lambda m: _pow(m, p) <= c, tol, np.zeros(n))
+    assert numerics._fixed == {}
+    for k, ck in enumerate(c.tolist()):
+        want = _bracket(lambda m: m**p <= ck, tol)
+        assert (float(lo[k]).hex(), float(hi[k]).hex()) == tuple(v.hex() for v in want)
 
 
 def _raises(obj, *point) -> bool:
@@ -613,10 +786,25 @@ def _raises(obj, *point) -> bool:
     return False
 
 
-def test_fixed_column_powers_are_released_when_the_bracket_raises():
+def _midpoints_registered() -> int:
+    """How many bracket midpoint columns _fixed lists now."""
+    return sum(steps is not None for _, _, steps in numerics._fixed.values())
+
+
+@pytest.mark.parametrize("powered", ["x", "z"])
+def test_fixed_column_powers_are_released_when_the_bracket_raises(powered, tables_on_short_columns):
     # Inside [0, 1] at z = 0 and z = 1, outside it for z in (0.3, 0.4), where some brackets step.
-    fn = _vectorized(lambda x, z: numerics._where((z > 0.3) & (z < 0.4), 1.5, numerics._pow(x, 2.0) * z))
-    ro = ok.make_residual(ok.FusionFunction(fn=fn, arity=2, role="overlap", label="band"))
+    # The held column x or the midpoints z are powered; the step that raises has its midpoints registered.
+    registered_at_raise = []
+
+    def fn(x, z):
+        band = (z > 0.3) & (z < 0.4)
+        if isinstance(z, np.ndarray) and band.any():
+            registered_at_raise.append(_midpoints_registered())
+        value = numerics._pow(x, 2.0) * z if powered == "x" else x * numerics._pow(z, 2.0)
+        return numerics._where(band, 1.5, value)
+
+    ro = ok.make_residual(ok.FusionFunction(fn=_vectorized(fn), arity=2, role="overlap", label="band"))
     x, y = np.linspace(0.05, 1.0, 40), np.linspace(0.3, 0.05, 40)
     points = list(zip(x.tolist(), y.tolist()))
     k = next(i for i, p in enumerate(points) if _raises(ro, *p))
@@ -627,6 +815,7 @@ def test_fixed_column_powers_are_released_when_the_bracket_raises():
     with pytest.raises(ok.UnitRangeError) as on_mesh:
         ro.values(x, y)
     assert str(on_mesh.value) == str(at_point.value)
+    assert registered_at_raise[0] == 1
     assert numerics._fixed == {}
     assert x.flags.writeable and y.flags.writeable
     # The block loop hands on the clean prefix before point k, then raises k's error.
@@ -640,7 +829,31 @@ def test_fixed_column_powers_are_released_when_the_bracket_raises():
     assert numerics._fixed == {}
 
 
-def test_fixed_column_powers_in_nested_bisections_match_the_scalar_reference():
+def test_fixed_midpoint_powers_are_released_when_an_inversion_raises(tables_on_short_columns):
+    # 1 - x**2, but 1.5 for x in (0.3, 0.4): an inversion bracket steps into that band with its midpoints
+    # registered.
+    registered_at_raise = []
+
+    def fn(x):
+        band = (x > 0.3) & (x < 0.4)
+        if isinstance(x, np.ndarray) and band.any():
+            registered_at_raise.append(_midpoints_registered())
+        return numerics._where(band, 1.5, 1.0 - numerics._pow(x, 2.0))
+
+    leaky = ok.Negation(fn=_vectorized(fn), label="leaky", is_strict=True)
+    y = np.linspace(0.05, 0.95, 40)
+    k = next(i for i, v in enumerate(y.tolist()) if _raises(lambda v: ok.invert_strict(leaky, v, 1e-8), v))
+    assert 0 < k < len(y) - 1
+    with pytest.raises(ok.UnitRangeError) as at_point:
+        ok.invert_strict(leaky, float(y[k]), 1e-8)
+    with pytest.raises(ok.UnitRangeError) as on_mesh:
+        _invert(leaky, y, 1e-8)
+    assert str(on_mesh.value) == str(at_point.value) == "value 1.5 is not in [0, 1]"
+    assert registered_at_raise[0] == 1
+    assert numerics._fixed == {}
+
+
+def test_fixed_column_powers_in_nested_bisections_match_the_scalar_reference(monkeypatch, tables_on_short_columns):
     zadeh, power2 = ok.make_standard(), ok.make_power_strict(2.0)
     cfg = ok.CheckConfig(grid_resolution=6, random_samples=4)
     # An overlap that is itself a residual implication: its bisection runs inside each outer step.
@@ -661,7 +874,19 @@ def test_fixed_column_powers_in_nested_bisections_match_the_scalar_reference():
         ),
     }
     x, y = _sample_mesh(cfg, 2)
+    # The most midpoint columns registered at once while each implication powers a table.
+    most = {}
+    real = numerics._pow_midpoints
+
+    def spying(*args):
+        most[label] = max(most.get(label, 0), _midpoints_registered())
+        return real(*args)
+
+    monkeypatch.setattr(numerics, "_pow_midpoints", spying)
     for label, implication in nested.items():
         got = implication.values(x, y)
         assert numerics._fixed == {}, label
         assert _bits(got) == _bits([implication(a, b) for a, b in zip(x.tolist(), y.tolist())]), label
+    # An inner bracket runs inside an outer step and sees both steps' midpoints.
+    assert most["ro(1 - ro(O_P:p=2)(x, 1 - z))"] == 2
+    assert most["agg(min; ro(O_P:p=2), ro(O_DB))"] == 1
