@@ -63,10 +63,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .numerics import (
-    _POINT_ERRORS,
     DEFAULT_CONFIG,
-    FIRST_BLOCK,
-    MAX_BLOCK,
     SCAN_BLOCK,
     CheckConfig,
     PreconditionError,
@@ -76,7 +73,6 @@ from .numerics import (
     _all,
     _apart,
     _axis,
-    _blockwise,
     _branch,
     _first,
     _fsum,
@@ -718,22 +714,23 @@ def continuity_heuristic(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG
 # ---------------------------------------------------------------------------
 
 
+# Points of the candidate-major mesh find_neutral evaluates in one call, in whole rows: 13 rows at grid 101.
+_NEUTRAL_WALK = SCAN_BLOCK
+
+
 def find_neutral(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG) -> Optional[UnitValue]:
     """Search for a with f(x, a) = x for all sampled x.
 
     Grid candidates must match within eq_tol, and the first that does is
-    returned. They are checked in one walk of the candidate-major mesh (each
-    grid value against every sample) on the scan block schedule, about 9
-    block evaluations at grid 101, where a candidate passes once all its
-    samples arrive with no deviation. When a point raises UnitRangeError or
-    PreconditionError, its candidate fails if it deviated before that point
-    and the walk resumes at the next one; otherwise the error is raised, as
-    a scan of that candidate alone would. After any other error the walk
-    goes on one candidate at a time, so such an error is raised only where
-    a scan of each candidate in turn meets it. If no candidate passes, the
-    search falls back on bisecting a sign change of a -> f(0.5, a) - 0.5;
-    a candidate found that way carries bisection error, so it is verified
-    at the looser 10*bisect_tol before being accepted. Returns None when
+    returned. The candidate-major mesh (each grid value against every
+    sample) is evaluated in parts of whole rows, at most _NEUTRAL_WALK
+    points each (8 parts at grid 101), and the first row with no deviation
+    passes. Once a part raises, each candidate from that part on gets a
+    first-witness scan of its own, so an error is raised only where a scan
+    of each candidate in turn meets it. If no candidate passes, the search
+    falls back on bisecting a sign change of a -> f(0.5, a) - 0.5; a
+    candidate found that way carries bisection error, so it is verified at
+    the looser 10*bisect_tol before being accepted. Returns None when
     nothing survives.
     """
     if f.arity != 2:
@@ -745,9 +742,22 @@ def find_neutral(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG) -> Opt
         witness, _, _ = _scan_mesh((samples,), lambda x: (_value(f, x, a), x), _apart(budget))
         return witness is not None
 
-    neutral = _grid_neutral(f, grid, samples, _apart(config.eq_tol))
-    if neutral is not None:
-        return UnitValue(neutral)
+    step = max(1, _NEUTRAL_WALK // len(samples))
+    for row in range(0, len(grid), step):
+        rows = grid[row : row + step]
+        cols = (np.tile(samples, len(rows)), np.repeat(rows, len(samples)))
+        try:
+            lhs, rhs = _mesh_values(cols, lambda x, a: (_value(f, x, a), x))
+        except Exception:
+            # Any error: a scan per candidate raises it again only where that candidate's scan meets it.
+            for a in grid[row:].tolist():
+                if not deviates(a, config.eq_tol):
+                    return UnitValue(a)
+            break
+        failed, _ = _apart(config.eq_tol)(lhs, rhs)
+        passing = _first(~failed.reshape(len(rows), -1).any(axis=1))
+        if passing is not None:
+            return UnitValue(float(rows[passing[0]]))
 
     (values,) = _mesh_values((grid,), lambda a: (_value(f, 0.5, a),))
     gap = (values - 0.5).tolist()
@@ -769,55 +779,6 @@ def find_neutral(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG) -> Opt
         candidate = 0.5 * (lo + hi)
         if not deviates(candidate, 10.0 * config.bisect_tol):
             return UnitValue(candidate)
-    return None
-
-
-# Points of the candidate-major mesh find_neutral builds at a time: all of
-# it at grid 101 (30,401 points), and 4 MB of columns at any grid.
-_NEUTRAL_WALK = 16 * MAX_BLOCK
-
-
-def _grid_neutral(f: FusionFunction, grid: np.ndarray, samples: np.ndarray, relation: Callable) -> Optional[float]:
-    """The first a of grid with no sample x where relation(f(x, a), x) fails, or None.
-
-    Walks rows a of the mesh of (x, a) pairs in blocks on the scan schedule,
-    building at most _NEUTRAL_WALK points of it at a time. A point error in
-    row r raises unless r already failed before it; then the walk resumes at
-    row r + 1. Any other error may come from a row after one that passes,
-    so the walk goes on from the first unfinished row one row at a time, a
-    first-witness scan of each, and raises such an error from that scan.
-    """
-    n = len(samples)
-    step = max(1, _NEUTRAL_WALK // n)
-    row = 0
-    while row < len(grid):
-        rows = grid[row : row + step]
-        cols = (np.tile(samples, len(rows)), np.repeat(rows, n))
-        failed_rows = np.zeros(len(rows), dtype=bool)
-        done = 0  # rows of this part wholly walked
-        try:
-            for start, (lhs, rhs) in _blockwise(cols, lambda x, a: (_value(f, x, a), x), FIRST_BLOCK, SCAN_BLOCK):
-                failed, _ = relation(lhs, rhs)
-                failed_rows[(start + np.flatnonzero(failed)) // n] = True
-                full = (start + len(lhs)) // n
-                passing = np.flatnonzero(~failed_rows[done:full])
-                if passing.size:
-                    return float(rows[done + passing[0]])
-                done = full
-                if step == 1 and failed_rows[0]:
-                    # A scan of one row stops at its first witness.
-                    done = 1
-                    break
-        except _POINT_ERRORS:
-            # The raising point lies in row done, whose points before it were all walked.
-            if not failed_rows[done]:
-                raise
-            done += 1
-        except Exception:
-            if step == 1:
-                raise
-            step = 1
-        row += done
     return None
 
 

@@ -22,14 +22,14 @@ exact endpoint. One step on a mesh costs the connective's formula, one
 range check, the comparison and the np.where: values() tests the arity
 inline and passes ready columns through untouched. One registry, _fixed,
 lists the columns whose powers are cheap while a bracket runs: the
-columns _sup holds fixed, which _pow powers once per exponent for the
-whole bracket, and the current step's midpoints. At step k these hold at
-most 2**(k-1) distinct values, the odd multiples of the width, so while
-that table is at most a quarter of a column of at least
-MIDPOINT_TABLE_FLOOR (512) elements _pow powers the table and gathers.
-_sup and _bracket set the registry and restore it in a finally,
-so nested bisections see their own columns and nothing outlives a
-bracket.
+columns it holds fixed (_sup's point), which _pow powers once per
+exponent for the whole bracket, and the current step's midpoints. At
+step k these hold at most 2**(k-1) distinct values, the odd multiples of
+the width, so while that table is at most a quarter of a column of at
+least MIDPOINT_TABLE_FLOOR (512) elements _pow powers the table and
+gathers.
+_bracket alone sets the registry and restores it in a finally, so
+nested bisections see their own columns and nothing outlives a bracket.
 
 The range check, _checked, passes an in-range float64 array with one
 reduction: the maximum of its bits viewed as uint64 is at most those of
@@ -278,7 +278,7 @@ def iteration_count(tol: float) -> int:
     return max(1, math.ceil(math.log2(1.0 / tol))) + 2
 
 
-def _bracket(holds: Callable, tol: float, lo=0.0) -> tuple:
+def _bracket(holds: Callable, tol: float, lo=0.0, fixed=()) -> tuple:
     """Final bracket (lo, hi) of bisecting [0, 1]: lo moves up to mid where holds(mid), else hi down.
 
     lo is 0.0, or zeros as an array so that holds sees arrays from the first
@@ -288,17 +288,24 @@ def _bracket(holds: Callable, tol: float, lo=0.0) -> tuple:
     one array lo and the float width carry the bracket, and each midpoint is
     the 0.5 * (lo + hi) of a two-bound loop bit for bit.
 
-    At step k an array of midpoints holds at most 2**(k-1) distinct values,
-    the odd multiples of width. While that table is at most a quarter of an
-    array of at least MIDPOINT_TABLE_FLOOR elements, the midpoints are
-    registered in _fixed, so _pow powers the table and gathers; the registry
-    is restored when the bracket ends or raises.
+    fixed are arrays that holds reads unchanged at every step. They are
+    made read-only, so a kept power cannot go stale, and registered in
+    _fixed for the whole bracket, so _pow powers each once per exponent. At step k an array of midpoints holds at
+    most 2**(k-1) distinct values, the odd multiples of width. While that
+    table is at most a quarter of an array of at least MIDPOINT_TABLE_FLOOR
+    elements, the midpoints are registered beside them, so _pow powers the
+    table and gathers; the registry is restored when the bracket ends or
+    raises.
     """
     global _fixed
     outer = _fixed
+    for c in fixed:
+        c.flags.writeable = False
+    held = {**outer, **{id(c): (c, {}, None) for c in fixed}} if fixed else outer
     width = 1.0
     on_array = type(lo) is np.ndarray
     try:
+        _fixed = held
         for _ in range(iteration_count(tol)):
             width *= 0.5
             mid = lo + width
@@ -306,9 +313,9 @@ def _bracket(holds: Callable, tol: float, lo=0.0) -> tuple:
                 # Only float64 midpoints are the exact odd multiples the table holds.
                 if width * lo.size >= 2.0 and lo.size >= MIDPOINT_TABLE_FLOOR and lo.dtype is _FLOAT64:
                     mid.flags.writeable = False
-                    _fixed = {**outer, id(mid): (mid, {}, (lo, width))}
+                    _fixed = {**held, id(mid): (mid, {}, (lo, width))}
                 else:
-                    _fixed = outer
+                    _fixed = held
             ok = holds(mid)
             # isinstance inline, not _where: this runs at every step of every scalar bisection.
             if isinstance(ok, np.ndarray):
@@ -352,18 +359,8 @@ def _sup(pred: Callable[..., bool], tol: float, *xs):
         raise PreconditionError("bisect_sup requires pred(0) to hold")
 
     def bisect(*p):
-        # On a mesh the columns p (copies _branch made) stay fixed for the whole bracket, so _pow
-        # powers each once; they are made read-only, so a kept power cannot go stale.
-        global _fixed
-        outer = _fixed
-        if _is_array(*p):
-            for c in p:
-                c.flags.writeable = False
-            _fixed = {**outer, **{id(c): (c, {}, None) for c in p}}
-        try:
-            lo, hi = _bracket(partial(pred, *p), tol)
-        finally:
-            _fixed = outer
+        # On a mesh the columns p (copies _branch made) stay fixed for the whole bracket.
+        lo, hi = _bracket(partial(pred, *p), tol, 0.0, p if _is_array(*p) else ())
         return 0.5 * (lo + hi)
 
     return _branch(_not(pred(*xs, 1.0)), bisect, 1.0, *xs)
@@ -616,12 +613,12 @@ def _fsum(*xs):
 
 
 # The columns whose powers are cheap while a mesh bracket runs, by id:
-# id -> (column, {exponent: power}, steps). A column _sup holds fixed has
+# id -> (column, {exponent: power}, steps). A column a bracket holds fixed has
 # steps None and is powered once per exponent for the whole bracket. The
 # midpoint column lo + width of a _bracket step has steps (lo, width): its
 # values are the odd multiples (2j + 1) * width, j = lo * (0.5 / width), so
-# _pow powers that table and gathers. _sup and _bracket set it and restore
-# the outer one after, and _pow fills and reads it.
+# _pow powers that table and gathers. _bracket sets it and restores the
+# outer one after, and _pow fills and reads it.
 _fixed: dict = {}
 
 # Shortest array of midpoints whose powers _pow takes from a table. The table

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import overlapkit as ok
 from overlapkit import conjunctors, numerics
@@ -360,7 +363,7 @@ def _per_candidate_neutral(f, config=ok.DEFAULT_CONFIG):
         if gap[i] == 0.0 or gap[i] * gap[i + 1] >= 0.0:
             continue
         lo, hi, lo_val = float(grid[i]), float(grid[i + 1]), gap[i]
-        for _ in range(ok.iteration_count(config.bisect_tol)):
+        for _ in range(numerics.iteration_count(config.bisect_tol)):
             mid = 0.5 * (lo + hi)
             mid_val = float(f(0.5, mid)) - 0.5
             if mid_val == 0.0:
@@ -411,9 +414,9 @@ def test_find_neutral_walks_a_grid_wider_than_one_part_of_its_mesh(monkeypatch):
         assert _same(ok.find_neutral(f), _per_candidate_neutral(f)), e
 
 
-def _leaky(row: float, at, calls: list):
-    """neutral_go(0.5), but 1.5 on the candidate row at the samples where at(x) holds; counts its array calls."""
-    base = ok.piecewise_neutral_go(0.5).fn
+def _leaky(row: float, at, calls: list, e: float = 0.5):
+    """neutral_go(e), but 1.5 on the candidate row at the samples where at(x) holds; counts its array calls."""
+    base = ok.piecewise_neutral_go(e).fn
 
     def fn(x, a):
         if isinstance(x, np.ndarray):
@@ -489,14 +492,55 @@ def test_find_neutral_stops_each_candidate_at_its_first_witness_after_another_er
     assert ok.find_neutral(f, cfg) == 0.5
 
 
-def test_find_neutral_evaluates_the_grid_101_mesh_in_ten_calls():
-    # No leak, and no neutral element: the walk takes every candidate, the fallback one more call.
+def test_find_neutral_evaluates_the_grid_101_mesh_in_nine_calls():
+    # No leak, and no neutral element: the walk takes every candidate in 8 parts of at most 13 rows,
+    # the fallback one more call.
     calls = []
     f = _leaky(2.0, lambda x: x > 1.0, calls)
     scaled = dataclasses.replace(f, fn=_vectorized(lambda x, a: f.fn(x, a) * 0.5))
     assert ok.find_neutral(scaled) is None
-    assert len(calls) <= 10
+    assert len(calls) == 9
     assert sum(calls) == 101 * len(numerics.sorted_samples(ok.DEFAULT_CONFIG)) + 101
+
+
+@st.composite
+def _neutral_searches(draw):
+    """(config, _NEUTRAL_WALK, f): f is neutral_go(e), e on or off the grid, perhaps leaking on one grid row."""
+    cfg = ok.CheckConfig(grid_resolution=draw(st.integers(2, 31)), random_samples=draw(st.integers(0, 40)))
+    grid = numerics.uniform_grid(cfg).tolist()
+    n = len(numerics.sorted_samples(cfg))
+    walk = draw(st.integers(n, n * len(grid)))
+    e = draw(st.sampled_from(grid[1:]) | st.floats(0.01, 1.0))
+    leak = draw(st.none() | st.tuples(st.booleans(), st.sampled_from(grid), st.floats(0.0, 1.0)))
+    if leak is None:
+        return cfg, walk, ok.piecewise_neutral_go(e)
+    out_of_range, row, threshold = leak
+    if out_of_range:
+        return cfg, walk, _leaky(row, lambda x: x >= threshold, [], e)
+    base = ok.piecewise_neutral_go(e)
+
+    def fn(x, a):
+        return x / 0.0 if a == row and x >= threshold else float(base(x, a))
+
+    return cfg, walk, ok.FusionFunction(fn=fn, arity=2, role="general_overlap", label="dividing")
+
+
+def _outcome(search, f, cfg):
+    """The bits of what search(f, cfg) returns, or the type and message of what it raises."""
+    try:
+        found = search(f, cfg)
+    except Exception as error:
+        return type(error), str(error)
+    return None if found is None else found.hex()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_neutral_searches())
+def test_find_neutral_agrees_with_the_per_candidate_scans_at_any_walk(search):
+    cfg, walk, f = search
+    want = _outcome(_per_candidate_neutral, f, cfg)
+    with mock.patch.object(conjunctors, "_NEUTRAL_WALK", walk):
+        assert _outcome(ok.find_neutral, f, cfg) == want
 
 
 def test_check_idempotent_examples():

@@ -262,19 +262,19 @@ def test_a_use_of_fsum_unique_or_power_is_found():
 GROUP_CHECKERS = {"check_unary_property", "check_ep", "check_contraposition"}
 
 
-def _group_checker_uses(source: str) -> list[str]:
-    """line:name for each name, attribute or import of source that is one of GROUP_CHECKERS."""
+def _name_uses(source: str, names: set[str]) -> list[str]:
+    """line:name for each name, attribute or import of source that is one of names."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
-            names = [node.id]
+            used = [node.id]
         elif isinstance(node, ast.Attribute):
-            names = [node.attr]
+            used = [node.attr]
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [alias.name for alias in node.names]
+            used = [alias.name for alias in node.names]
         else:
             continue
-        found += [(node.lineno, n) for n in names if n in GROUP_CHECKERS]
+        found += [(node.lineno, n) for n in used if n in names]
     return [f"{line}:{name}" for line, name in sorted(found)]
 
 
@@ -284,7 +284,7 @@ def _group_checker_uses(source: str) -> list[str]:
     ids=lambda p: f"{p.parent.name}/{p.name}",
 )
 def test_only_properties_names_the_group_checkers(path):
-    uses = _group_checker_uses(path.read_text(encoding="utf-8"))
+    uses = _name_uses(path.read_text(encoding="utf-8"), GROUP_CHECKERS)
     assert uses == [], f"{path.name}: call check_property instead: {uses}"
 
 
@@ -300,4 +300,34 @@ def test_a_use_of_a_group_checker_is_found():
             return check_property(imp, "NP"), exchange(imp), scan(imp, ok.make_standard()), "check_unary_property"
         """
     )
-    assert _group_checker_uses(source) == ["2:check_ep", "6:check_contraposition"]
+    assert _name_uses(source, GROUP_CHECKERS) == ["2:check_ep", "6:check_contraposition"]
+
+
+# The block loop of the mesh kernels; every other module scans through _scan_mesh and _mesh_values.
+BLOCK_LOOP = {"_blockwise", "_blocks", "_POINT_ERRORS", "FIRST_BLOCK"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES + DEMOS if p.name != "numerics.py"], ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_only_numerics_names_the_block_loop(path):
+    uses = _name_uses(path.read_text(encoding="utf-8"), BLOCK_LOOP)
+    assert uses == [], f"{path.name}: call _scan_mesh or _mesh_values instead: {uses}"
+
+
+def test_a_use_of_the_block_loop_is_found():
+    source = textwrap.dedent(
+        """\
+        from .numerics import FIRST_BLOCK, SCAN_BLOCK, _mesh_values
+        from . import numerics
+
+
+        def f(cols, fn):
+            for start, arrays in numerics._blockwise(cols, fn, FIRST_BLOCK, SCAN_BLOCK):
+                try:
+                    return _mesh_values(cols, fn), "_blocks"
+                except numerics._POINT_ERRORS:
+                    pass
+        """
+    )
+    assert _name_uses(source, BLOCK_LOOP) == ["1:FIRST_BLOCK", "6:FIRST_BLOCK", "6:_blockwise", "9:_POINT_ERRORS"]
