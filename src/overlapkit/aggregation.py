@@ -162,8 +162,11 @@ def check_commutes(
     """Compare the two constructions described in the module docstring.
 
     The negation must classify as strong (involutive), since the equality
-    hinges on N undoing itself. Both routes are built independently and the
-    sup deviation over the pair mesh is reported.
+    hinges on N undoing itself. Both routes are built independently and
+    compared on the pair mesh up to the first point where they differ by
+    more than eq_tol. The note holds the largest deviation seen: over the
+    whole mesh when the routes agree, up to and including that first
+    witness when not.
     """
     cls = classify(negation, config)
     if not cls.is_strong:

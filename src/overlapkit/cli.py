@@ -385,14 +385,13 @@ class _Result(NamedTuple):
     rows holds the CSV cells already formatted and may be a generator.
     csv_text, when given, stands for rows: the CSV lines after the header,
     already rendered, several to an item and without the item's last line
-    end. text None means each row joined by one space; an item of text may
-    also hold several lines.
+    end. An item of text may hold several lines.
     """
 
     payload: object
     header: list
     rows: Iterable
-    text: Optional[Iterable[str]] = None
+    text: Iterable[str]
     failed: bool = False
     csv_text: Optional[Iterable[str]] = None
 
@@ -417,8 +416,7 @@ def _emit(result: _Result, fmt: str) -> None:
             sys.stdout.writelines(chain.from_iterable((lines, "\r\n") for lines in result.csv_text))
     else:
         # An item and its line end are two writes, so a grid dump's span of lines is not copied to end it.
-        lines = map(" ".join, result.rows) if result.text is None else result.text
-        sys.stdout.writelines(chain.from_iterable((line, "\n") for line in lines))
+        sys.stdout.writelines(chain.from_iterable((line, "\n") for line in result.text))
 
 
 def _yes(holds: bool) -> str:

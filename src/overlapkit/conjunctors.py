@@ -714,24 +714,22 @@ def continuity_heuristic(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG
 # ---------------------------------------------------------------------------
 
 
-# Points of the candidate-major mesh find_neutral evaluates in one call, in whole rows: 13 rows at grid 101.
-_NEUTRAL_WALK = SCAN_BLOCK
-
-
 def find_neutral(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG) -> Optional[UnitValue]:
     """Search for a with f(x, a) = x for all sampled x.
 
     Grid candidates must match within eq_tol, and the first that does is
     returned. The candidate-major mesh (each grid value against every
-    sample) is evaluated in parts of whole rows, at most _NEUTRAL_WALK
-    points each (8 parts at grid 101), and the first row with no deviation
-    passes. Once a part raises, each candidate from that part on gets a
-    first-witness scan of its own, so an error is raised only where a scan
-    of each candidate in turn meets it. If no candidate passes, the search
-    falls back on bisecting a sign change of a -> f(0.5, a) - 0.5; a
-    candidate found that way carries bisection error, so it is verified at
-    the looser 10*bisect_tol before being accepted. Returns None when
-    nothing survives.
+    sample) is evaluated in parts of whole rows, at most SCAN_BLOCK points
+    each (8 parts at grid 101), and the first row with no deviation passes.
+    A part that raises has its own candidates scanned one at a time, each
+    to its first witness, and the first that passes is returned; an error
+    is raised where such a scan meets it, and the walk resumes with the
+    next part if each of them deviates first. That is a scan of each
+    candidate in turn, since a part that evaluates cleanly holds no point
+    such a scan could raise on. If no candidate passes, the search falls
+    back on bisecting a sign change of a -> f(0.5, a) - 0.5; a candidate
+    found that way carries bisection error, so it is verified at the looser
+    10*bisect_tol before being accepted. Returns None when nothing survives.
     """
     if f.arity != 2:
         raise PreconditionError("find_neutral applies to binary functions")
@@ -742,22 +740,20 @@ def find_neutral(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG) -> Opt
         witness, _, _ = _scan_mesh((samples,), lambda x: (_value(f, x, a), x), _apart(budget))
         return witness is not None
 
-    step = max(1, _NEUTRAL_WALK // len(samples))
+    step = max(1, SCAN_BLOCK // len(samples))
     for row in range(0, len(grid), step):
         rows = grid[row : row + step]
         cols = (np.tile(samples, len(rows)), np.repeat(rows, len(samples)))
         try:
             lhs, rhs = _mesh_values(cols, lambda x, a: (_value(f, x, a), x))
         except Exception:
-            # Any error: a scan per candidate raises it again only where that candidate's scan meets it.
-            for a in grid[row:].tolist():
-                if not deviates(a, config.eq_tol):
-                    return UnitValue(a)
-            break
-        failed, _ = _apart(config.eq_tol)(lhs, rhs)
-        passing = _first(~failed.reshape(len(rows), -1).any(axis=1))
-        if passing is not None:
-            return UnitValue(float(rows[passing[0]]))
+            passes = (a for a in rows.tolist() if not deviates(a, config.eq_tol))
+        else:
+            failed, _ = _apart(config.eq_tol)(lhs, rhs)
+            passes = iter(rows[~failed.reshape(len(rows), -1).any(axis=1)].tolist())
+        a = next(passes, None)
+        if a is not None:
+            return UnitValue(a)
 
     (values,) = _mesh_values((grid,), lambda a: (_value(f, 0.5, a),))
     gap = (values - 0.5).tolist()

@@ -178,7 +178,8 @@ def classify(negation: Negation, config: CheckConfig = DEFAULT_CONFIG) -> Negati
         witnesses["antitonic"] = (float(samples[i]), float(samples[j]))
 
     grid = uniform_grid(config)
-    steps = np.diff(_tensor(negation, grid))
+    # The grid is part of the samples, so its values are read from vals.
+    steps = np.diff(vals[np.searchsorted(samples, grid)])
     # The first flat step, else the first jump past the continuity bound.
     step = _first(steps >= 0.0) or _first(np.abs(steps) > _jump_bound(config.grid_resolution))
     if step is not None:

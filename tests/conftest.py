@@ -6,8 +6,14 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import settings
 
 import overlapkit as ok
+
+# One Hypothesis profile for the whole suite: the same examples on every run, and no per-example
+# deadline, since a shared host's timings vary too much for one.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 # Canonical finite negation catalog used by every quantified sweep. The
 # parametric families are pinned at the values the CLI instances use.

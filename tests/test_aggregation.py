@@ -138,3 +138,54 @@ def test_check_commutes_requires_strong():
     fam = ok.OperatorFamily(members=(ok.catalog("GO_max"),))
     with pytest.raises(ok.PreconditionError):
         ok.check_commutes(ok.make_aggregation("mean", 1), fam, ok.make_power_strict(2))
+
+
+def _step():
+    return ok.FusionFunction(fn=lambda x, y: 1.0 if x > 0.5 else 0.0, arity=2, role="aggregation", label="step")
+
+
+def _gons():
+    nz = ok.make_standard()
+    return ok.OperatorFamily((ok.make_gon(ok.catalog("GO_max"), nz), ok.make_gon(ok.catalog("O_min"), nz)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: ok.make_aggregation("mean", 0), "aggregation arity must be >= 1", id="arity-0"
+        ),
+        pytest.param(
+            lambda: ok.OperatorFamily((ok.make_standard(), ok.make_standard())),
+            "unsupported family member types ['Negation']",
+            id="family-of-negations",
+        ),
+        pytest.param(
+            lambda: ok.aggregate(ok.make_standard(), ok.OperatorFamily((ok.catalog("O_min"),))),
+            "aggregate needs a FusionFunction aggregation",
+            id="aggregate-with-a-negation",
+        ),
+        pytest.param(
+            lambda: ok.aggregate_go(ok.make_aggregation("mean"), _gons()),
+            "aggregate_go needs a family of fusion functions",
+            id="aggregate-go-of-implications",
+        ),
+        pytest.param(
+            lambda: ok.aggregate_go(_step(), ok.OperatorFamily((ok.catalog("O_min"), ok.catalog("GO_max")))),
+            "aggregation step fails the continuity heuristic at (0.5, 0.0)",
+            id="aggregate-go-with-a-jump",
+        ),
+        pytest.param(
+            lambda: ok.check_commutes(
+                ok.make_aggregation("mean"), ok.OperatorFamily((ok.catalog("GO_PN", n=3),) * 2), ok.make_standard()
+            ),
+            "check_commutes needs a family of binary fusion functions",
+            id="commutes-of-ternaries",
+        ),
+    ],
+)
+def test_each_refusal_names_what_it_refuses(call, message):
+    with pytest.raises(ok.PreconditionError) as raised:
+        call()
+    assert type(raised.value) is ok.PreconditionError
+    assert str(raised.value) == message

@@ -232,7 +232,7 @@ UNIT = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from(SPECIA
 
 
 @pytest.mark.parametrize("name", sorted(OBJECTS))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(points=st.lists(st.tuples(UNIT, UNIT, UNIT), min_size=1, max_size=30))
 def test_random_points_bit_identical(name, points):
     obj = OBJECTS[name]

@@ -142,13 +142,13 @@ def _assert_exact(values) -> None:
     assert "".join(dumps._json_array(values, "")) == json.dumps([round(v, 9) for v in floats], indent=2)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64))
 def test_nine_decimals_are_exact_on_unit_floats(values):
     _assert_exact(values)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(st.floats(0.0, 1e-4, exclude_min=True, exclude_max=True), min_size=1, max_size=64))
 def test_nine_decimals_are_exact_where_repr_takes_an_exponent(values):
     _assert_exact(values)
@@ -269,6 +269,40 @@ def test_truncation_with_a_cut_of_one_exits_3(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: truncating O_P:p=1e-17 at a=0.5 divides by zero: O(max(x, y), a) is 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        pytest.param(
+            ["eval", "gon(O_min, zadeh))"],
+            2,
+            "error: unbalanced parentheses in 'O_min, zadeh)'\n",
+            id="unbalanced",
+        ),
+        pytest.param(
+            ["eval", "agg(mean, gon(GO_max, zadeh))"],
+            2,
+            "error: agg needs 'agg(NAME; I1, I2, ...)': 'agg(mean, gon(GO_max, zadeh))'\n",
+            id="agg-without-semicolon",
+        ),
+        pytest.param(
+            ["eval", "GO_PN:n=3"],
+            3,
+            "error: grid dump supports arity <= 2; use --at for wider connectives\n",
+            id="ternary-grid-dump",
+        ),
+        pytest.param(
+            ["search", "ro(O_P:p=2)", "--prop", "NP", "--range", "1", "2"],
+            2,
+            "error: search template must contain a {} placeholder\n",
+            id="search-without-placeholder",
+        ),
+    ],
+)
+def test_each_refusal_exits_with_its_code_and_message(argv, code, err, capsys):
+    assert run(argv) == code
+    assert capsys.readouterr() == ("", err)
 
 
 def test_parse_error_exits_2():

@@ -408,7 +408,7 @@ def test_find_neutral_walks_small_grids_as_the_per_candidate_scans_do(cfg):
 
 def test_find_neutral_walks_a_grid_wider_than_one_part_of_its_mesh(monkeypatch):
     # Parts of 3 rows: the neutral element 0.5 lies in the 17th part, the others each run to their end.
-    monkeypatch.setattr(conjunctors, "_NEUTRAL_WALK", 3 * len(numerics.sorted_samples(ok.DEFAULT_CONFIG)) + 2)
+    monkeypatch.setattr(conjunctors, "SCAN_BLOCK", 3 * len(numerics.sorted_samples(ok.DEFAULT_CONFIG)) + 2)
     for e in (0.5, 0.437):
         f = ok.piecewise_neutral_go(e)
         assert _same(ok.find_neutral(f), _per_candidate_neutral(f)), e
@@ -434,6 +434,15 @@ def test_find_neutral_skips_a_candidate_that_leaks_after_its_first_deviation():
         f(0.95, 0.2)
     assert _per_candidate_neutral(f) == 0.5
     assert ok.find_neutral(f) == 0.5
+
+
+def test_find_neutral_scans_only_the_candidates_of_the_part_that_raises():
+    # Grid 101, parts of 13 rows: the first part in 1 call; the second, holding row 0.2, raises after a
+    # prefix bisection of 13 calls, then 12 of its rows take a one-call scan and row 0.2 takes 10 (its block
+    # raises and is bisected); the walk resumes with the third part and passes 0.5 in the fourth.
+    calls = []
+    assert ok.find_neutral(_leaky(0.2, lambda x: x > 0.9, calls)) == 0.5
+    assert len(calls) == 1 + 13 + 12 + 10 + 2
 
 
 def test_find_neutral_raises_the_error_of_a_candidate_that_leaks_before_any_deviation():
@@ -505,7 +514,7 @@ def test_find_neutral_evaluates_the_grid_101_mesh_in_nine_calls():
 
 @st.composite
 def _neutral_searches(draw):
-    """(config, _NEUTRAL_WALK, f): f is neutral_go(e), e on or off the grid, perhaps leaking on one grid row."""
+    """(config, SCAN_BLOCK, f): f is neutral_go(e), e on or off the grid, perhaps leaking on one grid row."""
     cfg = ok.CheckConfig(grid_resolution=draw(st.integers(2, 31)), random_samples=draw(st.integers(0, 40)))
     grid = numerics.uniform_grid(cfg).tolist()
     n = len(numerics.sorted_samples(cfg))
@@ -534,12 +543,12 @@ def _outcome(search, f, cfg):
     return None if found is None else found.hex()
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150, derandomize=True)
 @given(_neutral_searches())
 def test_find_neutral_agrees_with_the_per_candidate_scans_at_any_walk(search):
     cfg, walk, f = search
     want = _outcome(_per_candidate_neutral, f, cfg)
-    with mock.patch.object(conjunctors, "_NEUTRAL_WALK", walk):
+    with mock.patch.object(conjunctors, "SCAN_BLOCK", walk):
         assert _outcome(ok.find_neutral, f, cfg) == want
 
 
@@ -609,3 +618,85 @@ def test_minimum_characterization():
         idem = bool(ok.check_idempotent(f))
         if neutral is not None and abs(neutral - 1.0) <= 1e-9 and idem:
             assert ok.compare(f, ok.catalog("O_min")).deviation <= 1e-9
+
+
+# --- refusals ---------------------------------------------------------------
+
+
+def _ternary():
+    return ok.catalog("GO_PN", n=3)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: ok.FusionFunction(fn=min, arity=2, role="sideways", label="f"),
+            ok.PreconditionError,
+            "unknown role 'sideways'",
+            id="unknown-role",
+        ),
+        pytest.param(
+            lambda: ok.FusionFunction(fn=min, arity=0, role="overlap", label="f"),
+            ok.PreconditionError,
+            "arity must be positive",
+            id="arity-0",
+        ),
+        pytest.param(
+            lambda: ok.catalog("GO_PN", n=2.5),
+            ok.PreconditionError,
+            "arity 'n' must be an integer >= 2",
+            id="n-2.5",
+        ),
+        pytest.param(
+            lambda: ok.catalog("GO_PN", n=1), ok.PreconditionError, "arity 'n' must be an integer >= 2", id="n-1"
+        ),
+        pytest.param(
+            lambda: ok.truncate_overlap(ok.grouping_probsum(), 0.5),
+            ok.PreconditionError,
+            "truncate_overlap needs a binary overlap function",
+            id="truncate-a-grouping",
+        ),
+        pytest.param(
+            lambda: ok.dual(ok.make_gon(ok.catalog("GO_max"), ok.make_standard()), ok.make_standard()),
+            ok.PreconditionError,
+            "dual expects a FusionFunction",
+            id="dual-of-an-implication",
+        ),
+        pytest.param(
+            lambda: ok.grouping_from(_ternary(), ok.make_standard()),
+            ok.PreconditionError,
+            "grouping_from needs a binary function",
+            id="grouping-from-a-ternary",
+        ),
+        pytest.param(
+            lambda: ok.check_axioms(ok.catalog("O_min"), "X"),
+            ok.PreconditionError,
+            "unknown axiom set 'X' (want O|G|GO|T)",
+            id="unknown-axiom-set",
+        ),
+        pytest.param(
+            lambda: ok.check_associativity(_ternary()),
+            ok.PreconditionError,
+            "associativity applies to binary functions",
+            id="associativity-of-a-ternary",
+        ),
+        pytest.param(
+            lambda: ok.find_neutral(_ternary()),
+            ok.PreconditionError,
+            "find_neutral applies to binary functions",
+            id="neutral-of-a-ternary",
+        ),
+        pytest.param(
+            lambda: ok.check_axioms(ok.catalog("O_min"), "O").check("X"),
+            KeyError,
+            "'X'",
+            id="report-check-unknown",
+        ),
+    ],
+)
+def test_each_refusal_names_what_it_refuses(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
+    assert str(raised.value) == message

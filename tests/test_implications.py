@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import overlapkit as ok
+from overlapkit.numerics import _max, _vectorized, _where
 
 from conftest import BINARY_ENTRIES
 
@@ -196,7 +197,7 @@ def _recovery(name: str, params: dict, p: float):
     return ok.compare(go, ok.recover_go(ok.make_gon(go, negation), negation, COARSE), COARSE)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(entry=st.sampled_from(BINARY_ENTRIES), p=st.floats(min_value=0.75, max_value=2.0))
 def test_recover_go_within_twice_bisect_tol_for_moderate_powers(entry, p):
     assert _recovery(*entry, p).deviation <= 2 * COARSE.bisect_tol
@@ -269,3 +270,60 @@ def test_gon_gn_duality_instance():
 def test_gon_well_formed_for_every_binary_entry(name, params):
     imp = ok.make_gon(ok.catalog(name, **params), ok.make_standard())
     assert ok.check_implication_axioms(imp).passed
+
+
+# --- refusals ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: ok.Implication(fn=min, label="i", family="foo"),
+            "unknown implication family 'foo'",
+            id="unknown-family",
+        ),
+        pytest.param(
+            lambda: ok.make_gon(ok.catalog("GO_PN", n=3), ok.make_standard()),
+            "make_gon needs a binary FusionFunction",
+            id="gon-of-a-ternary",
+        ),
+        pytest.param(
+            lambda: ok.make_ql(ok.grouping_probsum(), ok.grouping_probsum()),
+            "make_ql needs an overlap-role connective",
+            id="ql-with-a-grouping-as-O",
+        ),
+        pytest.param(
+            lambda: ok.make_ql(ok.catalog("O_min"), ok.catalog("O_min")),
+            "make_ql needs a grouping function",
+            id="ql-with-an-overlap-as-G",
+        ),
+        pytest.param(
+            lambda: ok.make_residual(ok.grouping_probsum()),
+            "make_residual needs a conjunctive connective",
+            id="residual-of-a-grouping",
+        ),
+        pytest.param(
+            lambda: ok.make_d(ok.catalog("O_min")), "make_d needs a grouping function", id="d-of-an-overlap"
+        ),
+    ],
+)
+def test_each_refusal_names_what_it_refuses(call, message):
+    with pytest.raises(ok.PreconditionError) as raised:
+        call()
+    assert type(raised.value) is ok.PreconditionError
+    assert str(raised.value) == message
+
+
+def test_classify_crisp_finds_no_fit_for_a_threshold_that_never_switches():
+    # I(x, 0) = 1 everywhere: the alpha bisection has no switch to find.
+    one = ok.Implication(fn=_vectorized(lambda x, y: _max(1.0, x)), label="one", family="crisp")
+    assert ok.classify_crisp(one) is None
+
+
+def test_classify_crisp_finds_no_fit_when_no_corner_family_agrees():
+    # Zero exactly where x - y > 1/2: two-valued, and it switches at 1/2 on both edges, but its zero
+    # region is a triangle, so the corner family fitted there differs from it at (0.6, 0.4).
+    fn = _vectorized(lambda x, y: _where(x - y > 0.5, 0.0, 1.0))
+    triangle = ok.Implication(fn=fn, label="triangle", family="crisp")
+    assert ok.classify_crisp(triangle) is None

@@ -90,7 +90,7 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=250)
 @given(
     expression=st.sampled_from(EXAMPLES),
     mutation=st.sampled_from(MUTATIONS),

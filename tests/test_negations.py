@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import overlapkit as ok
 from overlapkit.conjunctors import _CATALOG
-from overlapkit.numerics import _sample_mesh
+from overlapkit.numerics import _sample_mesh, _vectorized, _where
 
 from conftest import NEGATION_CATALOG
 
@@ -85,6 +87,49 @@ def test_classify_power_two():
     assert abs(float(n2(n2(0.5))) - 0.4375) <= 1e-12
 
 
+def test_classify_evaluates_the_negation_on_two_meshes():
+    # The samples, then N's values there; the grid steps are read from the samples' values.
+    inverse = ok.inverse_negation(ok.make_power_strict(2))
+    values, meshes = ok.Negation.values, []
+
+    def counted(self, *xs):
+        if self is inverse:
+            meshes.append(len(xs[0]))
+        return values(self, *xs)
+
+    with mock.patch.object(ok.Negation, "values", counted):
+        cls = ok.classify(inverse)
+    assert meshes == [301, 301]
+    assert cls.is_negation and cls.is_frontier and not cls.is_strong
+
+
+def test_classify_witnesses_a_boundary_and_a_rise():
+    cfg = ok.CheckConfig(grid_resolution=11, random_samples=0)
+    half = ok.classify(ok.Negation(fn=lambda x: 0.5, label="half"), cfg)
+    assert not half.is_negation
+    assert half.witnesses["boundary"] == (0.0, 0.5, 1.0, 0.5)
+    assert half.witness == half.witnesses["boundary"]
+    # 1 - x but 0.9 at 0.5: the rise from 0.6 at 0.4, the least value before it.
+    bump = ok.classify(ok.Negation(fn=lambda x: 0.9 if x == 0.5 else 1.0 - x, label="bump"), cfg)
+    assert not bump.is_negation
+    assert bump.witnesses["antitonic"] == (0.4, 0.5)
+
+
+def test_classify_witnesses_the_first_flat_step_of_the_grid():
+    # Flat on [0.6, 0.7]: the first flat step of the grid is (0.6, 0.61), whatever random samples lie between.
+    fn = _vectorized(lambda x: _where(x < 0.6, 1.0 - x, _where(x <= 0.7, 0.4, (1.0 - x) * 0.4 / 0.3)))
+    cls = ok.classify(ok.Negation(fn=fn, label="flat"))
+    assert cls.is_negation and not cls.is_strict
+    assert cls.witnesses["strict"] == (0.6, 0.61)
+
+
+def test_a_classification_with_no_failed_class_has_no_witness():
+    # On the two grid points alone, zadeh is strict, strong, crisp and frontier.
+    cls = ok.classify(ok.make_standard(), ok.CheckConfig(grid_resolution=2, random_samples=0))
+    assert cls.witnesses == {}
+    assert cls.witness is None
+
+
 def test_every_catalog_member_is_negation():
     for _, make in NEGATION_CATALOG:
         cls = ok.classify(make())
@@ -119,7 +164,7 @@ def test_dual_boundary():
         assert float(d(0.0, 0.0)) == 0.0
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(name=st.sampled_from(ok.CATALOG_NAMES), p=st.floats(min_value=0.1, max_value=10.0))
 def test_dual_involution_for_strong(name, p):
     # The zadeh dual applied twice gives back f on the pair mesh, for every

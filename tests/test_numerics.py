@@ -152,6 +152,30 @@ def test_iteration_count():
     assert iteration_count(2**-51) == 53
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: config_from_mapping({"grid_resolution": "abc"}),
+            ok.ConfigError,
+            "bad value for 'grid_resolution': 'abc'",
+            id="config-value-not-a-number",
+        ),
+        pytest.param(
+            lambda: iteration_count(1),
+            ok.PreconditionError,
+            "tolerance must be a positive finite float",
+            id="tolerance-not-a-float",
+        ),
+    ],
+)
+def test_each_refusal_names_what_it_refuses(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("tol", [2**-52, 1e-20, 5e-324])
 def test_iteration_count_refuses_a_tolerance_below_53_steps(tol):
     with pytest.raises(ok.PreconditionError, match=r"below 2\*\*-51"):
@@ -204,7 +228,7 @@ def test_invert_strict_rejects_crisp():
         ok.invert_strict(ok.make_crisp("upper", 0.5), 0.3, 1e-8)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=16),
     st.sampled_from([1e-8, 1e-12]),
@@ -233,7 +257,7 @@ def _hex(values) -> list[str]:
     return [float(v).hex() for v in np.atleast_1d(values)]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=16),
     st.sampled_from([0.5, 1e-3, 1e-8, 1e-12, 2**-51]),
@@ -303,7 +327,7 @@ def _repeated(pool: list[float], n: int, seed: int) -> np.ndarray:
     return np.array(pool)[np.random.default_rng(seed).integers(0, len(pool), n)]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(st.tuples(st.one_of(_SIGNED_ZEROS, _FINITE), st.one_of(_SIGNED_ZEROS, _FINITE)), min_size=1))
 def test_fsum_of_two_columns_is_math_fsum_per_point(pairs):
     a, b = (np.array(col) for col in zip(*pairs))
@@ -353,13 +377,13 @@ def _fsum_matches_math_fsum_per_point(triples) -> None:
     assert _bits(_fsum(a, b, c)) == _bits(want)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(st.tuples(_TERMS, _TERMS, _TERMS), min_size=1))
 def test_fsum_of_three_columns_is_math_fsum_per_point(triples):
     _fsum_matches_math_fsum_per_point(triples)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(_near_one(), min_size=1, max_size=50))
 def test_fsum_of_three_columns_summing_within_ulps_of_one_is_math_fsum(triples):
     _fsum_matches_math_fsum_per_point(triples)
@@ -405,7 +429,7 @@ _BASES = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     pool=st.lists(_BASES, min_size=1, max_size=20),
     n=st.sampled_from([1, 7, DISTINCT_FLOOR - 1, DISTINCT_FLOOR, 3 * DISTINCT_FLOOR]),
@@ -417,7 +441,7 @@ def test_pow_on_a_column_is_float_pow_per_element(pool, n, seed, exponent):
     assert _bits(_pow(col, exponent)) == _bits([b**exponent for b in col.tolist()])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     pool=st.lists(st.one_of(_BASES, st.floats(min_value=-1.0, max_value=0.0)), min_size=1, max_size=20),
     n=st.sampled_from([5, DISTINCT_FLOOR, 2 * DISTINCT_FLOOR + 3]),
@@ -478,7 +502,7 @@ def test_distinct_keeps_signed_zeros_apart_and_refuses_short_columns():
     assert _distinct(0.5) is None
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(
     p=st.floats(min_value=0.3, max_value=4.0),
     pool=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30),
@@ -533,7 +557,7 @@ def _mask_checked(values: np.ndarray) -> np.ndarray:
 _OUT_OF_RANGE = st.sampled_from([math.nan, math.inf, -math.inf, -5e-324, 1.0 + 2.0**-52])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     shape=st.one_of(st.tuples(st.integers(1, 40)), st.tuples(st.integers(1, 8), st.integers(1, 8))),
     seed=st.integers(0, 2**32 - 1),
@@ -737,7 +761,7 @@ _TABLE_SUBJECTS = {
 }
 
 
-@settings(max_examples=24, deadline=None)
+@settings(max_examples=24)
 @given(
     subject=st.sampled_from(sorted(_TABLE_SUBJECTS)),
     p=st.floats(min_value=0.1, max_value=10.0),
@@ -760,7 +784,7 @@ def test_fixed_midpoint_table_powers_match_the_scalar_reference(subject, p, q, n
     assert _bits(got) == _bits([obj(*point) for point in zip(*(c.tolist() for c in xs))])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     p=st.floats(min_value=0.1, max_value=10.0),
     thresholds=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),

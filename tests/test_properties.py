@@ -324,3 +324,9 @@ def test_pair_and_triple_points_refuse_a_mesh_above_the_bound(monkeypatch):
         next(ok.pair_points(cfg))
     with pytest.raises(ok.PreconditionError, match=r"arity 3 needs 21\^3 points, more than 100"):
         next(ok.triple_points(cfg))
+
+
+def test_range_is_proper_when_the_image_misses_an_end():
+    # Image [0.5, 1]: no gap inside it, but it misses the end 0.
+    upper = ok.Implication(fn=numerics._vectorized(lambda x, y: 0.5 + 0.5 * y), label="upper", family="gon")
+    assert ok.range_is_proper(upper)

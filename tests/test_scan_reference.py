@@ -317,7 +317,7 @@ def _outcomes(implication, negation, other, config) -> list:
     return [_outcome(run) for run in runs]
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     cx=st.floats(0.0, 1.0),
     cy=st.floats(0.0, 1.0),
