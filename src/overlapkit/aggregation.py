@@ -38,7 +38,14 @@ from .numerics import (
 )
 from .properties import PropertyReport, _report
 
-AGGREGATION_NAMES = ("mean", "min", "max", "product")
+# The shipped aggregations, name -> formula over the numerics primitives.
+_AGGREGATIONS = {
+    "mean": lambda *xs: _fsum(*xs) / len(xs),
+    "min": lambda *xs: _min(*xs),
+    "max": lambda *xs: _max(*xs),
+    "product": lambda *xs: _prod(*xs),
+}
+AGGREGATION_NAMES = tuple(_AGGREGATIONS)
 
 
 def make_aggregation(name: str, arity: int = 2) -> FusionFunction:
@@ -49,15 +56,9 @@ def make_aggregation(name: str, arity: int = 2) -> FusionFunction:
     """
     if arity < 1:
         raise PreconditionError("aggregation arity must be >= 1")
-    fns = {
-        "mean": lambda *xs: _fsum(*xs) / len(xs),
-        "min": lambda *xs: _min(*xs),
-        "max": lambda *xs: _max(*xs),
-        "product": lambda *xs: _prod(*xs),
-    }
-    if name not in fns:
+    if name not in _AGGREGATIONS:
         raise PreconditionError(f"unknown aggregation {name!r} (want one of {AGGREGATION_NAMES})")
-    return FusionFunction(fn=_vectorized(fns[name]), arity=arity, role="aggregation", label=name)
+    return FusionFunction(fn=_vectorized(_AGGREGATIONS[name]), arity=arity, role="aggregation", label=name)
 
 
 @dataclass(frozen=True, eq=False)

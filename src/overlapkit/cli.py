@@ -548,7 +548,7 @@ def _cmd_compare(args, config: CheckConfig) -> _Result:
     result = compare(i1, i2, config)
     deviation, x, y, lhs, rhs = map(_fmt, (result.deviation, *result.at, result.lhs, result.rhs))
     return _Result(
-        {"lhs": i1.label, "rhs": i2.label, **result.as_dict()},
+        {"expression": i1.label, "expression2": i2.label, **result.as_dict()},
         ["deviation", "x", "y", "lhs", "rhs", "samples_checked"],
         [[deviation, x, y, lhs, rhs, result.samples_checked]],
         [f"deviation {deviation} at ({x}, {y}) lhs={lhs} rhs={rhs}"],

@@ -81,6 +81,7 @@ from .numerics import (
     _max,
     _mesh_values,
     _min,
+    _number,
     _pow,
     _prod,
     _scan_mesh,
@@ -275,7 +276,7 @@ def catalog(name: str, **params: float) -> FusionFunction:
     args, arity, label = (), 2, name
     if entry.param == "p":
         p = _require_positive(params, "p")
-        args, label = (p,), f"{name}:p={p:g}"
+        args, label = (p,), f"{name}:p={_number(p)}"
     elif entry.param == "n":
         arity = _require_arity(params)
         args, label = (arity,), f"{name}:n={arity}"
@@ -336,7 +337,7 @@ def truncate_overlap(overlap: FusionFunction, a: float) -> FusionFunction:
         fn=_vectorized(fn),
         arity=2,
         role="general_overlap",
-        label=f"trunc:{overlap.label},a={av:g}",
+        label=f"trunc:{overlap.label},a={_number(av)}",
         params=overlap.params + (("a", av),),
     )
 
@@ -439,7 +440,7 @@ def piecewise_neutral_go(e: float) -> FusionFunction:
         fn=_vectorized(fn),
         arity=2,
         role="general_overlap",
-        label=f"neutral_go:e={ev:g}",
+        label=f"neutral_go:e={_number(ev)}",
         params=(("e", ev),),
     )
 
@@ -458,7 +459,7 @@ def idempotent_go(p: float, q: float) -> FusionFunction:
         fn=_vectorized(fn),
         arity=2,
         role="general_overlap",
-        label=f"idem_go:p={pv:g},q={qv:g}",
+        label=f"idem_go:p={_number(pv)},q={_number(qv)}",
         params=(("p", pv), ("q", qv)),
     )
 

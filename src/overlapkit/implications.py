@@ -24,6 +24,14 @@ thresholds to nearby sample points, decides strict vs non-strict by
 evaluating at the candidate itself, and accepts a fit only when the fitted
 family reproduces the implication on the whole mesh.
 
+One builder makes the composite families: _composite(family, fn, *parts)
+marks fn vectorized and labels the result family(part labels) from the
+(key, part) pairs it also records as parts, so gon, tn, gn, ql, ro and d
+each state only their role check (_require) and their formula. gon, tn and
+recover_go share one formula, _negated(C, N) = N(C(x, N(y))); recover_go
+passes N^{-1} for N. crisp and aggregation.aggregate build their own
+records, since their labels are not family(part labels).
+
 Every constructor attaches one function, written once over numerics: the
 compositions (gon, tn, gn, ql, d, the natural negation and the recovered
 connective) over numerics._value, ql and d through the lazy
@@ -43,7 +51,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .conjunctors import AxiomReport, FusionFunction, _check_set
+from .conjunctors import ROLES, AxiomReport, FusionFunction, _check_set
 from .negations import Negation, inverse_negation
 from .numerics import (
     DEFAULT_CONFIG,
@@ -53,6 +61,7 @@ from .numerics import (
     _apart,
     _branch,
     _bracket,
+    _number,
     _product_mesh,
     _scan_mesh,
     _sup,
@@ -111,27 +120,32 @@ class CrispFit(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _require_binary(f: FusionFunction, who: str) -> None:
+def _require(f: FusionFunction, who: str, roles=(), what: str = "") -> None:
+    """Refuse f unless it is a binary FusionFunction and, when roles are given, its role is one of them."""
     if not isinstance(f, FusionFunction) or f.arity != 2:
         raise PreconditionError(f"{who} needs a binary FusionFunction")
+    if roles and f.role not in roles:
+        raise PreconditionError(f"{who} needs {what}")
 
 
-def _negated_composite(conn: FusionFunction, negation: Negation, family: str, key: str) -> Implication:
-    """N(C(x, N(y))): the body shared by gon and tn, labelled for family."""
-    who = f"make_{family}"
-    _require_binary(conn, who)
-    if conn.role == "grouping":
-        raise PreconditionError(f"{who} needs a conjunctive connective, not a grouping")
-
-    def fn(x, y, _c=conn, _n=negation):
-        return _value(_n, _value(_c, x, _value(_n, y)))
-
+def _composite(family: str, fn: Callable, *parts: tuple, params: tuple = ()) -> Implication:
+    """The family's implication with formula fn over parts, (key, object) pairs, labelled family(labels)."""
     return Implication(
         fn=_vectorized(fn),
-        label=f"{family}({conn.label}, {negation.label})",
+        label=f"{family}({', '.join(part.label for _, part in parts)})",
         family=family,
-        parts=((key, conn), ("negation", negation)),
+        parts=parts,
+        params=params,
     )
+
+
+def _negated(c, n) -> Callable:
+    """(x, y) -> N(C(x, N(y))): gon and tn with their N, recover_go with N^{-1}."""
+
+    def fn(x, y, _c=c, _n=n):
+        return _value(_n, _value(_c, x, _value(_n, y)))
+
+    return fn
 
 
 def make_gon(go: FusionFunction, negation: Negation) -> Implication:
@@ -140,24 +154,18 @@ def make_gon(go: FusionFunction, negation: Negation) -> Implication:
     GO does not need a neutral element; that freedom is what distinguishes
     this family from tn. Any binary non-grouping connective is accepted.
     """
-    return _negated_composite(go, negation, "gon", "go")
+    _require(go, "make_gon", [r for r in ROLES if r != "grouping"], "a conjunctive connective, not a grouping")
+    return _composite("gon", _negated(go, negation), ("go", go), ("negation", negation))
 
 
 def make_gn(grouping: FusionFunction, negation: Negation) -> Implication:
     """I(x,y) = G(N(x), y) for a binary grouping function G."""
-    _require_binary(grouping, "make_gn")
-    if grouping.role != "grouping":
-        raise PreconditionError("make_gn needs a grouping function")
+    _require(grouping, "make_gn", ("grouping",), "a grouping function")
 
     def fn(x, y, _g=grouping, _n=negation):
         return _value(_g, _value(_n, x), y)
 
-    return Implication(
-        fn=_vectorized(fn),
-        label=f"gn({grouping.label}, {negation.label})",
-        family="gn",
-        parts=(("grouping", grouping), ("negation", negation)),
-    )
+    return _composite("gn", fn, ("grouping", grouping), ("negation", negation))
 
 
 def make_ql(overlap: FusionFunction, grouping: FusionFunction) -> Implication:
@@ -165,23 +173,17 @@ def make_ql(overlap: FusionFunction, grouping: FusionFunction) -> Implication:
 
     Only this specialization is exposed; with other negations the shape
     fails the implication axioms and is deliberately not constructible here.
+    Both operands' arity is checked before either role.
     """
-    _require_binary(overlap, "make_ql")
-    _require_binary(grouping, "make_ql")
-    if overlap.role not in ("overlap", "general_overlap"):
-        raise PreconditionError("make_ql needs an overlap-role connective")
-    if grouping.role != "grouping":
-        raise PreconditionError("make_ql needs a grouping function")
+    _require(overlap, "make_ql")
+    _require(grouping, "make_ql")
+    _require(overlap, "make_ql", ("overlap", "general_overlap"), "an overlap-role connective")
+    _require(grouping, "make_ql", ("grouping",), "a grouping function")
 
     def fn(x, y, _o=overlap, _g=grouping):
         return _branch(x == 1.0, lambda ys: _value(_g, 0.0, _value(_o, 1.0, ys)), 1.0, y)
 
-    return Implication(
-        fn=_vectorized(fn),
-        label=f"ql({overlap.label}, {grouping.label})",
-        family="ql",
-        parts=(("overlap", overlap), ("grouping", grouping)),
-    )
+    return _composite("ql", fn, ("overlap", overlap), ("grouping", grouping))
 
 
 def make_residual(overlap: FusionFunction, config: CheckConfig = DEFAULT_CONFIG) -> Implication:
@@ -192,38 +194,23 @@ def make_residual(overlap: FusionFunction, config: CheckConfig = DEFAULT_CONFIG)
     guarantees the set is nonempty; a connective violating that surfaces as
     a precondition error at evaluation time.
     """
-    _require_binary(overlap, "make_residual")
-    if overlap.role not in ("overlap", "general_overlap", "t_norm"):
-        raise PreconditionError("make_residual needs a conjunctive connective")
+    _require(overlap, "make_residual", ("overlap", "general_overlap", "t_norm"), "a conjunctive connective")
     tol = config.bisect_tol
 
     def fn(x, y, _o=overlap, _tol=tol):
         return _sup(lambda xs, ys, z: _value(_o, xs, z) <= ys, _tol, x, y)
 
-    return Implication(
-        fn=_vectorized(fn),
-        label=f"ro({overlap.label})",
-        family="ro",
-        parts=(("overlap", overlap),),
-        params=(("bisect_tol", tol),),
-    )
+    return _composite("ro", fn, ("overlap", overlap), params=(("bisect_tol", tol),))
 
 
 def make_d(grouping: FusionFunction) -> Implication:
     """Two-branch disjunctive form: G(0, y) if x = 1, else 1."""
-    _require_binary(grouping, "make_d")
-    if grouping.role != "grouping":
-        raise PreconditionError("make_d needs a grouping function")
+    _require(grouping, "make_d", ("grouping",), "a grouping function")
 
     def fn(x, y, _g=grouping):
         return _branch(x == 1.0, lambda ys: _value(_g, 0.0, ys), 1.0, y)
 
-    return Implication(
-        fn=_vectorized(fn),
-        label=f"d({grouping.label})",
-        family="d",
-        parts=(("grouping", grouping),),
-    )
+    return _composite("d", fn, ("grouping", grouping))
 
 
 def make_tn(tnorm: FusionFunction, negation: Negation) -> Implication:
@@ -231,7 +218,8 @@ def make_tn(tnorm: FusionFunction, negation: Negation) -> Implication:
 
     The claim is not re-verified here; run check_axioms(T, "T") to audit it.
     """
-    return _negated_composite(tnorm, negation, "tn", "tnorm")
+    _require(tnorm, "make_tn", [r for r in ROLES if r != "grouping"], "a conjunctive connective, not a grouping")
+    return _composite("tn", _negated(tnorm, negation), ("tnorm", tnorm), ("negation", negation))
 
 
 def make_crisp_family(kind: str, alpha: float, beta: float) -> Implication:
@@ -258,7 +246,7 @@ def make_crisp_family(kind: str, alpha: float, beta: float) -> Implication:
 
     return Implication(
         fn=_vectorized(fn),
-        label=f"crisp({kind}, {a:g}, {b:g})",
+        label=f"crisp({kind}, {_number(a)}, {_number(b)})",
         family="crisp",
         params=(("alpha", a), ("beta", b)),
         parts=(("kind", kind),),
@@ -302,11 +290,8 @@ def recover_go(
         raise PreconditionError("recover_go requires a strict negation")
     inv = inverse_negation(negation, config.bisect_tol)
 
-    def fn(x, y, _i=implication, _inv=inv):
-        return _value(_inv, _value(_i, x, _value(_inv, y)))
-
     return FusionFunction(
-        fn=_vectorized(fn),
+        fn=_vectorized(_negated(implication, inv)),
         arity=2,
         role="general_overlap",
         label=f"recovered({implication.label})",

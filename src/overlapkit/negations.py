@@ -39,6 +39,7 @@ from .numerics import (
     _first,
     _invert,
     _jump_bound,
+    _number,
     _pow,
     _tensor,
     _vectorized,
@@ -117,12 +118,12 @@ def make_crisp(kind: str, alpha: float) -> Negation:
         if not 0.0 <= a < 1.0:
             raise PreconditionError("lower crisp negation needs alpha in [0,1)")
         fn = _vectorized(lambda x, _a=a: _where(x > _a, 0.0, 1.0))
-        label = f"crisp_lower:{a:g}"
+        label = f"crisp_lower:{_number(a)}"
     elif kind == "upper":
         if not 0.0 < a <= 1.0:
             raise PreconditionError("upper crisp negation needs alpha in (0,1]")
         fn = _vectorized(lambda x, _a=a: _where(x >= _a, 0.0, 1.0))
-        label = f"crisp_upper:{a:g}"
+        label = f"crisp_upper:{_number(a)}"
     else:
         raise PreconditionError(f"unknown crisp kind {kind!r} (want lower|upper)")
     return Negation(fn=fn, label=label, params=(("alpha", a),), is_crisp=True)
@@ -145,7 +146,7 @@ def make_power_strict(p: float) -> Negation:
         raise PreconditionError("power negation needs p > 0")
     return Negation(
         fn=_vectorized(lambda x, _p=pv: 1.0 - _pow(x, _p)),
-        label=f"power:{pv:g}",
+        label=f"power:{_number(pv)}",
         params=(("p", pv),),
         is_strict=True,
         is_strong=(pv == 1.0),

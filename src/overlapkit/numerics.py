@@ -437,6 +437,12 @@ def _vectorized(fn: Callable) -> Callable:
     return fn
 
 
+def _number(v: float) -> str:
+    """v as a label writes it: f"{v:g}" when that reads back as v, else repr(v), so the label names v exactly."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(v)
+
+
 def _is_array(*xs) -> bool:
     # A loop, not any() over a generator: this runs on every scalar primitive call.
     for x in xs:

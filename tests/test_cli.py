@@ -546,6 +546,10 @@ def test_compare_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["deviation"] == 0.0
     assert payload["samples_checked"] > 10000
+    # The labels sit under the verb's argument names, ahead of the comparison's float lhs and rhs.
+    assert list(payload)[:2] == ["expression", "expression2"]
+    assert payload["expression"] == payload["expression2"] == "gon(O_min, zadeh)"
+    assert isinstance(payload["lhs"], float) and isinstance(payload["rhs"], float)
 
 
 # --- table2 -----------------------------------------------------------------

@@ -1,0 +1,156 @@
+"""Contracts over expressions drawn from the grammar table cli._FORMS.
+
+Each form's example is a template: a call's arguments, and the pieces after
+a name's colon, that name a constructor are replaced by drawn expressions
+of that constructor's kind (its form's kind in cli._GRAMMAR, so an
+aggregation slot gets an aggregation), and the rest are parameters, drawn
+as numbers or, for a crisp kind, as one of the kinds. Calls nest at most
+two deep below the drawn expression. A form added to the grammar is drawn
+without editing this file.
+
+On the grid-11 sample mesh, for every drawn expression that parses:
+
+* values() gives the bits of the scalar call at every point, or the
+  exception (type and message) that the call raises at the first point
+  where it raises;
+* parse(obj.label) rebuilds the same label and the same bits.
+"""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+import overlapkit as ok
+from overlapkit import cli
+from overlapkit.implications import CRISP_KINDS
+from overlapkit.numerics import OverlapkitError, _sample_mesh
+
+CFG = ok.CheckConfig(grid_resolution=11)
+DEPTH = 2
+
+
+def _form_kind(piece: str):
+    """The kind of the form whose name heads piece (aggregation kept apart), or None for a parameter."""
+    match = cli._HEAD.match(piece)
+    entry = cli._GRAMMAR.get(match.group(1)) if match else None
+    return None if entry is None else entry[1].kind
+
+
+def _template(example: str) -> tuple[str, list[list[str]], str, str]:
+    """example as (prefix, groups of pieces, the separator of a group's pieces, suffix).
+
+    A call's groups are its ';'-separated argument lists; a name:REST has one
+    group, the ','-separated pieces of REST; any other name has none.
+    """
+    call = cli._call_form(example)
+    if call is not None:
+        head, inner = call
+        return f"{head}(", [cli._split_top(g, ",") for g in cli._split_top(inner, ";")], ", ", ")"
+    name, colon, rest = example.partition(":")
+    return (f"{name}:", [cli._split_top(rest, ",")], ",", "") if colon else (example, [], ",", "")
+
+
+def _is_leaf(example: str) -> bool:
+    _, groups, _, _ = _template(example)
+    return all(_form_kind(piece) is None for group in groups for piece in group)
+
+
+# form kind -> the examples of its forms, one per alternative of a name list (mean | min | ...).
+EXAMPLES: dict[str, list[str]] = {}
+for _f in cli._FORMS:
+    EXAMPLES.setdefault(_f.kind, []).extend(_f.example.split(" | "))
+
+# Most parameters lie in (0, 1] (thresholds, levels, e) or are small positive powers and arities.
+NUMBERS = st.one_of(
+    st.sampled_from(["0", "0.5", "1", "2", "3"]),
+    st.integers(min_value=0, max_value=4).map(str),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True).map(repr),
+    st.floats(min_value=0.0, max_value=4.0).map(repr),
+)
+
+
+def _piece(piece: str, depth: int) -> st.SearchStrategy[str]:
+    kind = _form_kind(piece)
+    if kind is not None:
+        return _expressions(kind, depth - 1)
+    key, eq, _ = piece.rpartition("=")
+    if eq:
+        return NUMBERS.map(lambda v: f"{key}={v}")
+    if piece in CRISP_KINDS:
+        return st.sampled_from(CRISP_KINDS)
+    return NUMBERS
+
+
+def _filled(example: str, depth: int) -> st.SearchStrategy[str]:
+    prefix, groups, sep, suffix = _template(example)
+    drawn = st.tuples(*(st.tuples(*(_piece(p, depth) for p in group)) for group in groups))
+    return drawn.map(lambda gs: prefix + "; ".join(sep.join(g) for g in gs) + suffix)
+
+
+def _expressions(kind: str, depth: int) -> st.SearchStrategy[str]:
+    """An expression of a form of kind whose calls nest at most depth deep."""
+    examples = [e for e in EXAMPLES[kind] if depth > 0 or _is_leaf(e)]
+    return st.sampled_from(examples).flatmap(lambda e: _filled(e, depth))
+
+
+EXPRESSIONS = st.sampled_from(sorted(EXAMPLES)).flatmap(lambda kind: _expressions(kind, DEPTH))
+
+
+def _parse(text: str):
+    """The object text names, or None when the grammar or a constructor refuses it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return cli._parse_any(text, CFG)
+        except (cli.ParseError, ok.PreconditionError):
+            return None
+
+
+def _outcome(evaluate):
+    """evaluate()'s value as bits, or its exception as (type, message)."""
+    try:
+        return evaluate().view(np.uint64).tolist()
+    except OverlapkitError as exc:
+        return type(exc), str(exc)
+
+
+def _scalar(obj, cols):
+    def evaluate():
+        return np.array([float(obj(*p)) for p in zip(*(c.tolist() for c in cols))], dtype=float)
+
+    return _outcome(evaluate)
+
+
+def _array(obj, cols):
+    return _outcome(lambda: obj.values(*cols))
+
+
+def test_the_strategy_reaches_every_form():
+    drawable = {e for examples in EXAMPLES.values() for e in examples}
+    assert drawable == {a for f in cli._FORMS for a in f.example.split(" | ")}
+    # Every example, filled with its own pieces, is a template of itself.
+    for example in drawable:
+        prefix, groups, sep, suffix = _template(example)
+        rebuilt = prefix + "; ".join(sep.join(g) for g in groups) + suffix
+        assert cli._parse_any(rebuilt, CFG).label == cli._parse_any(example, CFG).label
+
+
+@settings(max_examples=200)
+@given(text=EXPRESSIONS)
+# O_P:p=1e-17 at 0.9 rounds to 1, so the truncation raises at every point, through each composite.
+@example(text="agg(min; ro(trunc:O_P:p=1e-17,a=0.9), gon(O_min, zadeh))")
+@example(text="ql(trunc:O_P:p=1e-17,a=0.9, prob_sum)")
+def test_scalar_and_array_agree_and_the_label_parses_back(text):
+    obj = _parse(text)
+    assume(obj is not None)
+    cols = _sample_mesh(CFG, obj.arity)
+    scalar = _scalar(obj, cols)
+    assert _array(obj, cols) == scalar, text
+    again = _parse(obj.label)
+    assert again is not None, obj.label
+    assert again.label == obj.label
+    assert _scalar(again, cols) == scalar, obj.label

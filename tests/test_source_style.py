@@ -331,3 +331,65 @@ def test_a_use_of_the_block_loop_is_found():
         """
     )
     assert _name_uses(source, BLOCK_LOOP) == ["1:FIRST_BLOCK", "6:FIRST_BLOCK", "6:_blockwise", "9:_POINT_ERRORS"]
+
+
+# The builders of Implication records: the composite families, the crisp family and aggregate, whose labels differ.
+IMPLICATION_BUILDERS = {
+    ("implications", "_composite"),
+    ("implications", "make_crisp_family"),
+    ("aggregation", "aggregate"),
+}
+
+
+def _implication_calls(module: str, source: str) -> list[str]:
+    """line:owner for each call of Implication in source outside IMPLICATION_BUILDERS.
+
+    owner is the module-level definition that holds the call, or <module>; a
+    name that an import binds to Implication counts as Implication.
+    """
+    tree = ast.parse(source)
+    names = {"Implication"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.asname for alias in node.names if alias.name == "Implication" and alias.asname}
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called in names and (module, owner) not in IMPLICATION_BUILDERS:
+                found.append((node.lineno, owner))
+    return [f"{line}:{owner}" for line, owner in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_builders_call_implication(path):
+    calls = _implication_calls(path.stem, path.read_text(encoding="utf-8"))
+    assert calls == [], f"{path.name}: build composites with implications._composite: {calls}"
+
+
+def test_a_call_of_implication_is_found():
+    source = textwrap.dedent(
+        """\
+        from .implications import Implication, Implication as Imp
+        from . import implications
+
+        DEFAULT = Implication(fn=min, label="min", family="gon")
+
+
+        def _composite(family, fn, *parts):
+            return Implication(fn=fn, label=family, family=family, parts=parts)
+
+
+        def make_x(f):
+            def inner():
+                return implications.Implication(fn=f, label="x", family="gon")
+
+            return Imp(fn=f, label="x", family="gon"), inner, isinstance(f, Implication)
+        """
+    )
+    assert _implication_calls("implications", source) == ["4:<module>", "13:make_x", "15:make_x"]
+    assert _implication_calls("aggregation", source) == ["4:<module>", "8:_composite", "13:make_x", "15:make_x"]
