@@ -14,8 +14,10 @@ Verbs:
   and report the first property violation.
 * catalog: list every named constructor and its grammar.
 
-props, table2 and search scan through properties.check_property, and
-resolve every --prop name before the first scan. `eval --at` leaves a
+props and table2 scan through properties.check_properties, one
+implication at a time, so the rows that share a mesh walk it once; search
+scans through properties.check_property. Every --prop name is resolved
+before the first scan. `eval --at` leaves a
 wrong coordinate count to the connective's own argument check. A negative
 number is an argument, never an option string, in exponent notation and as
 -inf or -nan too, so `--range -1e-3 2` and `--at -inf 0.5` reach the
@@ -109,7 +111,7 @@ from .numerics import (
     load_config,
     uniform_grid,
 )
-from .properties import _PROPERTIES, PropertyReport, _property_id, check_property, compare
+from .properties import _PROPERTIES, PropertyReport, _property_id, check_properties, check_property, compare
 
 
 class ParseError(OverlapkitError):
@@ -532,7 +534,7 @@ def _cmd_props(args, config: CheckConfig) -> _Result:
     negation = parse_negation(args.negation)
     # Every name is resolved before the first scan runs.
     pids = list(_PROPERTIES) if args.prop.strip().lower() == "all" else [_prop_id(p) for p in args.prop.split(",")]
-    reports = [check_property(implication, pid, negation, config) for pid in pids]
+    reports = check_properties(implication, pids, negation, config)
     return _Result(
         [r.as_dict() for r in reports],
         _PROPS_HEADER,
@@ -589,10 +591,8 @@ def table2_instances():
 def table2_matrix(config: CheckConfig = DEFAULT_CONFIG):
     """Compute the yes/no matrix: rows TABLE2_PROPERTIES, one column per instance."""
     instances = table2_instances()
-    rows = {
-        prop: [_yes(check_property(impl, prop, neg, config).holds) for impl, neg in instances]
-        for prop in TABLE2_PROPERTIES
-    }
+    columns = [check_properties(impl, TABLE2_PROPERTIES, neg, config) for impl, neg in instances]
+    rows = {prop: [_yes(column[k].holds) for column in columns] for k, prop in enumerate(TABLE2_PROPERTIES)}
     return [impl.label for impl, _ in instances], rows
 
 

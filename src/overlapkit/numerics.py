@@ -56,23 +56,29 @@ columns is np.add(a, b) + 0.0, the one correctly rounded sum with fsum's
 sum from TwoSum steps and one rounding to odd; a non-finite sum, three
 terms near overflow, or four or more columns, runs math.fsum per point.
 The array path of _invert bisects each distinct y once (_distinct, from
-DISTINCT_FLOOR elements up). _twice evaluates one composite at two
-points: on floats one after the other, on arrays once on the joined
-columns, so each connective it nests is called once for both.
-_twice_negated evaluates g at two argument pairs picked from (x, y, n(x),
-n(y)), in the scalar order on floats and on arrays with one call of n and
-one of g.
+DISTINCT_FLOOR elements up). _joined evaluates one composite at several
+argument lists of 1-d arrays with one call, on their columns joined, so
+each connective it nests is called once for all of them.
 
-_scan_mesh is the first-witness scan and _mesh_values the full evaluation
-of a mesh, both over one block loop, _blockwise: a scan takes blocks
-doubling from FIRST_BLOCK (1024 points) up to SCAN_BLOCK (4096), a full
-evaluation blocks of MAX_BLOCK (16384), so the grid-101 pair mesh is one
-block. When a block raises UnitRangeError or PreconditionError, _blockwise
-bisects on the block's prefix length for the first point that raises,
-hands on the clean prefix before it and then raises that point's error as
-its float evaluation does. So the witness or error reported is the one met
-first in point order, with no point evaluated as a scalar but the raising
-one.
+Arrays reach values() in two forms: equal-length 1-d columns, the points
+of a mesh, or broadcast axes, float64 arrays of one dimension count that
+broadcast together, which _tensor passes ((m, 1) and (1, m) for a binary
+object) so that a term of one coordinate is computed once per axis
+value. The primitives are ufuncs or broadcast their arguments (_branch,
+and the per-point fallbacks of _fsum and _pow, through _pointwise), so
+both forms give the bits of the scalar call.
+
+_scan_rows is the one first-witness scan: it walks one mesh for several
+rows at once, each row leaving at its first witness, and _scan_mesh is
+its one-row case. It and _mesh_values, the full evaluation of a mesh, run
+on one block loop, _blockwise: a scan takes blocks doubling from
+FIRST_BLOCK (1024 points) up to SCAN_BLOCK (4096), a full evaluation
+blocks of MAX_BLOCK (16384), so the grid-101 pair mesh is one block. When
+a block raises UnitRangeError or PreconditionError, _blockwise bisects on
+the block's prefix length for the first point that raises, hands on the
+clean prefix before it and then raises that point's error as its float
+evaluation does. So the witness or error reported is the one met first in
+point order, with no point evaluated as a scalar but the raising one.
 
 _plain is the one serializer of the report dataclasses, and _Record gives
 each of them as_dict() through it.
@@ -81,7 +87,8 @@ The grid layer builds every sample mesh: _axis is the one reduced-grid
 rule, _sample_mesh the mesh the property scans walk (cached and read-only)
 and the one place its point order is written (properties.pair_points and
 triple_points yield its points), and _tensor the one full evaluation of an
-object on a product grid.
+object on a product grid, on its broadcast axes (_product_axes) unless
+the object is not vectorized or that raises.
 """
 
 from __future__ import annotations
@@ -411,12 +418,12 @@ def _jump_bound(resolution: int) -> float:
 # Block sizes of the mesh kernels. Each block of a composition pays a fixed
 # wrapper, range-check and dispatch cost (a CP block of gon(GO_max, zadeh)
 # took 64 us at 256 points and 85 us at 1024 on a shared 2-core x86-64
-# host), so blocks are large. But a call _twice joins past 8192 points
-# costs more than the call it saves (that CP block joined took 97 us at
-# 4096 points and 413 us at 8192, against 154 us as two calls), so a
+# host), so blocks are large. But a call joined past 8192 points costs
+# more than the call it saves (that CP block joined took 97 us at 4096
+# points and 413 us at 8192, against 154 us as two calls), so a
 # first-witness scan takes blocks doubling from FIRST_BLOCK up to
-# SCAN_BLOCK: a full scan of the grid-101 pair mesh (10,301 points) takes
-# 4 blocks. A full evaluation takes blocks of MAX_BLOCK, so that of the
+# SCAN_BLOCK, and _joined joins at most two of them: a full scan of the
+# grid-101 pair mesh (10,301 points) takes 4 blocks. A full evaluation takes blocks of MAX_BLOCK, so that of the
 # grid-101 pair mesh is one block.
 FIRST_BLOCK = 1024
 SCAN_BLOCK = 4096
@@ -482,10 +489,10 @@ class _Connective:
     """The one evaluation contract of Negation, FusionFunction and Implication.
 
     A subclass has fn, label and arity. Its call evaluates fn at a point and
-    range-checks the result into a UnitValue. values() broadcasts the arrays
-    xs to equal-length 1-d float64 arrays and evaluates them with fn and the
-    same range check when fn is marked _vectorized, and point by point
-    through the call when it is not. Both refuse a wrong argument count with
+    range-checks the result into a UnitValue. values() takes the arrays xs
+    as equal-length 1-d float64 columns or as broadcast axes (_columns) and
+    evaluates them with fn and the same range check when fn is marked
+    _vectorized, and point by point through the call when it is not. Both refuse a wrong argument count with
     the same PreconditionError. Each subclass binds __call__ =
     _Connective.__call__ as its own attribute, so a tracer (bench/spans.py)
     can wrap one class's scalar calls and count them apart.
@@ -509,19 +516,22 @@ class _Connective:
         xs = _columns(xs)
         if getattr(self.fn, "vectorized", False):
             return _checked(self.fn(*xs))
-        return np.array([float(self(*p)) for p in _scalar_points(xs)], dtype=float)
+        return _pointwise(lambda *p: float(self(*p)), xs)
 
 
 _FLOAT64 = np.dtype(np.float64)
 
 
 def _columns(xs: tuple) -> tuple[np.ndarray, ...]:
-    """xs broadcast to equal-length 1-d float64 arrays, the form values() evaluates.
+    """xs as the float64 arrays values() evaluates: equal-length 1-d columns, or broadcast axes.
 
     Compositions pass such columns, which come back as they are, and a
     float beside them becomes a constant column, without
     np.broadcast_arrays: it costs about 10 us a call, several times a whole
-    evaluation of a short block.
+    evaluation of a short block. float64 arrays of one dimension count
+    above 1 that broadcast together (_tensor's axes and what a formula
+    makes of them) also come back as they are, a float beside them as an
+    array of ones' shape; anything else is broadcast to 1-d columns.
     """
     n = None
     filled = False
@@ -535,7 +545,20 @@ def _columns(xs: tuple) -> tuple[np.ndarray, ...]:
     else:
         if n is not None:
             return tuple(np.full(n, x) if type(x) is float else x for x in xs) if filled else xs
+    arrays = [x for x in xs if type(x) is not float]
+    ndim = getattr(arrays[0], "ndim", 0) if arrays else 0
+    if ndim > 1 and all(type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == ndim for x in arrays):
+        # Raises the ValueError of np.broadcast_arrays when the shapes do not broadcast.
+        np.broadcast_shapes(*(x.shape for x in arrays))
+        return tuple(np.full((1,) * ndim, x) if type(x) is float else x for x in xs)
     return tuple(np.atleast_1d(c) for c in np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs)))
+
+
+def _pointwise(g: Callable[..., float], xs: tuple) -> np.ndarray:
+    """g at each point of xs, taken as Python floats, as an array of their broadcast shape."""
+    cols = np.broadcast_arrays(*xs)
+    values = [g(*p) for p in zip(*(c.ravel().tolist() for c in cols))]
+    return np.array(values, dtype=float).reshape(cols[0].shape)
 
 
 def _value(obj, *xs):
@@ -615,7 +638,7 @@ def _fsum(*xs):
         total = _fsum3(*xs)
         if total is not None:
             return total
-    return np.array([math.fsum(p) for p in _scalar_points(xs)], dtype=float)
+    return _pointwise(lambda *p: math.fsum(p), xs)
 
 
 # The columns whose powers are cheap while a mesh bracket runs, by id:
@@ -669,7 +692,7 @@ def _pow_column(base: np.ndarray, exponent: float) -> np.ndarray:
     with np.errstate(all="ignore"):
         result = np.float_power(base, exponent)
     if not np.isfinite(result).all():
-        result = np.array([b**exponent for b in base.tolist()], dtype=float)
+        result = _pointwise(lambda b: b**exponent, (base,))
     return result
 
 
@@ -723,51 +746,43 @@ def _branch(cond, branch: Callable, other, *xs):
     """branch(*xs) where cond holds, else other.
 
     On floats cond is a bool; on arrays a mask, and branch sees only the
-    elements of the arrays xs where it holds, as the scalar form would.
-    other is a float, or on arrays also an array of cond's shape.
+    elements of the arrays xs where it holds, as 1-d columns, as the scalar
+    form would. other is a float, or on arrays also an array. Arrays of
+    different shapes (broadcast axes) are broadcast to one shape first.
     """
     if not _is_array(cond):
         return branch(*xs) if cond else other
-    out = np.full(cond.shape, other, dtype=float)
+    shape = cond.shape
+    if any(type(x) is not np.ndarray or x.shape != shape for x in xs):
+        shape = np.broadcast_shapes(shape, *(np.shape(x) for x in xs))
+        cond = np.broadcast_to(cond, shape)
+        xs = tuple(np.broadcast_to(x, shape) for x in xs)
+    out = np.full(shape, other, dtype=float)
     if cond.any():
         out[cond] = branch(*(x[cond] for x in xs))
     return out
 
 
-def _twice(g: Callable, *pairs: tuple) -> tuple:
-    """(g(*firsts), g(*seconds)), the firsts and seconds being the entries of the (first, second) pairs.
+def _joined(g: Callable, calls: list) -> list:
+    """[g(*args) for args in calls], every args being 1-d arrays of one length, from few calls of g.
 
-    On floats g runs at the first point, then at the second. On equal-length
-    1-d arrays g runs once, on each pair joined into one column, and the two
-    halves of its result are returned: a composite g then calls each
-    connective once for both points, however deeply it nests them.
+    g runs once on consecutive calls' arrays joined, each argument
+    position into one column, up to two scan blocks (2 * SCAN_BLOCK
+    points; longer joined columns ran slower than the calls they save),
+    and its result is cut back into one array per call: a composite g
+    calls each connective it nests once for all of them.
     """
-    if not _is_array(*(v for pair in pairs for v in pair)):
-        return g(*(first for first, _ in pairs)), g(*(second for _, second in pairs))
-    values = g(*(np.concatenate(pair) for pair in pairs))
-    n = len(pairs[0][0])
-    return values[:n], values[n:]
-
-
-def _twice_negated(g: Callable, n: Callable, x, y, first: tuple, second: tuple) -> tuple:
-    """(g(*first), g(*second)), each argument picked by index from (x, y, n(x), n(y)).
-
-    On floats g runs on the first arguments, then on the second, and each
-    n(.) is evaluated where an argument first needs it: the order of the
-    expression written out point by point. On equal-length 1-d arrays n
-    runs once, on y joined to x, and g once, on the two argument lists
-    joined, both through _twice.
-    """
-    if not _is_array(x, y):
-        args = (x, y)
-
-        def pick(k):
-            return args[k] if k < 2 else n(args[k - 2])
-
-        return g(*(pick(k) for k in first)), g(*(pick(k) for k in second))
-    ny, nx = _twice(n, (y, x))
-    args = (x, y, nx, ny)
-    return _twice(g, *((args[a], args[b]) for a, b in zip(first, second)))
+    n = len(calls[0][0])
+    per = max(1, 2 * SCAN_BLOCK // max(1, n))
+    out = []
+    for k in range(0, len(calls), per):
+        group = calls[k : k + per]
+        if len(group) == 1:
+            out.append(g(*group[0]))
+            continue
+        values = g(*(np.concatenate(col) for col in zip(*group)))
+        out += [values[j * n : (j + 1) * n] for j in range(len(group))]
+    return out
 
 
 def _blocks(n: int, first: int, last: int):
@@ -783,8 +798,13 @@ def _scalar_points(cols: tuple):
     return zip(*(c.tolist() for c in cols))
 
 
+def _stretched(values, n: int) -> tuple:
+    """values as arrays of n points: an array of shape (n,) as it is, anything else filled into one."""
+    return tuple(v if type(v) is np.ndarray and v.shape == (n,) else np.full(n, v) for v in values)
+
+
 def _blockwise(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple], first: int, last: int):
-    """(start, arrays) for each block of _blocks over the columns cols, arrays being fn(*block) broadcast.
+    """(start, arrays) for each block of _blocks over the columns cols, arrays being fn(*block) _stretched.
 
     Points evaluate independently, so a prefix of a block raises exactly
     when one of its points does. A block that raises is bisected on its
@@ -800,7 +820,7 @@ def _blockwise(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple], first: in
         clean, raising, m = 0, stop - start + 1, stop - start
         while raising - clean > 1:
             try:
-                arrays, clean = np.broadcast_arrays(*fn(*(c[:m] for c in block))), m
+                arrays, clean = _stretched(fn(*(c[:m] for c in block)), m), m
             except _POINT_ERRORS as exc:
                 error, raising = exc, m
             m = (clean + raising) // 2
@@ -811,35 +831,60 @@ def _blockwise(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple], first: in
             raise error
 
 
+def _scan_rows(
+    cols: tuple[np.ndarray, ...], sides: Callable[..., list], relations: list
+) -> list[tuple[Optional[tuple], int, float]]:
+    """First-witness scans of several rows over the points given as columns, in one walk of its blocks.
+
+    sides(active, *coords) gives lhs and rhs of each row listed in active,
+    in one flat sequence, and relations[r](lhs, rhs) gives row r's
+    (failed, deviation), all on block arrays. A row leaves active at its
+    first failing point, and the walk ends when no row is left. Returns one
+    (witness, count, worst) per row, with Python floats: witness is (point,
+    lhs, rhs, deviation) of that point or None, count the points visited
+    (the failing one included), worst the largest deviation seen.
+
+    Blocks double in size from FIRST_BLOCK up to SCAN_BLOCK, so a scan
+    failing at point k evaluates at most about 2k points plus one block.
+    When a point's sides raise, the rows with a witness before that point
+    keep it and, if any row is left, the point's error is raised, as a
+    point-by-point scan of that row would raise it.
+    """
+    active = list(range(len(relations)))
+    found, counts, worst = [None] * len(active), [0] * len(active), [0.0] * len(active)
+    for start, arrays in _blockwise(cols, partial(sides, active), FIRST_BLOCK, SCAN_BLOCK):
+        pairs = iter(arrays)
+        for r, lhs, rhs in zip(tuple(active), pairs, pairs):
+            failed, deviation = relations[r](lhs, rhs)
+            hit = _first(failed)
+            end = len(lhs) if hit is None else hit[0] + 1
+            counts[r] += end
+            worst[r] = max(worst[r], float(deviation[:end].max()))
+            if hit is not None:
+                (k,) = hit
+                point = tuple(float(c[start + k]) for c in cols)
+                found[r] = (point, float(lhs[k]), float(rhs[k]), float(deviation[k]))
+                active.remove(r)
+        if not active:
+            break
+    return list(zip(found, counts, worst))
+
+
 def _scan_mesh(
     cols: tuple[np.ndarray, ...],
     sides: Callable[..., tuple],
     relation: Callable,
 ) -> tuple[Optional[tuple], int, float]:
-    """First-witness scan of a pointwise relation over the points given as columns.
+    """First-witness scan of a pointwise relation over the points given as columns: _scan_rows of one row.
 
     sides(*coords) gives (lhs, rhs) and relation(lhs, rhs) gives (failed,
-    deviation), both on block arrays. Stops at the first failing point.
-    Returns (witness, count, worst) with Python floats: witness is (point,
-    lhs, rhs, deviation) of that point or None, count the points visited
-    (the failing one included), worst the largest deviation seen. Blocks
-    double in size from FIRST_BLOCK up to SCAN_BLOCK, so a scan failing at
-    point k evaluates at most about 2k points plus one block. When a point's
-    sides raise, the scan reports a witness before that point if there is
-    one and raises the point's error otherwise, as a point-by-point scan
-    would.
+    deviation), both on block arrays. Returns (witness, count, worst) as
+    _scan_rows does. When a point's sides raise, the scan reports a witness
+    before that point if there is one and raises the point's error
+    otherwise, as a point-by-point scan would.
     """
-    worst = 0.0
-    for start, (lhs, rhs) in _blockwise(cols, sides, FIRST_BLOCK, SCAN_BLOCK):
-        failed, deviation = relation(lhs, rhs)
-        hit = _first(failed)
-        if hit is not None:
-            (k,) = hit
-            worst = max(worst, float(deviation[: k + 1].max()))
-            point = tuple(float(c[start + k]) for c in cols)
-            return (point, float(lhs[k]), float(rhs[k]), float(deviation[k])), start + k + 1, worst
-        worst = max(worst, float(deviation.max()))
-    return None, len(cols[0]), worst
+    (result,) = _scan_rows(cols, lambda active, *coords: sides(*coords), [relation])
+    return result
 
 
 def _mesh_values(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple]) -> tuple[np.ndarray, ...]:
@@ -864,12 +909,22 @@ def _axis(config: CheckConfig, arity: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, 21 if arity == 3 else 11)
 
 
-def _product_mesh(axis: np.ndarray, arity: int) -> tuple[np.ndarray, ...]:
-    """Columns of itertools.product(axis, repeat=arity), in its order, refused above MAX_GRID_POINTS."""
+def _product_axes(axis: np.ndarray, arity: int) -> tuple[np.ndarray, ...]:
+    """axis once per argument, shaped to broadcast to the product grid, refused above MAX_GRID_POINTS.
+
+    Argument k's axis runs along dimension k: (m, 1) and (1, m) for two
+    arguments, (m, 1, 1), (1, m, 1) and (1, 1, m) for three.
+    """
     # Compared as logarithms, so a huge arity never builds len(axis)**arity.
     if arity * math.log(len(axis)) > math.log(MAX_GRID_POINTS):
         raise PreconditionError(f"arity {arity} needs {len(axis)}^{arity} points, more than {MAX_GRID_POINTS}")
-    return tuple(g.ravel() for g in np.meshgrid(*[np.asarray(axis, dtype=float)] * arity, indexing="ij"))
+    axis = np.asarray(axis, dtype=float)
+    return tuple(axis.reshape([-1 if j == k else 1 for j in range(arity)]) for k in range(arity))
+
+
+def _product_mesh(axis: np.ndarray, arity: int) -> tuple[np.ndarray, ...]:
+    """Columns of itertools.product(axis, repeat=arity), in its order, refused above MAX_GRID_POINTS."""
+    return tuple(np.broadcast_to(a, (len(axis),) * arity).flatten() for a in _product_axes(axis, arity))
 
 
 def _grid_mesh(config: CheckConfig, arity: int) -> tuple[np.ndarray, ...]:
@@ -894,9 +949,29 @@ def _sample_mesh(config: CheckConfig, arity: int) -> tuple[np.ndarray, ...]:
 
 
 def _tensor(f, axis: np.ndarray) -> np.ndarray:
-    """f (a Negation, FusionFunction or Implication) on the product grid of axis, one tensor axis per argument."""
+    """f (a Negation, FusionFunction or Implication) on the product grid of axis, one tensor axis per argument.
+
+    A vectorized f is evaluated on the broadcast axes of _product_axes, in
+    slabs along the first of at most MAX_BLOCK points (one slab up to grid
+    128 for two arguments), so a term of one coordinate is computed once
+    per axis value. An unmarked f, or one whose broadcast evaluation
+    raises, is evaluated on the flattened grid by _mesh_values, which
+    raises the error of the first raising point in C order.
+    """
+    axes = _product_axes(axis, f.arity)
+    shape = (len(axis),) * f.arity
+    if getattr(f.fn, "vectorized", False):
+        out = np.empty(shape)
+        rows = max(1, MAX_BLOCK // math.prod(shape[1:]))
+        try:
+            for start in range(0, len(axis), rows):
+                out[start : start + rows] = f.values(axes[0][start : start + rows], *axes[1:])
+            return out
+        except Exception:
+            # Whatever raised, the flat path below raises the first raising point's error, or evaluates.
+            pass
     (vals,) = _mesh_values(_product_mesh(axis, f.arity), lambda *p: (_value(f, *p),))
-    return vals.reshape((len(axis),) * f.arity)
+    return vals.reshape(shape)
 
 
 def _first(mask: np.ndarray) -> Optional[tuple[int, ...]]:

@@ -21,31 +21,43 @@ deterministic.
 
 The ten scans are the rows of one table, _PROPERTIES, keyed by report id:
 the mesh each walks, its two sides, the relation that fails a point and the
-note. check_property is the one entry point: it takes a report id or the
-same id without its hyphen (L-CP or LCP) and runs the row on
-numerics._scan_mesh, which evaluates the mesh as arrays in blocks doubling
-from 1024 up to 4096 points and reports the witness or error a
-point-by-point scan would. On a block, EP and EP1 join their four
-nestings into two implication calls (numerics._twice), and CP, L-CP and
-R-CP theirs into one negation call, on y and x joined, and one
-implication call, on both sides joined (numerics._twice_negated); a
+note. A side is a term over the mesh coordinates x, y and z, built from the
+implication I and the negation N, as the property is written: CP compares
+I(x, y) with I(N(y), N(x)). check_property takes a report id or the same id
+without its hyphen (L-CP or LCP) and runs the row on numerics._scan_mesh,
+which evaluates the mesh as arrays in blocks doubling from 1024 up to 4096
+points and reports the witness or error a point-by-point scan would.
+check_properties runs several rows and returns what check_property returns
+for each: the rows that walk one mesh (IB, CP, L-CP and R-CP the pair
+mesh, EP and EP1 the triple mesh) are scanned together on
+numerics._scan_rows, and a row leaves the walk at its first witness. If
+that raises anything, the rows run one by one in the order asked.
+
+On a block the terms of the rows still walking are evaluated once each:
+the negation in one call, on every coordinate it takes joined, then the
+implication in one call per nesting level, on the arguments of every term
+of that level joined (numerics._joined). So CP, L-CP and R-CP share N(x),
+N(y) and, with IB, I(x, y), and EP and EP1 share all four nestings. A
 single point is evaluated as floats in the order the sides are written.
-check_unary_property, check_ep and
-check_contraposition only refuse an id outside their group and call it.
-NP and IP walk the sorted samples, the other pairwise scans
-numerics._sample_mesh (the uniform grid mesh plus seeded random pairs), EP
-and EP1 the triple mesh on the reduced grid of numerics._axis (21 points)
-plus random triples. pair_points and triple_points yield the points of
-those meshes as Python floats, in numerics._sample_mesh's order, so they
-too refuse a mesh of more than numerics.MAX_GRID_POINTS points. compare
-evaluates the whole pair mesh with numerics._mesh_values, range_is_proper
-the sample square with numerics._tensor.
+check_unary_property, check_ep and check_contraposition only refuse an id
+outside their group and call check_property.
+
+NP and IP walk the sorted samples, LOP and ROP the pairs of
+numerics._sample_mesh (the uniform grid mesh plus seeded random pairs)
+with x <= y and x > y, each its own mesh, the other pairwise scans the
+whole pair mesh, EP and EP1 the triple mesh on the reduced grid of
+numerics._axis (21 points) plus random triples. A row's mesh is built
+once per config (_walked). pair_points and triple_points yield the points
+of those meshes as Python floats, in numerics._sample_mesh's order, so
+they too refuse a mesh of more than numerics.MAX_GRID_POINTS points.
+compare evaluates the whole pair mesh with numerics._mesh_values,
+range_is_proper the sample square with numerics._tensor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -57,14 +69,15 @@ from .numerics import (
     CheckConfig,
     PreconditionError,
     _apart,
+    _is_array,
+    _joined,
     _mesh_values,
     _Record,
     _sample_mesh,
     _scalar_points,
     _scan_mesh,
+    _scan_rows,
     _tensor,
-    _twice,
-    _twice_negated,
     _value,
     sorted_samples,
 )
@@ -131,17 +144,27 @@ def triple_points(config: CheckConfig) -> Iterator[tuple[float, float, float]]:
     yield from _scalar_points(_sample_mesh(config, 3))
 
 
+# A side is a term over the mesh coordinates "x", "y" and "z": a coordinate,
+# a float, ("N", c) the negation at coordinate c, or ("I", a, b) the
+# implication at the terms a and b.
+def _i(a, b) -> tuple:
+    return ("I", a, b)
+
+
+def _n(c: str) -> tuple:
+    return ("N", c)
+
+
 class _Property(NamedTuple):
     """A row of _PROPERTIES.
 
-    mesh(config) gives the columns to scan; sides(i, n, *point) the (lhs,
-    rhs), with i and n the implication and the negation under
-    numerics._value; relation(eq_tol) the test of a point;
-    note.format(negation) the report's note.
+    mesh(config) gives the columns to scan, sides the (lhs, rhs) terms,
+    relation(eq_tol) the test of a point and note.format(negation) the
+    report's note.
     """
 
     mesh: Callable[[CheckConfig], tuple]
-    sides: Callable[..., tuple]
+    sides: tuple
     relation: Callable[[float], Callable] = _apart
     note: str = ""
 
@@ -153,48 +176,34 @@ def _pairs_where(keep: Callable, config: CheckConfig) -> tuple[np.ndarray, np.nd
     return x[mask], y[mask]
 
 
-def _at_one(i, n, x, y):
-    # IP and LOP compare with 1 by _apart: |v - 1| is 1 - v exactly for v <= 1.
-    return i(x, y), 1.0
-
-
-def _ib_sides(i, n, x, y):
-    inner = i(x, y)
-    return i(x, inner), inner
-
-
-def _ep_sides(i, n, x, y, z):
-    # Both sides are I(a, I(b, z)), at (a, b) = (x, y) and (y, x): on a mesh, two calls of I.
-    return _twice(lambda a, b, c: i(a, i(b, c)), (x, y), (y, x), (z, z))
-
-
 _pairs = partial(_sample_mesh, arity=2)
 _triples = partial(_sample_mesh, arity=3)
 _BY_NEGATION = "negation {0.label}"
+# IP, LOP and ROP compare I(x, y) with 1. By _apart (IP and LOP), |v - 1| is 1 - v exactly for v <= 1.
+_AT_ONE = (_i("x", "y"), 1.0)
+_EXCHANGED = (_i("x", _i("y", "z")), _i("y", _i("x", "z")))
 
 _PROPERTIES = {
-    "NP": _Property(lambda c: np.broadcast_arrays(1.0, sorted_samples(c)), lambda i, n, x, y: (i(x, y), y)),
-    "IP": _Property(lambda c: (sorted_samples(c),) * 2, _at_one),
-    "LOP": _Property(partial(_pairs_where, np.less_equal), _at_one),
+    "NP": _Property(lambda c: np.broadcast_arrays(1.0, sorted_samples(c)), (_i("x", "y"), "y")),
+    "IP": _Property(lambda c: (sorted_samples(c),) * 2, _AT_ONE),
+    "LOP": _Property(partial(_pairs_where, np.less_equal), _AT_ONE),
     "ROP": _Property(
         partial(_pairs_where, np.greater),
-        _at_one,
+        _AT_ONE,
         lambda tol: lambda lhs, rhs: (lhs >= rhs - tol, rhs - lhs),
         "strict bound: values within eq_tol of 1 violate ROP; witness deviation is the distance to 1",
     ),
-    "IB": _Property(_pairs, _ib_sides),
-    "EP": _Property(_triples, _ep_sides),
+    "IB": _Property(_pairs, (_i("x", _i("x", "y")), _i("x", "y"))),
+    "EP": _Property(_triples, _EXCHANGED),
     "EP1": _Property(
         _triples,
-        _ep_sides,
+        _EXCHANGED,
         lambda tol: lambda lhs, rhs: ((lhs >= 1.0 - tol) & (rhs < 1.0 - tol), 1.0 - rhs),
         "one side at 1 must force the other to 1",
     ),
-    # Each side is I at two of (x, y, N(x), N(y)), by index: CP compares I(x, y) with I(N(y), N(x)).
-    # On a mesh a block takes one call of N, on y and x joined, and one of I, on both sides joined.
-    "CP": _Property(_pairs, partial(_twice_negated, first=(0, 1), second=(3, 2)), note=_BY_NEGATION),
-    "L-CP": _Property(_pairs, partial(_twice_negated, first=(2, 1), second=(3, 0)), note=_BY_NEGATION),
-    "R-CP": _Property(_pairs, partial(_twice_negated, first=(0, 3), second=(1, 2)), note=_BY_NEGATION),
+    "CP": _Property(_pairs, (_i("x", "y"), _i(_n("y"), _n("x"))), note=_BY_NEGATION),
+    "L-CP": _Property(_pairs, (_i(_n("x"), "y"), _i(_n("y"), "x")), note=_BY_NEGATION),
+    "R-CP": _Property(_pairs, (_i("x", _n("y")), _i("y", _n("x"))), note=_BY_NEGATION),
 }
 
 
@@ -210,6 +219,98 @@ def _property_id(prop: str) -> str:
     return pid
 
 
+@lru_cache(maxsize=256)
+def _plan(sides: tuple) -> tuple:
+    """How _sides evaluates the (lhs, rhs) pairs sides: (sides, start, levels, outs).
+
+    Every coordinate, float and term has a slot of a list: x, y and z the
+    first three, then the floats and the terms. start holds the floats in
+    their slots after the coordinates' and None in the terms', outs the
+    slots of the sides in order, and levels run from the negation's terms
+    to the implication's terms nested deepest, each as (negates, slots,
+    argument slots).
+    """
+    slots: dict = dict(zip("xyz", range(3)))
+    start: list = []
+    levels: dict = {}
+
+    def gather(t) -> int:
+        if t not in slots:
+            slots[t] = len(slots)
+            start.append(t if type(t) is float else None)
+        if type(t) is not tuple:
+            return 0
+        level = 0 if t[0] == "N" else 1 + max(gather(t[1]), gather(t[2]))
+        levels.setdefault(level, {})[t] = None
+        return level
+
+    for t in (t for pair in sides for t in pair):
+        gather(t)
+    steps = tuple(
+        (level == 0, tuple(slots[t] for t in terms), tuple(tuple(slots[a] for a in t[1:]) for t in terms))
+        for level, terms in sorted(levels.items())
+    )
+    return sides, start, steps, tuple(slots[t] for pair in sides for t in pair)
+
+
+def _sides(plan: tuple, implication, negation, *coords) -> list:
+    """lhs and rhs of each pair of the plan's sides (_plan), in one list, at the point or on the block coords.
+
+    At a point each term is evaluated once, where it is first needed, in
+    the order the sides are written. On a block the negation is called
+    once, on every coordinate it takes joined, and then the implication
+    once per nesting level, on the arguments of every term of that level
+    joined (numerics._joined).
+    """
+    sides, start, levels, outs = plan
+    if not _is_array(*coords):
+        value = dict(zip("xyz", coords))
+
+        def walk(t):
+            if type(t) is float:
+                return t
+            if t not in value:
+                value[t] = _value(negation if t[0] == "N" else implication, *(walk(a) for a in t[1:]))
+            return value[t]
+
+        return [walk(t) for pair in sides for t in pair]
+    vals = [*coords, *(None,) * (3 - len(coords)), *start]
+    for negates, slots, arguments in levels:
+        g = negation.values if negates else implication.values
+        for slot, v in zip(slots, _joined(g, [[vals[a] for a in args] for args in arguments])):
+            vals[slot] = v
+    return [vals[slot] for slot in outs]
+
+
+@lru_cache(maxsize=16)
+def _walked(pid: str, config: CheckConfig) -> tuple:
+    """The columns row pid walks, read-only; cached like numerics._sample_mesh, as a search scans one row often."""
+    cols = _PROPERTIES[pid].mesh(config)
+    for col in cols:
+        col.setflags(write=False)
+    return cols
+
+
+def _scan(implication: Implication, pids: list, negation: Optional[Negation], config: CheckConfig) -> list:
+    """The reports of the rows pids, which share one mesh, from one walk of it (numerics._scan_rows)."""
+    rows = [_PROPERTIES[pid] for pid in pids]
+    for pid, row in zip(pids, rows):
+        # The rows whose note names the negation are the rows that evaluate it.
+        if negation is None and row.note == _BY_NEGATION:
+            raise PreconditionError(f"{pid} needs a negation")
+    cols = _walked(pids[0], config)
+    relations = [row.relation(config.eq_tol) for row in rows]
+    if len(rows) == 1:
+        results = [_scan_mesh(cols, partial(_sides, _plan((rows[0].sides,)), implication, negation), *relations)]
+    else:
+
+        def sides(active, *coords):
+            return _sides(_plan(tuple(rows[r].sides for r in active)), implication, negation, *coords)
+
+        results = _scan_rows(cols, sides, relations)
+    return [_report(pid, w, n, row.note.format(negation)) for pid, row, (w, n, _) in zip(pids, rows, results)]
+
+
 def check_property(
     implication: Implication, prop: str, negation: Optional[Negation] = None, config: CheckConfig = DEFAULT_CONFIG
 ) -> PropertyReport:
@@ -218,14 +319,33 @@ def check_property(
     CP, L-CP and R-CP evaluate the negation, so they refuse a missing one;
     the other properties ignore it.
     """
-    pid = _property_id(prop)
-    row = _PROPERTIES[pid]
-    # The rows whose note names the negation are the rows that evaluate it.
-    if negation is None and row.note == _BY_NEGATION:
-        raise PreconditionError(f"{pid} needs a negation")
-    sides = partial(row.sides, partial(_value, implication), partial(_value, negation))
-    witness, count, _ = _scan_mesh(row.mesh(config), sides, row.relation(config.eq_tol))
-    return _report(pid, witness, count, row.note.format(negation))
+    (report,) = _scan(implication, [_property_id(prop)], negation, config)
+    return report
+
+
+def check_properties(
+    implication: Implication, pids, negation: Optional[Negation] = None, config: CheckConfig = DEFAULT_CONFIG
+) -> list[PropertyReport]:
+    """[check_property(implication, pid, negation, config) for pid in pids], walking each mesh once.
+
+    The rows that share a mesh are scanned in one walk (numerics._scan_rows),
+    where each block evaluates the terms they share once and a row drops
+    out at its first witness. If that raises anything, the rows are run one
+    by one in the order of pids, so the reports, or the error, are those
+    of the one-by-one calls. pids may name a row twice.
+    """
+    try:
+        ids = [_property_id(pid) for pid in pids]
+        groups: dict = {}
+        for pid in dict.fromkeys(ids):
+            groups.setdefault(_PROPERTIES[pid].mesh, []).append(pid)
+        reports = {}
+        for group in groups.values():
+            reports.update(zip(group, _scan(implication, group, negation, config)))
+        return [reports[pid] for pid in ids]
+    except Exception:
+        # Whatever raised, row by row raises what check_property raises, at the row that meets it.
+        return [check_property(implication, pid, negation, config) for pid in pids]
 
 
 def check_unary_property(

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from overlapkit import cli, dumps, numerics
 from overlapkit.cli import _CATALOG_ROWS, _build_parser, _head_kind, run
-from overlapkit.properties import check_property
+from overlapkit.properties import check_properties, check_property
 
 
 def _lines(capsys) -> list[str]:
@@ -483,14 +483,19 @@ def test_props_contraposition_negation_flag(capsys):
 
 @pytest.fixture
 def scans(monkeypatch):
-    """The property ids the CLI's scans were asked for, in call order."""
+    """What the CLI's scans were asked for, in call order: a property id per scan, a list of ids per batch."""
     asked = []
 
     def counting(implication, prop, negation=None, config=numerics.DEFAULT_CONFIG):
         asked.append(prop)
         return check_property(implication, prop, negation, config)
 
+    def counting_batch(implication, pids, negation=None, config=numerics.DEFAULT_CONFIG):
+        asked.append(list(pids))
+        return check_properties(implication, pids, negation, config)
+
     monkeypatch.setattr(cli, "check_property", counting)
+    monkeypatch.setattr(cli, "check_properties", counting_batch)
     return asked
 
 
@@ -506,9 +511,9 @@ def test_props_refuses_an_unknown_name_before_any_scan(names, scans, capsys):
 def test_props_names_take_any_case_and_hyphens(scans, capsys):
     argv = ["props", "gon(O_min, zadeh)", "--prop", " l-cp , ep1,R-CP,np ", "--grid", "11", "--format", "csv"]
     assert run(argv) == 0
-    assert scans == ["L-CP", "EP1", "R-CP", "NP"]
+    assert scans == [["L-CP", "EP1", "R-CP", "NP"]]
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    assert [r[0] for r in rows[1:]] == scans
+    assert [r[0] for r in rows[1:]] == scans[0]
 
 
 @pytest.mark.parametrize(

@@ -51,6 +51,7 @@ PUBLIC_NAMES = [
     "check_ep",
     "check_idempotent",
     "check_implication_axioms",
+    "check_properties",
     "check_property",
     "check_unary_property",
     "classify",
@@ -93,6 +94,12 @@ PUBLIC_NAMES = [
 _EMPTY = inspect.Parameter.empty
 
 CHECKER_PARAMETERS = {
+    "check_properties": [
+        ("implication", _EMPTY),
+        ("pids", _EMPTY),
+        ("negation", None),
+        ("config", ok.DEFAULT_CONFIG),
+    ],
     "check_property": [
         ("implication", _EMPTY),
         ("prop", _EMPTY),

@@ -14,18 +14,26 @@ On the grid-11 sample mesh, for every drawn expression that parses:
   exception (type and message) that the call raises at the first point
   where it raises;
 * parse(obj.label) rebuilds the same label and the same bits.
+
+On a small product grid of every arity, numerics._tensor, which evaluates
+a vectorized object on broadcast axes, gives the bits of the flat
+evaluation (the grid's points as 1-d columns, in blocks), or its error; an
+unmarked object, or one whose broadcast evaluation raises, takes the flat
+path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import overlapkit as ok
-from overlapkit import cli
+from overlapkit import cli, numerics
 from overlapkit.implications import CRISP_KINDS
 from overlapkit.numerics import OverlapkitError, _sample_mesh
 
@@ -154,3 +162,85 @@ def test_scalar_and_array_agree_and_the_label_parses_back(text):
     assert again is not None, obj.label
     assert again.label == obj.label
     assert _scalar(again, cols) == scalar, obj.label
+
+
+# The product grids of the _tensor contract: the grid-11 axis and a few random
+# points, fewer points per axis from arity 3 up so a grid stays small.
+_AXIS = np.sort(np.concatenate((numerics.uniform_grid(CFG), numerics.random_points(CFG)[:6])))
+AXES = {1: _AXIS, 2: _AXIS, 3: _AXIS[::2]}
+
+
+def _flat(obj, axis):
+    """obj on the product grid of axis evaluated flat: its points as 1-d columns, in blocks."""
+    cols = numerics._product_mesh(axis, obj.arity)
+    (values,) = numerics._mesh_values(cols, lambda *p: (numerics._value(obj, *p),))
+    return values.reshape((len(axis),) * obj.arity)
+
+
+@settings(max_examples=200)
+@given(text=EXPRESSIONS)
+@example(text="zadeh")
+@example(text="GO_PN:n=3")
+@example(text="GO_PN:n=4")
+@example(text="ro(O_P:p=2)")
+@example(text="ql(trunc:O_P:p=1e-17,a=0.9, prob_sum)")
+def test_tensor_bits_on_broadcast_axes_are_the_flat_evaluation(text):
+    obj = _parse(text)
+    assume(obj is not None)
+    axis = AXES.get(obj.arity, _AXIS[::3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert _outcome(lambda: numerics._tensor(obj, axis)) == _outcome(lambda: _flat(obj, axis)), text
+
+
+def _flat_calls(monkeypatch) -> list:
+    """The calls _tensor makes to the flat path (numerics._mesh_values), recorded while the test runs."""
+    calls = []
+    flat = numerics._mesh_values
+
+    def recorded(cols, fn):
+        calls.append(len(cols[0]))
+        return flat(cols, fn)
+
+    monkeypatch.setattr(numerics, "_mesh_values", recorded)
+    return calls
+
+
+def test_tensor_bits_take_the_flat_path_when_unmarked_or_raising(monkeypatch):
+    axis = AXES[2]
+    gon = cli.parse_implication("gon(GO_TL:p=2, zadeh)", CFG)
+    want = _flat(gon, axis).view(np.uint64).tolist()
+    calls = _flat_calls(monkeypatch)
+    # Vectorized: one evaluation on broadcast axes, no flat one.
+    assert numerics._tensor(gon, axis).view(np.uint64).tolist() == want
+    assert calls == []
+    # Unmarked (dataclasses.replace drops the mark): the flat path alone.
+    unmarked = dataclasses.replace(gon, fn=lambda x, y: gon.fn(x, y))
+    assert numerics._tensor(unmarked, axis).view(np.uint64).tolist() == want
+    assert calls == [len(axis) ** 2]
+    # Any error on broadcast axes, here one a 1-d column never meets, falls back to the flat path.
+    calls.clear()
+
+    def columns_only(x, y):
+        if x.ndim > 1:
+            raise TypeError("columns only")
+        return gon.fn(x, y)
+
+    picky = dataclasses.replace(gon, fn=numerics._vectorized(columns_only))
+    assert numerics._tensor(picky, axis).view(np.uint64).tolist() == want
+    assert calls == [len(axis) ** 2]
+    # A library error is raised as the flat path raises it: the first raising point's, in C order.
+    calls.clear()
+    leaky = ok.FusionFunction(
+        fn=numerics._vectorized(lambda x, y: numerics._where(x + y > 1.5, 1.0 + x, numerics._min(x, y))),
+        arity=2,
+        role="overlap",
+        label="leaky_min",
+    )
+    with pytest.raises(ok.UnitRangeError) as flat_error:
+        _flat(leaky, axis)
+    calls.clear()
+    with pytest.raises(ok.UnitRangeError) as tensor_error:
+        numerics._tensor(leaky, axis)
+    assert str(tensor_error.value) == str(flat_error.value)
+    assert calls == [len(axis) ** 2]

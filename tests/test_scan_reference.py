@@ -22,7 +22,9 @@ report, or raise, what the scalar reference does. EP and EP1, which join
 their four evaluations into two calls on a mesh, and CP, L-CP and R-CP,
 which join theirs into one negation call and one implication call, are
 also checked against the sides written out point by point, on connectives
-that leak in the second half of a joined call.
+that leak in the second half of a joined call. check_properties, which
+walks a shared mesh once for several rows, must report, or raise, what
+check_property reports row by row, on the same leaky connectives.
 """
 
 from __future__ import annotations
@@ -107,6 +109,9 @@ def test_array_scan_matches_scalar_reference(k, scalar_kernels):
     implication, negation = INSTANCES[k]
     other = INSTANCES[(k + 1) % len(INSTANCES)][0]
     got = _reports(implication, negation, other)
+    # The ten rows in one call, rows sharing a mesh walking it together over several blocks.
+    together = properties.check_properties(implication, list(properties._PROPERTIES), negation)
+    assert [r.as_dict() for r in together] == got[:-1]
     scalar_kernels()
     assert got == _reports(implication, negation, other)
 
@@ -349,6 +354,99 @@ def test_leaky_checks_match_the_scalar_reference(cx, cy, leak, base, vectorized,
         patch.setattr(properties, "_scan_mesh", _scalar_scan_mesh)
         patch.setattr(properties, "_mesh_values", _scalar_mesh_values)
         assert got == _outcomes(implication, negation, other, config)
+
+
+def _batch_outcome(run):
+    """run()'s reports as dicts, or the class and text of the library error it raises."""
+    try:
+        return [report.as_dict() for report in run()]
+    except ok.OverlapkitError as error:
+        return type(error), str(error)
+
+
+# Every spelling check_property takes: the report ids and the ids without their hyphen.
+SPELLINGS = sorted(set(properties._PROPERTIES) | set(properties._UNHYPHENATED))
+
+
+@settings(max_examples=30)
+@given(
+    cx=st.floats(0.0, 1.0),
+    cy=st.floats(0.0, 1.0),
+    leak=st.sampled_from(sorted(LEAKS)),
+    base=st.sampled_from([_min, _prod]),
+    vectorized=st.booleans(),
+    family=st.sampled_from(sorted(FAMILIES)),
+    pids=st.lists(st.sampled_from(SPELLINGS), min_size=1, max_size=12),
+    negated=st.booleans(),
+    config=st.builds(
+        ok.CheckConfig,
+        grid_resolution=st.integers(2, 30),
+        random_samples=st.integers(0, 60),
+        rng_seed=st.integers(0, 3),
+        bisect_tol=st.sampled_from([1e-3, 1e-6]),
+    ),
+)
+def test_check_properties_reports_what_the_rows_one_by_one_report(
+    cx, cy, leak, base, vectorized, family, pids, negated, config
+):
+    # The rows that share a mesh walk it together and leave at their first
+    # witness; the connective leaks where x > cx and y >= cy, so a joined
+    # block may meet an error that one row alone never reaches. A subset in
+    # any order, with repeats and unhyphenated ids, and no negation for CP
+    # rows half the time, must give the reports, or the library error, of
+    # check_property called row by row.
+    def fn(x, y, _leak=LEAKS[leak]):
+        return _where((x > cx) & (y >= cy), _leak(x, y), base(x, y))
+
+    f = ok.FusionFunction(fn=_vectorized(fn), arity=2, role="overlap", label=f"leaky:{cx!r},{cy!r}")
+    if not vectorized:
+        f = dataclasses.replace(f, fn=lambda x, y: fn(x, y))
+    implication = FAMILIES[family](f, config)
+    negation = ok.make_standard() if negated else None
+    got = _batch_outcome(lambda: properties.check_properties(implication, pids, negation, config))
+    one_by_one = _batch_outcome(lambda: [properties.check_property(implication, p, negation, config) for p in pids])
+    assert got == one_by_one
+
+
+def test_check_properties_raises_the_error_of_the_first_row_that_raises():
+    # R-CP leaks at the first random pair and CP at a later one: the shared
+    # walk meets R-CP's leak first, but one by one CP runs first and raises
+    # its own, and that is what check_properties must raise.
+    config = ok.DEFAULT_CONFIG
+    x, y = (c.tolist() for c in numerics._sample_mesh(config, 2))
+    k = len(numerics._grid_mesh(config, 2)[0])
+    implication = _lukasiewicz_except({(x[k + 5], y[k + 5]): 2.0, (x[k], 1.0 - y[k]): 3.0})
+    negation, rows = ok.make_standard(), ["CP", "R-CP"]
+    one_by_one = _batch_outcome(lambda: [properties.check_property(implication, p, negation, config) for p in rows])
+    assert one_by_one == (ok.UnitRangeError, "value 2.0 is not in [0, 1]")
+    assert _batch_outcome(lambda: properties.check_properties(implication, rows, negation, config)) == one_by_one
+    assert _batch_outcome(lambda: properties.check_properties(implication, rows[::-1], negation, config)) == (
+        ok.UnitRangeError,
+        "value 3.0 is not in [0, 1]",
+    )
+
+
+def test_check_properties_walks_a_shared_mesh_once():
+    # CP, L-CP and R-CP on the pair mesh: one negation call and one
+    # implication call per block, where one by one they take three of each.
+    calls = {"negation": 0, "implication": 0}
+    zadeh, gon = ok.make_standard(), ok.make_gon(ok.catalog("O_min"), ok.make_standard())
+
+    def counted(obj, key):
+        def fn(*xs, _fn=obj.fn):
+            calls[key] += isinstance(xs[0], np.ndarray)
+            return _fn(*xs)
+
+        return dataclasses.replace(obj, fn=_vectorized(fn))
+
+    implication, negation = counted(gon, "implication"), counted(zadeh, "negation")
+    config = ok.CheckConfig(grid_resolution=21)
+    reports = properties.check_properties(implication, ["CP", "LCP", "R-CP"], negation, config)
+    assert [r.holds for r in reports] == [True, True, True]
+    assert calls == {"negation": 1, "implication": 1}
+    calls.update(negation=0, implication=0)
+    assert [properties.check_property(implication, p, negation, config) for p in ["CP", "LCP", "R-CP"]] == reports
+    assert calls == {"negation": 3, "implication": 3}
 
 
 # Connectives for the T2, T3 and idempotency references: associative ones

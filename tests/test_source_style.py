@@ -231,7 +231,7 @@ def _numerics_only_uses(source: str) -> list[str]:
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "numerics.py"], ids=lambda p: p.name)
 def test_fsum_unique_and_power_are_called_only_in_numerics(path):
     uses = _numerics_only_uses(path.read_text(encoding="utf-8"))
-    assert uses == [], f"{path.name}: use numerics._fsum, _pow, _distinct or _twice instead: {uses}"
+    assert uses == [], f"{path.name}: use numerics._fsum, _pow, _distinct or _joined instead: {uses}"
 
 
 def test_a_use_of_fsum_unique_or_power_is_found():
