@@ -20,19 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conjunctors import FusionFunction, check_axioms, continuity_heuristic, dual
-from .implications import Implication, make_gon
+from .implications import Implication, _agreement, make_gon
 from .negations import Negation, classify
 from .numerics import (
     DEFAULT_CONFIG,
     CheckConfig,
     PreconditionError,
-    _apart,
     _fsum,
     _max,
     _min,
     _prod,
     _sample_mesh,
-    _scan_mesh,
+    _scan_rows,
     _value,
     _vectorized,
 )
@@ -182,11 +181,8 @@ def check_commutes(
     )
     connective_route = make_gon(aggregate_go(dual(agg, negation), gos, config), negation)
 
-    witness, count, worst = _scan_mesh(
-        _sample_mesh(config, 2),
-        lambda x, y: (_value(implication_route, x, y), _value(connective_route, x, y)),
-        _apart(config.eq_tol),
-    )
+    env = {"I": implication_route, "J": connective_route}
+    ((witness, count, worst),) = _scan_rows(_sample_mesh(config, 2), [_agreement(config.eq_tol)], env)
     return _report(
         "commutes",
         witness,

@@ -30,9 +30,10 @@ parameters (O_P:p=2, power:2), either of them (the named catalog entries),
 or a call (gon(GO_max, zadeh)). Whitespace around commas is ignored, and a
 key=value parameter may appear once per constructor.
 
-Output: every verb returns one _Result, which holds its JSON payload, its
-CSV header and rows, its text lines and whether the checked statement
-failed. _emit writes it in the --format asked for, and run() alone turns
+Output: every verb returns one _Result, which holds a callable that
+builds its JSON payload, called only for --format json, its CSV header
+and rows, its text lines and whether the checked statement failed.
+_emit writes it in the --format asked for, and run() alone turns
 `failed` into exit code 1 when --assert is given. Verbs format their cells
 themselves, so the three formats show the same digits. A grid dump's
 values stay one array, the payload's "values": the `dumps` module renders
@@ -384,13 +385,15 @@ def _parse_any(text: str, config: CheckConfig):
 class _Result(NamedTuple):
     """What a verb produced, in every format, and whether its statement failed.
 
-    rows holds the CSV cells already formatted and may be a generator.
-    csv_text, when given, stands for rows: the CSV lines after the header,
-    already rendered, several to an item and without the item's last line
-    end. An item of text may hold several lines.
+    payload() builds the JSON payload; _emit calls it only for --format
+    json, so text and CSV never serialize a report. rows holds the CSV
+    cells already formatted and may be a generator. csv_text, when given,
+    stands for rows: the CSV lines after the header, already rendered,
+    several to an item and without the item's last line end. An item of
+    text may hold several lines.
     """
 
-    payload: object
+    payload: Callable[[], object]
     header: list
     rows: Iterable
     text: Iterable[str]
@@ -401,14 +404,14 @@ class _Result(NamedTuple):
 def _emit(result: _Result, fmt: str) -> None:
     """Write result to stdout as text, json or csv.
 
-    JSON is json.dumps(payload, indent=2) with every float rounded to 9
-    decimals, a grid dump's arrays rendered by dumps._json_array. A grid
+    JSON is json.dumps(result.payload(), indent=2) with every float rounded
+    to 9 decimals, a grid dump's arrays rendered by dumps._json_array. A grid
     dump's text and CSV lines come rendered, a span of whole runs to an
     item (dumps._table): each item is one write, and its last line end
     another.
     """
     if fmt == "json":
-        sys.stdout.writelines(_json(result.payload))
+        sys.stdout.writelines(_json(result.payload()))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(result.header)
@@ -449,7 +452,7 @@ def _cmd_eval(args, config: CheckConfig) -> _Result:
         points = [tuple(float(UnitValue(v)) for v in raw) for raw in args.at]
         values = [float(obj(*p)) for p in points]
         return _Result(
-            {"expression": obj.label, "points": points, "values": values},
+            lambda: {"expression": obj.label, "points": points, "values": values},
             [f"x{i + 1}" for i in range(arity)] + ["value"],
             [[*map(_fmt, p), _fmt(v)] for p, v in zip(points, values)],
             [_fmt(v) for v in values],
@@ -460,7 +463,7 @@ def _cmd_eval(args, config: CheckConfig) -> _Result:
     values = _tensor(obj, axis)
     # Rendered only in the format written, a span at a time.
     return _Result(
-        {"expression": obj.label, "grid": axis.tolist(), "values": values},
+        lambda: {"expression": obj.label, "grid": axis.tolist(), "values": values},
         ["x", "y"][:arity] + ["value"],
         [],
         _table(axis, values, " ", "\n"),
@@ -488,7 +491,10 @@ def _negation_axioms(negation: Negation, config: CheckConfig) -> _Result:
     verdict = "PASS" if cls.is_negation else "FAIL"
     text = [f"{negation.label} [N] -> {verdict}"]
     text += [f"  {name:<9}{holds:<5}({note})" for name, holds, note in rows]
-    payload = {"label": negation.label, **cls.as_dict()}
+
+    def payload() -> dict:
+        return {"label": negation.label, **cls.as_dict()}
+
     return _Result(payload, ["class", "holds", "note"], rows, text, not cls.is_negation)
 
 
@@ -518,7 +524,7 @@ def _cmd_axioms(args, config: CheckConfig) -> _Result:
         for c in report.checks
     )
     header = ["axiom", "passed", "witness", "deviation", "informational", "note"]
-    return _Result(report.as_dict(), header, rows, [report.summary()], not report.passed)
+    return _Result(report.as_dict, header, rows, [report.summary()], not report.passed)
 
 
 def _prop_id(name: str) -> str:
@@ -536,7 +542,7 @@ def _cmd_props(args, config: CheckConfig) -> _Result:
     pids = list(_PROPERTIES) if args.prop.strip().lower() == "all" else [_prop_id(p) for p in args.prop.split(",")]
     reports = check_properties(implication, pids, negation, config)
     return _Result(
-        [r.as_dict() for r in reports],
+        lambda: [r.as_dict() for r in reports],
         _PROPS_HEADER,
         (_report_row(r) for r in reports),
         (r.summary() for r in reports),
@@ -550,7 +556,7 @@ def _cmd_compare(args, config: CheckConfig) -> _Result:
     result = compare(i1, i2, config)
     deviation, x, y, lhs, rhs = map(_fmt, (result.deviation, *result.at, result.lhs, result.rhs))
     return _Result(
-        {"expression": i1.label, "expression2": i2.label, **result.as_dict()},
+        lambda: {"expression": i1.label, "expression2": i2.label, **result.as_dict()},
         ["deviation", "x", "y", "lhs", "rhs", "samples_checked"],
         [[deviation, x, y, lhs, rhs, result.samples_checked]],
         [f"deviation {deviation} at ({x}, {y}) lhs={lhs} rhs={rhs}"],
@@ -607,7 +613,7 @@ def _cmd_table2(args, config: CheckConfig) -> _Result:
         for prop, expected in TABLE2_EXPECTED.items()
         for got, want in zip(rows[prop], expected)
     )
-    return _Result({"columns": columns, "rows": rows}, header, table, text, failed)
+    return _Result(lambda: {"columns": columns, "rows": rows}, header, table, text, failed)
 
 
 def _cmd_search(args, config: CheckConfig) -> _Result:
@@ -629,14 +635,14 @@ def _cmd_search(args, config: CheckConfig) -> _Result:
         if not report.holds:
             row = [expr] + _report_row(report)
             text = [f"{expr}: {report.summary()}"]
-            return _Result({"expression": expr, **report.as_dict()}, header, [row], text, True)
-    return _Result(None, header, [], [f"no {pid.replace('-', '')} violation found in [{lo:g}, {hi:g}]"])
+            return _Result(lambda: {"expression": expr, **report.as_dict()}, header, [row], text, True)
+    return _Result(lambda: None, header, [], [f"no {pid.replace('-', '')} violation found in [{lo:g}, {hi:g}]"])
 
 
 def _cmd_catalog(args, config: CheckConfig) -> _Result:
     width = max(len(e) for e, _, _ in _CATALOG_ROWS)
     return _Result(
-        [{"expression": e, "kind": k, "note": n} for e, k, n in _CATALOG_ROWS],
+        lambda: [{"expression": e, "kind": k, "note": n} for e, k, n in _CATALOG_ROWS],
         ["expression", "kind", "note"],
         _CATALOG_ROWS,
         [f"{e:<{width}}  {k:<12} {n}" for e, k, n in _CATALOG_ROWS],

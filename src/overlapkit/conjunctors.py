@@ -84,7 +84,7 @@ from .numerics import (
     _number,
     _pow,
     _prod,
-    _scan_mesh,
+    _scan_rows,
     _tensor,
     _value,
     _vectorized,
@@ -426,7 +426,9 @@ def piecewise_neutral_go(e: float) -> FusionFunction:
 
     min below e, max above e, and the rescaled product x*y/e on the mixed
     region; the three branches agree on the seams, so the result is
-    continuous with f(x, e) = x.
+    continuous with f(x, e) = x. The product is written min(lo, e) * hi / e:
+    that is x*y/e where the mixed branch is taken, and at most hi
+    everywhere, so a tiny e overflows on neither path.
     """
     ev = float(e)
     if not 0.0 < ev <= 1.0:
@@ -434,7 +436,7 @@ def piecewise_neutral_go(e: float) -> FusionFunction:
 
     def fn(x, y, _e=ev):
         lo, hi = _min(x, y), _max(x, y)
-        return _where(hi <= _e, lo, _where(lo >= _e, hi, x * y / _e))
+        return _where(hi <= _e, lo, _where(lo >= _e, hi, _min(lo, _e) * hi / _e))
 
     return FusionFunction(
         fn=_vectorized(fn),
@@ -533,11 +535,8 @@ def _lines(f, tensor, xs, config, level: float) -> tuple:
     edge = np.full(len(samples), level)
     # The points (level, s) and (s, level) for each sample s, in that order.
     cols = (np.stack([edge, samples], axis=1).ravel(), np.stack([samples, edge], axis=1).ravel())
-    witness, _, _ = _scan_mesh(
-        cols,
-        lambda x, y: (_value(f, x, y), level),
-        lambda got, want: (got != want, abs(got - want)),
-    )
+    row = ((("F", "x", "y"), level), lambda got, want: (got != want, abs(got - want)))
+    ((witness, _, _),) = _scan_rows(cols, [row], {"F": f})
     return (None, 0.0) if witness is None else (witness[0], witness[3])
 
 
@@ -562,11 +561,8 @@ def _converse(f, tensor, xs, config, side: str, level: float) -> tuple:
 
 def _associative(f, tensor, xs, config) -> tuple:
     """f(f(x,y),z) = f(x,f(y,z)) within eq_tol on the reduced triple grid, whatever tensor and xs are."""
-    witness, _, worst = _scan_mesh(
-        _grid_mesh(config, 3),
-        lambda x, y, z: (_value(f, _value(f, x, y), z), _value(f, x, _value(f, y, z))),
-        _apart(config.eq_tol),
-    )
+    sides = (("F", ("F", "x", "y"), "z"), ("F", "x", ("F", "y", "z")))
+    ((witness, _, worst),) = _scan_rows(_grid_mesh(config, 3), [(sides, _apart(config.eq_tol))], {"F": f})
     return (None, worst) if witness is None else (witness[0], witness[3])
 
 
@@ -738,7 +734,7 @@ def find_neutral(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG) -> Opt
     grid = uniform_grid(config)
 
     def deviates(a: float, budget: float) -> bool:
-        witness, _, _ = _scan_mesh((samples,), lambda x: (_value(f, x, a), x), _apart(budget))
+        ((witness, _, _),) = _scan_rows((samples,), [((("F", "x", a), "x"), _apart(budget))], {"F": f})
         return witness is not None
 
     step = max(1, SCAN_BLOCK // len(samples))

@@ -63,7 +63,7 @@ from .numerics import (
     _bracket,
     _number,
     _product_mesh,
-    _scan_mesh,
+    _scan_rows,
     _sup,
     _value,
     _vectorized,
@@ -350,11 +350,9 @@ def classify_crisp(
     samples = [float(s) for s in sorted_samples(config)]
     mesh = _product_mesh(sorted_samples(config), 2)
     tol = config.eq_tol
-    off_level, _, _ = _scan_mesh(
-        mesh,
-        lambda x, y: (_value(implication, x, y),) * 2,
-        lambda v, _: ((v > tol) & (v < 1.0 - tol), np.minimum(v, 1.0 - v)),
-    )
+    value = ("I", "x", "y")
+    two_valued = ((value, value), lambda v, _: ((v > tol) & (v < 1.0 - tol), np.minimum(v, 1.0 - v)))
+    ((off_level, _, _),) = _scan_rows(mesh, [two_valued], {"I": implication})
     if off_level is not None:
         return None
 
@@ -372,12 +370,13 @@ def classify_crisp(
                 fitted = make_crisp_family(kind, a, b)
             except PreconditionError:
                 continue
-            if _agrees_on_mesh(implication, fitted, mesh, tol):
+            ((witness, _, _),) = _scan_rows(mesh, [_agreement(tol)], {"I": implication, "J": fitted})
+            if witness is None:
                 return CrispFit(kind=kind, alpha=a, beta=b)
     return None
 
 
-def _agrees_on_mesh(i1: Implication, i2: Implication, mesh: tuple, tol: float) -> bool:
-    witness, _, _ = _scan_mesh(mesh, lambda x, y: (_value(i1, x, y), _value(i2, x, y)), _apart(tol))
-    return witness is None
+def _agreement(tol: float) -> tuple:
+    """The row of I(x, y) against J(x, y) within tol, for classify_crisp's fit and aggregation.check_commutes."""
+    return (("I", "x", "y"), ("J", "x", "y")), _apart(tol)
 

@@ -68,16 +68,27 @@ value. The primitives are ufuncs or broadcast their arguments (_branch,
 and the per-point fallbacks of _fsum and _pow, through _pointwise), so
 both forms give the bits of the scalar call.
 
-_scan_rows is the one first-witness scan: it walks one mesh for several
-rows at once, each row leaving at its first witness, and _scan_mesh is
-its one-row case. It and _mesh_values, the full evaluation of a mesh, run
-on one block loop, _blockwise: a scan takes blocks doubling from
-FIRST_BLOCK (1024 points) up to SCAN_BLOCK (4096), a full evaluation
-blocks of MAX_BLOCK (16384), so the grid-101 pair mesh is one block. When
-a block raises UnitRangeError or PreconditionError, _blockwise bisects on
-the block's prefix length for the first point that raises, hands on the
-clean prefix before it and then raises that point's error as its float
-evaluation does. So the witness or error reported is the one met first in
+_scan_rows is the one first-witness scan, and every pointwise check of
+the package is a row of it: the property table, I(x, y) against J(x, y)
+(check_commutes and classify_crisp's fit), classify_crisp's two-valued
+scan, T2, the O2/G3 boundary lines and find_neutral's candidate scan. A
+row's two sides are terms over the coordinates x, y and z whose heads name
+connectives in an environment: EP's I(x, I(y, z)) is ("I", "x", ("I",
+"y", "z")) in {"I": implication}. _scan_rows walks one mesh for several
+rows at once, each leaving at its first witness. _plan schedules a row
+set when the walk starts and when a row leaves: a term's height is one
+more than the greatest of the terms that take it (0 for a side), and
+heights are evaluated from the greatest down, one joined call per head
+(_joined), so CP's I(x, y) and I(N(y), N(x)) share one call. _sides
+evaluates a plan on a block, or term by term as floats at a point.
+_scan_rows and _mesh_values, the full evaluation of a mesh by a
+callable, run on one block loop, _blockwise: a scan takes blocks
+doubling from FIRST_BLOCK (1024 points) up to SCAN_BLOCK (4096), a full
+evaluation blocks of MAX_BLOCK (16384), so the grid-101 pair mesh is one
+block. When a block raises UnitRangeError or PreconditionError,
+_blockwise bisects on the block's prefix length for the first point that
+raises, hands on the clean prefix before it and then raises that point's
+error as its float evaluation does. So the witness or error reported is the one met first in
 point order, with no point evaluated as a scalar but the raising one.
 
 _plain is the one serializer of the report dataclasses, and _Record gives
@@ -798,13 +809,8 @@ def _scalar_points(cols: tuple):
     return zip(*(c.tolist() for c in cols))
 
 
-def _stretched(values, n: int) -> tuple:
-    """values as arrays of n points: an array of shape (n,) as it is, anything else filled into one."""
-    return tuple(v if type(v) is np.ndarray and v.shape == (n,) else np.full(n, v) for v in values)
-
-
 def _blockwise(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple], first: int, last: int):
-    """(start, arrays) for each block of _blocks over the columns cols, arrays being fn(*block) _stretched.
+    """(start, arrays) for each block of _blocks over the columns cols, fn(*block) giving arrays of its points.
 
     Points evaluate independently, so a prefix of a block raises exactly
     when one of its points does. A block that raises is bisected on its
@@ -820,7 +826,7 @@ def _blockwise(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple], first: in
         clean, raising, m = 0, stop - start + 1, stop - start
         while raising - clean > 1:
             try:
-                arrays, clean = _stretched(fn(*(c[:m] for c in block)), m), m
+                arrays, clean = fn(*(c[:m] for c in block)), m
             except _POINT_ERRORS as exc:
                 error, raising = exc, m
             m = (clean + raising) // 2
@@ -831,18 +837,102 @@ def _blockwise(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple], first: in
             raise error
 
 
-def _scan_rows(
-    cols: tuple[np.ndarray, ...], sides: Callable[..., list], relations: list
-) -> list[tuple[Optional[tuple], int, float]]:
-    """First-witness scans of several rows over the points given as columns, in one walk of its blocks.
+# A term is a coordinate "x", "y" or "z", a float, or (head, *terms): the
+# connective env[head] at the terms, as a check is written on paper. A row is
+# (sides, relation): sides its (lhs, rhs) terms, relation(lhs, rhs) the
+# (failed, deviation) of each point.
 
-    sides(active, *coords) gives lhs and rhs of each row listed in active,
-    in one flat sequence, and relations[r](lhs, rhs) gives row r's
-    (failed, deviation), all on block arrays. A row leaves active at its
-    first failing point, and the walk ends when no row is left. Returns one
-    (witness, count, worst) per row, with Python floats: witness is (point,
-    lhs, rhs, deviation) of that point or None, count the points visited
-    (the failing one included), worst the largest deviation seen.
+
+def _heads(*terms) -> set:
+    """The heads of the terms and of every term inside them."""
+    return set().union(*({t[0]} | _heads(*t[1:]) for t in terms if type(t) is tuple))
+
+
+@lru_cache(maxsize=256)
+def _plan(sides: tuple) -> tuple:
+    """How _sides evaluates the (lhs, rhs) pairs sides: (sides, size, floats, calls, outs).
+
+    Every coordinate, float and term has one of size slots of a list: x, y
+    and z the first three, then the floats and terms as first written.
+    floats holds (slot, float) for each float, outs the slots of the sides
+    in order. A term's height is 0 for a side, else one more than the
+    greatest height of a term that takes it. calls hold (head, slots,
+    argument slots) for each head at each height, from the greatest height
+    down, so a term is evaluated just before the level that first needs it
+    and each head is called once per level: CP's I(x, y) shares the call of
+    I(N(y), N(x)), one level above N(x) and N(y). A walk takes its plan
+    when it starts and when a row leaves; the cache spares a search, which
+    scans one row set again and again, the 5-10 us of building it.
+    """
+    slots: dict = dict(zip("xyz", range(3)))
+    height: dict = {}
+
+    def gather(t, h: int) -> None:
+        slots.setdefault(t, len(slots))
+        if type(t) is tuple and height.get(t, -1) < h:
+            height[t] = h
+            for a in t[1:]:
+                gather(a, h + 1)
+
+    for t in (t for pair in sides for t in pair):
+        gather(t, 0)
+    levels: dict = {}
+    for t, h in height.items():
+        levels.setdefault((-h, t[0]), []).append(t)
+    calls = tuple(
+        (head, tuple(slots[t] for t in terms), tuple(tuple(slots[a] for a in t[1:]) for t in terms))
+        for (_, head), terms in sorted(levels.items())
+    )
+    floats = tuple((slot, t) for t, slot in slots.items() if type(t) is float)
+    return sides, len(slots), floats, calls, tuple(slots[t] for pair in sides for t in pair)
+
+
+def _sides(plan: tuple, env: dict, *coords) -> list:
+    """lhs and rhs of each pair of the plan's sides (_plan), in one list, at the point or on the block coords.
+
+    At a point each term is evaluated once, as floats, where it is first
+    needed in the order the sides are written. On a block each float is a
+    column, and each head is called once per level of the plan, on the
+    arguments of every term of that level joined (_joined).
+    """
+    sides, size, floats, calls, outs = plan
+    if not _is_array(*coords):
+        value = dict(zip("xyz", coords))
+
+        def walk(t):
+            if type(t) is float:
+                return t
+            if t not in value:
+                value[t] = _value(env[t[0]], *(walk(a) for a in t[1:]))
+            return value[t]
+
+        return [walk(t) for pair in sides for t in pair]
+    vals = [*coords, *(None,) * (size - len(coords))]
+    for slot, v in floats:
+        vals[slot] = np.full(len(coords[0]), v)
+    get = vals.__getitem__
+    for head, slots, arguments in calls:
+        values = env[head].values
+        if len(slots) == 1:
+            vals[slots[0]] = values(*map(get, arguments[0]))
+        else:
+            for slot, v in zip(slots, _joined(values, [[*map(get, args)] for args in arguments])):
+                vals[slot] = v
+    return [*map(get, outs)]
+
+
+def _scan_rows(cols: tuple[np.ndarray, ...], rows: list, env: dict) -> list[tuple[Optional[tuple], int, float]]:
+    """First-witness scans of the rows over the points given as columns, in one walk of its blocks.
+
+    rows are (sides, relation) pairs whose terms name connectives in env.
+    Each block evaluates the sides of the rows still walking (_sides, on
+    the plan of their terms, made when the walk starts and again when a row
+    leaves), and relation(lhs, rhs) gives each row's (failed, deviation) on
+    the block's arrays. A row leaves at its first failing point, and the
+    walk ends when no row is left. Returns one (witness, count, worst) per
+    row, with Python floats: witness is (point, lhs, rhs, deviation) of that
+    point or None, count the points visited (the failing one included),
+    worst the largest deviation seen.
 
     Blocks double in size from FIRST_BLOCK up to SCAN_BLOCK, so a scan
     failing at point k evaluates at most about 2k points plus one block.
@@ -850,12 +940,13 @@ def _scan_rows(
     keep it and, if any row is left, the point's error is raised, as a
     point-by-point scan of that row would raise it.
     """
-    active = list(range(len(relations)))
-    found, counts, worst = [None] * len(active), [0] * len(active), [0.0] * len(active)
-    for start, arrays in _blockwise(cols, partial(sides, active), FIRST_BLOCK, SCAN_BLOCK):
+    active = list(range(len(rows)))
+    plan = _plan(tuple(rows[r][0] for r in active))
+    found, counts, worst = [None] * len(rows), [0] * len(rows), [0.0] * len(rows)
+    for start, arrays in _blockwise(cols, lambda *block: _sides(plan, env, *block), FIRST_BLOCK, SCAN_BLOCK):
         pairs = iter(arrays)
         for r, lhs, rhs in zip(tuple(active), pairs, pairs):
-            failed, deviation = relations[r](lhs, rhs)
+            failed, deviation = rows[r][1](lhs, rhs)
             hit = _first(failed)
             end = len(lhs) if hit is None else hit[0] + 1
             counts[r] += end
@@ -867,24 +958,9 @@ def _scan_rows(
                 active.remove(r)
         if not active:
             break
+        if len(active) < len(plan[0]):
+            plan = _plan(tuple(rows[r][0] for r in active))
     return list(zip(found, counts, worst))
-
-
-def _scan_mesh(
-    cols: tuple[np.ndarray, ...],
-    sides: Callable[..., tuple],
-    relation: Callable,
-) -> tuple[Optional[tuple], int, float]:
-    """First-witness scan of a pointwise relation over the points given as columns: _scan_rows of one row.
-
-    sides(*coords) gives (lhs, rhs) and relation(lhs, rhs) gives (failed,
-    deviation), both on block arrays. Returns (witness, count, worst) as
-    _scan_rows does. When a point's sides raise, the scan reports a witness
-    before that point if there is one and raises the point's error
-    otherwise, as a point-by-point scan would.
-    """
-    (result,) = _scan_rows(cols, lambda active, *coords: sides(*coords), [relation])
-    return result
 
 
 def _mesh_values(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple]) -> tuple[np.ndarray, ...]:

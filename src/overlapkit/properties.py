@@ -21,23 +21,24 @@ deterministic.
 
 The ten scans are the rows of one table, _PROPERTIES, keyed by report id:
 the mesh each walks, its two sides, the relation that fails a point and the
-note. A side is a term over the mesh coordinates x, y and z, built from the
-implication I and the negation N, as the property is written: CP compares
-I(x, y) with I(N(y), N(x)). check_property takes a report id or the same id
-without its hyphen (L-CP or LCP) and runs the row on numerics._scan_mesh,
-which evaluates the mesh as arrays in blocks doubling from 1024 up to 4096
-points and reports the witness or error a point-by-point scan would.
+note. A side is a term of numerics._plan whose heads name the implication I
+and the negation N, as the property is written: CP compares I(x, y) with
+I(N(y), N(x)). A row needs a negation when N heads one of its terms.
+check_property takes a report id or the same id without its hyphen (L-CP
+or LCP) and runs the row on numerics._scan_rows, the one first-witness
+scan, which evaluates the mesh as arrays in blocks doubling from 1024 up to
+4096 points and reports the witness or error a point-by-point scan would.
 check_properties runs several rows and returns what check_property returns
-for each: the rows that walk one mesh (IB, CP, L-CP and R-CP the pair
-mesh, EP and EP1 the triple mesh) are scanned together on
-numerics._scan_rows, and a row leaves the walk at its first witness. If
-that raises anything, the rows run one by one in the order asked.
+for each: the rows that walk one mesh (IB, CP, L-CP and R-CP the pair mesh,
+EP and EP1 the triple mesh) are scanned together in one walk, and a row
+leaves the walk at its first witness. If that raises anything, the rows run
+one by one in the order asked.
 
-On a block the terms of the rows still walking are evaluated once each:
-the negation in one call, on every coordinate it takes joined, then the
-implication in one call per nesting level, on the arguments of every term
-of that level joined (numerics._joined). So CP, L-CP and R-CP share N(x),
-N(y) and, with IB, I(x, y), and EP and EP1 share all four nestings. A
+On a block the terms of the rows still walking are evaluated once each, a
+nesting level at a time, one joined call per connective and level
+(numerics._plan): CP, L-CP and R-CP take one negation call, on x and y
+joined, and one implication call; I(x, y), which CP compares and IB nests,
+is computed once; and EP and EP1 share all four nestings in two calls. A
 single point is evaluated as floats in the order the sides are written.
 check_unary_property, check_ep and check_contraposition only refuse an id
 outside their group and call check_property.
@@ -69,13 +70,11 @@ from .numerics import (
     CheckConfig,
     PreconditionError,
     _apart,
-    _is_array,
-    _joined,
+    _heads,
     _mesh_values,
     _Record,
     _sample_mesh,
     _scalar_points,
-    _scan_mesh,
     _scan_rows,
     _tensor,
     _value,
@@ -124,7 +123,7 @@ class PropertyReport(_Record):
 
 
 def _report(pid: str, witness: Optional[tuple], count: int, note: str = "") -> PropertyReport:
-    """PropertyReport from a _scan_mesh result: its witness tuple (or None) and count."""
+    """PropertyReport from a numerics._scan_rows result: its witness tuple (or None) and count."""
     return PropertyReport(
         property_id=pid,
         status="fails" if witness is not None else "holds_on_grid",
@@ -144,23 +143,13 @@ def triple_points(config: CheckConfig) -> Iterator[tuple[float, float, float]]:
     yield from _scalar_points(_sample_mesh(config, 3))
 
 
-# A side is a term over the mesh coordinates "x", "y" and "z": a coordinate,
-# a float, ("N", c) the negation at coordinate c, or ("I", a, b) the
-# implication at the terms a and b.
-def _i(a, b) -> tuple:
-    return ("I", a, b)
-
-
-def _n(c: str) -> tuple:
-    return ("N", c)
-
-
 class _Property(NamedTuple):
     """A row of _PROPERTIES.
 
-    mesh(config) gives the columns to scan, sides the (lhs, rhs) terms,
-    relation(eq_tol) the test of a point and note.format(negation) the
-    report's note.
+    mesh(config) gives the columns to scan, sides the (lhs, rhs) terms
+    (numerics._plan) over the heads I, the implication, and N, the
+    negation, relation(eq_tol) the test of a point and
+    note.format(negation) the report's note.
     """
 
     mesh: Callable[[CheckConfig], tuple]
@@ -180,11 +169,11 @@ _pairs = partial(_sample_mesh, arity=2)
 _triples = partial(_sample_mesh, arity=3)
 _BY_NEGATION = "negation {0.label}"
 # IP, LOP and ROP compare I(x, y) with 1. By _apart (IP and LOP), |v - 1| is 1 - v exactly for v <= 1.
-_AT_ONE = (_i("x", "y"), 1.0)
-_EXCHANGED = (_i("x", _i("y", "z")), _i("y", _i("x", "z")))
+_AT_ONE = (("I", "x", "y"), 1.0)
+_EXCHANGED = (("I", "x", ("I", "y", "z")), ("I", "y", ("I", "x", "z")))
 
 _PROPERTIES = {
-    "NP": _Property(lambda c: np.broadcast_arrays(1.0, sorted_samples(c)), (_i("x", "y"), "y")),
+    "NP": _Property(lambda c: np.broadcast_arrays(1.0, sorted_samples(c)), (("I", "x", "y"), "y")),
     "IP": _Property(lambda c: (sorted_samples(c),) * 2, _AT_ONE),
     "LOP": _Property(partial(_pairs_where, np.less_equal), _AT_ONE),
     "ROP": _Property(
@@ -193,7 +182,7 @@ _PROPERTIES = {
         lambda tol: lambda lhs, rhs: (lhs >= rhs - tol, rhs - lhs),
         "strict bound: values within eq_tol of 1 violate ROP; witness deviation is the distance to 1",
     ),
-    "IB": _Property(_pairs, (_i("x", _i("x", "y")), _i("x", "y"))),
+    "IB": _Property(_pairs, (("I", "x", ("I", "x", "y")), ("I", "x", "y"))),
     "EP": _Property(_triples, _EXCHANGED),
     "EP1": _Property(
         _triples,
@@ -201,9 +190,9 @@ _PROPERTIES = {
         lambda tol: lambda lhs, rhs: ((lhs >= 1.0 - tol) & (rhs < 1.0 - tol), 1.0 - rhs),
         "one side at 1 must force the other to 1",
     ),
-    "CP": _Property(_pairs, (_i("x", "y"), _i(_n("y"), _n("x"))), note=_BY_NEGATION),
-    "L-CP": _Property(_pairs, (_i(_n("x"), "y"), _i(_n("y"), "x")), note=_BY_NEGATION),
-    "R-CP": _Property(_pairs, (_i("x", _n("y")), _i("y", _n("x"))), note=_BY_NEGATION),
+    "CP": _Property(_pairs, (("I", "x", "y"), ("I", ("N", "y"), ("N", "x"))), note=_BY_NEGATION),
+    "L-CP": _Property(_pairs, (("I", ("N", "x"), "y"), ("I", ("N", "y"), "x")), note=_BY_NEGATION),
+    "R-CP": _Property(_pairs, (("I", "x", ("N", "y")), ("I", "y", ("N", "x"))), note=_BY_NEGATION),
 }
 
 
@@ -219,69 +208,6 @@ def _property_id(prop: str) -> str:
     return pid
 
 
-@lru_cache(maxsize=256)
-def _plan(sides: tuple) -> tuple:
-    """How _sides evaluates the (lhs, rhs) pairs sides: (sides, start, levels, outs).
-
-    Every coordinate, float and term has a slot of a list: x, y and z the
-    first three, then the floats and the terms. start holds the floats in
-    their slots after the coordinates' and None in the terms', outs the
-    slots of the sides in order, and levels run from the negation's terms
-    to the implication's terms nested deepest, each as (negates, slots,
-    argument slots).
-    """
-    slots: dict = dict(zip("xyz", range(3)))
-    start: list = []
-    levels: dict = {}
-
-    def gather(t) -> int:
-        if t not in slots:
-            slots[t] = len(slots)
-            start.append(t if type(t) is float else None)
-        if type(t) is not tuple:
-            return 0
-        level = 0 if t[0] == "N" else 1 + max(gather(t[1]), gather(t[2]))
-        levels.setdefault(level, {})[t] = None
-        return level
-
-    for t in (t for pair in sides for t in pair):
-        gather(t)
-    steps = tuple(
-        (level == 0, tuple(slots[t] for t in terms), tuple(tuple(slots[a] for a in t[1:]) for t in terms))
-        for level, terms in sorted(levels.items())
-    )
-    return sides, start, steps, tuple(slots[t] for pair in sides for t in pair)
-
-
-def _sides(plan: tuple, implication, negation, *coords) -> list:
-    """lhs and rhs of each pair of the plan's sides (_plan), in one list, at the point or on the block coords.
-
-    At a point each term is evaluated once, where it is first needed, in
-    the order the sides are written. On a block the negation is called
-    once, on every coordinate it takes joined, and then the implication
-    once per nesting level, on the arguments of every term of that level
-    joined (numerics._joined).
-    """
-    sides, start, levels, outs = plan
-    if not _is_array(*coords):
-        value = dict(zip("xyz", coords))
-
-        def walk(t):
-            if type(t) is float:
-                return t
-            if t not in value:
-                value[t] = _value(negation if t[0] == "N" else implication, *(walk(a) for a in t[1:]))
-            return value[t]
-
-        return [walk(t) for pair in sides for t in pair]
-    vals = [*coords, *(None,) * (3 - len(coords)), *start]
-    for negates, slots, arguments in levels:
-        g = negation.values if negates else implication.values
-        for slot, v in zip(slots, _joined(g, [[vals[a] for a in args] for args in arguments])):
-            vals[slot] = v
-    return [vals[slot] for slot in outs]
-
-
 @lru_cache(maxsize=16)
 def _walked(pid: str, config: CheckConfig) -> tuple:
     """The columns row pid walks, read-only; cached like numerics._sample_mesh, as a search scans one row often."""
@@ -295,19 +221,10 @@ def _scan(implication: Implication, pids: list, negation: Optional[Negation], co
     """The reports of the rows pids, which share one mesh, from one walk of it (numerics._scan_rows)."""
     rows = [_PROPERTIES[pid] for pid in pids]
     for pid, row in zip(pids, rows):
-        # The rows whose note names the negation are the rows that evaluate it.
-        if negation is None and row.note == _BY_NEGATION:
+        if negation is None and "N" in _heads(*row.sides):
             raise PreconditionError(f"{pid} needs a negation")
-    cols = _walked(pids[0], config)
-    relations = [row.relation(config.eq_tol) for row in rows]
-    if len(rows) == 1:
-        results = [_scan_mesh(cols, partial(_sides, _plan((rows[0].sides,)), implication, negation), *relations)]
-    else:
-
-        def sides(active, *coords):
-            return _sides(_plan(tuple(rows[r].sides for r in active)), implication, negation, *coords)
-
-        results = _scan_rows(cols, sides, relations)
+    env = {"I": implication, "N": negation}
+    results = _scan_rows(_walked(pids[0], config), [(row.sides, row.relation(config.eq_tol)) for row in rows], env)
     return [_report(pid, w, n, row.note.format(negation)) for pid, row, (w, n, _) in zip(pids, rows, results)]
 
 

@@ -61,6 +61,18 @@ def test_grid_101_dump_of_a_residual_runs_one_bisection_bracket(monkeypatch, cap
     assert len(brackets) == 1
 
 
+def test_a_grid_dump_warns_as_the_point_queries_do(capsys):
+    # neutral_go's x*y/e overflows for a tiny e where the formula does not select it.
+    assert run(["eval", "neutral_go:e=1e-310", "--grid", "3"]) == 0
+    dump = capsys.readouterr()
+    assert dump.err == ""
+    points = [line.split() for line in dump.out.splitlines()]
+    assert run(["eval", "neutral_go:e=1e-310", *(a for *p, _ in points for a in ("--at", *p))]) == 0
+    queries = capsys.readouterr()
+    assert queries.err == ""
+    assert queries.out.split() == [v for *_, v in points]
+
+
 def _per_row_dump(expression: str, grid: int) -> str:
     """A text grid dump formatted a row at a time with _fmt, the reference for the run-at-a-time dump."""
     obj = cli._parse_any(expression, numerics.CheckConfig(grid_resolution=grid))
@@ -514,6 +526,29 @@ def test_props_names_take_any_case_and_hyphens(scans, capsys):
     assert scans == [["L-CP", "EP1", "R-CP", "NP"]]
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert [r[0] for r in rows[1:]] == scans[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["props", "gon(O_min, zadeh)", "--prop", "all"],
+        ["axioms", "O_min"],
+        ["axioms", "zadeh"],
+        ["compare", "d(max_grouping)", "d(max_grouping)"],
+    ],
+    ids=["props", "axioms", "negation-axioms", "compare"],
+)
+def test_only_json_serializes_the_reports(argv, monkeypatch, capsys):
+    # The JSON payload is built only when --format json writes it: text and CSV make no numerics._plain call.
+    calls = []
+    plain = numerics._plain
+    monkeypatch.setattr(numerics, "_plain", lambda value: calls.append(value) or plain(value))
+    for fmt in ("text", "csv"):
+        assert run([*argv, "--grid", "11", "--format", fmt]) == 0
+    assert calls == []
+    assert run([*argv, "--grid", "11", "--format", "json"]) == 0
+    assert calls
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

@@ -348,10 +348,8 @@ def _per_candidate_neutral(f, config=ok.DEFAULT_CONFIG):
     samples, grid = numerics.sorted_samples(config), numerics.uniform_grid(config)
 
     def deviates(a, budget):
-        def sides(x):
-            return numerics._value(f, x, a), x
-
-        witness, _, _ = numerics._scan_mesh((samples,), sides, numerics._apart(budget))
+        row = (("F", "x", a), "x"), numerics._apart(budget)
+        ((witness, _, _),) = numerics._scan_rows((samples,), [row], {"F": f})
         return witness is not None
 
     for a in grid.tolist():

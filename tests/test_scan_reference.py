@@ -1,30 +1,35 @@
 """The blockwise array scan reports what the scalar scan reports, at grid 101.
 
 The reference runs the same checkers with the mesh kernels swapped for their
-scalar forms, defined here: _scan, a first-witness loop over the points as
-Python floats, and a point-by-point loop for full-mesh evaluations, each
-point evaluated through __call__. Every report -- verdict, witness, sides,
-deviation and samples_checked -- must be equal, for the ten properties and
-compare, on the five table2 instances plus one instance of each remaining
-family and one implication that evaluates point by point. The golden test
-covers grid 21; this one covers the default grid, where the array scan runs
-several blocks.
+scalar forms, defined here, in every module that imports them: a
+first-witness loop over the points as Python floats for numerics._scan_rows,
+each point's sides from the float walk of numerics._sides (every term
+through __call__), and a point-by-point loop for numerics._mesh_values.
+Every report -- verdict, witness, sides, deviation and samples_checked --
+must be equal, for the ten properties and compare, on the five table2
+instances plus one instance of each remaining family and one implication
+that evaluates point by point. The golden test covers grid 21; this one
+covers the default grid, where the array scan runs several blocks.
 
 T2 (associativity), T3 and check_idempotent are compared with the scalar
-loops they replaced, on catalog entries and constructions.
+loops they replaced, on catalog entries and constructions, and T2 makes two
+calls of the connective per block: F(x, y) and F(y, z) joined, then the two
+outer terms.
 
 Two cases pin the error order: a connective that leaves [0, 1] only after
 the first witness still reports that witness, and one that leaves it first
 raises the UnitRangeError the scalar order meets first. A hypothesis test
 draws connectives that leak on random regions, inside gon, tn and ro at
-small random configs, and requires every property check and compare to
-report, or raise, what the scalar reference does. EP and EP1, which join
-their four evaluations into two calls on a mesh, and CP, L-CP and R-CP,
-which join theirs into one negation call and one implication call, are
-also checked against the sides written out point by point, on connectives
-that leak in the second half of a joined call. check_properties, which
-walks a shared mesh once for several rows, must report, or raise, what
-check_property reports row by row, on the same leaky connectives.
+small random configs, and requires every property check, compare,
+classify_crisp, check_associativity, check_axioms(f, "O") (its O2 lines)
+and find_neutral to report, or raise, what the scalar reference does. EP
+and EP1, which join their four evaluations into two calls on a mesh, and
+CP, L-CP and R-CP, which join theirs into one negation call and one
+implication call, are also checked against the sides written out point by
+point, on connectives that leak in the second half of a joined call.
+check_properties, which walks a shared mesh once for several rows, must
+report, or raise, what check_property reports row by row, on the same leaky
+connectives.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import overlapkit as ok
-from overlapkit import numerics, properties
+from overlapkit import aggregation, cli, conjunctors, dumps, implications, negations, numerics, properties
 from overlapkit.cli import parse_connective, parse_implication, table2_instances
 from overlapkit.numerics import _min, _prod, _vectorized, _where
 
@@ -63,7 +68,7 @@ INSTANCES.append(
 
 
 def _scan(points, sides, relation):
-    """First-witness scan point by point: (witness, count, worst) as numerics._scan_mesh returns them."""
+    """First-witness scan of one row point by point, sides(point) giving (lhs, rhs): (witness, count, worst)."""
     worst, count = 0.0, 0
     for point in points:
         count += 1
@@ -76,8 +81,27 @@ def _scan(points, sides, relation):
     return None, count, worst
 
 
-def _scalar_scan_mesh(cols, sides, relation):
-    return _scan(zip(*(c.tolist() for c in cols)), lambda p: sides(*p), relation)
+def _scalar_scan_rows(cols, rows, env):
+    """numerics._scan_rows point by point: at each point the sides of the rows still walking, as floats.
+
+    The sides come from the float walk of numerics._sides, which evaluates
+    each term once through __call__, in the order the sides are written;
+    a row leaves at its first failing point.
+    """
+    active = list(range(len(rows)))
+    results = [(None, 0, 0.0)] * len(rows)
+    for point in zip(*(c.tolist() for c in cols)):
+        if not active:
+            break
+        values = iter(numerics._sides(numerics._plan(tuple(rows[r][0] for r in active)), env, *point))
+        for r, lhs, rhs in zip(tuple(active), values, values):
+            _, count, worst = results[r]
+            failed, deviation = rows[r][1](lhs, rhs)
+            witness = (point, lhs, rhs, float(deviation)) if failed else None
+            results[r] = (witness, count + 1, max(worst, float(deviation)))
+            if failed:
+                active.remove(r)
+    return results
 
 
 def _scalar_mesh_values(cols, fn):
@@ -85,15 +109,27 @@ def _scalar_mesh_values(cols, fn):
     return tuple(np.array(col, dtype=float) for col in zip(*rows))
 
 
+# Every module of the package but numerics, which defines the kernels.
+MODULES = (aggregation, cli, conjunctors, dumps, implications, negations, properties)
+
+
+def _use_scalar_kernels(patch) -> None:
+    """Swap the scalar reference in for _scan_rows and _mesh_values in every module that imports them."""
+    for module in MODULES:
+        for name, kernel in (("_scan_rows", _scalar_scan_rows), ("_mesh_values", _scalar_mesh_values)):
+            if hasattr(module, name):
+                patch.setattr(module, name, kernel)
+
+
+def test_every_scan_outside_numerics_is_swapped_for_the_reference():
+    importers = {m.__name__.rpartition(".")[2] for m in MODULES if hasattr(m, "_scan_rows")}
+    assert importers == {"aggregation", "conjunctors", "implications", "properties"}
+
+
 @pytest.fixture
 def scalar_kernels(monkeypatch):
-    """Run the property checkers on the scalar reference kernels while active."""
-
-    def use_scalar():
-        monkeypatch.setattr(properties, "_scan_mesh", _scalar_scan_mesh)
-        monkeypatch.setattr(properties, "_mesh_values", _scalar_mesh_values)
-
-    return use_scalar
+    """Run the checkers on the scalar reference kernels while active."""
+    return partial(_use_scalar_kernels, monkeypatch)
 
 
 def _reports(implication, negation, other) -> list[dict]:
@@ -307,18 +343,22 @@ FAMILIES = {
 
 
 def _outcome(run):
-    """run()'s report as a dict, or the class and text of the library error it raises."""
+    """run()'s report as a dict (another result as it is), or the class and text of the library error it raises."""
     try:
-        return run().as_dict()
+        result = run()
     except ok.OverlapkitError as error:
         return type(error), str(error)
+    return result.as_dict() if hasattr(result, "as_dict") else result
 
 
-def _outcomes(implication, negation, other, config) -> list:
+def _outcomes(f, implication, negation, other, config) -> list:
     runs = [
         partial(properties.check_property, implication, pid, negation, config) for pid in properties._PROPERTIES
     ]
     runs.append(partial(properties.compare, implication, other, config))
+    runs.append(partial(ok.classify_crisp, implication, config))
+    runs += [partial(check, f, config=config) for check in (ok.check_associativity, ok.find_neutral)]
+    runs.append(partial(ok.check_axioms, f, "O", config))
     return [_outcome(run) for run in runs]
 
 
@@ -349,11 +389,10 @@ def test_leaky_checks_match_the_scalar_reference(cx, cy, leak, base, vectorized,
         f = dataclasses.replace(f, fn=lambda x, y: fn(x, y))
     implication, negation = FAMILIES[family](f, config), ok.make_standard()
     other = ok.make_gon(ok.catalog("O_min"), negation)
-    got = _outcomes(implication, negation, other, config)
+    got = _outcomes(f, implication, negation, other, config)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(properties, "_scan_mesh", _scalar_scan_mesh)
-        patch.setattr(properties, "_mesh_values", _scalar_mesh_values)
-        assert got == _outcomes(implication, negation, other, config)
+        _use_scalar_kernels(patch)
+        assert got == _outcomes(f, implication, negation, other, config)
 
 
 def _batch_outcome(run):
@@ -447,6 +486,22 @@ def test_check_properties_walks_a_shared_mesh_once():
     calls.update(negation=0, implication=0)
     assert [properties.check_property(implication, p, negation, config) for p in ["CP", "LCP", "R-CP"]] == reports
     assert calls == {"negation": 3, "implication": 3}
+
+
+def test_t2_makes_two_calls_of_f_per_block():
+    # F(x, y) and F(y, z) in one joined call, then F(F(x, y), z) and F(x, F(y, z)) in a second.
+    calls = []
+    o_min = ok.catalog("O_min")
+
+    def fn(x, y):
+        calls.append(len(x))
+        return o_min.fn(x, y)
+
+    f = dataclasses.replace(o_min, fn=_vectorized(fn))
+    assert ok.check_associativity(f).passed
+    blocks = [stop - start for start, stop in numerics._blocks(21**3, numerics.FIRST_BLOCK, numerics.SCAN_BLOCK)]
+    assert len(blocks) == 4
+    assert calls == [2 * n for n in blocks for _ in range(2)]
 
 
 # Connectives for the T2, T3 and idempotency references: associative ones

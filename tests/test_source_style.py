@@ -303,7 +303,7 @@ def test_a_use_of_a_group_checker_is_found():
     assert _name_uses(source, GROUP_CHECKERS) == ["2:check_ep", "6:check_contraposition"]
 
 
-# The block loop of the mesh kernels; every other module scans through _scan_mesh and _mesh_values.
+# The block loop of the mesh kernels; every other module scans through _scan_rows and _mesh_values.
 BLOCK_LOOP = {"_blockwise", "_blocks", "_POINT_ERRORS", "FIRST_BLOCK"}
 
 
@@ -312,7 +312,7 @@ BLOCK_LOOP = {"_blockwise", "_blocks", "_POINT_ERRORS", "FIRST_BLOCK"}
 )
 def test_only_numerics_names_the_block_loop(path):
     uses = _name_uses(path.read_text(encoding="utf-8"), BLOCK_LOOP)
-    assert uses == [], f"{path.name}: call _scan_mesh or _mesh_values instead: {uses}"
+    assert uses == [], f"{path.name}: call _scan_rows or _mesh_values instead: {uses}"
 
 
 def test_a_use_of_the_block_loop_is_found():
