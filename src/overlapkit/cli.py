@@ -1,9 +1,11 @@
 """Command-line surface: evaluate, audit, compare, and search connectives.
 
-Verbs:
+Verbs, each one row of _VERBS (its command, help text and arguments),
+from which _build_parser builds every subparser in one loop:
 
 * eval EXPR [--at x y ...]: value(s) at points, or a grid dump without --at.
-* axioms EXPR [--set O|G|GO|T]: axiom report for a connective.
+* axioms EXPR [--set SET]: axiom report for a connective, against a set
+  of conjunctors._CONNECTIVE_SETS (default: the set of its role).
 * props EXPR [--prop LIST] [--negation NEG]: property reports for an
   implication; a name is a report id (L-CP), in any case, hyphens optional.
 * compare EXPR1 EXPR2: sup deviation over the sampled pairs.
@@ -33,12 +35,13 @@ key=value parameter may appear once per constructor.
 Output: every verb returns one _Result, which holds a callable that
 builds its JSON payload, called only for --format json, its CSV header
 and rows, its text lines and whether the checked statement failed.
-_emit writes it in the --format asked for, and run() alone turns
-`failed` into exit code 1 when --assert is given. Verbs format their cells
-themselves, so the three formats show the same digits. A grid dump's
-values stay one array, the payload's "values": the `dumps` module renders
-them when they are written, in spans of at most 4096 values, with one
-array kernel for their 9 decimals in all three formats.
+_emit writes it in the --format asked for, JSON as json.dumps of
+numerics._plain(payload, 9), so a payload may hold report objects, and
+run() alone turns `failed` into exit code 1 when --assert is given. Verbs
+format their cells themselves, so the three formats show the same digits.
+A grid dump's values stay one array, the payload's "values": the `dumps`
+module renders them when they are written, in spans of at most 4096
+values, with one array kernel for their 9 decimals in all three formats.
 
 Exit codes: 0 success, 1 failed --assert, 2 parse/config error (including
 an unknown, missing or repeated constructor parameter, and a NaN or
@@ -68,6 +71,7 @@ import numpy as np
 from .aggregation import AGGREGATION_NAMES, OperatorFamily, aggregate, make_aggregation
 from .conjunctors import (
     _CATALOG,
+    _CONNECTIVE_SETS,
     FusionFunction,
     catalog,
     check_axioms,
@@ -404,11 +408,11 @@ class _Result(NamedTuple):
 def _emit(result: _Result, fmt: str) -> None:
     """Write result to stdout as text, json or csv.
 
-    JSON is json.dumps(result.payload(), indent=2) with every float rounded
-    to 9 decimals, a grid dump's arrays rendered by dumps._json_array. A grid
-    dump's text and CSV lines come rendered, a span of whole runs to an
-    item (dumps._table): each item is one write, and its last line end
-    another.
+    JSON is json.dumps(numerics._plain(result.payload(), 9), indent=2): the
+    reports as JSON data, every float rounded to 9 decimals, a grid dump's
+    arrays rendered by dumps._json_array. A grid dump's text and CSV lines
+    come rendered, a span of whole runs to an item (dumps._table): each
+    item is one write, and its last line end another.
     """
     if fmt == "json":
         sys.stdout.writelines(_json(result.payload()))
@@ -471,12 +475,8 @@ def _cmd_eval(args, config: CheckConfig) -> _Result:
     )
 
 
-_ROLE_TO_SET = {
-    "overlap": "O",
-    "grouping": "G",
-    "general_overlap": "GO",
-    "t_norm": "T",
-}
+# A connective's role -> the axiom set axioms checks when --set is not given.
+_ROLE_TO_SET = {role: axiom_set for axiom_set, role in _CONNECTIVE_SETS.items()}
 
 
 def _negation_axioms(negation: Negation, config: CheckConfig) -> _Result:
@@ -524,7 +524,7 @@ def _cmd_axioms(args, config: CheckConfig) -> _Result:
         for c in report.checks
     )
     header = ["axiom", "passed", "witness", "deviation", "informational", "note"]
-    return _Result(report.as_dict, header, rows, [report.summary()], not report.passed)
+    return _Result(lambda: report, header, rows, [report.summary()], not report.passed)
 
 
 def _prop_id(name: str) -> str:
@@ -542,7 +542,7 @@ def _cmd_props(args, config: CheckConfig) -> _Result:
     pids = list(_PROPERTIES) if args.prop.strip().lower() == "all" else [_prop_id(p) for p in args.prop.split(",")]
     reports = check_properties(implication, pids, negation, config)
     return _Result(
-        lambda: [r.as_dict() for r in reports],
+        lambda: reports,
         _PROPS_HEADER,
         (_report_row(r) for r in reports),
         (r.summary() for r in reports),
@@ -687,69 +687,58 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
+# The arguments of two verbs each: (name, add_argument keywords).
+_EXPRESSION = ("expression", {})
+_NEGATION = ("--negation", dict(default="zadeh", help="negation for CP/LCP/RCP (default zadeh)"))
+
+# Verb -> (its command, its help, its own arguments as (name, add_argument keywords)), in --help order.
+_VERBS = {
+    "eval": (_cmd_eval, "evaluate an expression", (
+        _EXPRESSION,
+        ("--at", dict(type=float, nargs="+", action="append",
+                      help="evaluation point (repeatable); omit for a grid dump")),
+    )),
+    "axioms": (_cmd_axioms, "axiom report for a connective", (
+        _EXPRESSION,
+        ("--set", dict(choices=tuple(_CONNECTIVE_SETS), help="axiom set (default: from role)")),
+    )),
+    "props": (_cmd_props, "property reports for an implication", (
+        _EXPRESSION,
+        ("--prop", dict(default="all", help="comma list of properties, or 'all'")),
+        _NEGATION,
+    )),
+    "compare": (_cmd_compare, "sup deviation of two implications", (_EXPRESSION, ("expression2", {}))),
+    "table2": (_cmd_table2, "property matrix of the built-in instances", ()),
+    "search": (_cmd_search, "scan a parameter range for a violation", (
+        ("template", dict(help="implication expression with a {} placeholder")),
+        ("--prop", dict(required=True, help="property to test at each step")),
+        ("--range", dict(type=float, nargs=2, required=True, metavar=("LO", "HI"))),
+        ("--steps", dict(type=int, default=11, help="number of values to try (>= 1)")),
+        _NEGATION,
+    )),
+    "catalog": (_cmd_catalog, "list the expression grammar", ()),
+}
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse parser of every verb, built once per process: parse_args keeps no state between calls."""
     common = argparse.ArgumentParser(add_help=False)
     for flag, dest, _, kind, text in _CONFIG_FLAGS:
         common.add_argument(flag, dest=dest, type=kind, help=text)
-    common.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text", help="output format"
-    )
-    common.add_argument(
-        "--assert",
-        dest="assert_",
-        action="store_true",
-        help="exit 1 when the checked statement fails",
-    )
+    common.add_argument("--format", choices=("text", "json", "csv"), default="text", help="output format")
+    common.add_argument("--assert", dest="assert_", action="store_true",
+                        help="exit 1 when the checked statement fails")
     common.add_argument("--config", help="config file path (fallback: OVERLAPKIT_CONFIG)")
 
-    parser = _Parser(
-        prog="overlapkit",
-        description="Evaluate and audit unit-interval connectives and implications.",
-    )
+    parser = _Parser(prog="overlapkit",
+                     description="Evaluate and audit unit-interval connectives and implications.")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("eval", parents=[common], help="evaluate an expression")
-    p.set_defaults(command=_cmd_eval)
-    p.add_argument("expression")
-    p.add_argument(
-        "--at",
-        type=float,
-        nargs="+",
-        action="append",
-        help="evaluation point (repeatable); omit for a grid dump",
-    )
-
-    p = sub.add_parser("axioms", parents=[common], help="axiom report for a connective")
-    p.set_defaults(command=_cmd_axioms)
-    p.add_argument("expression")
-    p.add_argument("--set", choices=("O", "G", "GO", "T"), help="axiom set (default: from role)")
-
-    p = sub.add_parser("props", parents=[common], help="property reports for an implication")
-    p.set_defaults(command=_cmd_props)
-    p.add_argument("expression")
-    p.add_argument("--prop", default="all", help="comma list of properties, or 'all'")
-    p.add_argument("--negation", default="zadeh", help="negation for CP/LCP/RCP (default zadeh)")
-
-    p = sub.add_parser("compare", parents=[common], help="sup deviation of two implications")
-    p.set_defaults(command=_cmd_compare)
-    p.add_argument("expression")
-    p.add_argument("expression2")
-
-    p = sub.add_parser("table2", parents=[common], help="property matrix of the built-in instances")
-    p.set_defaults(command=_cmd_table2)
-
-    p = sub.add_parser("search", parents=[common], help="scan a parameter range for a violation")
-    p.set_defaults(command=_cmd_search)
-    p.add_argument("template", help="implication expression with a {} placeholder")
-    p.add_argument("--prop", required=True, help="property to test at each step")
-    p.add_argument("--range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    p.add_argument("--steps", type=int, default=11, help="number of values to try (>= 1)")
-    p.add_argument("--negation", default="zadeh", help="negation for CP/LCP/RCP (default zadeh)")
-
-    p = sub.add_parser("catalog", parents=[common], help="list the expression grammar")
-    p.set_defaults(command=_cmd_catalog)
+    for verb, (command, text, arguments) in _VERBS.items():
+        p = sub.add_parser(verb, parents=[common], help=text)
+        p.set_defaults(command=command)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
     return parser
 
 

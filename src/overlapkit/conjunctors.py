@@ -27,8 +27,10 @@ a tolerance, associativity on the reduced triple grid, or the largest
 deviation of f(x, 1) from x over the samples -- and its notes on failure
 and on a pass. One runner, _check_set, evaluates the function once on the
 grid with numerics._tensor and walks the rows; check_axioms and
-implications.check_implication_axioms only choose the set, and "I" is
-reachable only from the latter. continuity_heuristic, check_associativity
+implications.check_implication_axioms only choose the set. The connective
+sets O, G, GO and T are named once, in _CONNECTIVE_SETS with the role each
+checks, and check_axioms takes only those, so "I" is reachable only from
+check_implication_axioms. continuity_heuristic, check_associativity
 and the converse scan of grouping_from and overlap_from call the same row
 checks; the two constructions then build the N-dual with dual, which lives
 here beside them.
@@ -62,6 +64,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .negations import Negation, _require_negation
 from .numerics import (
     DEFAULT_CONFIG,
     SCAN_BLOCK,
@@ -382,7 +385,7 @@ _DUAL_FROM = {
 }
 
 
-def dual(f: FusionFunction, negation) -> FusionFunction:
+def dual(f: FusionFunction, negation: Negation) -> FusionFunction:
     """N-dual of a fusion function: N(f(N(x1),...,N(xn))).
 
     Keeps the arity; the result is tagged with the neutral 'aggregation' role
@@ -391,6 +394,7 @@ def dual(f: FusionFunction, negation) -> FusionFunction:
     """
     if not isinstance(f, FusionFunction):
         raise PreconditionError("dual expects a FusionFunction")
+    _require_negation(negation, "dual")
 
     def fn(*xs, _f=f, _n=negation):
         return _value(_n, _value(_f, *[_value(_n, x) for x in xs]))
@@ -652,6 +656,11 @@ _AXIOMS = {
 }
 
 
+# The connective axiom sets -> the role each checks: check_axioms, the CLI's
+# --set and its default set for a role read this. GO alone takes any arity.
+_CONNECTIVE_SETS = {"O": "overlap", "G": "grouping", "GO": "general_overlap", "T": "t_norm"}
+
+
 def _verdict(row: _Axiom, f, tensor, xs: np.ndarray, config: CheckConfig) -> AxiomCheck:
     """The AxiomCheck of one row on f's tensor over the grid xs."""
     witness, deviation, note = None, 0.0, ""
@@ -679,16 +688,16 @@ def _check_set(f, axiom_set: str, config: CheckConfig) -> AxiomReport:
 
 
 def check_axioms(f: FusionFunction, axiom_set: str, config: CheckConfig = DEFAULT_CONFIG) -> AxiomReport:
-    """Verify one of the axiom sets O, G, GO, or T on the grid.
+    """Verify one of the connective axiom sets, the keys of _CONNECTIVE_SETS, on the grid.
 
-    O/G/T demand a binary function; GO accepts any arity. The report's
+    GO accepts any arity, the others demand a binary function. The report's
     aggregate verdict ignores the informational GO2a/GO3a entries. The
     function is evaluated once on the grid; every check reads that tensor.
     """
-    if axiom_set in ("O", "G", "T") and f.arity != 2:
+    if axiom_set not in _CONNECTIVE_SETS:
+        raise PreconditionError(f"unknown axiom set {axiom_set!r} (want {'|'.join(_CONNECTIVE_SETS)})")
+    if axiom_set != "GO" and f.arity != 2:
         raise PreconditionError(f"axiom set {axiom_set} applies to binary functions")
-    if axiom_set not in ("O", "G", "GO", "T"):
-        raise PreconditionError(f"unknown axiom set {axiom_set!r} (want O|G|GO|T)")
     return _check_set(f, axiom_set, config)
 
 

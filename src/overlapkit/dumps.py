@@ -4,9 +4,12 @@
 are written by one array kernel, _decimals, instead of one float at a time:
 n = rint(v * 1e9) spelled from tables of three-digit groups into byte rows.
 _table renders text and CSV lines with it, _json_array JSON arrays, and
-_json splices those into json.dumps of the rest of a payload. The output is
-byte-identical to "%.9f" % v in text and CSV and to json.dumps of
-round(v, 9) in JSON; the per-value formats are the tests' reference.
+_json splices those into json.dumps of the rest of a payload. Every JSON
+output of the CLI is _json's: the payload goes through numerics._plain,
+the one serializer, which turns its reports into JSON data and rounds its
+floats to 9 decimals in one walk. The output is byte-identical to
+"%.9f" % v in text and CSV and to json.dumps of round(v, 9) in JSON; the
+per-value formats are the tests' reference.
 
 A dump is rendered and written a span at a time: at most _CHUNK values,
 whole runs along the last axis (one x of a binary dump), so a dump of any
@@ -23,6 +26,8 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
+
+from .numerics import _plain
 
 # A text of 9 decimals: its head "w.ddd" and two groups of three digits.
 _NINE = np.dtype({"names": ["head", "mid", "low"], "formats": ["S5", "S3", "S3"], "offsets": [0, 5, 8]})
@@ -184,25 +189,16 @@ _ARRAY = "\0array"
 _ARRAY_JSON = json.dumps(_ARRAY)
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return round(obj, 9)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
 def _json(payload) -> Iterable[str]:
-    """The text of json.dumps(payload, indent=2) with its floats rounded to 9 decimals, and a line end.
+    """The text of json.dumps(numerics._plain(payload, 9), indent=2), and a line end.
 
-    json.dumps hands each array, which it cannot encode, to default, which
-    puts _ARRAY in its place; _json_array renders it there at the
-    indentation of the line json.dumps put _ARRAY on.
+    _plain turns the payload's reports into JSON data and rounds its floats
+    to 9 decimals in one walk. json.dumps hands each array, which it cannot
+    encode, to default, which puts _ARRAY in its place; _json_array renders
+    it there at the indentation of the line json.dumps put _ARRAY on.
     """
     arrays = []
-    text = json.dumps(_round_floats(payload), indent=2, default=lambda array: arrays.append(array) or _ARRAY)
+    text = json.dumps(_plain(payload, 9), indent=2, default=lambda array: arrays.append(array) or _ARRAY)
     *heads, last = text.split(_ARRAY_JSON)
     for head, values in zip(heads, arrays):
         yield head

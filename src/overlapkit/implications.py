@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .conjunctors import ROLES, AxiomReport, FusionFunction, _check_set
-from .negations import Negation, inverse_negation
+from .negations import Negation, _require_negation, inverse_negation
 from .numerics import (
     DEFAULT_CONFIG,
     CheckConfig,
@@ -155,12 +155,14 @@ def make_gon(go: FusionFunction, negation: Negation) -> Implication:
     this family from tn. Any binary non-grouping connective is accepted.
     """
     _require(go, "make_gon", [r for r in ROLES if r != "grouping"], "a conjunctive connective, not a grouping")
+    _require_negation(negation, "make_gon")
     return _composite("gon", _negated(go, negation), ("go", go), ("negation", negation))
 
 
 def make_gn(grouping: FusionFunction, negation: Negation) -> Implication:
     """I(x,y) = G(N(x), y) for a binary grouping function G."""
     _require(grouping, "make_gn", ("grouping",), "a grouping function")
+    _require_negation(negation, "make_gn")
 
     def fn(x, y, _g=grouping, _n=negation):
         return _value(_g, _value(_n, x), y)
@@ -219,6 +221,7 @@ def make_tn(tnorm: FusionFunction, negation: Negation) -> Implication:
     The claim is not re-verified here; run check_axioms(T, "T") to audit it.
     """
     _require(tnorm, "make_tn", [r for r in ROLES if r != "grouping"], "a conjunctive connective, not a grouping")
+    _require_negation(negation, "make_tn")
     return _composite("tn", _negated(tnorm, negation), ("tnorm", tnorm), ("negation", negation))
 
 

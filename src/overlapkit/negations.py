@@ -14,6 +14,8 @@ re-derives the same flags numerically on the sample grid, so the two routes
 can be checked against each other. The N-dual of a fusion function,
 N(f(N(x1),...,N(xn))), is conjunctors.dual, beside the grouping and overlap
 constructions built on it; this module imports nothing from conjunctors.
+_require_negation is the one refusal of a non-Negation, by dual and by
+the gon, tn and gn constructors.
 
 Each negation and the numeric inverse is one body over numerics (its
 primitives, _invert): a point on floats, a mesh on arrays. A Negation is
@@ -70,6 +72,12 @@ class Negation(_Connective):
     is_frontier: bool = False
 
     __call__ = _Connective.__call__
+
+
+def _require_negation(negation, who: str) -> None:
+    """Refuse anything but a Negation, with a PreconditionError that names the constructor who."""
+    if not isinstance(negation, Negation):
+        raise PreconditionError(f"{who} needs a Negation")
 
 
 @dataclass(frozen=True)

@@ -91,8 +91,9 @@ raises, hands on the clean prefix before it and then raises that point's
 error as its float evaluation does. So the witness or error reported is the one met first in
 point order, with no point evaluated as a scalar but the raising one.
 
-_plain is the one serializer of the report dataclasses, and _Record gives
-each of them as_dict() through it.
+_plain is the one serializer: _Record gives each report dataclass
+as_dict() through it, and the CLI's JSON output is json.dumps of
+_plain(payload, 9), its floats rounded to 9 decimals in the same walk.
 
 The grid layer builds every sample mesh: _axis is the one reduced-grid
 rule, _sample_mesh the mesh the property scans walk (cached and read-only)
@@ -105,7 +106,7 @@ the object is not vectorized or that raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache, partial, reduce
 from typing import Callable, Optional
 
@@ -148,14 +149,26 @@ class UnitValue(float):
         return f"UnitValue({float(self)!r})"
 
 
-def _plain(value):
-    """value as JSON data: a dataclass as its fields in order (keyed by metadata "key" if set), tuples as lists."""
-    if is_dataclass(value):
-        return {f.metadata.get("key", f.name): _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
+def _plain(value, decimals: Optional[int] = None):
+    """value as JSON data, each float rounded to decimals when given.
+
+    A dataclass becomes its fields in order (keyed by metadata "key" if
+    set), a tuple or list a list, a dict a dict; anything else, a numpy
+    array among them, is left as it is. Strings, most leaves of a CLI
+    payload, are tested first, and a dataclass is known by the attribute
+    dataclasses.is_dataclass reads: is_dataclass itself cost about a
+    microsecond a value, most of the walk of catalog's payload of strings.
+    """
+    if isinstance(value, str):
+        return value
+    if isinstance(value, float):
+        return value if decimals is None else round(value, decimals)
     if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
+        return {k: _plain(v, decimals) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v, decimals) for v in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return {f.metadata.get("key", f.name): _plain(getattr(value, f.name), decimals) for f in fields(value)}
     return value
 
 

@@ -249,8 +249,10 @@ def check_properties(
     where each block evaluates the terms they share once and a row drops
     out at its first witness. If that raises anything, the rows are run one
     by one in the order of pids, so the reports, or the error, are those
-    of the one-by-one calls. pids may name a row twice.
+    of the one-by-one calls. pids may name a row twice, and is read once,
+    so it may be any iterable.
     """
+    pids = list(pids)
     try:
         ids = [_property_id(pid) for pid in pids]
         groups: dict = {}

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overlapkit import cli, dumps, numerics
-from overlapkit.cli import _CATALOG_ROWS, _build_parser, _head_kind, run
+from overlapkit.cli import _CATALOG_ROWS, _VERBS, _build_parser, _head_kind, run
 from overlapkit.properties import check_properties, check_property
 
 
@@ -542,7 +542,7 @@ def test_only_json_serializes_the_reports(argv, monkeypatch, capsys):
     # The JSON payload is built only when --format json writes it: text and CSV make no numerics._plain call.
     calls = []
     plain = numerics._plain
-    monkeypatch.setattr(numerics, "_plain", lambda value: calls.append(value) or plain(value))
+    monkeypatch.setattr(numerics, "_plain", lambda value, *rest: calls.append(value) or plain(value, *rest))
     for fmt in ("text", "csv"):
         assert run([*argv, "--grid", "11", "--format", fmt]) == 0
     assert calls == []
@@ -899,7 +899,7 @@ def test_a_run_that_argparse_exits_leaves_the_next_run_unchanged(bad, capsys):
     assert (after.out, after.err) == (before.out, before.err)
 
 
-@pytest.mark.parametrize("verb", [[], ["eval"], ["props"], ["search"], ["catalog"]])
+@pytest.mark.parametrize("verb", [[], *([v] for v in _VERBS)])
 def test_help_of_the_shared_parser_is_that_of_a_fresh_one(verb, capsys):
     with pytest.raises(SystemExit):
         _build_parser.__wrapped__().parse_args([*verb, "--help"])

@@ -315,6 +315,25 @@ def test_each_refusal_names_what_it_refuses(call, message):
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize(
+    "call, who",
+    [
+        (lambda n: ok.make_gon(ok.catalog("O_min"), n), "make_gon"),
+        (lambda n: ok.make_tn(ok.catalog("O_min"), n), "make_tn"),
+        (lambda n: ok.make_gn(ok.grouping_max(), n), "make_gn"),
+        (lambda n: ok.dual(ok.catalog("O_min"), n), "dual"),
+    ],
+    ids=["gon", "tn", "gn", "dual"],
+)
+@pytest.mark.parametrize("negation", [ok.catalog("O_min"), lambda x: 1.0 - x], ids=["connective", "function"])
+def test_a_constructor_refuses_a_negation_that_is_not_a_negation(call, who, negation):
+    # Refused when built, not when first evaluated with the wrong argument count.
+    with pytest.raises(ok.PreconditionError) as raised:
+        call(negation)
+    assert type(raised.value) is ok.PreconditionError
+    assert str(raised.value) == f"{who} needs a Negation"
+
+
 def test_classify_crisp_finds_no_fit_for_a_threshold_that_never_switches():
     # I(x, 0) = 1 everywhere: the alpha bisection has no switch to find.
     one = ok.Implication(fn=_vectorized(lambda x, y: _max(1.0, x)), label="one", family="crisp")

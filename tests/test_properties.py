@@ -330,3 +330,23 @@ def test_range_is_proper_when_the_image_misses_an_end():
     # Image [0.5, 1]: no gap inside it, but it misses the end 0.
     upper = ok.Implication(fn=numerics._vectorized(lambda x, y: 0.5 + 0.5 * y), label="upper", family="gon")
     assert ok.range_is_proper(upper)
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        (["NP", "CP"], "CP needs a negation"),
+        (["EP", "XX"], "unknown property 'XX' (want one of "
+                       "['NP', 'IP', 'LOP', 'ROP', 'IB', 'EP', 'EP1', 'CP', 'LCP', 'RCP'])"),
+    ],
+    ids=["cp-without-negation", "unknown-id"],
+)
+@pytest.mark.parametrize("once", [iter, lambda ids: (p for p in ids)], ids=["iterator", "generator"])
+def test_check_properties_reads_a_one_pass_iterable_of_ids_once(ids, message, once):
+    # The one-by-one fallback must see the ids the shared walk saw, so a
+    # one-pass iterable raises what the same ids as a list raise.
+    imp = _gon("O_min", ok.make_standard())
+    for pids in (ids, once(ids)):
+        with pytest.raises(ok.PreconditionError) as raised:
+            ok.check_properties(imp, pids)
+        assert str(raised.value) == message
