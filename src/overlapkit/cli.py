@@ -25,6 +25,11 @@ number is an argument, never an option string, in exponent notation and as
 -inf or -nan too, so `--range -1e-3 2` and `--at -inf 0.5` reach the
 program's own checks.
 
+Each argv is parsed once: run() hands a well-formed one straight to its
+verb's subparser. The top-level parser runs only for an unknown, missing
+or abbreviated verb, a token the verb does not take, or a "--", and so
+writes every usage error and help screen as before.
+
 Expression grammar: one list of forms, _FORMS, which the parsers read and
 `catalog` prints, one row per constructor with an example, its kind and a
 note. A constructor is a bare name (zadeh), a name with a colon and
@@ -722,7 +727,11 @@ _VERBS = {
 
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of every verb, built once per process: parse_args keeps no state between calls."""
+    """The argparse parser of every verb, built once per process: parsing keeps no state between calls.
+
+    The top-level parser's `verbs` maps each verb to its subparser, which
+    run() parses a well-formed argv with alone (_parse_argv).
+    """
     common = argparse.ArgumentParser(add_help=False)
     for flag, dest, _, kind, text in _CONFIG_FLAGS:
         common.add_argument(flag, dest=dest, type=kind, help=text)
@@ -734,8 +743,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="overlapkit",
                      description="Evaluate and audit unit-interval connectives and implications.")
     sub = parser.add_subparsers(dest="verb", required=True)
+    parser.verbs = {}
     for verb, (command, text, arguments) in _VERBS.items():
-        p = sub.add_parser(verb, parents=[common], help=text)
+        p = parser.verbs[verb] = sub.add_parser(verb, parents=[common], help=text)
         p.set_defaults(command=command)
         for name, keywords in arguments:
             p.add_argument(name, **keywords)
@@ -751,12 +761,35 @@ def _resolve_config(args) -> CheckConfig:
     return replace(config, **overrides) if overrides else config
 
 
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """The namespace of one argv, which argparse reads once when it is well formed.
+
+    When argv[0] is a verb and no token is "--", the verb's subparser parses
+    the rest: the top-level parser would only hand it every token after the
+    verb. If no token is left over, that namespace, with `verb` set, is the
+    top-level one. Otherwise (an unknown, missing or abbreviated verb, a
+    token left over, or "--") the top-level parse_args runs as it would
+    alone, so every usage error, help screen and exit code stays its own.
+    """
+    parser = _build_parser()
+    verb = parser.verbs.get(argv[0]) if argv and "--" not in argv else None
+    if verb is not None:
+        args, rest = verb.parse_known_args(argv[1:])
+        if not rest:
+            args.verb = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def run(argv: list[str]) -> int:
     """Parse and execute one command; returns the process exit code.
 
-    Each warning raised prints on stderr as one line, "warning: <message>".
+    A well-formed argv is parsed once, by its verb's subparser; the
+    top-level parser runs only for an argv that subparser alone cannot take
+    (see _parse_argv). Each warning raised prints on stderr as one line,
+    "warning: <message>".
     """
-    args = _build_parser().parse_args(argv)
+    args = _parse_argv(argv)
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)

@@ -910,3 +910,86 @@ def test_help_of_the_shared_parser_is_that_of_a_fresh_one(verb, capsys):
             run([*verb, "--help"])
         assert exit_.value.code == 0
         assert capsys.readouterr().out == reference
+
+
+# --- one parse per argv -----------------------------------------------------
+
+# One well-formed argv per verb, each cheap at these grid sizes.
+WELL_FORMED = (
+    ["eval", "gon(GO_max, zadeh)", "--at", "0.6", "0.2", "--at", "0.1", "0.3", "--format", "csv"],
+    ["axioms", "O_min", "--grid", "11"],
+    ["props", "tn(O_min, zadeh)", "--prop", "CP,NP", "--negation", "zadeh", "--grid", "11", "--format", "json"],
+    ["compare", "gon(GO_max, zadeh)", "tn(O_min, zadeh)", "--grid", "11", "--samples", "5"],
+    ["table2", "--grid", "11", "--samples", "5", "--assert"],
+    ["search", "gon(O_P:p={}, zadeh)", "--prop", "EP", "--range", "1", "3", "--steps", "3", "--grid", "11"],
+    ["catalog", "--format", "json"],
+)
+
+
+class _Parsed(Exception):
+    """Raised in place of resolving the config, carrying the namespace run() parsed."""
+
+
+def _outcome(call, argv, capsys):
+    """What call(argv) gives (its return value, the namespace _Parsed carries, or its exit code), stdout, stderr."""
+    try:
+        outcome = call(list(argv))
+    except _Parsed as parsed:
+        outcome = parsed.args[0]
+    except SystemExit as exit_:
+        outcome = ("exit", exit_.code)
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+def test_a_well_formed_argv_skips_the_top_level_parser(monkeypatch, capsys):
+    assert sorted(argv[0] for argv in WELL_FORMED) == sorted(_VERBS)
+    expected = [_outcome(run, argv, capsys) for argv in WELL_FORMED]
+
+    def refuse(*_):
+        raise AssertionError("the top-level parser ran")
+
+    parser = _build_parser()
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    monkeypatch.setattr(parser, "parse_known_args", refuse)
+    assert [_outcome(run, argv, capsys) for argv in WELL_FORMED] == expected
+
+
+# Tokens where the verb's subparser alone and the top-level parser could part.
+EDGE_ARGVS = (
+    ["eval", "-h"],
+    ["table2", "--help"],
+    ["eval", "zadeh", "--he"],
+    ["eval", "zadeh", "--", "--at", "0.5"],
+    ["eval", "--", "zadeh"],
+    ["props", "tn(O_min, zadeh)", "--prop", "CP", "--neg", "zadeh"],
+    ["props", "tn(O_min, zadeh)", "--prop=CP", "--grid=11"],
+    ["eval", "zadeh", "--at=0.5"],
+    ["search", "ro(O_P:p={})", "--prop", "NP", "--range", "-1e-3", "2"],
+    ["eval", "O_min", "--at", "-inf", "0.5"],
+    ["ev", "zadeh"],
+    ["nope"],
+    [],
+    ["-h"],
+    ["axioms", "O_min", "extra"],
+    ["eval", "zadeh", "--at", "0.5", "--bogus"],
+    ["table2", "--bogus", "1"],
+    ["catalog", "-x"],
+    ["search", "ro(O_P:p={})", "--range", "1", "2"],
+    ["search", "ro(O_P:p={})", "--prop", "NP", "--range", "1", "2", "stray"],
+)
+
+
+def _golden_argvs() -> list[list[str]]:
+    with open(Path(__file__).with_name("parse_golden.json"), encoding="utf-8") as handle:
+        return [json.loads(key) for key in json.load(handle)]
+
+
+def test_run_parses_every_argv_as_the_top_level_parser_does(monkeypatch, capsys):
+    def stop(args):
+        raise _Parsed(args)
+
+    monkeypatch.setattr(cli, "_resolve_config", stop)
+    reference = _build_parser.__wrapped__()
+    for argv in _golden_argvs() + list(EDGE_ARGVS):
+        assert _outcome(run, argv, capsys) == _outcome(reference.parse_args, argv, capsys), argv

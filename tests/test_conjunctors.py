@@ -17,12 +17,8 @@ from overlapkit.numerics import _min, _vectorized
 
 from conftest import BINARY_ENTRIES, CATALOG_ENTRIES
 
-ROLE_TO_SET = {
-    "overlap": "O",
-    "grouping": "G",
-    "general_overlap": "GO",
-    "t_norm": "T",
-}
+# The axiom set that checks each role, read from the one declaration of the sets.
+ROLE_TO_SET = {role: axiom_set for axiom_set, role in conjunctors._CONNECTIVE_SETS.items()}
 
 
 # --- catalog values ---------------------------------------------------------
