@@ -182,7 +182,7 @@ def check_commutes(
     connective_route = make_gon(aggregate_go(dual(agg, negation), gos, config), negation)
 
     env = {"I": implication_route, "J": connective_route}
-    ((witness, count, worst),) = _scan_rows(_sample_mesh(config, 2), [_agreement(config.eq_tol)], env)
+    ((witness, count, worst),) = _scan_rows([(_sample_mesh(config, 2), [_agreement(config.eq_tol)])], env)
     return _report(
         "commutes",
         witness,

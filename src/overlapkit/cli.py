@@ -17,8 +17,8 @@ from which _build_parser builds every subparser in one loop:
 * catalog: list every named constructor and its grammar.
 
 props and table2 scan through properties.check_properties, one
-implication at a time, so the rows that share a mesh walk it once; search
-scans through properties.check_property. Every --prop name is resolved
+implication at a time, so all the meshes of its rows are walked in one
+walk; search scans through properties.check_property. Every --prop name is resolved
 before the first scan. `eval --at` leaves a
 wrong coordinate count to the connective's own argument check. A negative
 number is an argument, never an option string, in exponent notation and as

@@ -540,7 +540,7 @@ def _lines(f, tensor, xs, config, level: float) -> tuple:
     # The points (level, s) and (s, level) for each sample s, in that order.
     cols = (np.stack([edge, samples], axis=1).ravel(), np.stack([samples, edge], axis=1).ravel())
     row = ((("F", "x", "y"), level), lambda got, want: (got != want, abs(got - want)))
-    ((witness, _, _),) = _scan_rows(cols, [row], {"F": f})
+    ((witness, _, _),) = _scan_rows([(cols, [row])], {"F": f})
     return (None, 0.0) if witness is None else (witness[0], witness[3])
 
 
@@ -566,7 +566,8 @@ def _converse(f, tensor, xs, config, side: str, level: float) -> tuple:
 def _associative(f, tensor, xs, config) -> tuple:
     """f(f(x,y),z) = f(x,f(y,z)) within eq_tol on the reduced triple grid, whatever tensor and xs are."""
     sides = (("F", ("F", "x", "y"), "z"), ("F", "x", ("F", "y", "z")))
-    ((witness, _, worst),) = _scan_rows(_grid_mesh(config, 3), [(sides, _apart(config.eq_tol))], {"F": f})
+    row = (sides, _apart(config.eq_tol))
+    ((witness, _, worst),) = _scan_rows([(_grid_mesh(config, 3), [row])], {"F": f})
     return (None, worst) if witness is None else (witness[0], witness[3])
 
 
@@ -743,7 +744,8 @@ def find_neutral(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG) -> Opt
     grid = uniform_grid(config)
 
     def deviates(a: float, budget: float) -> bool:
-        ((witness, _, _),) = _scan_rows((samples,), [((("F", "x", a), "x"), _apart(budget))], {"F": f})
+        row = (("F", "x", a), "x"), _apart(budget)
+        ((witness, _, _),) = _scan_rows([((samples,), [row])], {"F": f})
         return witness is not None
 
     step = max(1, SCAN_BLOCK // len(samples))

@@ -355,7 +355,7 @@ def classify_crisp(
     tol = config.eq_tol
     value = ("I", "x", "y")
     two_valued = ((value, value), lambda v, _: ((v > tol) & (v < 1.0 - tol), np.minimum(v, 1.0 - v)))
-    ((off_level, _, _),) = _scan_rows(mesh, [two_valued], {"I": implication})
+    ((off_level, _, _),) = _scan_rows([(mesh, [two_valued])], {"I": implication})
     if off_level is not None:
         return None
 
@@ -373,7 +373,7 @@ def classify_crisp(
                 fitted = make_crisp_family(kind, a, b)
             except PreconditionError:
                 continue
-            ((witness, _, _),) = _scan_rows(mesh, [_agreement(tol)], {"I": implication, "J": fitted})
+            ((witness, _, _),) = _scan_rows([(mesh, [_agreement(tol)])], {"I": implication, "J": fitted})
             if witness is None:
                 return CrispFit(kind=kind, alpha=a, beta=b)
     return None

@@ -57,8 +57,9 @@ sum from TwoSum steps and one rounding to odd; a non-finite sum, three
 terms near overflow, or four or more columns, runs math.fsum per point.
 The array path of _invert bisects each distinct y once (_distinct, from
 DISTINCT_FLOOR elements up). _joined evaluates one composite at several
-argument lists of 1-d arrays with one call, on their columns joined, so
-each connective it nests is called once for all of them.
+argument lists of 1-d arrays, of any lengths, with one call per 2 *
+SCAN_BLOCK points, on their columns joined, so each connective it nests
+is called once for all of them.
 
 Arrays reach values() in two forms: equal-length 1-d columns, the points
 of a mesh, or broadcast axes, float64 arrays of one dimension count that
@@ -74,22 +75,31 @@ the package is a row of it: the property table, I(x, y) against J(x, y)
 scan, T2, the O2/G3 boundary lines and find_neutral's candidate scan. A
 row's two sides are terms over the coordinates x, y and z whose heads name
 connectives in an environment: EP's I(x, I(y, z)) is ("I", "x", ("I",
-"y", "z")) in {"I": implication}. _scan_rows walks one mesh for several
-rows at once, each leaving at its first witness. _plan schedules a row
-set when the walk starts and when a row leaves: a term's height is one
-more than the greatest of the terms that take it (0 for a side), and
+"y", "z")) in {"I": implication}. _scan_rows walks several meshes, each
+with its rows, in one loop of rounds; a single scan is one mesh. Each
+mesh takes blocks doubling from FIRST_BLOCK (1024 points) up to
+SCAN_BLOCK (4096) of its own, and a round evaluates the next block of
+every mesh still walking at once, each row leaving at its first witness
+and each mesh when its rows or its points run out. _plan schedules the
+rows of the meshes still walking when the walk starts and when a row or
+a mesh leaves: a term is named per mesh, its height is one more than the
+greatest of the terms of its mesh that take it (0 for a side), and
 heights are evaluated from the greatest down, one joined call per head
-(_joined), so CP's I(x, y) and I(N(y), N(x)) share one call. _sides
-evaluates a plan on a block, or term by term as floats at a point.
-_scan_rows and _mesh_values, the full evaluation of a mesh by a
-callable, run on one block loop, _blockwise: a scan takes blocks
-doubling from FIRST_BLOCK (1024 points) up to SCAN_BLOCK (4096), a full
-evaluation blocks of MAX_BLOCK (16384), so the grid-101 pair mesh is one
-block. When a block raises UnitRangeError or PreconditionError,
-_blockwise bisects on the block's prefix length for the first point that
-raises, hands on the clean prefix before it and then raises that point's
-error as its float evaluation does. So the witness or error reported is the one met first in
-point order, with no point evaluated as a scalar but the raising one.
+(_joined) across all the meshes, so CP's I(x, y) and I(N(y), N(x))
+share one call, and NP's and IP's I(x, y) share it too. For a residual
+implication each call is one bisection, whatever its length, so a walk
+of every mesh at once runs fewer of them. _sides evaluates a plan on a
+block of each mesh, or term by term as floats at a point. _mesh_values,
+the full evaluation of a mesh by a callable, runs on the block loop
+_blockwise, in blocks of MAX_BLOCK (16384), so the grid-101 pair mesh is
+one block. When a block of a round of one mesh, or of _blockwise, raises
+UnitRangeError or PreconditionError, _clean_prefix bisects on the
+block's prefix length for the first point that raises; the clean prefix
+before it is handed on and then that point's error is raised as its
+float evaluation raises it. So the witness or error reported is the one
+met first in point order, with no point evaluated as a scalar but the
+raising one. A round of several meshes that raises raises as it is, and
+properties.check_properties then runs its rows one by one.
 
 _plain is the one serializer: _Record gives each report dataclass
 as_dict() through it, and the CLI's JSON output is json.dumps of
@@ -788,24 +798,29 @@ def _branch(cond, branch: Callable, other, *xs):
 
 
 def _joined(g: Callable, calls: list) -> list:
-    """[g(*args) for args in calls], every args being 1-d arrays of one length, from few calls of g.
+    """[g(*args) for args in calls], each args being 1-d arrays of one length, from few calls of g.
 
     g runs once on consecutive calls' arrays joined, each argument
     position into one column, up to two scan blocks (2 * SCAN_BLOCK
     points; longer joined columns ran slower than the calls they save),
     and its result is cut back into one array per call: a composite g
-    calls each connective it nests once for all of them.
+    calls each connective it nests once for all of them. Calls may differ
+    in length, as the blocks of several meshes do.
     """
-    n = len(calls[0][0])
-    per = max(1, 2 * SCAN_BLOCK // max(1, n))
-    out = []
-    for k in range(0, len(calls), per):
-        group = calls[k : k + per]
-        if len(group) == 1:
-            out.append(g(*group[0]))
-            continue
-        values = g(*(np.concatenate(col) for col in zip(*group)))
-        out += [values[j * n : (j + 1) * n] for j in range(len(group))]
+    out, k = [], 0
+    while k < len(calls):
+        stop, n = k + 1, len(calls[k][0])
+        while stop < len(calls) and n + len(calls[stop][0]) <= 2 * SCAN_BLOCK:
+            n += len(calls[stop][0])
+            stop += 1
+        if stop == k + 1:
+            out.append(g(*calls[k]))
+        else:
+            values, cut = g(*(np.concatenate(col) for col in zip(*calls[k:stop]))), 0
+            for args in calls[k:stop]:
+                out.append(values[cut : cut + len(args[0])])
+                cut += len(args[0])
+        k = stop
     return out
 
 
@@ -822,32 +837,48 @@ def _scalar_points(cols: tuple):
     return zip(*(c.tolist() for c in cols))
 
 
+def _clean_prefix(fn: Callable[..., tuple], block: tuple, error: Exception) -> tuple:
+    """(clean, fn of the first clean points, error) for a block on which fn raised error.
+
+    Points evaluate independently, so a prefix of a block raises exactly
+    when one of its points does. The block is bisected on its prefix
+    length for its first raising point clean, in at most 14 more prefix
+    evaluations for MAX_BLOCK points; error is then that of the shortest
+    prefix seen to raise, and the arrays those of the prefix before clean
+    (None when clean is 0).
+    """
+    clean, raising, arrays = 0, len(block[0]), None
+    m = raising // 2
+    while raising - clean > 1:
+        try:
+            arrays, clean = fn(*(c[:m] for c in block)), m
+        except _POINT_ERRORS as exc:
+            error, raising = exc, m
+        m = (clean + raising) // 2
+    return clean, arrays, error
+
+
 def _blockwise(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple], first: int, last: int):
     """(start, arrays) for each block of _blocks over the columns cols, fn(*block) giving arrays of its points.
 
-    Points evaluate independently, so a prefix of a block raises exactly
-    when one of its points does. A block that raises is bisected on its
-    prefix length for its first raising point k, in at most 15 prefix
-    evaluations, the whole block's among them, for MAX_BLOCK points. The
-    clean prefix before k is yielded; resuming raises k's error as fn raises
-    it on k's floats, the error a point-by-point run meets first, or, should
-    the floats pass, the array error.
+    A block that raises is cut to its clean prefix (_clean_prefix), which
+    is yielded; resuming raises the first raising point's error as fn raises
+    it on that point's floats, the error a point-by-point run meets first,
+    or, should the floats pass, the array error.
     """
     for start, stop in _blocks(len(cols[0]), first, last):
         block = tuple(c[start:stop] for c in cols)
-        # clean is the longest prefix known to evaluate, raising the shortest known to raise.
-        clean, raising, m = 0, stop - start + 1, stop - start
-        while raising - clean > 1:
-            try:
-                arrays, clean = fn(*(c[:m] for c in block)), m
-            except _POINT_ERRORS as exc:
-                error, raising = exc, m
-            m = (clean + raising) // 2
+        try:
+            arrays = fn(*block)
+        except _POINT_ERRORS as exc:
+            clean, arrays, error = _clean_prefix(fn, block, exc)
+        else:
+            yield start, arrays
+            continue
         if clean:
             yield start, arrays
-        if clean < stop - start:
-            fn(*(float(c[clean]) for c in block))
-            raise error
+        fn(*(float(c[clean]) for c in block))
+        raise error
 
 
 # A term is a coordinate "x", "y" or "z", a float, or (head, *terms): the
@@ -862,55 +893,65 @@ def _heads(*terms) -> set:
 
 
 @lru_cache(maxsize=256)
-def _plan(sides: tuple) -> tuple:
-    """How _sides evaluates the (lhs, rhs) pairs sides: (sides, size, floats, calls, outs).
+def _plan(meshes: tuple) -> tuple:
+    """How _sides evaluates the rows of several meshes: (meshes, size, floats, calls, outs).
 
-    Every coordinate, float and term has one of size slots of a list: x, y
-    and z the first three, then the floats and terms as first written.
-    floats holds (slot, float) for each float, outs the slots of the sides
-    in order. A term's height is 0 for a side, else one more than the
-    greatest height of a term that takes it. calls hold (head, slots,
-    argument slots) for each head at each height, from the greatest height
-    down, so a term is evaluated just before the level that first needs it
-    and each head is called once per level: CP's I(x, y) shares the call of
-    I(N(y), N(x)), one level above N(x) and N(y). A walk takes its plan
-    when it starts and when a row leaves; the cache spares a search, which
-    scans one row set again and again, the 5-10 us of building it.
+    meshes holds, for each mesh, the (lhs, rhs) pairs of its rows. A term
+    is named per mesh, (m, term), so that each of size slots of a list
+    holds a coordinate, float or term of one mesh m: the coordinates x, y
+    and z of mesh m the slots 3m to 3m + 2, then the floats and terms as
+    first written. floats holds (slot, m, float) for each float, outs the
+    slots of the sides in order, mesh by mesh. A term's height is 0 for a
+    side, else one more than the greatest height of a term of its mesh that
+    takes it. calls hold (head, slots, argument slots) for each head at
+    each height, from the greatest height down, the terms of every mesh
+    together, so a term is evaluated just before the level that first needs
+    it and each head is called once per level for all meshes: CP's I(x, y)
+    shares the call of I(N(y), N(x)), one level above N(x) and N(y), and NP
+    and IP, whose sides are at height 0, share it too. A walk takes its plan
+    when it starts and when a row or a mesh leaves; the cache spares a
+    search, which scans one row set again and again, the 5-10 us of
+    building it.
     """
-    slots: dict = dict(zip("xyz", range(3)))
+    slots: dict = {(m, c): 3 * m + j for m in range(len(meshes)) for j, c in enumerate("xyz")}
     height: dict = {}
 
-    def gather(t, h: int) -> None:
-        slots.setdefault(t, len(slots))
-        if type(t) is tuple and height.get(t, -1) < h:
-            height[t] = h
+    def gather(m: int, t, h: int) -> None:
+        slots.setdefault((m, t), len(slots))
+        if type(t) is tuple and height.get((m, t), -1) < h:
+            height[m, t] = h
             for a in t[1:]:
-                gather(a, h + 1)
+                gather(m, a, h + 1)
 
-    for t in (t for pair in sides for t in pair):
-        gather(t, 0)
+    for m, sides in enumerate(meshes):
+        for t in (t for pair in sides for t in pair):
+            gather(m, t, 0)
     levels: dict = {}
-    for t, h in height.items():
-        levels.setdefault((-h, t[0]), []).append(t)
+    for (m, t), h in height.items():
+        levels.setdefault((-h, t[0]), []).append((m, t))
     calls = tuple(
-        (head, tuple(slots[t] for t in terms), tuple(tuple(slots[a] for a in t[1:]) for t in terms))
-        for (_, head), terms in sorted(levels.items())
+        (head, tuple(slots[k] for k in keys), tuple(tuple(slots[m, a] for a in t[1:]) for m, t in keys))
+        for (_, head), keys in sorted(levels.items())
     )
-    floats = tuple((slot, t) for t, slot in slots.items() if type(t) is float)
-    return sides, len(slots), floats, calls, tuple(slots[t] for pair in sides for t in pair)
+    floats = tuple((slot, m, t) for (m, t), slot in slots.items() if type(t) is float)
+    outs = tuple(slots[m, t] for m, sides in enumerate(meshes) for pair in sides for t in pair)
+    return meshes, len(slots), floats, calls, outs
 
 
-def _sides(plan: tuple, env: dict, *coords) -> list:
-    """lhs and rhs of each pair of the plan's sides (_plan), in one list, at the point or on the block coords.
+def _sides(plan: tuple, env: dict, blocks: list) -> list:
+    """lhs and rhs of each row of the plan (_plan), in one list, at a point or on a block of each mesh.
 
-    At a point each term is evaluated once, as floats, where it is first
-    needed in the order the sides are written. On a block each float is a
-    column, and each head is called once per level of the plan, on the
-    arguments of every term of that level joined (_joined).
+    blocks holds one tuple of coordinates per mesh of the plan. At a point,
+    of a plan of one mesh, each term is evaluated once, as floats, where it
+    is first needed in the order the sides are written. On blocks each float
+    is a column of its mesh's length, and each head is called once per level
+    of the plan, on the arguments of every term of that level joined
+    (_joined).
     """
-    sides, size, floats, calls, outs = plan
-    if not _is_array(*coords):
-        value = dict(zip("xyz", coords))
+    meshes, size, floats, calls, outs = plan
+    if not _is_array(*blocks[0]):
+        (sides,), (point,) = meshes, blocks
+        value = dict(zip("xyz", point))
 
         def walk(t):
             if type(t) is float:
@@ -920,9 +961,11 @@ def _sides(plan: tuple, env: dict, *coords) -> list:
             return value[t]
 
         return [walk(t) for pair in sides for t in pair]
-    vals = [*coords, *(None,) * (size - len(coords))]
-    for slot, v in floats:
-        vals[slot] = np.full(len(coords[0]), v)
+    vals: list = [None] * size
+    for m, block in enumerate(blocks):
+        vals[3 * m : 3 * m + len(block)] = block
+    for slot, m, v in floats:
+        vals[slot] = np.full(len(blocks[m][0]), v)
     get = vals.__getitem__
     for head, slots, arguments in calls:
         values = env[head].values
@@ -934,45 +977,82 @@ def _sides(plan: tuple, env: dict, *coords) -> list:
     return [*map(get, outs)]
 
 
-def _scan_rows(cols: tuple[np.ndarray, ...], rows: list, env: dict) -> list[tuple[Optional[tuple], int, float]]:
-    """First-witness scans of the rows over the points given as columns, in one walk of its blocks.
+def _scan_rows(meshes: list, env: dict) -> list[tuple[Optional[tuple], int, float]]:
+    """First-witness scans of rows over several meshes, in one walk of rounds.
 
-    rows are (sides, relation) pairs whose terms name connectives in env.
-    Each block evaluates the sides of the rows still walking (_sides, on
-    the plan of their terms, made when the walk starts and again when a row
-    leaves), and relation(lhs, rhs) gives each row's (failed, deviation) on
-    the block's arrays. A row leaves at its first failing point, and the
-    walk ends when no row is left. Returns one (witness, count, worst) per
-    row, with Python floats: witness is (point, lhs, rhs, deviation) of that
+    meshes are (cols, rows) pairs: cols a mesh's points as columns, rows
+    its (sides, relation) pairs, whose terms name connectives in env. Each
+    mesh is walked in blocks doubling from FIRST_BLOCK up to SCAN_BLOCK, so
+    a scan failing at point k of its mesh evaluates at most about 2k points
+    plus one block. A round takes the next block of every mesh still
+    walking and evaluates the sides of every row still walking on them
+    (_sides, on the plan of all their terms, made when the walk starts and
+    again when a row or a mesh leaves), and relation(lhs, rhs) gives each
+    row's (failed, deviation) on its own mesh's block. A row leaves at its
+    first failing point, a mesh when no row of it is left or its points
+    run out, and the walk ends when no mesh is left. Returns one (witness,
+    count, worst) per row, in the order of meshes and their rows, with
+    Python floats: witness is (point, lhs, rhs, deviation) of the failing
     point or None, count the points visited (the failing one included),
     worst the largest deviation seen.
 
-    Blocks double in size from FIRST_BLOCK up to SCAN_BLOCK, so a scan
-    failing at point k evaluates at most about 2k points plus one block.
-    When a point's sides raise, the rows with a witness before that point
-    keep it and, if any row is left, the point's error is raised, as a
-    point-by-point scan of that row would raise it.
+    When the block of a round that walks one mesh raises UnitRangeError or
+    PreconditionError, the rows are walked on the block's clean prefix
+    (_clean_prefix); the rows with a witness there keep it and, if any row
+    is left, the first raising point's error is raised as the float
+    evaluation of their sides raises it, as a point-by-point scan would.
+    A round of several meshes that raises raises its error as it is.
     """
-    active = list(range(len(rows)))
-    plan = _plan(tuple(rows[r][0] for r in active))
+    rows = [row for _, mesh_rows in meshes for row in mesh_rows]
     found, counts, worst = [None] * len(rows), [0] * len(rows), [0.0] * len(rows)
-    for start, arrays in _blockwise(cols, lambda *block: _sides(plan, env, *block), FIRST_BLOCK, SCAN_BLOCK):
-        pairs = iter(arrays)
-        for r, lhs, rhs in zip(tuple(active), pairs, pairs):
-            failed, deviation = rows[r][1](lhs, rhs)
-            hit = _first(failed)
-            end = len(lhs) if hit is None else hit[0] + 1
-            counts[r] += end
-            worst[r] = max(worst[r], float(deviation[:end].max()))
-            if hit is not None:
-                (k,) = hit
-                point = tuple(float(c[start + k]) for c in cols)
-                found[r] = (point, float(lhs[k]), float(rhs[k]), float(deviation[k]))
-                active.remove(r)
-        if not active:
+    # Each mesh walking: its columns, its blocks to come and its rows still walking.
+    walking, first = [], 0
+    for cols, mesh_rows in meshes:
+        if len(cols[0]) and mesh_rows:
+            pending = _blocks(len(cols[0]), FIRST_BLOCK, SCAN_BLOCK)
+            walking.append((cols, pending, list(range(first, first + len(mesh_rows)))))
+        first += len(mesh_rows)
+    plan = None
+    while walking:
+        if plan is None:
+            plan = _plan(tuple(tuple(rows[r][0] for r in active) for _, _, active in walking))
+        spans = [next(pending) for _, pending, _ in walking]
+        blocks = [tuple(c[start:stop] for c in cols) for (cols, _, _), (start, stop) in zip(walking, spans)]
+        error = None
+        try:
+            sides = iter(_sides(plan, env, blocks))
+        except _POINT_ERRORS as exc:
+            if len(walking) > 1:
+                raise
+            clean, arrays, error = _clean_prefix(lambda *block: _sides(plan, env, [block]), blocks[0], exc)
+            sides = iter(arrays or ())
+        left = False
+        for (cols, _, active), (start, stop) in zip(walking, spans):
+            for r, lhs, rhs in zip(tuple(active), sides, sides):
+                failed, deviation = rows[r][1](lhs, rhs)
+                hit = _first(failed)
+                end = len(lhs) if hit is None else hit[0] + 1
+                counts[r] += end
+                worst[r] = max(worst[r], float(deviation[:end].max()))
+                if hit is not None:
+                    (k,) = hit
+                    point = tuple(float(c[start + k]) for c in cols)
+                    found[r] = (point, float(lhs[k]), float(rhs[k]), float(deviation[k]))
+                    active.remove(r)
+                    left = True
+            left = left or stop == len(cols[0])
+        if error is not None:
+            ((cols, _, active),), ((start, _),) = walking, spans
+            if active:
+                point = tuple(float(c[start + clean]) for c in cols)
+                _sides(_plan((tuple(rows[r][0] for r in active),)), env, [point])
+                raise error
             break
-        if len(active) < len(plan[0]):
-            plan = _plan(tuple(rows[r][0] for r in active))
+        # The round's values go with it: every mesh walking had a row walking, so all of these are bound.
+        del sides, lhs, rhs, failed, deviation
+        if left:
+            plan = None
+            walking = [mesh for mesh, (_, stop) in zip(walking, spans) if mesh[2] and stop < len(mesh[0][0])]
     return list(zip(found, counts, worst))
 
 

@@ -29,17 +29,21 @@ or LCP) and runs the row on numerics._scan_rows, the one first-witness
 scan, which evaluates the mesh as arrays in blocks doubling from 1024 up to
 4096 points and reports the witness or error a point-by-point scan would.
 check_properties runs several rows and returns what check_property returns
-for each: the rows that walk one mesh (IB, CP, L-CP and R-CP the pair mesh,
-EP and EP1 the triple mesh) are scanned together in one walk, and a row
-leaves the walk at its first witness. If that raises anything, the rows run
+for each: the rows are grouped by the mesh they walk (IB, CP, L-CP and R-CP
+the pair mesh, EP and EP1 the triple mesh, the others a mesh each), and
+every group is scanned in one walk of all their meshes, each mesh in its
+own doubling blocks. A row leaves the walk at its first witness, a mesh
+when its rows or its points run out. If that raises anything, the rows run
 one by one in the order asked.
 
-On a block the terms of the rows still walking are evaluated once each, a
-nesting level at a time, one joined call per connective and level
-(numerics._plan): CP, L-CP and R-CP take one negation call, on x and y
-joined, and one implication call; I(x, y), which CP compares and IB nests,
-is computed once; and EP and EP1 share all four nestings in two calls. A
-single point is evaluated as floats in the order the sides are written.
+On a round the terms of the rows still walking are evaluated once each per
+mesh, a nesting level at a time, one joined call per connective and level
+for all the meshes (numerics._plan): CP, L-CP and R-CP take one negation
+call, on x and y joined, and one implication call; I(x, y), which CP
+compares and IB nests, is computed once; EP and EP1 share all four
+nestings in two calls; and NP, IP, LOP and ROP join the pair and triple
+meshes' calls. A single point is evaluated as floats in the order the
+sides are written.
 check_unary_property, check_ep and check_contraposition only refuse an id
 outside their group and call check_property.
 
@@ -196,6 +200,9 @@ _PROPERTIES = {
 }
 
 
+# The rows that need a negation: N heads one of their terms.
+_NEGATED = {pid for pid, row in _PROPERTIES.items() if "N" in _heads(*row.sides)}
+
 # Each report id without its hyphen -> the report id.
 _UNHYPHENATED = {pid.replace("-", ""): pid for pid in _PROPERTIES}
 
@@ -217,15 +224,22 @@ def _walked(pid: str, config: CheckConfig) -> tuple:
     return cols
 
 
-def _scan(implication: Implication, pids: list, negation: Optional[Negation], config: CheckConfig) -> list:
-    """The reports of the rows pids, which share one mesh, from one walk of it (numerics._scan_rows)."""
-    rows = [_PROPERTIES[pid] for pid in pids]
-    for pid, row in zip(pids, rows):
-        if negation is None and "N" in _heads(*row.sides):
+def _scan(implication: Implication, groups: list, negation: Optional[Negation], config: CheckConfig) -> list:
+    """The reports of the rows of groups, lists of ids of rows sharing a mesh, from one walk of all their meshes.
+
+    The walk is numerics._scan_rows; the reports come in the order of the
+    groups and their rows.
+    """
+    meshes, pids = [], []
+    for group in groups:
+        rows = [(_PROPERTIES[pid].sides, _PROPERTIES[pid].relation(config.eq_tol)) for pid in group]
+        meshes.append((_walked(group[0], config), rows))
+        pids += group
+    for pid in pids if negation is None else ():
+        if pid in _NEGATED:
             raise PreconditionError(f"{pid} needs a negation")
-    env = {"I": implication, "N": negation}
-    results = _scan_rows(_walked(pids[0], config), [(row.sides, row.relation(config.eq_tol)) for row in rows], env)
-    return [_report(pid, w, n, row.note.format(negation)) for pid, row, (w, n, _) in zip(pids, rows, results)]
+    results = _scan_rows(meshes, {"I": implication, "N": negation})
+    return [_report(pid, w, n, _PROPERTIES[pid].note.format(negation)) for pid, (w, n, _) in zip(pids, results)]
 
 
 def check_property(
@@ -236,17 +250,19 @@ def check_property(
     CP, L-CP and R-CP evaluate the negation, so they refuse a missing one;
     the other properties ignore it.
     """
-    (report,) = _scan(implication, [_property_id(prop)], negation, config)
+    (report,) = _scan(implication, [[_property_id(prop)]], negation, config)
     return report
 
 
 def check_properties(
     implication: Implication, pids, negation: Optional[Negation] = None, config: CheckConfig = DEFAULT_CONFIG
 ) -> list[PropertyReport]:
-    """[check_property(implication, pid, negation, config) for pid in pids], walking each mesh once.
+    """[check_property(implication, pid, negation, config) for pid in pids], walking every mesh once.
 
-    The rows that share a mesh are scanned in one walk (numerics._scan_rows),
-    where each block evaluates the terms they share once and a row drops
+    The rows are grouped by the mesh they walk, and all the groups are
+    scanned in one walk (numerics._scan_rows): each round takes the next
+    block of every mesh still walking, evaluates the terms of all the rows
+    still walking with one call per connective and level, and a row drops
     out at its first witness. If that raises anything, the rows are run one
     by one in the order of pids, so the reports, or the error, are those
     of the one-by-one calls. pids may name a row twice, and is read once,
@@ -258,9 +274,8 @@ def check_properties(
         groups: dict = {}
         for pid in dict.fromkeys(ids):
             groups.setdefault(_PROPERTIES[pid].mesh, []).append(pid)
-        reports = {}
-        for group in groups.values():
-            reports.update(zip(group, _scan(implication, group, negation, config)))
+        walked = [pid for group in groups.values() for pid in group]
+        reports = dict(zip(walked, _scan(implication, list(groups.values()), negation, config)))
         return [reports[pid] for pid in ids]
     except Exception:
         # Whatever raised, row by row raises what check_property raises, at the row that meets it.

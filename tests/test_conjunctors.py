@@ -345,7 +345,7 @@ def _per_candidate_neutral(f, config=ok.DEFAULT_CONFIG):
 
     def deviates(a, budget):
         row = (("F", "x", a), "x"), numerics._apart(budget)
-        ((witness, _, _),) = numerics._scan_rows((samples,), [row], {"F": f})
+        ((witness, _, _),) = numerics._scan_rows([((samples,), [row])], {"F": f})
         return witness is not None
 
     for a in grid.tolist():

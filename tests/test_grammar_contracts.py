@@ -21,6 +21,10 @@ evaluation (the grid's points as 1-d columns, in blocks), or its error; an
 unmarked object, or one whose broadcast evaluation raises, takes the flat
 path.
 
+check_properties of all ten property rows, for a drawn implication and
+negation, gives the reports check_property gives row by row, or raises the
+same error (type and message).
+
 On the CLI, `eval EXPR --grid 5` for a drawn expression exits 0, 2 or 3
 with no traceback in every format, gives the same 9-decimal values in
 text, CSV and JSON, and writes the same bytes when run twice.
@@ -41,7 +45,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import overlapkit as ok
-from overlapkit import cli, numerics
+from overlapkit import cli, numerics, properties
 from overlapkit.implications import CRISP_KINDS
 from overlapkit.numerics import OverlapkitError, _sample_mesh
 
@@ -262,6 +266,30 @@ def test_tensor_bits_take_the_flat_path_when_unmarked_or_raising(monkeypatch):
         numerics._tensor(leaky, axis)
     assert str(tensor_error.value) == str(flat_error.value)
     assert calls == [len(axis) ** 2]
+
+
+def _reports(run):
+    """run()'s reports as dicts, or the type and message of what it raises, with numpy's warnings silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return [report.as_dict() for report in run()]
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
+@settings(max_examples=80)
+@given(implication=_expressions("implication", DEPTH), negation=_expressions("negation", 1))
+# These raise at every point: the walk of all six meshes raises and the rows run one by one.
+@example(implication="agg(min; ro(trunc:O_P:p=1e-17,a=0.9), gon(O_min, zadeh))", negation="zadeh")
+@example(implication="tn(trunc:O_P:p=1e-17,a=0.9, zadeh)", negation="power:2")
+def test_check_properties_reports_what_check_property_reports_row_by_row(implication, negation):
+    # All ten rows walk their six meshes together; a walk that raises runs the rows one by one.
+    i, n = _parse(implication), _parse(negation)
+    assume(i is not None and n is not None)
+    ids = list(properties._PROPERTIES)
+    got = _reports(lambda: properties.check_properties(i, ids, n, CFG))
+    assert got == _reports(lambda: [properties.check_property(i, pid, n, CFG) for pid in ids]), (implication, negation)
 
 
 def _cli(argv: list) -> tuple:

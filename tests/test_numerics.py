@@ -914,3 +914,19 @@ def test_fixed_column_powers_in_nested_bisections_match_the_scalar_reference(mon
     # An inner bracket runs inside an outer step and sees both steps' midpoints.
     assert most["ro(1 - ro(O_P:p=2)(x, 1 - z))"] == 2
     assert most["agg(min; ro(O_P:p=2), ro(O_DB))"] == 1
+
+
+def test_joined_cuts_columns_of_different_lengths_back_within_two_scan_blocks():
+    # The blocks of several meshes: consecutive calls are joined while they fit in 2 * SCAN_BLOCK points.
+    rng = np.random.default_rng(0)
+    calls = [[rng.random(n), rng.random(n)] for n in (301, 1024, 4096, 4096, 17, 2048, 4096)]
+    seen = []
+
+    def g(a, b):
+        seen.append(len(a))
+        return a * b
+
+    out = numerics._joined(g, calls)
+    assert [v.tolist() for v in out] == [(a * b).tolist() for a, b in calls]
+    assert seen == [301 + 1024 + 4096, 4096 + 17 + 2048, 4096]
+    assert max(seen) <= 2 * numerics.SCAN_BLOCK

@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import pytest
 
+import numpy as np
 import overlapkit as ok
-from overlapkit import numerics
+from overlapkit import cli, numerics, properties
 from overlapkit.properties import CP_VARIANTS, EP_VARIANTS, UNARY_PROPERTIES
 
 from conftest import BINARY_ENTRIES, NEGATION_CATALOG
@@ -350,3 +351,79 @@ def test_check_properties_reads_a_one_pass_iterable_of_ids_once(ids, message, on
         with pytest.raises(ok.PreconditionError) as raised:
             ok.check_properties(imp, pids)
         assert str(raised.value) == message
+
+
+# --- one walk of every mesh ---------------------------------------------------
+
+ALL_IDS = list(properties._PROPERTIES)
+# The residual workload's props instances, with props' default negation.
+RESIDUALS = ("ro(O_P:p=2)", "ro(O_min)", "ro(O_mM)", "ro(O_DB)")
+
+
+@pytest.mark.parametrize("grid", [21, 101])
+def test_check_properties_walks_without_falling_back_to_the_rows_one_by_one(grid, monkeypatch):
+    # A walk of several meshes that raises is run again row by row, which
+    # would hide the raise behind equal reports: with check_property
+    # refusing, table2's columns and the residual instances must still pass.
+    config = ok.CheckConfig(grid_resolution=grid)
+    cases = [(i, n, ids) for i, n in cli.table2_instances() for ids in (cli.TABLE2_PROPERTIES, ALL_IDS)]
+    cases += [(cli.parse_implication(e, config), ok.make_standard(), ALL_IDS) for e in RESIDUALS]
+    want = [[properties.check_property(i, pid, n, config) for pid in ids] for i, n, ids in cases]
+
+    def refused(*args):
+        raise AssertionError("check_properties ran the rows one by one")
+
+    monkeypatch.setattr(properties, "check_property", refused)
+    assert [properties.check_properties(i, ids, n, config) for i, n, ids in cases] == want
+
+
+def _counted(monkeypatch) -> dict:
+    """Counts, while the test runs, of _bracket runs, the points they bisect and outermost Implication.values calls."""
+    counts = {"brackets": 0, "points": 0, "calls": 0}
+    bracket, values, depth = numerics._bracket, ok.Implication.values, [0]
+
+    def counted_bracket(holds, tol, lo=0.0, fixed=()):
+        counts["brackets"] += 1
+        counts["points"] += len(fixed[0]) if fixed else np.size(lo)
+        return bracket(holds, tol, lo, fixed)
+
+    def counted_values(self, *xs):
+        counts["calls"] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return values(self, *xs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(numerics, "_bracket", counted_bracket)
+    monkeypatch.setattr(ok.Implication, "values", counted_values)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "expression, per_mesh, one_walk",
+    [
+        ("ro(O_DB)", {"brackets": 12, "points": 12295, "calls": 12}, {"brackets": 6, "points": 12295, "calls": 6}),
+        ("tn(O_min, zadeh)", {"brackets": 0, "points": 0, "calls": 27}, {"brackets": 0, "points": 0, "calls": 19}),
+    ],
+)
+def test_one_walk_of_every_mesh_makes_fewer_brackets_and_calls_than_a_walk_per_mesh(
+    expression, per_mesh, one_walk, monkeypatch
+):
+    # props --prop all at the default config. A walk per mesh is how
+    # check_properties walked before its meshes shared one walk: the counts
+    # it pins are that walk's. One walk joins the calls of every mesh, so it
+    # runs fewer bisections, on the same points, in fewer top-level calls.
+    implication, negation = cli.parse_implication(expression), ok.make_standard()
+    counts = _counted(monkeypatch)
+    groups: dict = {}
+    for pid in ALL_IDS:
+        groups.setdefault(properties._PROPERTIES[pid].mesh, []).append(pid)
+    walked = [r for group in groups.values() for r in properties._scan(implication, [group], negation, ok.DEFAULT_CONFIG)]
+    assert counts == per_mesh
+    counts.update(brackets=0, points=0, calls=0)
+    reports = properties.check_properties(implication, ALL_IDS, negation)
+    assert counts == one_walk
+    assert reports == sorted(walked, key=lambda r: ALL_IDS.index(r.property_id))
+    assert one_walk["calls"] < per_mesh["calls"] and one_walk["points"] == per_mesh["points"]
+    assert one_walk["brackets"] < per_mesh["brackets"] or per_mesh["brackets"] == 0

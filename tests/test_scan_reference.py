@@ -1,10 +1,12 @@
 """The blockwise array scan reports what the scalar scan reports, at grid 101.
 
 The reference runs the same checkers with the mesh kernels swapped for their
-scalar forms, defined here, in every module that imports them: a
-first-witness loop over the points as Python floats for numerics._scan_rows,
-each point's sides from the float walk of numerics._sides (every term
-through __call__), and a point-by-point loop for numerics._mesh_values.
+scalar forms, defined here, in every module that imports them: for
+numerics._scan_rows, a first-witness loop over each mesh's points as Python
+floats, one mesh after another, each point's sides from the float walk of
+numerics._sides (every term through __call__), and a point-by-point loop for
+numerics._mesh_values. check_properties must reach the reference with all
+six meshes of the ten rows in one walk.
 Every report -- verdict, witness, sides, deviation and samples_checked --
 must be equal, for the ten properties and compare, on the five table2
 instances plus one instance of each remaining family and one implication
@@ -27,7 +29,7 @@ and EP1, which join their four evaluations into two calls on a mesh, and
 CP, L-CP and R-CP, which join theirs into one negation call and one
 implication call, are also checked against the sides written out point by
 point, on connectives that leak in the second half of a joined call.
-check_properties, which walks a shared mesh once for several rows, must
+check_properties, which walks every mesh of its rows in one walk, must
 report, or raise, what check_property reports row by row, on the same leaky
 connectives.
 """
@@ -81,8 +83,8 @@ def _scan(points, sides, relation):
     return None, count, worst
 
 
-def _scalar_scan_rows(cols, rows, env):
-    """numerics._scan_rows point by point: at each point the sides of the rows still walking, as floats.
+def _scalar_mesh_rows(cols, rows, env):
+    """The rows of one mesh point by point: at each point the sides of the rows still walking, as floats.
 
     The sides come from the float walk of numerics._sides, which evaluates
     each term once through __call__, in the order the sides are written;
@@ -93,7 +95,7 @@ def _scalar_scan_rows(cols, rows, env):
     for point in zip(*(c.tolist() for c in cols)):
         if not active:
             break
-        values = iter(numerics._sides(numerics._plan(tuple(rows[r][0] for r in active)), env, *point))
+        values = iter(numerics._sides(numerics._plan((tuple(rows[r][0] for r in active),)), env, [point]))
         for r, lhs, rhs in zip(tuple(active), values, values):
             _, count, worst = results[r]
             failed, deviation = rows[r][1](lhs, rhs)
@@ -102,6 +104,16 @@ def _scalar_scan_rows(cols, rows, env):
             if failed:
                 active.remove(r)
     return results
+
+
+# The number of meshes of each walk the reference below runs, while it is swapped in.
+REFERENCE_WALKS: list = []
+
+
+def _scalar_scan_rows(meshes, env):
+    """numerics._scan_rows by the reference: each mesh's rows point by point, one mesh after another."""
+    REFERENCE_WALKS.append(len(meshes))
+    return [result for cols, rows in meshes for result in _scalar_mesh_rows(cols, rows, env)]
 
 
 def _scalar_mesh_values(cols, fn):
@@ -115,6 +127,7 @@ MODULES = (aggregation, cli, conjunctors, dumps, implications, negations, proper
 
 def _use_scalar_kernels(patch) -> None:
     """Swap the scalar reference in for _scan_rows and _mesh_values in every module that imports them."""
+    REFERENCE_WALKS.clear()
     for module in MODULES:
         for name, kernel in (("_scan_rows", _scalar_scan_rows), ("_mesh_values", _scalar_mesh_values)):
             if hasattr(module, name):
@@ -145,11 +158,15 @@ def test_array_scan_matches_scalar_reference(k, scalar_kernels):
     implication, negation = INSTANCES[k]
     other = INSTANCES[(k + 1) % len(INSTANCES)][0]
     got = _reports(implication, negation, other)
-    # The ten rows in one call, rows sharing a mesh walking it together over several blocks.
+    # The ten rows in one call, all six meshes walked together over several rounds.
     together = properties.check_properties(implication, list(properties._PROPERTIES), negation)
     assert [r.as_dict() for r in together] == got[:-1]
     scalar_kernels()
     assert got == _reports(implication, negation, other)
+    # check_properties reaches the reference too, with all six meshes in one walk.
+    REFERENCE_WALKS.clear()
+    assert properties.check_properties(implication, list(properties._PROPERTIES), negation) == together
+    assert REFERENCE_WALKS == [6]
 
 
 def _leaky_min(cut: float) -> ok.FusionFunction:
