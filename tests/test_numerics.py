@@ -21,6 +21,7 @@ from overlapkit.numerics import (
     _distinct,
     _fsum,
     _invert,
+    _min,
     _pow,
     _sample_mesh,
     _vectorized,
@@ -228,14 +229,43 @@ def test_invert_strict_rejects_crisp():
         ok.invert_strict(ok.make_crisp("upper", 0.5), 0.3, 1e-8)
 
 
+# The starts of _bracket's callers: zeros as an array, _sup's float 0.0 (the
+# first step's mask makes lo an array) and _invert's _min(s, 0.0) for s > 0.
+_BRACKET_STARTS = {
+    "zeros": lambda c: np.zeros(len(c)),
+    "sup": lambda c: 0.0,
+    "invert": lambda c: _min(c + 0.5, 0.0),
+}
+
+# Masks as holds returns them: bool, and not bool, whose truth values are np.where's.
+_MASK_KINDS = {
+    "bool": lambda mask: mask,
+    "int8": lambda mask: mask.astype(np.int8),
+    "float": lambda mask: np.where(mask, 0.25, 0.0),
+}
+
+
+def _assert_unsigned(*bounds) -> None:
+    """No bound has its sign bit set: a -0.0 would not survive lo + 0.0."""
+    for bound in bounds:
+        assert not np.signbit(bound).any()
+
+
 @settings(max_examples=60)
 @given(
     st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=16),
     st.sampled_from([1e-8, 1e-12]),
+    st.sampled_from(sorted(_BRACKET_STARTS)),
+    st.sampled_from(sorted(_MASK_KINDS)),
 )
-def test_bracket_on_arrays_takes_the_steps_of_each_float(thresholds, tol):
+@example([1.0, 1.0], 1e-8, "sup", "bool")  # holds everywhere
+@example([0.0, 0.0, 0.0], 1e-12, "invert", "int8")  # holds at no midpoint
+@example([1.0, 0.0, 0.3], 1e-8, "zeros", "float")
+def test_bracket_on_arrays_takes_the_steps_of_each_float(thresholds, tol, start, kind):
     c = np.array(thresholds)
-    lo, hi = _bracket(lambda m: m <= c, tol, np.zeros(len(c)))
+    mask = _MASK_KINDS[kind]
+    lo, hi = _bracket(lambda m: mask(m <= c), tol, _BRACKET_STARTS[start](c))
+    _assert_unsigned(lo, hi)
     for k, ck in enumerate(thresholds):
         want = _bracket(lambda m: m <= ck, tol)
         assert (float(lo[k]).hex(), float(hi[k]).hex()) == tuple(v.hex() for v in want)
@@ -262,11 +292,18 @@ def _hex(values) -> list[str]:
     st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=16),
     st.sampled_from([0.5, 1e-3, 1e-8, 1e-12, 2**-51]),
     st.sampled_from([np.less, np.less_equal]),
+    st.sampled_from(sorted(_BRACKET_STARTS)),
+    st.sampled_from(sorted(_MASK_KINDS)),
 )
-def test_bracket_matches_the_two_bound_loop(thresholds, tol, below):
+@example([1.0], 2**-51, np.less_equal, "sup", "bool")  # holds everywhere
+@example([0.0, 0.0], 2**-51, np.less, "invert", "bool")  # holds nowhere
+@example([0.0, 1.0], 1e-8, np.less, "zeros", "int8")
+def test_bracket_matches_the_two_bound_loop(thresholds, tol, below, start, kind):
     c = np.array(thresholds)
-    got = _bracket(lambda m: below(m, c), tol, np.zeros(len(c)))
+    mask = _MASK_KINDS[kind]
+    got = _bracket(lambda m: mask(below(m, c)), tol, _BRACKET_STARTS[start](c))
     want = _two_bound_bracket(lambda m: below(m, c), tol, np.zeros(len(c)), np.ones(len(c)))
+    _assert_unsigned(*got)
     assert [_hex(v) for v in got] == [_hex(v) for v in want]
     for ck in thresholds:
 
@@ -791,12 +828,24 @@ def test_fixed_midpoint_table_powers_match_the_scalar_reference(subject, p, q, n
     n=st.integers(1, 3000),
     seed=st.integers(0, 2**32 - 1),
     tol=st.sampled_from([1e-8, 2**-51]),
+    start=st.sampled_from(sorted(_BRACKET_STARTS)),
 )
-def test_fixed_midpoint_powers_in_a_bracket_are_float_pow_at_every_step(p, thresholds, n, seed, tol):
-    # The midpoints' powers at each of up to 53 steps, against the bracket of each float.
+@example(2.0, [1.0], numerics.MIDPOINT_TABLE_FLOOR, 0, 1e-8, "sup")  # holds everywhere
+@example(0.5, [0.0], numerics.MIDPOINT_TABLE_FLOOR, 0, 1e-8, "invert")  # holds nowhere
+def test_fixed_midpoint_powers_in_a_bracket_are_float_pow_at_every_step(p, thresholds, n, seed, tol, start):
+    # The midpoints' powers at each of up to 53 steps, against the bracket of each float; from
+    # MIDPOINT_TABLE_FLOOR elements up _pow powers the midpoints' table while the bracket moves lo.
     c = _repeated(thresholds, n, seed)
-    lo, hi = _bracket(lambda m: _pow(m, p) <= c, tol, np.zeros(n))
+    tabled = []
+
+    def holds(m):
+        tabled.append(_midpoints_registered())
+        return _pow(m, p) <= c
+
+    lo, hi = _bracket(holds, tol, _BRACKET_STARTS[start](c))
     assert numerics._fixed == {}
+    assert any(tabled) == (n >= numerics.MIDPOINT_TABLE_FLOOR)
+    _assert_unsigned(lo, hi)
     for k, ck in enumerate(c.tolist()):
         want = _bracket(lambda m: m**p <= ck, tol)
         assert (float(lo[k]).hex(), float(hi[k]).hex()) == tuple(v.hex() for v in want)
