@@ -324,7 +324,7 @@ def truncate_overlap(overlap: FusionFunction, a: float) -> FusionFunction:
     general overlap function that vanishes on a strip of nonzero arguments,
     so it is deliberately not an overlap function.
     """
-    if overlap.role != "overlap" or overlap.arity != 2:
+    if not isinstance(overlap, FusionFunction) or overlap.role != "overlap" or overlap.arity != 2:
         raise PreconditionError("truncate_overlap needs a binary overlap function")
     av = float(a)
     if not 0.0 < av < 1.0:
@@ -753,11 +753,11 @@ def find_neutral(f: FusionFunction, config: CheckConfig = DEFAULT_CONFIG) -> Opt
         rows = grid[row : row + step]
         cols = (np.tile(samples, len(rows)), np.repeat(rows, len(samples)))
         try:
-            lhs, rhs = _mesh_values(cols, lambda x, a: (_value(f, x, a), x))
+            (values,) = _mesh_values(cols, lambda x, a: (_value(f, x, a),))
         except Exception:
             passes = (a for a in rows.tolist() if not deviates(a, config.eq_tol))
         else:
-            failed, _ = _apart(config.eq_tol)(lhs, rhs)
+            failed, _ = _apart(config.eq_tol)(values, cols[0])
             passes = iter(rows[~failed.reshape(len(rows), -1).any(axis=1)].tolist())
         a = next(passes, None)
         if a is not None:

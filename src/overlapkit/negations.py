@@ -14,8 +14,8 @@ re-derives the same flags numerically on the sample grid, so the two routes
 can be checked against each other. The N-dual of a fusion function,
 N(f(N(x1),...,N(xn))), is conjunctors.dual, beside the grouping and overlap
 constructions built on it; this module imports nothing from conjunctors.
-_require_negation is the one refusal of a non-Negation, by dual and by
-the gon, tn and gn constructors.
+_require_negation is the one refusal of a non-Negation, by dual, by
+the gon, tn and gn constructors, by classify and by inverse_negation.
 
 Each negation and the numeric inverse is one body over numerics (its
 primitives, _invert): a point on floats, a mesh on arrays. A Negation is
@@ -169,6 +169,7 @@ def classify(negation: Negation, config: CheckConfig = DEFAULT_CONFIG) -> Negati
     heuristic (adjacent-grid jump <= 10/grid_resolution); it is sound on the
     shipped catalog but, like any sampling argument, not a proof.
     """
+    _require_negation(negation, "classify")
     tol = config.eq_tol
     samples = sorted_samples(config)
     vals = _tensor(negation, samples)
@@ -227,6 +228,7 @@ def inverse_negation(negation: Negation, tol: float | None = None) -> Negation:
     mesh), so the result is within the bisection tolerance of the true
     inverse rather than exact; y = 0 and y = 1 map exactly to 1 and 0.
     """
+    _require_negation(negation, "inverse_negation")
     if not negation.is_strict:
         raise PreconditionError("inverse_negation requires a strict negation")
     t = DEFAULT_CONFIG.bisect_tol if tol is None else float(tol)

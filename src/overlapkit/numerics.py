@@ -96,14 +96,14 @@ share one call, and NP's and IP's I(x, y) share it too. For a residual
 implication each call is one bisection, whatever its length, so a walk
 of every mesh at once runs fewer of them. _sides evaluates a plan on a
 block of each mesh, or term by term as floats at a point. _mesh_values,
-the full evaluation of a mesh by a callable, runs on the block loop
-_blockwise, in blocks of MAX_BLOCK (16384), so the grid-101 pair mesh is
-one block. When a block of a round of one mesh, or of _blockwise, raises
-UnitRangeError or PreconditionError, _clean_prefix bisects on the
-block's prefix length for the first point that raises; the clean prefix
-before it is handed on and then that point's error is raised as its
-float evaluation raises it. So the witness or error reported is the one
-met first in point order, with no point evaluated as a scalar but the
+the full evaluation of a mesh by a callable, slices its own blocks of
+MAX_BLOCK (16384) points, so the grid-101 pair mesh is one block. When a
+block of a round of one mesh, or of _mesh_values, raises UnitRangeError
+or PreconditionError, _clean_prefix bisects on the block's prefix length
+for the first point that raises; a scan walks its rows on the clean
+prefix before it, and then that point's error is raised as its float
+evaluation raises it. So the witness or error reported is the one met
+first in point order, with no point evaluated as a scalar but the
 raising one. A round of several meshes that raises raises as it is, and
 properties.check_properties then runs its rows one by one.
 
@@ -661,8 +661,9 @@ def _fsum3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     uh, ul = _two_sum(b, c)
     th, tl = _two_sum(a, uh)
     v, e = _two_sum(tl, ul)
-    even = (v.view(np.uint64) & 1) == 0
-    v = np.where((e != 0.0) & even, np.nextafter(v, np.copysign(np.inf, e)), v)
+    # v is a fresh array; its points with an inexact, even sum, often none, move one ulp.
+    odd = (e != 0.0) & ((v.view(np.uint64) & 1) == 0)
+    v[odd] = np.nextafter(v[odd], np.copysign(np.inf, e[odd]))
     return th + v + 0.0
 
 
@@ -838,13 +839,13 @@ def _joined(g: Callable, calls: list) -> list:
     return out
 
 
-def _blocks(n: int, first: int, last: int):
-    """(start, stop) over range(n) in blocks doubling from first up to last."""
-    start, size = 0, first
+def _blocks(n: int):
+    """(start, stop) over range(n) in blocks doubling from FIRST_BLOCK up to SCAN_BLOCK."""
+    start, size = 0, FIRST_BLOCK
     while start < n:
         stop = min(n, start + size)
         yield start, stop
-        start, size = stop, min(2 * size, last)
+        start, size = stop, min(2 * size, SCAN_BLOCK)
 
 
 def _scalar_points(cols: tuple):
@@ -870,29 +871,6 @@ def _clean_prefix(fn: Callable[..., tuple], block: tuple, error: Exception) -> t
             error, raising = exc, m
         m = (clean + raising) // 2
     return clean, arrays, error
-
-
-def _blockwise(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple], first: int, last: int):
-    """(start, arrays) for each block of _blocks over the columns cols, fn(*block) giving arrays of its points.
-
-    A block that raises is cut to its clean prefix (_clean_prefix), which
-    is yielded; resuming raises the first raising point's error as fn raises
-    it on that point's floats, the error a point-by-point run meets first,
-    or, should the floats pass, the array error.
-    """
-    for start, stop in _blocks(len(cols[0]), first, last):
-        block = tuple(c[start:stop] for c in cols)
-        try:
-            arrays = fn(*block)
-        except _POINT_ERRORS as exc:
-            clean, arrays, error = _clean_prefix(fn, block, exc)
-        else:
-            yield start, arrays
-            continue
-        if clean:
-            yield start, arrays
-        fn(*(float(c[clean]) for c in block))
-        raise error
 
 
 # A term is a coordinate "x", "y" or "z", a float, or (head, *terms): the
@@ -1023,7 +1001,7 @@ def _scan_rows(meshes: list, env: dict) -> list[tuple[Optional[tuple], int, floa
     walking, first = [], 0
     for cols, mesh_rows in meshes:
         if len(cols[0]) and mesh_rows:
-            pending = _blocks(len(cols[0]), FIRST_BLOCK, SCAN_BLOCK)
+            pending = _blocks(len(cols[0]))
             walking.append((cols, pending, list(range(first, first + len(mesh_rows)))))
         first += len(mesh_rows)
     plan = None
@@ -1073,11 +1051,20 @@ def _scan_rows(meshes: list, env: dict) -> list[tuple[Optional[tuple], int, floa
 def _mesh_values(cols: tuple[np.ndarray, ...], fn: Callable[..., tuple]) -> tuple[np.ndarray, ...]:
     """Every point's fn(*coords), a tuple of values, as one array per entry.
 
-    Evaluates blocks of MAX_BLOCK points as arrays. When a point raises, the
-    error raised is that of the first such point, as a point-by-point
-    evaluation would raise it.
+    Evaluates blocks of MAX_BLOCK points as arrays. When a block raises,
+    its first raising point (_clean_prefix) is evaluated as floats, and the
+    error raised is that point's, as a point-by-point evaluation would
+    raise it, or, should the floats pass, the block's.
     """
-    parts = [arrays for _, arrays in _blockwise(cols, fn, MAX_BLOCK, MAX_BLOCK)]
+    parts = []
+    for start in range(0, len(cols[0]), MAX_BLOCK):
+        block = tuple(c[start : start + MAX_BLOCK] for c in cols)
+        try:
+            parts.append(fn(*block))
+        except _POINT_ERRORS as exc:
+            clean, _, error = _clean_prefix(fn, block, exc)
+            fn(*(float(c[clean]) for c in block))
+            raise error
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 

@@ -334,6 +334,28 @@ def test_a_constructor_refuses_a_negation_that_is_not_a_negation(call, who, nega
     assert str(raised.value) == f"{who} needs a Negation"
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ok.inverse_negation(ok.catalog("O_min")), "inverse_negation needs a Negation"),
+        (lambda: ok.classify(ok.catalog("O_min")), "classify needs a Negation"),
+        (
+            lambda: ok.check_commutes(
+                ok.make_aggregation("mean", 2), ok.OperatorFamily(members=(ok.catalog("GO_max"),)), ok.catalog("O_min")
+            ),
+            "classify needs a Negation",
+        ),
+        (lambda: ok.truncate_overlap(ok.make_standard(), 0.5), "truncate_overlap needs a binary overlap function"),
+    ],
+    ids=["inverse_negation", "classify", "check_commutes", "truncate_overlap"],
+)
+def test_a_function_refuses_an_argument_of_the_wrong_kind(call, message):
+    with pytest.raises(ok.PreconditionError) as raised:
+        call()
+    assert type(raised.value) is ok.PreconditionError
+    assert str(raised.value) == message
+
+
 def test_classify_crisp_finds_no_fit_for_a_threshold_that_never_switches():
     # I(x, 0) = 1 everywhere: the alpha bisection has no switch to find.
     one = ok.Implication(fn=_vectorized(lambda x, y: _max(1.0, x)), label="one", family="crisp")

@@ -891,15 +891,40 @@ def test_fixed_column_powers_are_released_when_the_bracket_raises(powered, table
     assert registered_at_raise[0] == 1
     assert numerics._fixed == {}
     assert x.flags.writeable and y.flags.writeable
-    # The block loop hands on the clean prefix before point k, then raises k's error.
-    blocks = numerics._blockwise((x, y), lambda a, b: (ro.values(a, b),), numerics.FIRST_BLOCK, numerics.SCAN_BLOCK)
-    start, (clean,) = next(blocks)
-    assert (start, len(clean)) == (0, k)
-    assert _bits(clean) == _bits([ro(*p) for p in points[:k]])
+    # The whole-mesh walk raises point k's error.
     with pytest.raises(ok.UnitRangeError) as in_kernel:
-        next(blocks)
+        numerics._mesh_values((x, y), lambda a, b: (ro.values(a, b),))
     assert str(in_kernel.value) == str(at_point.value)
     assert numerics._fixed == {}
+
+
+def test_mesh_values_raises_the_float_error_of_the_first_raising_point_of_a_later_block():
+    # Three blocks; points k and k + 100 of the second are out of range, each with its own value.
+    n, k = 2 * numerics.MAX_BLOCK + 100, numerics.MAX_BLOCK + 1234
+    x = np.linspace(0.0, 1.0, n)
+    arrays, floats = [], []
+
+    def fn(a):
+        bad = (a == x[k]) | (a == x[k + 100])
+        if isinstance(a, np.ndarray):
+            arrays.append((int(np.searchsorted(x, a[0])), len(a)))
+            return numerics._where(bad, 1.0 + a / 4, 1.0 - a)
+        floats.append(a)
+        # Out of range by another value as a float, so the float error is told from the array one.
+        return 2.0 + a if bad else 1.0 - a
+
+    leaky = ok.Negation(fn=_vectorized(fn), label="leaky")
+    with pytest.raises(ok.UnitRangeError) as at_point:
+        leaky(float(x[k]))
+    floats.clear()
+    with pytest.raises(ok.UnitRangeError) as on_mesh:
+        numerics._mesh_values((x,), lambda a: (numerics._value(leaky, a),))
+    assert str(on_mesh.value) == str(at_point.value) == f"value {2.0 + float(x[k])!r} is not in [0, 1]"
+    # The first block once, as arrays; then prefixes of the second; of the points after k, none as floats.
+    assert arrays[0] == (0, numerics.MAX_BLOCK)
+    assert all(start == numerics.MAX_BLOCK for start, _ in arrays[1:])
+    assert max(start + size for start, size in arrays) <= 2 * numerics.MAX_BLOCK
+    assert floats == [float(x[k])]
 
 
 def test_fixed_midpoint_powers_are_released_when_an_inversion_raises(tables_on_short_columns):

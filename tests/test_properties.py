@@ -76,7 +76,7 @@ def test_ep_fails_for_go_max_with_triple_witness():
 
 def _scan_blocks(report) -> list[int]:
     """The lengths of the blocks of a scan that visited report.samples_checked points."""
-    blocks = numerics._blocks(report.samples_checked, numerics.FIRST_BLOCK, numerics.SCAN_BLOCK)
+    blocks = numerics._blocks(report.samples_checked)
     return [stop - start for start, stop in blocks]
 
 

@@ -516,7 +516,7 @@ def test_t2_makes_two_calls_of_f_per_block():
 
     f = dataclasses.replace(o_min, fn=_vectorized(fn))
     assert ok.check_associativity(f).passed
-    blocks = [stop - start for start, stop in numerics._blocks(21**3, numerics.FIRST_BLOCK, numerics.SCAN_BLOCK)]
+    blocks = [stop - start for start, stop in numerics._blocks(21**3)]
     assert len(blocks) == 4
     assert calls == [2 * n for n in blocks for _ in range(2)]
 

@@ -304,7 +304,7 @@ def test_a_use_of_a_group_checker_is_found():
 
 
 # The block loop of the mesh kernels; every other module scans through _scan_rows and _mesh_values.
-BLOCK_LOOP = {"_blockwise", "_blocks", "_POINT_ERRORS", "FIRST_BLOCK"}
+BLOCK_LOOP = {"_blocks", "_clean_prefix", "_POINT_ERRORS", "FIRST_BLOCK"}
 
 
 @pytest.mark.parametrize(
@@ -323,14 +323,15 @@ def test_a_use_of_the_block_loop_is_found():
 
 
         def f(cols, fn):
-            for start, arrays in numerics._blockwise(cols, fn, FIRST_BLOCK, SCAN_BLOCK):
+            for start, stop in numerics._blocks(len(cols[0])):
                 try:
-                    return _mesh_values(cols, fn), "_blocks"
-                except numerics._POINT_ERRORS:
-                    pass
+                    return _mesh_values(cols, fn), "_clean_prefix", FIRST_BLOCK
+                except numerics._POINT_ERRORS as exc:
+                    return numerics._clean_prefix(fn, cols, exc)
         """
     )
-    assert _name_uses(source, BLOCK_LOOP) == ["1:FIRST_BLOCK", "6:FIRST_BLOCK", "6:_blockwise", "9:_POINT_ERRORS"]
+    want = ["1:FIRST_BLOCK", "6:_blocks", "8:FIRST_BLOCK", "9:_POINT_ERRORS", "10:_clean_prefix"]
+    assert _name_uses(source, BLOCK_LOOP) == want
 
 
 # The builders of Implication records: the composite families, the crisp family and aggregate, whose labels differ.
